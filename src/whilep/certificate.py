@@ -2,14 +2,32 @@
 
 A derivation node records one rule application: the original statement,
 its residual, the entry/exit (points-to, live) pairs, and premise
-derivations. check() revalidates everything from scratch: rule/statement
-shape, side conditions recomputed from the node's own entry type, the
-rewrite itself, and how premises compose. The consequence rule (csq_d)
-is accepted on input even though the optimizer never emits it.
+derivations. rewrite() builds the derivation of an annotated program;
+check() revalidates one from scratch: rule/statement shape, side
+conditions recomputed from the node's own entry type, the rewrite
+itself, and how premises compose. The consequence rule (csq_d) is
+accepted on input even though the optimizer never emits it.
 
-Certificates serialize to JSON with statements embedded as canonical
-source text; serialization is deterministic, so structurally equal
-derivations produce byte-identical documents.
+The rules are compositional: given the program, its entry type and its
+exit live set, every judgment is forced except the loop invariants and
+the loop-head live sets. A certificate document therefore stores each
+fact once, as one JSON object:
+
+  program    the canonical program text
+  entry      the entry points-to type
+  exit_live  the exit live set
+  loops      {pts, live} per loop in source preorder (then-branch before
+             else-branch, outer loop before inner): the whl_d invariant
+             and the loop-head live set
+  residual   the canonical residual text
+
+deserialize() reruns the analyses from entry and exit with each loop
+seeded by its annotation, then the rewrite, and rejects an annotation or
+residual that the rerun does not reproduce. A coarser annotation that is
+still closed is reproduced: on disk, weakening is expressed through the
+loop annotations and the entry type, and csq_d stays in memory only
+(serialize raises ValueError on it). Serialization is deterministic, so
+equal derivations produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -21,10 +39,10 @@ from .lang import (
     Assign, Cons, Dispose, If, IntLit, Lookup, Mutate, ParseError, Seq, Skip,
     Stmt, While, free_vars, parse, pretty,
 )
-from .liveness import LiveType, leaf_live_pre, _cons_live
+from .liveness import LiveStmt, LiveType, cons_live, leaf_live_pre, live_annotate
 from .pointsto import (
-    PointsTo, WidenConfig, abs_eval, addr_part, join, leq, live_from_list,
-    live_to_list, pts_from_doc, pts_to_doc, transfer,
+    PointsTo, WidenConfig, abs_eval, addr_part, annotate, join, leq,
+    live_from_list, live_to_list, pts_from_doc, pts_to_doc, transfer,
 )
 
 
@@ -170,37 +188,67 @@ def _check(d: Derivation, path: str, cfg: WidenConfig) -> CheckResult:
         return _fail(path, "exit points-to type does not match the transfer")
     if pre_l != leaf_live_pre(s, pre_p, post_l, cfg):
         return _fail(path, "entry live set does not match the live rule")
-
-    if d.rule == "skip":
-        cond, residual = True, s
-    elif d.rule == "ass_d1":
-        cond, residual = s.var not in post_l, Skip()
-    elif d.rule == "ass_d2":
-        cond, residual = s.var in post_l, s
-    elif d.rule in ("con_d1", "con_d2"):
-        hit, _ = _cons_live(s, pre_p, post_l, cfg)
-        if d.rule == "con_d1":
-            cond = not hit
-            residual = Cons(s.var, tuple(IntLit(0) for _ in s.args))
-        else:
-            cond, residual = bool(hit), s
-    elif d.rule == "lok_d1":
-        cond, residual = s.var not in post_l, Skip()
-    elif d.rule == "lok_d2":
-        cond, residual = s.var in post_l, s
-    elif d.rule in ("mut_d1", "mut_d2"):
-        touched = addr_part(abs_eval(s.target, pre_p)) & post_l
-        if d.rule == "mut_d1":
-            cond, residual = not touched, Skip()
-        else:
-            cond, residual = bool(touched), s
-    else:  # dis_d
-        cond, residual = True, s
-    if not cond:
+    rule, residual = leaf_rule(s, pre_p, post_l, cfg)
+    if d.rule != rule:
         return _fail(path, f"side condition of {d.rule} does not hold")
     if r != residual:
         return _fail(path, f"residual does not match the {d.rule} rewrite")
     return ACCEPT
+
+
+def leaf_rule(s: Stmt, pre: PointsTo, post: frozenset,
+              cfg: WidenConfig) -> tuple[str, Stmt]:
+    """The leaf rule whose side condition holds for s between entry type
+    pre and exit live set post, and the residual that rule emits.
+
+    Writes to dead variables and heap writes that reach no live cell
+    become skip; a cons keeps its allocation, so that the heap domain
+    evolves as in the original, but the arguments of its dead cells are
+    zeroed, so that the residual never evaluates them.
+    """
+    if isinstance(s, Skip):
+        return "skip", s
+    if isinstance(s, Dispose):
+        return "dis_d", s
+    if isinstance(s, Assign):
+        return ("ass_d2", s) if s.var in post else ("ass_d1", Skip())
+    if isinstance(s, Lookup):
+        return ("lok_d2", s) if s.var in post else ("lok_d1", Skip())
+    if isinstance(s, Mutate):
+        if addr_part(abs_eval(s.target, pre)) & post:
+            return "mut_d2", s
+        return "mut_d1", Skip()
+    if isinstance(s, Cons):
+        hit, live_args = cons_live(s, pre, post, cfg)
+        args = tuple(a if j in live_args else IntLit(0)
+                     for j, a in enumerate(s.args, 1))
+        return ("con_d2" if hit else "con_d1"), Cons(s.var, args)
+    raise TypeError(f"not a leaf statement: {s!r}")
+
+
+def rewrite(node: LiveStmt, cfg: WidenConfig) -> Derivation:
+    """The derivation of an annotated node; its residual is the rewrite."""
+    s = node.stmt
+    pre = LiveType(node.ann.pre, node.live_pre)
+    post = LiveType(node.ann.post, node.live_post)
+    if isinstance(s, Seq):
+        first = rewrite(node.children[0], cfg)
+        rest = rewrite(node.children[1], cfg)
+        premises = (first, rest)
+        rule, residual = "seq_d", Seq(first.judgment.residual, rest.judgment.residual)
+    elif isinstance(s, If):
+        then_d = rewrite(node.children[0], cfg)
+        else_d = rewrite(node.children[1], cfg)
+        premises = (then_d, else_d)
+        rule, residual = "if_d", If(s.cond, then_d.judgment.residual,
+                                    else_d.judgment.residual)
+    elif isinstance(s, While):
+        premises = (rewrite(node.children[0], cfg),)
+        rule, residual = "whl_d", While(s.cond, premises[0].judgment.residual)
+    else:
+        premises = ()
+        rule, residual = leaf_rule(s, node.ann.pre, node.live_post, cfg)
+    return Derivation(rule, Judgment(s, pre, post, residual), premises)
 
 
 # --- document format ---
@@ -212,90 +260,127 @@ class FormatError(Exception):
         self.message = message
 
 
-_FIELDS = {"rule", "stmt", "residual", "pre", "post", "premises"}
+_FIELDS = {"program", "entry", "exit_live", "loops", "residual"}
 
 
-def _type_doc(t: LiveType) -> dict:
-    return {"pts": pts_to_doc(t.pts), "live": live_to_list(t.live)}
+def _loop_stmts(s: Stmt) -> list:
+    """The While nodes of s in source preorder."""
+    out, todo = [], [s]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Seq):
+            todo += [node.rest, node.first]
+        elif isinstance(node, If):
+            todo += [node.else_body, node.then_body]
+        elif isinstance(node, While):
+            out.append(node)
+            todo.append(node.body)
+    return out
 
 
-def _node_doc(d: Derivation) -> dict:
-    j = d.judgment
-    return {
-        "rule": d.rule,
-        "stmt": pretty(j.stmt),
-        "residual": pretty(j.residual),
-        "pre": _type_doc(j.pre),
-        "post": _type_doc(j.post),
-        "premises": [_node_doc(p) for p in d.premises],
-    }
+def _loop_types(d: Derivation) -> list:
+    """(invariant, head live set) of every whl_d node, in source preorder."""
+    out, todo = [], [d]
+    while todo:
+        node = todo.pop()
+        if node.rule == "csq_d":
+            raise ValueError("csq_d has no on-disk form")
+        if node.rule == "whl_d":
+            j = node.judgment
+            out.append(LiveType(j.post.pts, j.pre.live))
+        todo.extend(reversed(node.premises))
+    return out
 
 
 def serialize(d: Derivation) -> str:
-    return json.dumps(_node_doc(d), indent=2, sort_keys=True) + "\n"
+    """The certificate document of d; ValueError if d uses csq_d."""
+    j = d.judgment
+    doc = {
+        "program": pretty(j.stmt),
+        "entry": pts_to_doc(j.pre.pts),
+        "exit_live": live_to_list(j.post.live),
+        "loops": [{"pts": pts_to_doc(t.pts), "live": live_to_list(t.live)}
+                  for t in _loop_types(d)],
+        "residual": pretty(j.residual),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _type_from_doc(doc, path: str) -> LiveType:
+def _pts_from_doc(doc, path: str) -> PointsTo:
+    if not isinstance(doc, dict) or not all(
+            isinstance(v, list) and all(isinstance(a, str) for a in v)
+            for v in doc.values()):
+        raise FormatError(path, "expected an object of string lists")
+    try:
+        return pts_from_doc(doc)
+    except ValueError as err:
+        raise FormatError(path, str(err)) from None
+
+
+def _live_from_doc(doc, path: str) -> frozenset:
+    if not isinstance(doc, list) or not all(isinstance(k, str) for k in doc):
+        raise FormatError(path, "expected a list of strings")
+    try:
+        return live_from_list(doc)
+    except ValueError as err:
+        raise FormatError(path, str(err)) from None
+
+
+def _loop_from_doc(doc, path: str) -> LiveType:
     if not isinstance(doc, dict) or set(doc) != {"pts", "live"}:
         raise FormatError(path, "expected an object with 'pts' and 'live'")
-    pts_doc, live_doc = doc["pts"], doc["live"]
-    if not isinstance(pts_doc, dict) or not all(
-            isinstance(k, str) and isinstance(v, list) and
-            all(isinstance(a, str) for a in v) for k, v in pts_doc.items()):
-        raise FormatError(f"{path}.pts", "expected an object of string lists")
-    if not isinstance(live_doc, list) or not all(isinstance(k, str) for k in live_doc):
-        raise FormatError(f"{path}.live", "expected a list of strings")
-    try:
-        pts = pts_from_doc(pts_doc)
-    except ValueError as err:
-        raise FormatError(f"{path}.pts", str(err)) from None
-    try:
-        live = live_from_list(live_doc)
-    except ValueError as err:
-        raise FormatError(f"{path}.live", str(err)) from None
-    return LiveType(pts, live)
+    return LiveType(_pts_from_doc(doc["pts"], f"{path}.pts"),
+                    _live_from_doc(doc["live"], f"{path}.live"))
 
 
-def _parse_stmt(text, path: str) -> Stmt:
-    if not isinstance(text, str):
-        raise FormatError(path, "expected statement source text")
-    try:
-        return parse(text)
-    except ParseError as err:
-        raise FormatError(path, f"unparsable statement: {err}") from None
+def deserialize(text: str, cfg: WidenConfig = WidenConfig()) -> Derivation:
+    """Rebuild the derivation a certificate document describes.
 
-
-def _node_from_doc(doc, path: str) -> Derivation:
-    if not isinstance(doc, dict):
-        raise FormatError(path, "expected an object")
-    if set(doc) != _FIELDS:
-        extra = set(doc) ^ _FIELDS
-        raise FormatError(path, f"wrong field set (difference: {sorted(extra)})")
-    rule = doc["rule"]
-    if rule not in RULE_ARITY:
-        raise FormatError(f"{path}.rule", f"unknown rule {rule!r}")
-    premises_doc = doc["premises"]
-    if not isinstance(premises_doc, list):
-        raise FormatError(f"{path}.premises", "expected a list")
-    if len(premises_doc) != RULE_ARITY[rule]:
-        raise FormatError(
-            f"{path}.premises",
-            f"{rule} takes {RULE_ARITY[rule]} premises, got {len(premises_doc)}")
-    judgment = Judgment(
-        _parse_stmt(doc["stmt"], f"{path}.stmt"),
-        _type_from_doc(doc["pre"], f"{path}.pre"),
-        _type_from_doc(doc["post"], f"{path}.post"),
-        _parse_stmt(doc["residual"], f"{path}.residual"),
-    )
-    premises = tuple(
-        _node_from_doc(p, f"{path}.premises[{i}]")
-        for i, p in enumerate(premises_doc))
-    return Derivation(rule, judgment, premises)
-
-
-def deserialize(text: str) -> Derivation:
+    The analyses rerun from the recorded entry type and exit live set,
+    each loop seeded with its recorded annotation, and the rewrite
+    follows. A loop annotation the rerun does not reproduce, or a
+    residual that differs from the rebuilt one, is a FormatError; the
+    rebuilt derivation still has to pass check().
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise FormatError("root", f"not valid JSON: {err}") from None
-    return _node_from_doc(doc, "root")
+    if not isinstance(doc, dict):
+        raise FormatError("root", "expected an object")
+    if set(doc) != _FIELDS:
+        extra = set(doc) ^ _FIELDS
+        raise FormatError("root", f"wrong field set (difference: {sorted(extra)})")
+    if not isinstance(doc["program"], str):
+        raise FormatError("root.program", "expected program source text")
+    try:
+        program = parse(doc["program"])
+    except ParseError as err:
+        raise FormatError("root.program", f"unparsable program: {err}") from None
+    entry = _pts_from_doc(doc["entry"], "root.entry")
+    exit_live = _live_from_doc(doc["exit_live"], "root.exit_live")
+    if not isinstance(doc["loops"], list):
+        raise FormatError("root.loops", "expected a list")
+    loops = [_loop_from_doc(t, f"root.loops[{i}]")
+             for i, t in enumerate(doc["loops"])]
+    if not isinstance(doc["residual"], str):
+        raise FormatError("root.residual", "expected program source text")
+    stmts = _loop_stmts(program)
+    if len(stmts) != len(loops):
+        raise FormatError("root.loops", f"the program has {len(stmts)} loops, "
+                                        f"got {len(loops)} annotations")
+
+    ann = annotate(program, entry, cfg, {id(w): t.pts for w, t in zip(stmts, loops)})
+    live = live_annotate(ann, exit_live, cfg,
+                         {id(w): t.live for w, t in zip(stmts, loops)})
+    d = rewrite(live, cfg)
+    for i, (got, want) in enumerate(zip(_loop_types(d), loops)):
+        if got.pts != want.pts:
+            raise FormatError(f"root.loops[{i}].pts", "invariant does not contain "
+                              "the loop entry or is not closed under the body")
+        if got.live != want.live:
+            raise FormatError(f"root.loops[{i}].live", "head live set does not "
+                              "contain guard and exit or is not closed under the body")
+    if pretty(d.judgment.residual) != doc["residual"]:
+        raise FormatError("root.residual", "does not match the rebuilt residual")
+    return d

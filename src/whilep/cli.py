@@ -80,8 +80,9 @@ def _build_parser() -> _Parser:
     p_opt.add_argument("--emit", help="write the residual program to this path")
     p_opt.add_argument("--cert", help="write the derivation certificate here")
     p_opt.add_argument("--strip-dead-cons", action="store_true",
-                       help="also drop fully zeroed allocations (the emitted "
-                            "certificate covers the unstripped residual)")
+                       help="also drop allocations whose variable and cells "
+                            "are all dead (the emitted certificate covers "
+                            "the unstripped residual)")
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_chk = sub.add_parser("check-cert", help="validate a certificate")
@@ -247,7 +248,7 @@ def _cmd_optimize(args) -> int:
     result = optimize(program, final_live, cfg)
     residual = result.optimized
     if args.strip_dead_cons:
-        residual = strip_dead_cons(residual)
+        residual = strip_dead_cons(result.derivation)
         if args.cert:
             print("whilep: warning: the certificate covers the residual "
                   "before --strip-dead-cons", file=sys.stderr)
@@ -276,15 +277,16 @@ def _cmd_check_cert(args) -> int:
         print(f"whilep: cannot read {args.cert}: {exc.strerror}",
               file=sys.stderr)
         return 1
+    cfg = WidenConfig(instance_cap=args.widen)
     try:
-        derivation = deserialize(text)
+        derivation = deserialize(text, cfg)
     except FormatError as exc:
         print(f"Reject: {exc.path}: {exc.message}")
         return 2
     if derivation.judgment.stmt != program:
         print("Reject: root: certificate does not describe this program")
         return 2
-    result = check(derivation, WidenConfig(instance_cap=args.widen))
+    result = check(derivation, cfg)
     if result.ok:
         print("Accept")
         return 0

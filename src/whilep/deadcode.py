@@ -1,24 +1,23 @@
 """Dead-code elimination driven by the two analyses.
 
-Assignments and lookups into dead variables, and heap writes whose
-every possible target is dead, become skip. A cons with no live result
-keeps its allocation (the heap domain must evolve as in the original)
-but its arguments are zeroed. dispose is never removed and guards are
-never rewritten. Each rewrite is justified by a derivation that the
-certificate checker accepts.
+optimize() annotates a program with points-to types from the bottom type
+and with live sets backwards from the caller's final live set, then
+rewrites it (certificate.rewrite): assignments and lookups into dead
+variables, and heap writes whose every possible target is dead, become
+skip; a cons keeps its allocation but the arguments of its dead cells
+are zeroed. dispose is never removed and guards are never rewritten.
+The derivation returned with the residual is the one the certificate
+checker accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certificate import Derivation, Judgment
-from .lang import (
-    Assign, Cons, Dispose, If, IntLit, Lookup, Mutate, Seq, Skip, Stmt,
-    While, stmt_vars,
-)
-from .liveness import LiveStmt, LiveType, _cons_live, live_annotate
-from .pointsto import WidenConfig, abs_eval, addr_part, annotate, bottom
+from .certificate import Derivation, rewrite
+from .lang import If, Seq, Skip, Stmt, While, stmt_vars
+from .liveness import LiveType, live_annotate
+from .pointsto import WidenConfig, annotate, bottom
 
 
 @dataclass
@@ -27,60 +26,6 @@ class OptResult:
     derivation: Derivation
     entry: LiveType  # bottom points-to, computed entry live set
     exit: LiveType   # exit points-to, the caller's final live set
-
-
-def rewrite(node: LiveStmt, cfg: WidenConfig) -> tuple[Stmt, Derivation]:
-    """Rewrite one annotated node, returning residual and derivation."""
-    s = node.stmt
-    pre = LiveType(node.ann.pre, node.live_pre)
-    post = LiveType(node.ann.post, node.live_post)
-
-    if isinstance(s, Seq):
-        first, first_d = rewrite(node.children[0], cfg)
-        rest, rest_d = rewrite(node.children[1], cfg)
-        residual: Stmt = Seq(first, rest)
-        return residual, Derivation("seq_d", Judgment(s, pre, post, residual),
-                                    (first_d, rest_d))
-    if isinstance(s, If):
-        then_r, then_d = rewrite(node.children[0], cfg)
-        else_r, else_d = rewrite(node.children[1], cfg)
-        residual = If(s.cond, then_r, else_r)
-        return residual, Derivation("if_d", Judgment(s, pre, post, residual),
-                                    (then_d, else_d))
-    if isinstance(s, While):
-        body_r, body_d = rewrite(node.children[0], cfg)
-        residual = While(s.cond, body_r)
-        return residual, Derivation("whl_d", Judgment(s, pre, post, residual),
-                                    (body_d,))
-
-    if isinstance(s, Skip):
-        rule, residual = "skip", s
-    elif isinstance(s, Assign):
-        if s.var in node.live_post:
-            rule, residual = "ass_d2", s
-        else:
-            rule, residual = "ass_d1", Skip()
-    elif isinstance(s, Cons):
-        hit, _ = _cons_live(s, node.ann.pre, node.live_post, cfg)
-        if hit:
-            rule, residual = "con_d2", s
-        else:
-            rule, residual = "con_d1", Cons(s.var, tuple(IntLit(0) for _ in s.args))
-    elif isinstance(s, Lookup):
-        if s.var in node.live_post:
-            rule, residual = "lok_d2", s
-        else:
-            rule, residual = "lok_d1", Skip()
-    elif isinstance(s, Mutate):
-        if addr_part(abs_eval(s.target, node.ann.pre)) & node.live_post:
-            rule, residual = "mut_d2", s
-        else:
-            rule, residual = "mut_d1", Skip()
-    elif isinstance(s, Dispose):
-        rule, residual = "dis_d", s
-    else:
-        raise TypeError(f"not a statement: {s!r}")
-    return residual, Derivation(rule, Judgment(s, pre, post, residual))
 
 
 def optimize(s: Stmt, final_live, cfg: WidenConfig = WidenConfig()) -> OptResult:
@@ -96,27 +41,31 @@ def optimize(s: Stmt, final_live, cfg: WidenConfig = WidenConfig()) -> OptResult
         raise ValueError(f"final live set mentions unknown variables: {sorted(stray)}")
     ann = annotate(s, bottom(variables), cfg)
     live = live_annotate(ann, final_live, cfg)
-    residual, derivation = rewrite(live, cfg)
+    derivation = rewrite(live, cfg)
     return OptResult(
-        optimized=residual,
+        optimized=derivation.judgment.residual,
         derivation=derivation,
         entry=LiveType(ann.pre, live.live_pre),
         exit=LiveType(ann.post, live.live_post),
     )
 
 
-def strip_dead_cons(s: Stmt) -> Stmt:
-    """Drop zero-argument-only allocations left by dead-cons rewrites.
+def strip_dead_cons(d: Derivation) -> Stmt:
+    """The residual of d with every allocation that con_d1 rewrote (its
+    variable and all its cells dead) replaced by skip.
 
     After this the residual's heap domain may differ from the original's,
     so the similarity guarantee on heap domains no longer holds.
     """
-    if isinstance(s, Seq):
-        return Seq(strip_dead_cons(s.first), strip_dead_cons(s.rest))
-    if isinstance(s, If):
-        return If(s.cond, strip_dead_cons(s.then_body), strip_dead_cons(s.else_body))
-    if isinstance(s, While):
-        return While(s.cond, strip_dead_cons(s.body))
-    if isinstance(s, Cons) and all(a == IntLit(0) for a in s.args):
+    s = d.judgment.stmt
+    if d.rule == "con_d1":
         return Skip()
-    return s
+    if d.rule == "csq_d":
+        return strip_dead_cons(d.premises[0])
+    if d.rule == "seq_d":
+        return Seq(strip_dead_cons(d.premises[0]), strip_dead_cons(d.premises[1]))
+    if d.rule == "if_d":
+        return If(s.cond, strip_dead_cons(d.premises[0]), strip_dead_cons(d.premises[1]))
+    if d.rule == "whl_d":
+        return While(s.cond, strip_dead_cons(d.premises[0]))
+    return d.judgment.residual

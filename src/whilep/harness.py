@@ -33,7 +33,7 @@ from .memory import NIL, Address, ProgState
 from .liveness import live_annotate, models_live, similar_states
 from .pointsto import (
     AddrSet, ExactInt, PointsTo, WidenConfig, abs_eval, annotate, bottom,
-    cap_address, cons_block, models,
+    cap_address, models,
 )
 
 
@@ -304,43 +304,6 @@ def make_similar_state(rng: random.Random, cfg: GenConfig, st: ProgState,
 _ALL_CHECKS = ("t1", "t2", "t3", "t4", "lemma1")
 
 
-def _zero_dead_cons_args(deriv, widen: WidenConfig) -> Stmt:
-    """The derivation's residual with every dead allocation argument
-    replaced by 0.
-
-    A kept allocation still evaluates arguments destined for dead cells,
-    and when dead-code elimination upstream changed what those arguments
-    see, that evaluation alone can abort the residual. Zeroing the dead
-    positions removes exactly those evaluations and nothing else, which
-    lets the suite tell that documented divergence apart from a genuine
-    analysis bug.
-    """
-    j = deriv.judgment
-    stmt = j.stmt
-    if deriv.rule == "seq_d":
-        assert isinstance(stmt, Seq)
-        return Seq(_zero_dead_cons_args(deriv.premises[0], widen),
-                   _zero_dead_cons_args(deriv.premises[1], widen))
-    if deriv.rule == "if_d":
-        assert isinstance(stmt, If)
-        return If(stmt.cond,
-                  _zero_dead_cons_args(deriv.premises[0], widen),
-                  _zero_dead_cons_args(deriv.premises[1], widen))
-    if deriv.rule == "whl_d":
-        assert isinstance(stmt, While)
-        return While(stmt.cond, _zero_dead_cons_args(deriv.premises[0], widen))
-    if deriv.rule == "csq_d":
-        return _zero_dead_cons_args(deriv.premises[0], widen)
-    if deriv.rule == "con_d2":
-        assert isinstance(stmt, Cons)
-        _, cells = cons_block(j.pre.pts, len(stmt.args), widen.instance_cap)
-        live_positions = {a.index for a in cells if a in j.post.live}
-        args = tuple(arg if i + 1 in live_positions else IntLit(0)
-                     for i, arg in enumerate(stmt.args))
-        return Cons(stmt.var, args)
-    return j.residual
-
-
 def _lemma1_trial(rng: random.Random, cfg: GenConfig, widen: WidenConfig) -> bool:
     names = [f"v{i + 1}" for i in range(max(1, cfg.max_vars))]
     p = _synthetic_ptype(rng, names, widen.instance_cap)
@@ -373,7 +336,6 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
         entry = {"pass": 0, "skip": 0, "fail": 0, "failing_seeds": []}
         if name == "t4":
             entry["corrected"] = 0
-            entry["dead_eval_aborts"] = 0
         report["checks"][name] = entry
 
     def record(name: str, ok: bool, seed: int):
@@ -447,20 +409,6 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
                                       result.entry.live, widen)
             opt_outcome = execute(result.optimized, twin, fuel)
             if isinstance(orig4, Final):
-                if isinstance(opt_outcome, Aborted):
-                    # a kept allocation's dead argument may abort on data a
-                    # removed statement used to overwrite; retry with those
-                    # dead positions zeroed — only that exact divergence is
-                    # excused, and the similarity bar still applies
-                    patched = _zero_dead_cons_args(result.derivation, widen)
-                    if patched != result.optimized:
-                        retry = execute(patched, twin, fuel)
-                        if isinstance(retry, Final) and similar_states(
-                                orig4.state, retry.state, result.exit.pts,
-                                result.exit.live, widen):
-                            report["checks"]["t4"]["dead_eval_aborts"] += 1
-                            report["checks"]["t4"]["skip"] += 1
-                            continue
                 ok = similar_states(st4, twin, base, result.entry.live, widen) \
                     and isinstance(opt_outcome, Final) \
                     and similar_states(orig4.state, opt_outcome.state,

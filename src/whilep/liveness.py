@@ -31,11 +31,6 @@ class LiveType:
     live: frozenset
 
 
-def live_pre_expr(e, post: frozenset) -> frozenset:
-    """Entry live set of evaluating e with post live afterwards."""
-    return post | free_vars(e)
-
-
 @dataclass
 class LiveStmt:
     """A points-to-annotated node plus its entry/exit live sets."""
@@ -50,21 +45,12 @@ class LiveStmt:
         return self.ann.stmt
 
 
-def _cons_live(s: Cons, pre: PointsTo, post: frozenset, cfg: WidenConfig):
-    """The touched-and-live set I and the entry live set for a cons."""
-    n = len(s.args)
-    _, cells = cons_block(pre, n, cfg.instance_cap)
-    touched = cells | {s.var}
-    hit = touched & post
-    if not hit:
-        return hit, post
-    if hit == {s.var}:
-        return hit, post - {s.var}
-    live_positions = {a.index for a in cells if a in post}
-    entry = set(post) - {s.var}
-    for j in live_positions:
-        entry |= free_vars(s.args[j - 1])
-    return hit, frozenset(entry)
+def cons_live(s: Cons, pre: PointsTo, post: frozenset, cfg: WidenConfig):
+    """The touched-and-live set I of a cons, and the argument positions
+    (1-based) whose cells may be live afterwards."""
+    _, cells = cons_block(pre, len(s.args), cfg.instance_cap)
+    hit = (cells | {s.var}) & post
+    return hit, frozenset(a.index for a in hit if isinstance(a, Address))
 
 
 def leaf_live_pre(s: Stmt, pre_pts: PointsTo, post: frozenset,
@@ -77,7 +63,10 @@ def leaf_live_pre(s: Stmt, pre_pts: PointsTo, post: frozenset,
             return post
         return (post - {s.var}) | free_vars(s.expr)
     if isinstance(s, Cons):
-        return _cons_live(s, pre_pts, post, cfg)[1]
+        entry = post - {s.var}
+        for j in cons_live(s, pre_pts, post, cfg)[1]:
+            entry |= free_vars(s.args[j - 1])
+        return entry
     if isinstance(s, Lookup):
         if s.var not in post:
             return post
@@ -97,27 +86,36 @@ def leaf_live_pre(s: Stmt, pre_pts: PointsTo, post: frozenset,
 _MAX_ITER = 10_000
 
 
-def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig) -> LiveStmt:
-    """Annotate every node with entry/exit live sets, backwards from post."""
+def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
+                  seeds: dict | None = None) -> LiveStmt:
+    """Annotate every node with entry/exit live sets, backwards from post.
+
+    seeds, when given, maps id() of every While node to a recorded head
+    live set; as in pointsto.annotate, each loop then runs its body once
+    from exit, guard and seed together, and ends at the seed exactly when
+    the seed is closed under the body.
+    """
     s = ann.stmt
     if isinstance(s, Seq):
-        rest = live_annotate(ann.children[1], post, cfg)
-        first = live_annotate(ann.children[0], rest.live_pre, cfg)
+        rest = live_annotate(ann.children[1], post, cfg, seeds)
+        first = live_annotate(ann.children[0], rest.live_pre, cfg, seeds)
         return LiveStmt(ann, first.live_pre, post, (first, rest))
     if isinstance(s, If):
-        then_live = live_annotate(ann.children[0], post, cfg)
-        else_live = live_annotate(ann.children[1], post, cfg)
+        then_live = live_annotate(ann.children[0], post, cfg, seeds)
+        else_live = live_annotate(ann.children[1], post, cfg, seeds)
         pre = free_vars(s.cond) | then_live.live_pre | else_live.live_pre
         return LiveStmt(ann, pre, post, (then_live, else_live))
     if isinstance(s, While):
         # least fixpoint above the exit set plus the guard: the body is
         # re-analyzed with the loop head as its exit until nothing grows
         head = post | free_vars(s.cond)
+        if seeds is not None:
+            head |= seeds[id(s)]
         for _ in range(_MAX_ITER):
-            body = live_annotate(ann.children[0], head, cfg)
+            body = live_annotate(ann.children[0], head, cfg, seeds)
             grown = head | body.live_pre
-            if grown == head:
-                return LiveStmt(ann, head, post, (body,))
+            if grown == head or seeds is not None:
+                return LiveStmt(ann, grown, post, (body,))
             head = grown
         raise RuntimeError("loop liveness failed to stabilize")
     return LiveStmt(ann, leaf_live_pre(s, ann.pre, post, cfg), post)

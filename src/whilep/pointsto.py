@@ -27,7 +27,7 @@ Key = object  # str (variable) or Address (tracked cell)
 
 @dataclass(frozen=True)
 class WidenConfig:
-    """Analysis knobs: the instance cap K and default interpreter fuel.
+    """Analysis knobs: the instance cap K and a sabotage switch.
 
     break_weak_update is a sabotage switch for the test harness: it makes
     multi-target heap writes drop the union with the old image, which is
@@ -35,7 +35,6 @@ class WidenConfig:
     """
 
     instance_cap: int = 3
-    fuel: int = 100_000
     break_weak_update: bool = False
 
 
@@ -256,26 +255,33 @@ def _transfer_leaf(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
 _MAX_ITER = 10_000
 
 
-def annotate(s: Stmt, p: PointsTo, cfg: WidenConfig) -> AnnStmt:
-    """Run the analysis from entry type p, annotating every node."""
+def annotate(s: Stmt, p: PointsTo, cfg: WidenConfig,
+             seeds: dict | None = None) -> AnnStmt:
+    """Run the analysis from entry type p, annotating every node.
+
+    seeds, when given, maps id() of every While node in s to a recorded
+    invariant. Each loop then starts from entry joined with its seed and
+    runs its body once: the resulting invariant equals the seed exactly
+    when the seed contains the loop's entry and is closed under the body.
+    """
     if isinstance(s, Seq):
-        first = annotate(s.first, p, cfg)
-        rest = annotate(s.rest, first.post, cfg)
+        first = annotate(s.first, p, cfg, seeds)
+        rest = annotate(s.rest, first.post, cfg, seeds)
         return AnnStmt(s, p, rest.post, (first, rest))
     if isinstance(s, If):
-        then_ann = annotate(s.then_body, p, cfg)
-        else_ann = annotate(s.else_body, p, cfg)
+        then_ann = annotate(s.then_body, p, cfg, seeds)
+        else_ann = annotate(s.else_body, p, cfg, seeds)
         return AnnStmt(s, p, join(then_ann.post, else_ann.post),
                        (then_ann, else_ann))
     if isinstance(s, While):
         # inflationary iteration; the address universe under the cap is
         # finite, so this terminates with entry <= inv and step(inv) <= inv
-        inv = p
+        inv = p if seeds is None else join(p, seeds[id(s)])
         for _ in range(_MAX_ITER):
-            body = annotate(s.body, inv, cfg)
+            body = annotate(s.body, inv, cfg, seeds)
             grown = join(inv, body.post)
-            if grown == inv:
-                return AnnStmt(s, p, inv, (body,), invariant=inv)
+            if grown == inv or seeds is not None:
+                return AnnStmt(s, p, grown, (body,), invariant=grown)
             inv = grown
         raise RuntimeError("loop analysis failed to stabilize")
     post = _transfer_leaf(s, p, cfg)

@@ -1,7 +1,7 @@
 import pytest
 
 FIG_SRC = "x := cons(3, 4); y := [x]; i := 10; [i] := 7; z := y + 1"
-FIG_RESIDUAL = "x := cons(3, 4); y := [x]; i := 10; skip; skip"
+FIG_RESIDUAL = "x := cons(3, 0); y := [x]; i := 10; skip; skip"
 
 
 @pytest.fixture

@@ -1,11 +1,14 @@
 """Derivation checking and the on-disk certificate format."""
 
+import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 import tamper_ops
+from hypothesis import given, settings, strategies as st
 
 from whilep import GenConfig, gen_program
 from whilep.certificate import (
@@ -13,7 +16,9 @@ from whilep.certificate import (
     deserialize, serialize,
 )
 from whilep.deadcode import optimize
-from whilep.lang import parse, pretty, stmt_vars
+from whilep.lang import (
+    Assign, If, IntLit, Seq, Skip, While, parse, pretty, stmt_vars,
+)
 from whilep.liveness import LiveType
 from whilep.memory import Address
 from whilep.pointsto import PointsTo, WidenConfig, bottom, join, leq
@@ -48,21 +53,27 @@ def test_rule_arities():
 
 def test_serialize_shape():
     doc = json.loads(serialize(derivation_for("skip", set())))
-    assert doc["rule"] == "skip"
-    assert doc["stmt"] == "skip" and doc["residual"] == "skip"
-    assert doc["premises"] == []
-    assert doc["pre"] == {"pts": {}, "live": []}
-    assert doc["post"] == {"pts": {}, "live": []}
+    assert doc == {"program": "skip", "entry": {}, "exit_live": [],
+                   "loops": [], "residual": "skip"}
 
 
-def test_serialize_addresses_and_nesting(fig_src):
-    doc = json.loads(serialize(derivation_for(fig_src, {"y"})))
-    assert doc["rule"] == "seq_d"
-    assert len(doc["premises"]) == 2
-    assert doc["pre"]["live"] == ["addr(2,1,1)"]
-    first = doc["premises"][0]
-    assert first["stmt"] == "x := cons(3, 4)"
-    assert "addr(2,1,1)" in first["post"]["pts"]
+def test_serialize_addresses_and_nesting():
+    # loops in source preorder: the then-branch loop, then the else-branch
+    # loop, then the loop nested in it; the inner one starts after q := 0
+    src = ("x := cons(1); if x = 0 then { while a < 1 do { a := a + 1 } } "
+           "else { while b < 1 do { q := 0; while c < 1 do { c := c + 1 }; "
+           "q := cons(2); b := b + 1 } }")
+    text = serialize(derivation_for(src, {"x", "q"}))
+    doc = json.loads(text)
+    assert text.count(src) == 1
+    assert doc["entry"] == {k: [] for k in ("a", "b", "c", "q", "x")}
+    assert doc["exit_live"] == ["q", "x"]
+    assert [("a" in t["live"], "c" in t["live"]) for t in doc["loops"]] == \
+        [(True, False), (False, True), (False, True)]
+    assert [t["pts"]["x"] for t in doc["loops"]] == [["addr(1,1,1)"]] * 3
+    assert "addr(1,2,1)" in doc["loops"][1]["pts"]["q"]
+    assert doc["loops"][2]["pts"]["q"] == []
+    assert doc["residual"].startswith("x := cons(0); if")
 
 
 def test_round_trip(fig_src):
@@ -73,38 +84,182 @@ def test_round_trip(fig_src):
         assert serialize(again) == text  # byte-identical re-serialization
 
 
+def test_certificate_size_is_linear():
+    # 200 statements alternating an allocation linking the previous block
+    # with a lookup of that link: the per-node tree took 9.5 MB
+    names = ("p0", "p1", "p2", "p3")
+    src = "; ".join(
+        f"{names[i % 4]} := cons({i % 10}, {names[(i - 1) % 4] if i else 0})"
+        if i % 2 == 0 else f"{names[i % 4]} := [{names[(i - 1) % 4]} + 1]"
+        for i in range(200))
+    text = serialize(derivation_for(src, {"p0"}))
+    assert len(text) <= 10_000
+    assert text.count(src) == 1
+
+
+LOOP_SRC = "p := cons(0); i := 0; while i < 3 do { q := [p]; i := i + 1 }"
+
+
 def test_deserialize_rejects_bad_documents():
-    good = json.loads(serialize(derivation_for("x := 1; skip", {"x"})))
+    good = json.loads(serialize(derivation_for(LOOP_SRC, {"q"})))
 
     def reject(doc, where):
         with pytest.raises(FormatError) as err:
             deserialize(json.dumps(doc))
         assert err.value.path == where, err.value
 
+    def loop(**changes):
+        return dict(good, loops=[dict(good["loops"][0], **changes)])
+
     reject([1, 2], "root")
     bad = dict(good)
-    del bad["premises"]
+    del bad["program"]
     reject(bad, "root")
-    bad = dict(good, comment="hello")
-    reject(bad, "root")
-    reject(dict(good, rule="frobnicate"), "root.rule")
-    reject(dict(good, premises=good["premises"] + [good["premises"][0]]),
-           "root.premises")
-    reject(dict(good, stmt="x :="), "root.stmt")
-    reject(dict(good, stmt=7), "root.stmt")
-    reject(dict(good, pre={"pts": {}}), "root.pre")
-    reject(dict(good, pre={"pts": {}, "live": "x"}), "root.pre.live")
-    reject(dict(good, pre={"pts": {"x": ["addr(0,1,1)"]}, "live": []}),
-           "root.pre.pts")
-    reject(dict(good, pre={"pts": {"x": ["addr(1,1)"]}, "live": []}),
-           "root.pre.pts")
-    nested = dict(good)
-    nested["premises"] = [dict(good["premises"][0], rule="nope"),
-                          good["premises"][1]]
-    reject(nested, "root.premises[0].rule")
+    reject(dict(good, comment="hello"), "root")
+    reject(dict(good, program=7), "root.program")
+    reject(dict(good, program="x :="), "root.program")
+    reject(dict(good, entry="x"), "root.entry")
+    reject(dict(good, entry={"x": [1]}), "root.entry")
+    reject(dict(good, entry={"x": ["addr(0,1,1)"]}), "root.entry")
+    reject(dict(good, entry={"1x": []}), "root.entry")
+    reject(dict(good, exit_live="q"), "root.exit_live")
+    reject(dict(good, exit_live=[3]), "root.exit_live")
+    reject(dict(good, exit_live=["addr(1,1)"]), "root.exit_live")
+    reject(dict(good, loops={}), "root.loops")
+    reject(dict(good, loops=[]), "root.loops")
+    reject(dict(good, loops=good["loops"] * 2), "root.loops")
+    reject(dict(good, loops=[5]), "root.loops[0]")
+    reject(dict(good, loops=[{"pts": {}}]), "root.loops[0]")
+    reject(loop(pts=[]), "root.loops[0].pts")
+    reject(loop(pts={"p": "addr(1,1,1)"}), "root.loops[0].pts")
+    reject(loop(live="q"), "root.loops[0].live")
+    reject(loop(live=["addr(1,1,0)"]), "root.loops[0].live")
+    # well-formed annotations the analyses do not reproduce
+    reject(loop(pts=dict(good["loops"][0]["pts"], p=[])), "root.loops[0].pts")
+    reject(loop(pts=dict(good["loops"][0]["pts"], **{"addr(1,1,1)": ["addr(1,2,1)"]})),
+           "root.loops[0].pts")
+    reject(loop(live=["p", "q", "addr(1,1,1)"]), "root.loops[0].live")
+    reject(dict(good, residual=3), "root.residual")
+    reject(dict(good, residual="skip"), "root.residual")
     with pytest.raises(FormatError) as err:
         deserialize("{not json")
     assert err.value.path == "root"
+
+
+def test_coarser_closed_invariant_accepted():
+    d = derivation_for(LOOP_SRC, {"q"})
+    doc = json.loads(serialize(d))
+    pts = doc["loops"][0]["pts"]
+    pts["q"] = pts["addr(1,1,1)"] = ["addr(1,1,1)"]
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    coarse = deserialize(text)
+    assert coarse != d and check(coarse, CFG) == ACCEPT
+    assert coarse.judgment.residual == d.judgment.residual
+    assert serialize(coarse) == text
+
+
+def test_serialize_rejects_csq():
+    inner = derivation_for("x := cons(5)", {"x"})
+    outer = Derivation("csq_d", inner.judgment, (inner,))
+    with pytest.raises(ValueError):
+        serialize(outer)
+    with pytest.raises(ValueError):
+        serialize(Derivation("seq_d", inner.judgment, (outer, inner)))
+
+
+def _leaf_mutants(s):
+    """Each tree with exactly one leaf of s replaced by a different leaf."""
+    if isinstance(s, Seq):
+        yield from (Seq(m, s.rest) for m in _leaf_mutants(s.first))
+        yield from (Seq(s.first, m) for m in _leaf_mutants(s.rest))
+    elif isinstance(s, If):
+        yield from (If(s.cond, m, s.else_body) for m in _leaf_mutants(s.then_body))
+        yield from (If(s.cond, s.then_body, m) for m in _leaf_mutants(s.else_body))
+    elif isinstance(s, While):
+        yield from (While(s.cond, m) for m in _leaf_mutants(s.body))
+    else:
+        yield Skip() if s != Skip() else Assign("zz", IntLit(1))
+
+
+def _document_mutants(doc):
+    """(kind, mutated document) pairs, one edit each."""
+    def edited(fn):
+        copy = json.loads(json.dumps(doc))
+        fn(copy)
+        return copy
+
+    for i, t in enumerate(doc["loops"]):
+        for key, image in t["pts"].items():
+            for k in range(len(image)):
+                yield "address", edited(
+                    lambda c: c["loops"][i]["pts"][key].pop(k))
+            yield "key", edited(lambda c: c["loops"][i]["pts"].pop(key))
+        for k in range(len(t["live"])):
+            yield "live", edited(lambda c: c["loops"][i]["live"].pop(k))
+        yield "loop", edited(lambda c: c["loops"].pop(i))
+    for field in ("residual", "program"):
+        for m in _leaf_mutants(parse(doc[field])):
+            yield field, dict(doc, **{field: pretty(m)})
+
+
+def test_document_tamper_corpus_rejected():
+    rng = random.Random(67)
+    counts = Counter()
+    programs = 0
+    for seed in itertools.count():
+        if programs == 100:
+            break
+        prog = gen_program(GenConfig(seed=seed, max_stmts=14))
+        variables = sorted(stmt_vars(prog))
+        live = frozenset(v for v in variables if rng.random() < 0.5)
+        doc = json.loads(serialize(optimize(prog, live, CFG).derivation))
+        if not doc["loops"]:
+            continue
+        programs += 1
+        for kind, mutant in _document_mutants(doc):
+            counts[kind] += 1
+            try:
+                d = deserialize(json.dumps(mutant), CFG)
+            except FormatError:
+                continue
+            assert d.judgment.stmt != prog or not check(d, CFG).ok, \
+                f"seed {seed}: {kind} mutation accepted"
+    assert min(counts[k] for k in ("address", "key", "live", "loop",
+                                   "residual", "program")) >= 100, counts
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8)
+
+FIELD_PATHS = (("program",), ("entry",), ("entry", "p"), ("exit_live",),
+               ("loops",), ("loops", 0), ("loops", 0, "pts"),
+               ("loops", 0, "pts", "p"), ("loops", 0, "live"), ("residual",))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_deserialize_text_raises_only_format_error(text):
+    try:
+        deserialize(text)
+    except FormatError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELD_PATHS), JSON_VALUES)
+def test_deserialize_field_values_raise_only_format_error(where, value):
+    doc = json.loads(serialize(derivation_for(LOOP_SRC, {"q"})))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    try:
+        deserialize(json.dumps(doc))
+    except FormatError:
+        pass
 
 
 def test_check_accepts_emitted(fig_src):

@@ -132,13 +132,22 @@ def test_check_cert_rejects_tampering(prog, capsys, tmp_path, fig_src):
     capsys.readouterr()
 
     doc = json.loads(cert.read_text(encoding="utf-8"))
-    doc["premises"][1]["premises"][1]["premises"][1]["premises"][0]["rule"] = \
-        "mut_d2"
+    # put the aborting write back into the certified residual
+    doc["residual"] = doc["residual"].replace("10; skip", "10; [i] := 7")
     cert.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["check-cert", src, str(cert)]) == 2
-    out = capsys.readouterr().out
-    assert out.startswith("Reject: root.premises[1]")
-    assert "side condition" in out
+    assert capsys.readouterr().out == \
+        "Reject: root.residual: does not match the rebuilt residual\n"
+
+    src = prog("x := cons(1); i := 0; "
+               "while i < 2 do { y := [x]; x := cons(y); i := i + 1 }", "loop.whl")
+    assert main(["optimize", src, "--live", "y", "--cert", str(cert)]) == 0
+    capsys.readouterr()
+    doc = json.loads(cert.read_text(encoding="utf-8"))
+    doc["loops"][0]["pts"]["x"].pop()
+    cert.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check-cert", src, str(cert)]) == 2
+    assert capsys.readouterr().out.startswith("Reject: root.loops[0].pts: ")
 
 
 def test_check_cert_rejects_format_errors(prog, capsys, tmp_path):
@@ -169,6 +178,16 @@ def test_optimize_strip_dead_cons_warns(prog, capsys, tmp_path):
     # without --cert there is nothing to warn about
     assert main(["optimize", src, "--strip-dead-cons"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_optimize_strip_dead_cons_keeps_live_allocations(prog, capsys, tmp_path):
+    # the allocation's arguments are all zero, but x and its cell are live
+    emit = tmp_path / "residual.whl"
+    assert main(["optimize", prog("x := cons(0); y := [x]"), "--live", "y",
+                 "--strip-dead-cons", "--emit", str(emit)]) == 0
+    assert capsys.readouterr().out == "x := cons(0); y := [x]\n"
+    assert main(["run", str(emit)]) == 0
+    assert "y = 0\n" in capsys.readouterr().out
 
 
 def test_byte_determinism(prog, capsys, fig_src):

@@ -9,7 +9,7 @@ from whilep import GenConfig, gen_program
 from whilep.certificate import check
 from whilep.deadcode import OptResult, optimize, strip_dead_cons
 from whilep.harness import _gen_state
-from whilep.interp import Aborted, Final, execute
+from whilep.interp import Aborted, Final, execute, zero_state
 from whilep.lang import (
     Cons, If, IntLit, Seq, Skip, While, parse, pretty, stmt_vars,
 )
@@ -45,8 +45,11 @@ def test_cons_rewrites():
     # dead allocation: same shape, arguments zeroed
     assert residual_of("x := cons(y, z)", set()) == \
         Cons("x", (IntLit(0), IntLit(0)))
-    # live pointer keeps the cons exactly as written, dead args included
-    assert residual_of("x := cons(y, z)", {"x"}) == parse("x := cons(y, z)")
+    # live pointer, dead cells: the allocation stays, its arguments do not
+    assert residual_of("x := cons(y, z)", {"x"}) == parse("x := cons(0, 0)")
+    # only the argument of the cell a later lookup reads is kept
+    assert residual_of("x := cons(y, z); w := [x + 1]", {"w"}) == \
+        parse("x := cons(0, z); w := [x + 1]")
 
 
 def test_rule_labels():
@@ -146,11 +149,18 @@ def test_optimize_deterministic():
 
 
 def test_strip_dead_cons():
-    assert strip_dead_cons(Cons("x", (IntLit(0),))) == Skip()
-    prog = residual_of("x := cons(y, z); w := 1", set())
-    assert strip_dead_cons(prog) == Seq(Skip(), Skip())
-    kept = parse("x := cons(y); dispose(x)")
-    assert strip_dead_cons(kept) == kept
+    def stripped(src, live):
+        return strip_dead_cons(optimize(parse(src), frozenset(live), CFG).derivation)
+
+    assert stripped("x := cons(y, z); w := 1", set()) == Seq(Skip(), Skip())
+    assert stripped("x := cons(y); dispose(x)", set()) == \
+        parse("x := cons(0); dispose(x)")
+    # a live allocation whose arguments are all zero is not dropped: the
+    # stripped residual must still finish where the original does
+    src = "x := cons(0); y := [x]"
+    assert stripped(src, {"y"}) == parse(src)
+    out = execute(stripped(src, {"y"}), zero_state({"x", "y"}), 100)
+    assert isinstance(out, Final) and out.state.stack["y"] == 0
 
 
 def test_stray_final_live_rejected():

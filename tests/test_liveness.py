@@ -11,7 +11,7 @@ from whilep.lang import (
     BinOp, Cmp, IntLit, Var, free_vars, parse, stmt_vars,
 )
 from whilep.liveness import (
-    LiveStmt, leaf_live_pre, live_annotate, live_pre_expr, models_live,
+    LiveStmt, leaf_live_pre, live_annotate, models_live,
     similar_states,
 )
 from whilep.memory import NIL, Address, ProgState
@@ -37,13 +37,6 @@ def pre_of(src, post, p=None):
     prog = parse(src)
     p = p if p is not None else bottom(stmt_vars(prog))
     return leaf_live_pre(prog, p, frozenset(post), CFG)
-
-
-def test_live_pre_expr():
-    assert live_pre_expr(IntLit(7), lv("y")) == lv("y")
-    assert live_pre_expr(BinOp("+", Var("x"), Var("y")), lv()) == lv("x", "y")
-    assert live_pre_expr(Cmp("=", Var("x"), Var("z")), lv("x", A111)) == \
-        lv("x", "z", A111)
 
 
 def test_skip_and_assign_rules():
