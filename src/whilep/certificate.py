@@ -21,9 +21,11 @@ fact once, as one JSON object:
              and the loop-head live set
   residual   the canonical residual text
 
-deserialize() reruns the analyses from entry and exit with each loop
-seeded by its annotation, then the rewrite, and rejects an annotation or
-residual that the rerun does not reproduce. A coarser annotation that is
+deserialize() rejects an address in the entry type or a loop invariant
+whose block length no cons of the program allocates. It reruns the
+analyses from entry and exit with each loop seeded by its annotation,
+then the rewrite, and rejects an annotation or residual that the rerun
+does not reproduce. A coarser annotation that is
 still closed is reproduced: on disk, weakening is expressed through the
 loop annotations and the entry type, and csq_d stays in memory only
 (serialize raises ValueError on it). Serialization is deterministic, so
@@ -39,6 +41,7 @@ from .lang import (
     Assign, Cons, Dispose, If, IntLit, Lookup, Mutate, ParseError, Seq, Skip,
     Stmt, While, free_vars, parse, pretty,
 )
+from .memory import Address
 from .liveness import LiveStmt, LiveType, cons_live, leaf_live_pre, live_annotate
 from .pointsto import (
     PointsTo, WidenConfig, abs_eval, addr_part, annotate, join, leq,
@@ -263,9 +266,10 @@ class FormatError(Exception):
 _FIELDS = {"program", "entry", "exit_live", "loops", "residual"}
 
 
-def _loop_stmts(s: Stmt) -> list:
-    """The While nodes of s in source preorder."""
-    out, todo = [], [s]
+def _loops_and_lengths(s: Stmt) -> tuple[list, frozenset]:
+    """The While nodes of s in source preorder, and the block lengths its
+    cons statements allocate."""
+    loops, lengths, todo = [], set(), [s]
     while todo:
         node = todo.pop()
         if isinstance(node, Seq):
@@ -273,9 +277,11 @@ def _loop_stmts(s: Stmt) -> list:
         elif isinstance(node, If):
             todo += [node.else_body, node.then_body]
         elif isinstance(node, While):
-            out.append(node)
+            loops.append(node)
             todo.append(node.body)
-    return out
+        elif isinstance(node, Cons):
+            lengths.add(len(node.args))
+    return loops, frozenset(lengths)
 
 
 def _loop_types(d: Derivation) -> list:
@@ -306,15 +312,24 @@ def serialize(d: Derivation) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _pts_from_doc(doc, path: str) -> PointsTo:
+def _pts_from_doc(doc, path: str, lengths: frozenset) -> PointsTo:
+    """The points-to type of doc, whose addresses must lie in blocks of a
+    length the program allocates: the analyses enumerate the cells of a
+    block, so a length read from the document would bound their work."""
     if not isinstance(doc, dict) or not all(
             isinstance(v, list) and all(isinstance(a, str) for a in v)
             for v in doc.values()):
         raise FormatError(path, "expected an object of string lists")
     try:
-        return pts_from_doc(doc)
+        p = pts_from_doc(doc)
     except ValueError as err:
         raise FormatError(path, str(err)) from None
+    for key, image in p.env.items():
+        for a in image | {key} if isinstance(key, Address) else image:
+            if a.length not in lengths:
+                raise FormatError(path, f"{a!r}: no cons of the program "
+                                        f"allocates blocks of length {a.length}")
+    return p
 
 
 def _live_from_doc(doc, path: str) -> frozenset:
@@ -326,10 +341,10 @@ def _live_from_doc(doc, path: str) -> frozenset:
         raise FormatError(path, str(err)) from None
 
 
-def _loop_from_doc(doc, path: str) -> LiveType:
+def _loop_from_doc(doc, path: str, lengths: frozenset) -> LiveType:
     if not isinstance(doc, dict) or set(doc) != {"pts", "live"}:
         raise FormatError(path, "expected an object with 'pts' and 'live'")
-    return LiveType(_pts_from_doc(doc["pts"], f"{path}.pts"),
+    return LiveType(_pts_from_doc(doc["pts"], f"{path}.pts", lengths),
                     _live_from_doc(doc["live"], f"{path}.live"))
 
 
@@ -357,15 +372,15 @@ def deserialize(text: str, cfg: WidenConfig = WidenConfig()) -> Derivation:
         program = parse(doc["program"])
     except ParseError as err:
         raise FormatError("root.program", f"unparsable program: {err}") from None
-    entry = _pts_from_doc(doc["entry"], "root.entry")
+    stmts, lengths = _loops_and_lengths(program)
+    entry = _pts_from_doc(doc["entry"], "root.entry", lengths)
     exit_live = _live_from_doc(doc["exit_live"], "root.exit_live")
     if not isinstance(doc["loops"], list):
         raise FormatError("root.loops", "expected a list")
-    loops = [_loop_from_doc(t, f"root.loops[{i}]")
+    loops = [_loop_from_doc(t, f"root.loops[{i}]", lengths)
              for i, t in enumerate(doc["loops"])]
     if not isinstance(doc["residual"], str):
         raise FormatError("root.residual", "expected program source text")
-    stmts = _loop_stmts(program)
     if len(stmts) != len(loops):
         raise FormatError("root.loops", f"the program has {len(stmts)} loops, "
                                         f"got {len(loops)} annotations")

@@ -15,7 +15,7 @@ import sys
 
 from .certificate import FormatError, check, deserialize, serialize
 from .deadcode import optimize, strip_dead_cons
-from .interp import DEFAULT_FUEL, Aborted, Final, OutOfFuel, execute, zero_state
+from .interp import DEFAULT_FUEL, Aborted, OutOfFuel, execute, zero_state
 from .lang import If, ParseError, Seq, While, parse, pretty, stmt_vars
 from .liveness import live_annotate
 from .memory import format_value

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .deadcode import optimize
-from .interp import Aborted, EvalError, Final, OutOfFuel, eval_aexp, execute
+from .interp import Aborted, EvalError, Final, eval_aexp, execute
 from .lang import (
     AExp, And, Assign, BExp, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit,
     Lookup, Mutate, Nil, Not, Or, Seq, Skip, Stmt, Var, While, free_vars,
@@ -32,7 +32,7 @@ from .lang import (
 from .memory import NIL, Address, ProgState
 from .liveness import live_annotate, models_live, similar_states
 from .pointsto import (
-    AddrSet, ExactInt, PointsTo, WidenConfig, abs_eval, annotate, bottom,
+    ExactInt, PointsTo, WidenConfig, abs_eval, annotate, bottom,
     cap_address, models,
 )
 

@@ -16,7 +16,7 @@ from .lang import (
     Lookup, Mutate, Nil, Not, Or, Seq, Skip, Stmt, Var, While,
 )
 from .memory import (
-    NIL, Address, NilValue, ProgState, Stack, Value, addr_shift,
+    NIL, Address, Blocks, ProgState, Stack, Value, addr_shift,
     fresh_instance, value_lt,
 )
 
@@ -124,8 +124,9 @@ class _Gas:
 def execute(s: Stmt, state: ProgState, fuel: int = DEFAULT_FUEL) -> ExecOutcome:
     """Run s from a copy of state; the input state is never modified."""
     gas = _Gas(fuel)
+    st = state.copy()
     try:
-        return Final(_run(s, state.copy(), gas))
+        return Final(_run(s, st, gas, Blocks(st.heap)))
     except _Abort:
         return Aborted()
     except _Fuel:
@@ -139,7 +140,7 @@ def _eval(e: AExp, stack: Stack) -> Value:
         raise _Abort() from None
 
 
-def _run(s: Stmt, st: ProgState, gas: _Gas) -> ProgState:
+def _run(s: Stmt, st: ProgState, gas: _Gas, blocks: Blocks) -> ProgState:
     if isinstance(s, Skip):
         return st
     if isinstance(s, Assign):
@@ -148,7 +149,7 @@ def _run(s: Stmt, st: ProgState, gas: _Gas) -> ProgState:
     if isinstance(s, Cons):
         vals = [_eval(a, st.stack) for a in s.args]
         n = len(vals)
-        u = fresh_instance(st.heap, n)
+        u = fresh_instance(blocks, n)
         for i, v in enumerate(vals, start=1):
             st.heap[Address(n, u, i)] = v
         st.stack[s.var] = Address(n, u, 1)
@@ -170,17 +171,17 @@ def _run(s: Stmt, st: ProgState, gas: _Gas) -> ProgState:
         target = _eval(s.addr, st.stack)
         if not isinstance(target, Address) or target not in st.heap:
             raise _Abort()
-        del st.heap[target]
+        blocks.dispose(target)
         return st
     if isinstance(s, Seq):
         gas.tick()
-        return _run(s.rest, _run(s.first, st, gas), gas)
+        return _run(s.rest, _run(s.first, st, gas, blocks), gas, blocks)
     if isinstance(s, If):
         try:
             taken = eval_bexp(s.cond, st.stack)
         except EvalError:
             raise _Abort() from None
-        return _run(s.then_body if taken else s.else_body, st, gas)
+        return _run(s.then_body if taken else s.else_body, st, gas, blocks)
     if isinstance(s, While):
         while True:
             gas.tick()
@@ -190,7 +191,7 @@ def _run(s: Stmt, st: ProgState, gas: _Gas) -> ProgState:
                 raise _Abort() from None
             if not again:
                 return st
-            st = _run(s.body, st, gas)
+            st = _run(s.body, st, gas, blocks)
     raise TypeError(f"not a statement: {s!r}")
 
 

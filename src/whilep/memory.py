@@ -7,9 +7,10 @@ is identified by (length, instance) and a cell by the full triple.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 
 @dataclass(frozen=True, order=True)
@@ -63,12 +64,74 @@ class ProgState:
         return ProgState(dict(self.stack), dict(self.heap))
 
 
-def fresh_instance(allocated: Iterable[Address], length: int) -> int:
-    """Least u >= 1 such that no cell of block (length, u) is allocated."""
-    used = {a.instance for a in allocated if a.length == length}
-    u = 1
-    while u in used:
-        u += 1
+class Blocks:
+    """The blocks in use in one run's heap, indexed for allocation.
+
+    A block (length, instance) is in use while at least one of its cells
+    is in the heap. The index holds the live cell count of every block in
+    use; per length, a cursor below which every instance is in use or
+    freed, and a min-heap of the instances freed below the cursor. It is
+    built from the heap on the first allocation, in time linear in the
+    heap and with one entry per block in use, so a run that never
+    allocates pays nothing. Once it is built, cells enter the heap only as
+    the block of a fresh_instance, written by its caller, and leave it
+    only through dispose.
+
+    len() is the number of cells in the heap.
+    """
+
+    __slots__ = ("heap", "_cells", "_cursor", "_freed")
+
+    def __init__(self, heap: Heap):
+        self.heap = heap
+        self._cells: dict | None = None  # (length, instance) -> live cells
+        self._cursor: dict = {}  # length -> least instance not yet reached
+        self._freed: dict = {}   # length -> min-heap of freed instances
+
+    def __len__(self) -> int:
+        return len(self.heap)
+
+    def dispose(self, a: Address) -> None:
+        """Remove the cell a from the heap; its block becomes free with
+        its last cell."""
+        del self.heap[a]
+        cells = self._cells
+        if cells is None:
+            return
+        block = (a.length, a.instance)
+        left = cells[block] - 1
+        if left:
+            cells[block] = left
+            return
+        del cells[block]
+        # a free instance at or above the cursor is found by the cursor
+        if a.instance < self._cursor.get(a.length, 1):
+            heapq.heappush(self._freed.setdefault(a.length, []), a.instance)
+
+
+def fresh_instance(blocks: Blocks, length: int) -> int:
+    """Least u >= 1 such that no cell of block (length, u) is in the heap.
+
+    The block is counted in use with all its cells, which the caller then
+    writes. Called once per cons; amortised O(log n) once the index is
+    built."""
+    cells = blocks._cells
+    if cells is None:
+        # a plain loop: Counter costs more to set up on the small heaps
+        # most runs start from
+        cells = blocks._cells = {}
+        for a in blocks.heap:
+            block = (a.length, a.instance)
+            cells[block] = cells.get(block, 0) + 1
+    freed = blocks._freed.get(length)
+    if freed:
+        u = heapq.heappop(freed)
+    else:
+        u = blocks._cursor.get(length, 1)
+        while (length, u) in cells:
+            u += 1
+        blocks._cursor[length] = u + 1
+    cells[(length, u)] = length
     return u
 
 

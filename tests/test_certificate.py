@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -141,6 +142,21 @@ def test_deserialize_rejects_bad_documents():
     reject(loop(live=["p", "q", "addr(1,1,1)"]), "root.loops[0].live")
     reject(dict(good, residual=3), "root.residual")
     reject(dict(good, residual="skip"), "root.residual")
+    # blocks of a length no cons of the program allocates; on a sum of two
+    # addresses the analyses would enumerate every cell of such a block
+    huge = "addr(100000000,1,1)"
+    sums = json.loads(serialize(derivation_for(
+        "p := cons(1); x := y + z; while q < 3 do { x := y + z; q := q + 1 }", {"x"})))
+    sum_loop = sums["loops"][0]
+    start = time.perf_counter()
+    reject(dict(sums, entry=dict(sums["entry"], y=[huge])), "root.entry")
+    reject(dict(sums, entry=dict(sums["entry"], **{huge: []})), "root.entry")
+    reject(dict(sums, loops=[dict(sum_loop, pts=dict(sum_loop["pts"], y=[huge]))]),
+           "root.loops[0].pts")
+    reject(dict(sums, loops=[dict(sum_loop, pts=dict(sum_loop["pts"], **{huge: []}))]),
+           "root.loops[0].pts")
+    reject(dict(good, entry=dict(good["entry"], p=["addr(2,1,1)"])), "root.entry")
+    assert time.perf_counter() - start < 1.0
     with pytest.raises(FormatError) as err:
         deserialize("{not json")
     assert err.value.path == "root"

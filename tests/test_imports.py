@@ -1,0 +1,52 @@
+"""Static check: no module of the package imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import whilep
+
+PACKAGE = Path(whilep.__file__).parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import in source and never read, as 'name (line n)'.
+
+    A string annotation counts as a use of the names it mentions.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            used.update(n.id for n in ast.walk(ast.parse(annotation.value, mode="eval"))
+                        if isinstance(n, ast.Name))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_checker_finds_unused_imports():
+    source = ("from __future__ import annotations\n"
+              "import os\n"
+              "import os.path as osp\n"
+              "from re import match, sub\n"
+              "from typing import Any, Dict\n"
+              "def f(x: 'Dict[str, int]') -> None:\n"
+              "    return sub('a', 'b', x)\n")
+    assert unused_imports(source) == [
+        "Any (line 5)", "match (line 4)", "os (line 2)", "osp (line 3)"]
+
+
+def test_package_has_no_unused_imports():
+    """__init__.py is left out: its imports are the package's re-exports."""
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}

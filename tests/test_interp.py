@@ -1,6 +1,7 @@
 """Big-step interpreter tests: evaluation, outcomes, fuel, and frames."""
 
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -104,6 +105,45 @@ def test_fresh_instance_skips_live_blocks():
     assert out.state.stack["x"] == Address(1, 1, 1)
     assert out.state.stack["y"] == Address(1, 2, 1)
     assert out.state.stack["z"] == Address(2, 1, 1)
+
+
+def test_cons_dispose_churn_final_state():
+    """Partly disposed blocks stay in use; fully disposed ones are reused
+    least instance first, inside a loop too."""
+    out = run("x := cons(1, 2); y := cons(3); z := cons(4, 5); dispose(x + 1); "
+              "w := cons(6, 7); dispose(x); dispose(z); dispose(z + 1); "
+              "v := cons(8, 9); u := cons(10, 11); dispose(y); t := cons(12); "
+              "s := cons(13, 14); i := 0; while i < 3 do { dispose(w + 1); "
+              "dispose(w); w := cons(i, 0); i := i + 1 }")
+    assert isinstance(out, Final)
+    a = Address
+    assert out.state.stack == {
+        "x": a(2, 1, 1), "y": a(1, 1, 1), "z": a(2, 2, 1), "w": a(2, 3, 1),
+        "v": a(2, 1, 1), "u": a(2, 2, 1), "t": a(1, 1, 1), "s": a(2, 4, 1),
+        "i": 3}
+    assert out.state.heap == {
+        a(2, 1, 1): 8, a(2, 1, 2): 9, a(2, 2, 1): 10, a(2, 2, 2): 11,
+        a(2, 3, 1): 2, a(2, 3, 2): 0, a(1, 1, 1): 12, a(2, 4, 1): 13,
+        a(2, 4, 2): 14}
+
+
+def _live_blocks_seconds(n):
+    """Best of three runs of a loop that allocates n blocks, all kept live."""
+    prog = parse(f"i := 0; p := 0; while i < {n} do {{ p := cons(i, p); i := i + 1 }}")
+    state = zero_state(stmt_vars(prog))
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        out = execute(prog, state)
+        best = min(best, time.perf_counter() - start)
+        assert isinstance(out, Final) and len(out.state.heap) == 2 * n
+    return best
+
+
+def test_allocation_time_is_linear():
+    # linear allocation takes ~4x as long for 4x the blocks, a heap scan
+    # per cons ~16x
+    assert _live_blocks_seconds(20_000) < 8 * _live_blocks_seconds(5_000)
 
 
 def test_if_and_while():

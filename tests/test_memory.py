@@ -1,13 +1,41 @@
-"""Address model, value order, and state container tests."""
+"""Address model, value order, state container and allocation index tests."""
 
 import random
+import time
+from dataclasses import replace
 
 import pytest
 
+from whilep import GenConfig, gen_program, gen_state, interp
+from whilep.interp import execute
+from whilep.lang import pretty, stmt_vars
 from whilep.memory import (
-    NIL, Address, NilValue, ProgState, addr_shift, format_value,
+    NIL, Address, Blocks, NilValue, ProgState, addr_shift, format_value,
     fresh_instance, parse_addr, value_lt,
 )
+from whilep.pointsto import PointsTo
+
+
+def scan_instance(heap, length):
+    """Reference allocation: scan the whole heap for the least free
+    instance of the given length."""
+    used = {a.instance for a in heap if a.length == length}
+    u = 1
+    while u in used:
+        u += 1
+    return u
+
+
+def blocks_of(cells):
+    return Blocks(dict.fromkeys(cells, 0))
+
+
+def alloc(blocks, length):
+    """What a cons does: take an instance, then write its cells."""
+    u = fresh_instance(blocks, length)
+    for i in range(1, length + 1):
+        blocks.heap[Address(length, u, i)] = 0
+    return u
 
 
 def test_address_validation():
@@ -42,9 +70,13 @@ def test_format_value():
 
 
 def test_fresh_instance_examples():
-    assert fresh_instance(set(), 2) == 1
-    assert fresh_instance({Address(2, 1, 1)}, 2) == 2
-    assert fresh_instance({Address(2, 1, 1)}, 3) == 1
+    assert fresh_instance(blocks_of(()), 2) == 1
+    assert fresh_instance(blocks_of({Address(2, 1, 1)}), 2) == 2
+    assert fresh_instance(blocks_of({Address(2, 1, 1)}), 3) == 1
+    blocks = blocks_of({Address(2, 1, 1), Address(2, 3, 2)})
+    assert len(blocks) == 2
+    assert [alloc(blocks, 2) for _ in range(3)] == [2, 4, 5]
+    assert len(blocks) == 8
 
 
 def test_fresh_instance_least_free_property():
@@ -55,7 +87,9 @@ def test_fresh_instance_least_free_property():
                      for n in (1, 2, 3) for u in (1, 2, 3, 4)
                      for i in range(1, n + 1) if rng.random() < 0.4}
         for length in (1, 2, 3):
-            u = fresh_instance(allocated, length)
+            blocks = blocks_of(allocated)
+            assert len(blocks) == len(allocated)
+            u = fresh_instance(blocks, length)
             taken = {a.instance for a in allocated if a.length == length}
             assert u not in taken
             assert all(v in taken for v in range(1, u))
@@ -68,7 +102,123 @@ def test_fresh_instance_monotone_in_allocation():
                  for i in (1, 2) if rng.random() < 0.4}
         extra = {Address(2, u, i) for u in (4, 5)
                  for i in (1, 2) if rng.random() < 0.4}
-        assert fresh_instance(small, 2) <= fresh_instance(small | extra, 2)
+        assert fresh_instance(blocks_of(small), 2) <= \
+            fresh_instance(blocks_of(small | extra), 2)
+
+
+def test_fresh_instance_matches_scan_under_churn():
+    """Interleaved allocations and disposals, from heaps with instance
+    gaps, pick the instance the heap scan picks every time."""
+    rng = random.Random(13)
+    for _ in range(150):
+        heap = {Address(n, u, i): 0 for n in (1, 2, 3)
+                for u in rng.sample(range(1, 12), 4)
+                for i in range(1, n + 1) if rng.random() < 0.7}
+        blocks = Blocks(heap)
+        for _ in range(60):
+            if heap and rng.random() < 0.45:
+                blocks.dispose(rng.choice(sorted(heap)))
+            else:
+                length = rng.randint(1, 3)
+                want = scan_instance(heap, length)
+                assert alloc(blocks, length) == want
+            assert len(blocks) == len(heap)
+
+
+def test_partial_dispose_keeps_block_used():
+    blocks = blocks_of(())
+    assert alloc(blocks, 2) == 1
+    blocks.dispose(Address(2, 1, 1))
+    assert alloc(blocks, 2) == 2
+    blocks.dispose(Address(2, 1, 2))
+    assert alloc(blocks, 2) == 1
+
+
+def test_freed_instance_below_cursor_is_reused_first():
+    blocks = blocks_of(())
+    assert [alloc(blocks, 1) for _ in range(4)] == [1, 2, 3, 4]
+    blocks.dispose(Address(1, 3, 1))
+    blocks.dispose(Address(1, 2, 1))
+    assert [alloc(blocks, 1) for _ in range(3)] == [2, 3, 5]
+    # a block freed above the cursor is found by the cursor, once
+    blocks = blocks_of({Address(1, 3, 1)})
+    assert alloc(blocks, 1) == 1
+    blocks.dispose(Address(1, 3, 1))
+    assert [alloc(blocks, 1) for _ in range(3)] == [2, 3, 4]
+    # disposals before the first allocation are read from the heap
+    blocks = blocks_of({Address(1, 1, 1), Address(1, 2, 1)})
+    blocks.dispose(Address(1, 1, 1))
+    assert [alloc(blocks, 1) for _ in range(2)] == [1, 3]
+
+
+def test_huge_instance_in_heap_stays_cheap():
+    far = Address(2, 1_000_000_000, 1)
+    blocks = blocks_of({far})
+    start = time.perf_counter()
+    assert [alloc(blocks, 2) for _ in range(3)] == [1, 2, 3]
+    blocks.dispose(far)
+    assert alloc(blocks, 2) == 4
+    assert time.perf_counter() - start < 0.5
+
+
+def _gapped_ptype(rng, variables):
+    """A points-to type whose blocks leave instance gaps, every variable
+    free to point at any of their cells."""
+    cells = [Address(n, u, i) for n in (1, 2, 3)
+             for u in sorted(rng.sample(range(1, 8), 3))
+             for i in range(1, n + 1)]
+    env = {x: frozenset(rng.sample(cells, 3)) for x in variables}
+    env.update((a, frozenset(rng.sample(cells, 1))) for a in cells)
+    return PointsTo(env)
+
+
+def test_index_matches_heap_scan_on_generated_programs(monkeypatch):
+    """Differential: generated programs with dispose, run from heaps with
+    instance gaps, make the same allocations and end identically under
+    the index and under the heap scan."""
+    rng = random.Random(14)
+    cases = []
+    for seed in range(2000):
+        cfg = replace(GenConfig(), seed=seed)
+        program = gen_program(cfg)
+        if "dispose" not in pretty(program):
+            continue
+        state = gen_state(cfg, _gapped_ptype(rng, sorted(stmt_vars(program))))
+        cases.append((program, state))
+
+    def run_all(allocate):
+        outcomes, taken, gap_fills = [], [], 0
+
+        def traced(blocks, length):
+            nonlocal gap_fills
+            u = allocate(blocks, length)
+            taken.append((length, u))
+            gap_fills += any(a.length == length and a.instance > u
+                             for a in blocks.heap)
+            return u
+
+        monkeypatch.setattr(interp, "fresh_instance", traced)
+        for program, state in cases:
+            outcomes.append(execute(program, state, 3000))
+            taken.append(None)
+        return outcomes, taken, gap_fills
+
+    indexed = run_all(fresh_instance)
+    scanned = run_all(lambda blocks, length: scan_instance(blocks.heap, length))
+    assert indexed == scanned
+    outcomes, taken, gap_fills = scanned
+    # coverage: allocations below a block in use, and blocks taken twice
+    # in one run (disposed in between)
+    reuses, run = 0, []
+    for block in taken:
+        if block is None:
+            reuses += len(run) - len(set(run))
+            run = []
+        else:
+            run.append(block)
+    assert len(cases) >= 250
+    assert sum(isinstance(out, interp.Final) for out in outcomes) >= 30
+    assert gap_fills >= 300 and reuses >= 10
 
 
 def test_addr_shift_examples():
