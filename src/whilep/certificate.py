@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .lang import (
     Assign, Cons, Dispose, If, IntLit, Lookup, Mutate, ParseError, Seq, Skip,
-    Stmt, While, free_vars, parse, pretty,
+    Stmt, While, free_vars, parse, pretty, walk,
 )
 from .memory import Address
 from .liveness import LiveStmt, LiveType, cons_live, leaf_live_pre, live_annotate
@@ -64,10 +64,11 @@ class Derivation:
     premises: tuple = ()
 
 
+# premises per rule; None for seq_d, which takes one per item
 RULE_ARITY = {
     "skip": 0, "ass_d1": 0, "ass_d2": 0, "con_d1": 0, "con_d2": 0,
     "lok_d1": 0, "lok_d2": 0, "mut_d1": 0, "mut_d2": 0, "dis_d": 0,
-    "seq_d": 2, "if_d": 2, "whl_d": 1, "csq_d": 1,
+    "seq_d": None, "if_d": 2, "whl_d": 1, "csq_d": 1,
 }
 
 _RULE_FORM = {
@@ -103,14 +104,14 @@ def _check(d: Derivation, path: str, cfg: WidenConfig) -> CheckResult:
     pre_p, pre_l = j.pre.pts, j.pre.live
     post_p, post_l = j.post.pts, j.post.live
 
-    arity = RULE_ARITY.get(d.rule)
-    if arity is None:
+    if d.rule not in RULE_ARITY:
         return _fail(path, f"unknown rule {d.rule!r}")
-    if len(d.premises) != arity:
-        return _fail(path, f"{d.rule} takes {arity} premises, got {len(d.premises)}")
     form = _RULE_FORM.get(d.rule)
     if form is not None and not isinstance(s, form):
         return _fail(path, f"{d.rule} does not apply to {pretty(s)!r}")
+    arity = len(s.items) if d.rule == "seq_d" else RULE_ARITY[d.rule]
+    if len(d.premises) != arity:
+        return _fail(path, f"{d.rule} takes {arity} premises, got {len(d.premises)}")
 
     if d.rule == "csq_d":
         inner = d.premises[0]
@@ -126,22 +127,19 @@ def _check(d: Derivation, path: str, cfg: WidenConfig) -> CheckResult:
         return _check(inner, f"{path}.premises[0]", cfg)
 
     if d.rule == "seq_d":
-        first, rest = d.premises
-        if first.judgment.stmt != s.first or rest.judgment.stmt != s.rest:
-            return _fail(path, "seq_d premises do not cover the two halves")
-        if first.judgment.pre != j.pre:
+        js = [premise.judgment for premise in d.premises]
+        if tuple(pj.stmt for pj in js) != s.items:
+            return _fail(path, "seq_d premises do not cover the items in order")
+        if js[0].pre != j.pre:
             return _fail(path, "seq_d entry does not match the first premise")
-        if first.judgment.post != rest.judgment.pre:
-            return _fail(path, "seq_d premises do not chain")
-        if rest.judgment.post != j.post:
-            return _fail(path, "seq_d exit does not match the second premise")
-        if r != Seq(first.judgment.residual, rest.judgment.residual):
+        for i in range(1, len(js)):
+            if js[i - 1].post != js[i].pre:
+                return _fail(path, f"seq_d premises {i - 1} and {i} do not chain")
+        if js[-1].post != j.post:
+            return _fail(path, "seq_d exit does not match the last premise")
+        if not isinstance(r, Seq) or r.items != tuple(pj.residual for pj in js):
             return _fail(path, "seq_d residual is not the premises' sequence")
-        for i, premise in enumerate(d.premises):
-            result = _check(premise, f"{path}.premises[{i}]", cfg)
-            if not result.ok:
-                return result
-        return ACCEPT
+        return _check_premises(d, path, cfg)
 
     if d.rule == "if_d":
         then_d, else_d = d.premises
@@ -158,11 +156,7 @@ def _check(d: Derivation, path: str, cfg: WidenConfig) -> CheckResult:
             return _fail(path, "if_d entry live set is not guard + branch entries")
         if r != If(s.cond, then_d.judgment.residual, else_d.judgment.residual):
             return _fail(path, "if_d residual does not rebuild the branches")
-        for i, premise in enumerate(d.premises):
-            result = _check(premise, f"{path}.premises[{i}]", cfg)
-            if not result.ok:
-                return result
-        return ACCEPT
+        return _check_premises(d, path, cfg)
 
     if d.rule == "whl_d":
         body = d.premises[0]
@@ -196,6 +190,14 @@ def _check(d: Derivation, path: str, cfg: WidenConfig) -> CheckResult:
         return _fail(path, f"side condition of {d.rule} does not hold")
     if r != residual:
         return _fail(path, f"residual does not match the {d.rule} rewrite")
+    return ACCEPT
+
+
+def _check_premises(d: Derivation, path: str, cfg: WidenConfig) -> CheckResult:
+    for i, premise in enumerate(d.premises):
+        result = _check(premise, f"{path}.premises[{i}]", cfg)
+        if not result.ok:
+            return result
     return ACCEPT
 
 
@@ -235,10 +237,8 @@ def rewrite(node: LiveStmt, cfg: WidenConfig) -> Derivation:
     pre = LiveType(node.ann.pre, node.live_pre)
     post = LiveType(node.ann.post, node.live_post)
     if isinstance(s, Seq):
-        first = rewrite(node.children[0], cfg)
-        rest = rewrite(node.children[1], cfg)
-        premises = (first, rest)
-        rule, residual = "seq_d", Seq(first.judgment.residual, rest.judgment.residual)
+        premises = tuple(rewrite(child, cfg) for child in node.children)
+        rule, residual = "seq_d", Seq(*(p.judgment.residual for p in premises))
     elif isinstance(s, If):
         then_d = rewrite(node.children[0], cfg)
         else_d = rewrite(node.children[1], cfg)
@@ -269,19 +269,9 @@ _FIELDS = {"program", "entry", "exit_live", "loops", "residual"}
 def _loops_and_lengths(s: Stmt) -> tuple[list, frozenset]:
     """The While nodes of s in source preorder, and the block lengths its
     cons statements allocate."""
-    loops, lengths, todo = [], set(), [s]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, Seq):
-            todo += [node.rest, node.first]
-        elif isinstance(node, If):
-            todo += [node.else_body, node.then_body]
-        elif isinstance(node, While):
-            loops.append(node)
-            todo.append(node.body)
-        elif isinstance(node, Cons):
-            lengths.add(len(node.args))
-    return loops, frozenset(lengths)
+    nodes = list(walk(s))
+    return ([node for node in nodes if isinstance(node, While)],
+            frozenset(len(node.args) for node in nodes if isinstance(node, Cons)))
 
 
 def _loop_types(d: Derivation) -> list:

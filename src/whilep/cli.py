@@ -162,7 +162,7 @@ def _walk(node, path: str):
     yield path, node
     stmt = node.stmt
     if isinstance(stmt, Seq):
-        labels = ("first", "rest")
+        labels = [f"items[{i}]" for i in range(len(stmt.items))]
     elif isinstance(stmt, If):
         labels = ("then", "else")
     elif isinstance(stmt, While):

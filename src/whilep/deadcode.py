@@ -63,7 +63,7 @@ def strip_dead_cons(d: Derivation) -> Stmt:
     if d.rule == "csq_d":
         return strip_dead_cons(d.premises[0])
     if d.rule == "seq_d":
-        return Seq(strip_dead_cons(d.premises[0]), strip_dead_cons(d.premises[1]))
+        return Seq(*map(strip_dead_cons, d.premises))
     if d.rule == "if_d":
         return If(s.cond, strip_dead_cons(d.premises[0]), strip_dead_cons(d.premises[1]))
     if d.rule == "whl_d":

@@ -26,8 +26,8 @@ from .deadcode import optimize
 from .interp import Aborted, EvalError, Final, eval_aexp, execute
 from .lang import (
     AExp, And, Assign, BExp, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit,
-    Lookup, Mutate, Nil, Not, Or, Seq, Skip, Stmt, Var, While, free_vars,
-    read_vars, seq_of, stmt_vars,
+    Lookup, Mutate, Nil, Not, Or, Skip, Stmt, Var, While, free_vars,
+    read_vars, seq_of, stmt_vars, walk,
 )
 from .memory import NIL, Address, ProgState
 from .liveness import live_annotate, models_live, similar_states
@@ -268,18 +268,6 @@ def _junk_value(rng: random.Random, cfg: GenConfig):
     return Address(length, rng.randint(1, 4), rng.randint(1, length))
 
 
-def _has_lookup(s: Stmt) -> bool:
-    if isinstance(s, Lookup):
-        return True
-    if isinstance(s, Seq):
-        return _has_lookup(s.first) or _has_lookup(s.rest)
-    if isinstance(s, If):
-        return _has_lookup(s.then_body) or _has_lookup(s.else_body)
-    if isinstance(s, While):
-        return _has_lookup(s.body)
-    return False
-
-
 def make_similar_state(rng: random.Random, cfg: GenConfig, st: ProgState,
                        program: Stmt, entry_live: frozenset,
                        widen: WidenConfig) -> ProgState:
@@ -291,7 +279,7 @@ def make_similar_state(rng: random.Random, cfg: GenConfig, st: ProgState,
     for x in twin.stack:
         if x not in entry_live and x not in reads:
             twin.stack[x] = _junk_value(rng, cfg)
-    if not _has_lookup(program):
+    if not any(isinstance(node, Lookup) for node in walk(program)):
         cap = widen.instance_cap
         for a in twin.heap:
             if cap_address(a, cap) not in entry_live:

@@ -3,8 +3,9 @@
 Expression evaluation raises EvalError on undefined arithmetic (nil
 operands, address-address arithmetic, out-of-block shifts); statement
 execution turns that, and any heap access outside the domain, into an
-Aborted outcome. Each sequencing step and each loop iteration costs one
-unit of fuel; running out yields OutOfFuel, which is distinct from abort.
+Aborted outcome. Every item of a sequence but the last, and every loop
+iteration, costs one unit of fuel before it runs; running out yields
+OutOfFuel, which is distinct from abort.
 """
 
 from __future__ import annotations
@@ -174,8 +175,12 @@ def _run(s: Stmt, st: ProgState, gas: _Gas, blocks: Blocks) -> ProgState:
         blocks.dispose(target)
         return st
     if isinstance(s, Seq):
-        gas.tick()
-        return _run(s.rest, _run(s.first, st, gas, blocks), gas, blocks)
+        items = s.items
+        last = len(items) - 1
+        for i in range(last):
+            gas.tick()
+            st = _run(items[i], st, gas, blocks)
+        return _run(items[last], st, gas, blocks)
     if isinstance(s, If):
         try:
             taken = eval_bexp(s.cond, st.stack)

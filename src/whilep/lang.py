@@ -1,7 +1,7 @@
 """Abstract syntax, parser, and printer for the pointer while-language.
 
 Statements: skip, x := e, x := cons(e1, ..., en), x := [e], [e1] := e2,
-dispose(e), s1; s2, if b then { s1 } else { s2 }, while b do { s }.
+dispose(e), s1; ...; sn, if b then { s1 } else { s2 }, while b do { s }.
 Arithmetic expressions are +, -, * over integer literals, nil, and
 variables; guards combine the comparisons =, < and <= with not/and/or.
 Comments run from // to end of line.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 # --- abstract syntax ---
@@ -120,12 +121,41 @@ class Dispose(Stmt):
     addr: AExp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Seq(Stmt):
-    """Binary sequencing; chains built by the parser nest to the right."""
+    """Sequencing of two or more statements, none of them a Seq.
 
-    first: Stmt
-    rest: Stmt
+    Seq(*items) splices the items of any Seq argument, so that
+    Seq(a, Seq(b, c)) == Seq(a, b, c) == parse("a; b; c").
+    """
+
+    items: tuple
+
+    def __init__(self, *items: Stmt):
+        flat = []
+        for s in items:
+            if isinstance(s, Seq):
+                flat += s.items
+            else:
+                flat.append(s)
+        if len(flat) < 2:
+            raise ValueError("Seq takes at least two statements")
+        object.__setattr__(self, "items", tuple(flat))
+
+    # The binary view of the right-nested chain, for callers written
+    # against it; rest builds a new Seq of the remaining items.
+
+    @property
+    def first(self) -> Stmt:
+        return self.items[0]
+
+    @property
+    def rest(self) -> Stmt:
+        if len(self.items) == 2:
+            return self.items[1]
+        rest = object.__new__(Seq)
+        object.__setattr__(rest, "items", self.items[1:])
+        return rest
 
 
 @dataclass(frozen=True)
@@ -142,21 +172,29 @@ class While(Stmt):
 
 
 def seq_of(stmts: list[Stmt]) -> Stmt:
-    """Fold a nonempty statement list into a right-nested Seq chain."""
-    out = stmts[-1]
-    for s in reversed(stmts[:-1]):
-        out = Seq(s, out)
-    return out
+    """The statement that runs a nonempty list in order."""
+    return stmts[0] if len(stmts) == 1 else Seq(*stmts)
 
 
 def seq_items(s: Stmt) -> list[Stmt]:
-    """Flatten a Seq chain into its top-level statements."""
-    items = []
-    while isinstance(s, Seq):
-        items.append(s.first)
-        s = s.rest
-    items.append(s)
-    return items
+    """The top-level statements of s."""
+    return list(s.items) if isinstance(s, Seq) else [s]
+
+
+def walk(s: Stmt):
+    """Every statement node of s in source preorder: a Seq before its
+    items, an if before its then- and else-branch, a loop before its
+    body. Iterative, so neither length nor nesting limits it."""
+    todo = [s]
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, Seq):
+            todo += reversed(node.items)
+        elif isinstance(node, If):
+            todo += (node.else_body, node.then_body)
+        elif isinstance(node, While):
+            todo.append(node.body)
 
 
 # --- free variables ---
@@ -172,24 +210,20 @@ def free_vars(e: AExp | BExp) -> frozenset[str]:
 
 
 def stmt_exprs(s: Stmt) -> list[AExp | BExp]:
-    """Every expression occurrence in s, guards included."""
-    if isinstance(s, Assign):
-        return [s.expr]
-    if isinstance(s, Cons):
-        return list(s.args)
-    if isinstance(s, Lookup):
-        return [s.addr]
-    if isinstance(s, Mutate):
-        return [s.target, s.value]
-    if isinstance(s, Dispose):
-        return [s.addr]
-    if isinstance(s, Seq):
-        return stmt_exprs(s.first) + stmt_exprs(s.rest)
-    if isinstance(s, If):
-        return [s.cond] + stmt_exprs(s.then_body) + stmt_exprs(s.else_body)
-    if isinstance(s, While):
-        return [s.cond] + stmt_exprs(s.body)
-    return []
+    """Every expression occurrence in s, guards included, in source order."""
+    out: list[AExp | BExp] = []
+    for node in walk(s):
+        if isinstance(node, Assign):
+            out.append(node.expr)
+        elif isinstance(node, Cons):
+            out += node.args
+        elif isinstance(node, (Lookup, Dispose)):
+            out.append(node.addr)
+        elif isinstance(node, Mutate):
+            out += (node.target, node.value)
+        elif isinstance(node, (If, While)):
+            out.append(node.cond)
+    return out
 
 
 def read_vars(s: Stmt) -> frozenset[str]:
@@ -203,17 +237,8 @@ def read_vars(s: Stmt) -> frozenset[str]:
 def stmt_vars(s: Stmt) -> frozenset[str]:
     """All variables mentioned by s, written or read."""
     out = set(read_vars(s))
-    stack = [s]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, (Assign, Cons, Lookup)):
-            out.add(cur.var)
-        elif isinstance(cur, Seq):
-            stack += [cur.first, cur.rest]
-        elif isinstance(cur, If):
-            stack += [cur.then_body, cur.else_body]
-        elif isinstance(cur, While):
-            stack.append(cur.body)
+    out.update(node.var for node in walk(s)
+               if isinstance(node, (Assign, Cons, Lookup)))
     return frozenset(out)
 
 
@@ -244,8 +269,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'int', 'ident', keyword text, or operator text
     text: str
     line: int
@@ -307,11 +331,11 @@ class _Parser:
     # statements
 
     def stmt(self) -> Stmt:
-        first = self.simple_stmt()
-        if self.at(";"):
+        items = [self.simple_stmt()]
+        while self.at(";"):
             self.next()
-            return Seq(first, self.stmt())
-        return first
+            items.append(self.simple_stmt())
+        return seq_of(items)
 
     def braced(self) -> Stmt:
         self.expect("{")
@@ -528,7 +552,7 @@ def pretty(s: Stmt) -> str:
     if isinstance(s, Dispose):
         return f"dispose({pretty_aexp(s.addr)})"
     if isinstance(s, Seq):
-        return f"{pretty(s.first)}; {pretty(s.rest)}"
+        return "; ".join(map(pretty, s.items))
     if isinstance(s, If):
         return (f"if {pretty_bexp(s.cond)} then {{ {pretty(s.then_body)} }}"
                 f" else {{ {pretty(s.else_body)} }}")

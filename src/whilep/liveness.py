@@ -97,9 +97,11 @@ def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
     """
     s = ann.stmt
     if isinstance(s, Seq):
-        rest = live_annotate(ann.children[1], post, cfg, seeds)
-        first = live_annotate(ann.children[0], rest.live_pre, cfg, seeds)
-        return LiveStmt(ann, first.live_pre, post, (first, rest))
+        children, live = [], post
+        for child in reversed(ann.children):
+            children.append(live_annotate(child, live, cfg, seeds))
+            live = children[-1].live_pre
+        return LiveStmt(ann, live, post, tuple(reversed(children)))
     if isinstance(s, If):
         then_live = live_annotate(ann.children[0], post, cfg, seeds)
         else_live = live_annotate(ann.children[1], post, cfg, seeds)

@@ -15,6 +15,7 @@ through cap_address, which is the identity until the cap is reached.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .lang import (
     AExp, Assign, BinOp, Cons, Dispose, If, IntLit, Lookup, Mutate, Nil,
@@ -179,7 +180,7 @@ def abs_eval(e: AExp, p: PointsTo) -> AbsValue:
 @dataclass
 class AnnStmt:
     """A statement with its entry and exit types; children in source order
-    (first/rest for Seq, then/else for If, body for While)."""
+    (the items of a Seq, then/else for If, body for While)."""
 
     stmt: Stmt
     pre: PointsTo
@@ -200,11 +201,15 @@ def cons_block(p: PointsTo, length: int, cap: int) -> tuple[int, frozenset]:
     v = 1
     while v in used:
         v += 1
-    cells = frozenset(
+    return v, _block_cells(length, v, cap)
+
+
+@lru_cache(maxsize=1024)
+def _block_cells(length: int, v: int, cap: int) -> frozenset:
+    return frozenset(
         Address(length, min(i, cap), j)
         for i in range(1, v + 1)
         for j in range(1, length + 1))
-    return v, cells
 
 
 def _transfer_leaf(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
@@ -265,9 +270,12 @@ def annotate(s: Stmt, p: PointsTo, cfg: WidenConfig,
     when the seed contains the loop's entry and is closed under the body.
     """
     if isinstance(s, Seq):
-        first = annotate(s.first, p, cfg, seeds)
-        rest = annotate(s.rest, first.post, cfg, seeds)
-        return AnnStmt(s, p, rest.post, (first, rest))
+        children, q = [], p
+        for item in s.items:
+            child = annotate(item, q, cfg, seeds)
+            children.append(child)
+            q = child.post
+        return AnnStmt(s, p, q, tuple(children))
     if isinstance(s, If):
         then_ann = annotate(s.then_body, p, cfg, seeds)
         else_ann = annotate(s.else_body, p, cfg, seeds)

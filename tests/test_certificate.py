@@ -13,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from whilep import GenConfig, gen_program
 from whilep.certificate import (
-    ACCEPT, Derivation, FormatError, Judgment, RULE_ARITY, check,
-    deserialize, serialize,
+    ACCEPT, CheckResult, Derivation, FormatError, Judgment, RULE_ARITY,
+    check, deserialize, serialize,
 )
 from whilep.deadcode import optimize
+from whilep.interp import Final, execute, zero_state
 from whilep.lang import (
     Assign, If, IntLit, Seq, Skip, While, parse, pretty, stmt_vars,
 )
@@ -48,7 +49,7 @@ def test_rule_arities():
     assert RULE_ARITY == {
         "skip": 0, "ass_d1": 0, "ass_d2": 0, "con_d1": 0, "con_d2": 0,
         "lok_d1": 0, "lok_d2": 0, "mut_d1": 0, "mut_d2": 0, "dis_d": 0,
-        "seq_d": 2, "if_d": 2, "whl_d": 1, "csq_d": 1,
+        "seq_d": None, "if_d": 2, "whl_d": 1, "csq_d": 1,
     }
 
 
@@ -85,17 +86,46 @@ def test_round_trip(fig_src):
         assert serialize(again) == text  # byte-identical re-serialization
 
 
-def test_certificate_size_is_linear():
-    # 200 statements alternating an allocation linking the previous block
-    # with a lookup of that link: the per-node tree took 9.5 MB
+def chain_src(n):
+    """n statements alternating an allocation linking the previous block
+    with a lookup of that link, over four variables."""
     names = ("p0", "p1", "p2", "p3")
-    src = "; ".join(
+    return "; ".join(
         f"{names[i % 4]} := cons({i % 10}, {names[(i - 1) % 4] if i else 0})"
         if i % 2 == 0 else f"{names[i % 4]} := [{names[(i - 1) % 4]} + 1]"
-        for i in range(200))
+        for i in range(n))
+
+
+def test_certificate_size_is_linear():
+    # the per-node tree took 9.5 MB for 200 statements
+    src = chain_src(200)
     text = serialize(derivation_for(src, {"p0"}))
     assert len(text) <= 10_000
     assert text.count(src) == 1
+
+
+def _pipeline_seconds(n):
+    """One run of a chain of n statements from parse to check."""
+    src = chain_src(n)
+    start = time.perf_counter()
+    prog = parse(src)
+    assert pretty(prog) == src
+    out = execute(prog, zero_state(stmt_vars(prog)), n)
+    assert isinstance(out, Final)
+    result = optimize(prog, frozenset({"p0"}), CFG)
+    d = deserialize(serialize(result.derivation), CFG)
+    assert d == result.derivation and check(d, CFG) == ACCEPT
+    return time.perf_counter() - start
+
+
+def test_pipeline_time_is_linear():
+    # a linear pipeline takes ~4x as long for 4x the statements, a
+    # quadratic one ~16x
+    bound = 8 * min(_pipeline_seconds(5_000) for _ in range(3))
+    runs = []
+    while len(runs) < 3 and min(runs, default=bound) >= bound:
+        runs.append(_pipeline_seconds(20_000))
+    assert min(runs) < bound, (bound, runs)
 
 
 LOOP_SRC = "p := cons(0); i := 0; while i < 3 do { q := [p]; i := i + 1 }"
@@ -186,8 +216,9 @@ def test_serialize_rejects_csq():
 def _leaf_mutants(s):
     """Each tree with exactly one leaf of s replaced by a different leaf."""
     if isinstance(s, Seq):
-        yield from (Seq(m, s.rest) for m in _leaf_mutants(s.first))
-        yield from (Seq(s.first, m) for m in _leaf_mutants(s.rest))
+        for i, item in enumerate(s.items):
+            yield from (Seq(*s.items[:i], m, *s.items[i + 1:])
+                        for m in _leaf_mutants(item))
     elif isinstance(s, If):
         yield from (If(s.cond, m, s.else_body) for m in _leaf_mutants(s.then_body))
         yield from (If(s.cond, s.then_body, m) for m in _leaf_mutants(s.else_body))
@@ -364,7 +395,45 @@ def test_csq_must_wrap_same_statement():
 
 def test_check_rejects_broken_seq_chain(fig_src):
     d = derivation_for(fig_src, {"y"})
-    first, rest = d.premises
-    swapped = Derivation("seq_d", d.judgment, (rest, first))
-    verdict = check(swapped, CFG)
-    assert not verdict.ok and verdict.path == "root"
+    p = d.premises
+    assert d.rule == "seq_d" and len(p) == 5 and check(d, CFG) == ACCEPT
+    # a valid derivation of the third item from another entry type
+    detached = derivation_for("i := 10", {"i"})
+    assert detached.judgment.stmt == p[2].judgment.stmt
+    assert detached.judgment.pre != p[2].judgment.pre
+    assert check(detached, CFG) == ACCEPT
+    items = d.judgment.residual.items
+    other = LiveType(bottom({"q"}), frozenset())
+    cover = "seq_d premises do not cover the items in order"
+    cases = {
+        "swapped": ((p[1], p[0]) + p[2:], cover),
+        "swapped in the middle": (p[:2] + (p[3], p[2], p[4]), cover),
+        "dropped": (p[:2] + p[3:], "seq_d takes 5 premises, got 4"),
+        "dropped last": (p[:4], "seq_d takes 5 premises, got 4"),
+        "duplicated": (p[:2] + (p[1],) + p[3:], cover),
+        "extra": (p + (p[4],), "seq_d takes 5 premises, got 6"),
+        "none": ((), "seq_d takes 5 premises, got 0"),
+        "chain broken in the middle": (
+            p[:2] + (detached,) + p[3:], "seq_d premises 1 and 2 do not chain"),
+    }
+    for label, (premises, reason) in cases.items():
+        verdict = check(Derivation("seq_d", d.judgment, premises), CFG)
+        assert verdict == CheckResult(False, "root", reason), label
+    judgments = {
+        "entry": (replace(d.judgment, pre=other),
+                  "seq_d entry does not match the first premise"),
+        "exit": (replace(d.judgment, post=other),
+                 "seq_d exit does not match the last premise"),
+        "wrong residual item": (
+            replace(d.judgment, residual=Seq(Skip(), *items[1:])),
+            "seq_d residual is not the premises' sequence"),
+        "residual items dropped": (
+            replace(d.judgment, residual=Seq(*items[:4])),
+            "seq_d residual is not the premises' sequence"),
+        "residual not a sequence": (
+            replace(d.judgment, residual=items[0]),
+            "seq_d residual is not the premises' sequence"),
+    }
+    for label, (judgment, reason) in judgments.items():
+        verdict = check(Derivation("seq_d", judgment, p), CFG)
+        assert verdict == CheckResult(False, "root", reason), label

@@ -64,7 +64,7 @@ def test_analyze_pts(prog, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["widen"] == 3
     paths = [n["path"] for n in doc["nodes"]]
-    assert paths == ["root", "root.first", "root.rest"]
+    assert paths == ["root", "root.items[0]", "root.items[1]"]
     cons = doc["nodes"][1]
     assert cons["stmt"] == "x := cons(5)"
     assert cons["pre"] == {"x": []}

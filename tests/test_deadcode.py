@@ -11,7 +11,7 @@ from whilep.deadcode import OptResult, optimize, strip_dead_cons
 from whilep.harness import _gen_state
 from whilep.interp import Aborted, Final, execute, zero_state
 from whilep.lang import (
-    Cons, If, IntLit, Seq, Skip, While, parse, pretty, stmt_vars,
+    Assign, Cons, If, IntLit, Seq, Skip, While, parse, pretty, stmt_vars,
 )
 from whilep.memory import Address
 from whilep.pointsto import WidenConfig, annotate, bottom
@@ -35,7 +35,7 @@ def test_mutate_rewrites():
     # constant target is provably no live cell, but the write's target
     # expression stays live, so the assignment feeding it survives
     assert residual_of("i := 10; [i] := 7", set()) == \
-        Seq(parse("i := 10"), Skip())
+        Seq(Assign("i", IntLit(10)), Skip())
     # the written cell feeds the live lookup, so the write stays
     kept = residual_of("x := cons(1); [x] := 2; y := [x]", {"y"})
     assert kept == parse("x := cons(1); [x] := 2; y := [x]")
@@ -85,8 +85,8 @@ def test_guards_and_structure_preserved():
     """The residual keeps the original's control skeleton and guards."""
     def same_shape(a, b):
         if isinstance(a, Seq):
-            return isinstance(b, Seq) and same_shape(a.first, b.first) \
-                and same_shape(a.rest, b.rest)
+            return isinstance(b, Seq) and len(a.items) == len(b.items) \
+                and all(map(same_shape, a.items, b.items))
         if isinstance(a, If):
             return isinstance(b, If) and a.cond == b.cond \
                 and same_shape(a.then_body, b.then_body) \
@@ -153,6 +153,9 @@ def test_strip_dead_cons():
         return strip_dead_cons(optimize(parse(src), frozenset(live), CFG).derivation)
 
     assert stripped("x := cons(y, z); w := 1", set()) == Seq(Skip(), Skip())
+    # one residual item per item of the sequence
+    assert stripped("x := cons(y); w := 1; z := cons(2)", {"w"}) == \
+        Seq(Skip(), Assign("w", IntLit(1)), Skip())
     assert stripped("x := cons(y); dispose(x)", set()) == \
         parse("x := cons(0); dispose(x)")
     # a live allocation whose arguments are all zero is not dropped: the

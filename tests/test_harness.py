@@ -9,7 +9,7 @@ from whilep.harness import (
 )
 from whilep.lang import (
     Assign, Cons, Dispose, If, Lookup, Mutate, Seq, Skip, While, parse,
-    pretty, read_vars, stmt_vars,
+    pretty, read_vars, stmt_vars, walk,
 )
 from whilep.liveness import live_annotate, similar_states
 from whilep.memory import Address, NilValue
@@ -18,18 +18,8 @@ from whilep.pointsto import WidenConfig, annotate, bottom, models
 CFG = WidenConfig()
 
 
-def forms(s, acc=None):
-    acc = set() if acc is None else acc
-    acc.add(type(s))
-    if isinstance(s, Seq):
-        forms(s.first, acc)
-        forms(s.rest, acc)
-    elif isinstance(s, If):
-        forms(s.then_body, acc)
-        forms(s.else_body, acc)
-    elif isinstance(s, While):
-        forms(s.body, acc)
-    return acc
+def forms(s):
+    return {type(node) for node in walk(s)}
 
 
 def test_gen_program_deterministic():
@@ -57,7 +47,7 @@ def test_gen_program_covers_every_form():
 def test_gen_program_respects_budget():
     def count(s):
         if isinstance(s, Seq):
-            return count(s.first) + count(s.rest)
+            return sum(map(count, s.items))
         if isinstance(s, If):
             return 1 + count(s.then_body) + count(s.else_body)
         if isinstance(s, While):

@@ -163,6 +163,24 @@ def test_out_of_fuel():
     assert run("x := 0; while 0 <= x do { x := x + 1 }", fuel=1000) == OutOfFuel()
 
 
+def test_sequence_fuel_accounting():
+    # a k-item sequence spends k - 1 units, one before each item but the last
+    for k in (2, 3, 10, 500):
+        src = "; ".join(f"x := {i}" for i in range(k))
+        assert run(src, fuel=k - 2) == OutOfFuel()
+        assert run(src, fuel=k - 1) == Final(ProgState({"x": k - 1}, {}))
+    # the unit is spent before the item runs, so an abort in the first
+    # item needs one unit to show, and one in the last item needs k - 1
+    assert run("x := nil + 1; skip", fuel=0) == OutOfFuel()
+    assert run("x := nil + 1; skip", fuel=1) == Aborted()
+    assert run("skip; skip; x := nil + 1", fuel=1) == OutOfFuel()
+    assert run("skip; skip; x := nil + 1", fuel=2) == Aborted()
+    # nested: 3 guard checks, 2 units per body run, 1 before the loop
+    loop = "i := 0; while i < 2 do { skip; skip; i := i + 1 }"
+    assert run(loop, fuel=7) == OutOfFuel()
+    assert isinstance(run(loop, fuel=8), Final)
+
+
 def test_fuel_monotonicity():
     """A run that finishes keeps the same outcome with more fuel."""
     for seed in range(80):

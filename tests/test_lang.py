@@ -8,7 +8,7 @@ from whilep import GenConfig, gen_program
 from whilep.lang import (
     And, Assign, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit, Lookup,
     Mutate, Nil, Not, Or, ParseError, Seq, Skip, Var, While, free_vars,
-    parse, pretty, read_vars, seq_items, seq_of, stmt_vars,
+    parse, pretty, read_vars, seq_items, seq_of, stmt_vars, walk,
 )
 
 
@@ -36,9 +36,50 @@ def test_parse_all_forms():
                      "If", "While"}
 
 
-def test_seq_right_associative():
+def test_seq_is_one_flat_node():
     prog = parse("skip; skip; x := 1")
-    assert prog == Seq(Skip(), Seq(Skip(), Assign("x", IntLit(1))))
+    x1 = Assign("x", IntLit(1))
+    assert prog.items == (Skip(), Skip(), x1)
+    # the constructor splices nested sequences, whichever way they nest
+    assert prog == Seq(Skip(), Skip(), x1) == Seq(Skip(), Seq(Skip(), x1)) \
+        == Seq(Seq(Skip(), Skip()), x1)
+    assert hash(prog) == hash(Seq(Skip(), Seq(Skip(), x1)))
+    assert parse("skip; if true then { skip; skip } else { skip }").items[1] \
+        .then_body == Seq(Skip(), Skip())
+    with pytest.raises(ValueError):
+        Seq(Skip())
+    with pytest.raises(ValueError):
+        Seq()
+
+
+def test_seq_binary_view():
+    # first and rest read the chain as a; (b; c)
+    a, b, c = Skip(), Assign("x", IntLit(1)), Dispose(Var("x"))
+    three = Seq(a, b, c)
+    assert three.first == a and three.rest == Seq(b, c)
+    assert three.rest.first == b and three.rest.rest == c
+
+
+def test_walk_is_preorder_and_iterative():
+    prog = parse("x := 1; if x < 1 then { y := 2; skip } else { "
+                 "while x < 2 do { x := x + 1 } }; dispose(x)")
+    assert [pretty(s) for s in walk(prog)][1:] == [
+        "x := 1", "if x < 1 then { y := 2; skip } else { while x < 2 do "
+        "{ x := x + 1 } }", "y := 2; skip", "y := 2", "skip",
+        "while x < 2 do { x := x + 1 }", "x := x + 1", "dispose(x)"]
+    chain = parse("; ".join(["x := x + 1"] * 50_000))
+    assert sum(1 for _ in walk(chain)) == 50_001
+    assert pretty(chain).count(";") == 49_999
+    assert stmt_vars(chain) == read_vars(chain) == {"x"}
+
+
+def test_generated_sequences_are_flat():
+    for seed in range(100):
+        prog = gen_program(replace(GenConfig(), seed=seed, max_stmts=20))
+        for s in walk(prog):
+            if isinstance(s, Seq):
+                assert len(s.items) >= 2
+                assert not any(isinstance(i, Seq) for i in s.items)
 
 
 def test_precedence_and_associativity():
@@ -155,7 +196,9 @@ def test_stmt_vars_and_read_vars():
 def test_seq_of_and_seq_items_inverse():
     items = [Skip(), Assign("x", IntLit(1)), Skip()]
     assert seq_items(seq_of(items)) == items
+    assert seq_of(items) == Seq(*items)
     assert seq_of([Skip()]) == Skip()
+    assert seq_items(Skip()) == [Skip()]
 
 
 def test_round_trip_generated_programs():
