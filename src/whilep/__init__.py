@@ -21,13 +21,12 @@ from .pointsto import (
     bottom, cap_address, join, leq, models, transfer, widen,
 )
 from .liveness import (
-    LiveStmt, LiveType, leaf_live_pre, live_annotate, models_live,
+    Derivation, Judgment, LiveType, leaf_live_pre, live_annotate, models_live,
     similar_states,
 )
 from .deadcode import OptResult, optimize, strip_dead_cons
 from .certificate import (
-    ACCEPT, CheckResult, Derivation, FormatError, Judgment, check,
-    deserialize, serialize,
+    ACCEPT, CheckResult, FormatError, check, deserialize, serialize,
 )
 from .harness import GenConfig, gen_program, gen_state, make_similar_state, run_soundness_suite
 from .cli import main
@@ -46,11 +45,11 @@ __all__ = [
     "AddrSet", "AnnStmt", "ExactInt", "PointsTo", "WidenConfig", "abs_eval",
     "annotate", "bottom", "cap_address", "join", "leq", "models", "transfer",
     "widen",
-    "LiveStmt", "LiveType", "leaf_live_pre", "live_annotate", "models_live",
-    "similar_states",
+    "Derivation", "Judgment", "LiveType", "leaf_live_pre", "live_annotate",
+    "models_live", "similar_states",
     "OptResult", "optimize", "strip_dead_cons",
-    "ACCEPT", "CheckResult", "Derivation", "FormatError", "Judgment",
-    "check", "deserialize", "serialize",
+    "ACCEPT", "CheckResult", "FormatError", "check", "deserialize",
+    "serialize",
     "GenConfig", "gen_program", "gen_state", "make_similar_state",
     "run_soundness_suite",
     "main",

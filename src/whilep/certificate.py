@@ -1,9 +1,9 @@
-"""Machine-checkable derivations for the dead-code rewrite.
+"""Checking and storing derivations of the dead-code rewrite.
 
-A derivation node records one rule application: the original statement,
-its residual, the entry/exit (points-to, live) pairs, and premise
-derivations. rewrite() builds the derivation of an annotated program;
-check() revalidates one from scratch: rule/statement shape, side
+A derivation node (liveness.Derivation, built by live_annotate) records
+one rule application: the original statement, its residual, the
+entry/exit (points-to, live) pairs, and premise derivations. check()
+revalidates one from scratch: rule/statement shape, side
 conditions recomputed from the node's own entry type, the rewrite
 itself, and how premises compose. The consequence rule (csq_d) is
 accepted on input even though the optimizer never emits it.
@@ -21,13 +21,14 @@ fact once, as one JSON object:
              and the loop-head live set
   residual   the canonical residual text
 
-deserialize() rejects an address in the entry type or a loop invariant
-whose block length no cons of the program allocates. It reruns the
-analyses from entry and exit with each loop seeded by its annotation,
-then the rewrite, and rejects an annotation or residual that the rerun
-does not reproduce. A coarser annotation that is
-still closed is reproduced: on disk, weakening is expressed through the
-loop annotations and the entry type, and csq_d stays in memory only
+deserialize() rejects, in the entry type, the exit live set and the
+loop annotations, a variable the program does not mention and an
+address whose block length no cons of the program allocates. It reruns
+the analyses from entry and exit with each loop seeded by its
+annotation, and rejects an annotation or residual that the rerun does
+not reproduce. A coarser annotation that is still closed is
+reproduced: on disk, weakening is expressed through the loop
+annotations and the entry type, and csq_d stays in memory only
 (serialize raises ValueError on it). Serialization is deterministic, so
 equal derivations produce byte-identical documents.
 """
@@ -38,30 +39,17 @@ import json
 from dataclasses import dataclass
 
 from .lang import (
-    Assign, Cons, Dispose, If, IntLit, Lookup, Mutate, ParseError, Seq, Skip,
-    Stmt, While, free_vars, parse, pretty, walk,
+    Assign, Cons, Dispose, If, Lookup, Mutate, ParseError, Seq, Skip, Stmt,
+    While, free_vars, parse, pretty, stmt_vars, walk,
 )
 from .memory import Address
-from .liveness import LiveStmt, LiveType, cons_live, leaf_live_pre, live_annotate
-from .pointsto import (
-    PointsTo, WidenConfig, abs_eval, addr_part, annotate, join, leq,
-    live_from_list, live_to_list, pts_from_doc, pts_to_doc, transfer,
+from .liveness import (
+    Derivation, LiveType, leaf_live_pre, leaf_rule, live_annotate,
 )
-
-
-@dataclass(frozen=True)
-class Judgment:
-    stmt: Stmt
-    pre: LiveType
-    post: LiveType
-    residual: Stmt
-
-
-@dataclass(frozen=True)
-class Derivation:
-    rule: str
-    judgment: Judgment
-    premises: tuple = ()
+from .pointsto import (
+    PointsTo, WidenConfig, annotate, join, key_sort_key, leq, live_from_list,
+    live_to_list, pts_from_doc, pts_to_doc, transfer,
+)
 
 
 # premises per rule; None for seq_d, which takes one per item
@@ -201,59 +189,6 @@ def _check_premises(d: Derivation, path: str, cfg: WidenConfig) -> CheckResult:
     return ACCEPT
 
 
-def leaf_rule(s: Stmt, pre: PointsTo, post: frozenset,
-              cfg: WidenConfig) -> tuple[str, Stmt]:
-    """The leaf rule whose side condition holds for s between entry type
-    pre and exit live set post, and the residual that rule emits.
-
-    Writes to dead variables and heap writes that reach no live cell
-    become skip; a cons keeps its allocation, so that the heap domain
-    evolves as in the original, but the arguments of its dead cells are
-    zeroed, so that the residual never evaluates them.
-    """
-    if isinstance(s, Skip):
-        return "skip", s
-    if isinstance(s, Dispose):
-        return "dis_d", s
-    if isinstance(s, Assign):
-        return ("ass_d2", s) if s.var in post else ("ass_d1", Skip())
-    if isinstance(s, Lookup):
-        return ("lok_d2", s) if s.var in post else ("lok_d1", Skip())
-    if isinstance(s, Mutate):
-        if addr_part(abs_eval(s.target, pre)) & post:
-            return "mut_d2", s
-        return "mut_d1", Skip()
-    if isinstance(s, Cons):
-        hit, live_args = cons_live(s, pre, post, cfg)
-        args = tuple(a if j in live_args else IntLit(0)
-                     for j, a in enumerate(s.args, 1))
-        return ("con_d2" if hit else "con_d1"), Cons(s.var, args)
-    raise TypeError(f"not a leaf statement: {s!r}")
-
-
-def rewrite(node: LiveStmt, cfg: WidenConfig) -> Derivation:
-    """The derivation of an annotated node; its residual is the rewrite."""
-    s = node.stmt
-    pre = LiveType(node.ann.pre, node.live_pre)
-    post = LiveType(node.ann.post, node.live_post)
-    if isinstance(s, Seq):
-        premises = tuple(rewrite(child, cfg) for child in node.children)
-        rule, residual = "seq_d", Seq(*(p.judgment.residual for p in premises))
-    elif isinstance(s, If):
-        then_d = rewrite(node.children[0], cfg)
-        else_d = rewrite(node.children[1], cfg)
-        premises = (then_d, else_d)
-        rule, residual = "if_d", If(s.cond, then_d.judgment.residual,
-                                    else_d.judgment.residual)
-    elif isinstance(s, While):
-        premises = (rewrite(node.children[0], cfg),)
-        rule, residual = "whl_d", While(s.cond, premises[0].judgment.residual)
-    else:
-        premises = ()
-        rule, residual = leaf_rule(s, node.ann.pre, node.live_post, cfg)
-    return Derivation(rule, Judgment(s, pre, post, residual), premises)
-
-
 # --- document format ---
 
 class FormatError(Exception):
@@ -266,12 +201,30 @@ class FormatError(Exception):
 _FIELDS = {"program", "entry", "exit_live", "loops", "residual"}
 
 
-def _loops_and_lengths(s: Stmt) -> tuple[list, frozenset]:
-    """The While nodes of s in source preorder, and the block lengths its
-    cons statements allocate."""
+def _loops_and_scope(s: Stmt) -> tuple[list, tuple]:
+    """The While nodes of s in source preorder, and the scope of s: the
+    variables it mentions and the block lengths its cons statements
+    allocate."""
     nodes = list(walk(s))
     return ([node for node in nodes if isinstance(node, While)],
-            frozenset(len(node.args) for node in nodes if isinstance(node, Cons)))
+            (stmt_vars(s),
+             frozenset(len(node.args) for node in nodes if isinstance(node, Cons))))
+
+
+def _in_scope(keys, path: str, scope: tuple) -> None:
+    """FormatError unless every variable among keys is one the program
+    mentions and every address lies in a block of a length it allocates:
+    the analyses enumerate the cells of a block, so a length read from
+    the document would bound their work. The least offending key is
+    named, so the message does not depend on set order."""
+    variables, lengths = scope
+    for k in sorted(keys, key=key_sort_key):
+        if isinstance(k, Address):
+            if k.length not in lengths:
+                raise FormatError(path, f"{k!r}: no cons of the program "
+                                        f"allocates blocks of length {k.length}")
+        elif k not in variables:
+            raise FormatError(path, f"{k}: the program mentions no such variable")
 
 
 def _loop_types(d: Derivation) -> list:
@@ -302,10 +255,7 @@ def serialize(d: Derivation) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _pts_from_doc(doc, path: str, lengths: frozenset) -> PointsTo:
-    """The points-to type of doc, whose addresses must lie in blocks of a
-    length the program allocates: the analyses enumerate the cells of a
-    block, so a length read from the document would bound their work."""
+def _pts_from_doc(doc, path: str, scope: tuple) -> PointsTo:
     if not isinstance(doc, dict) or not all(
             isinstance(v, list) and all(isinstance(a, str) for a in v)
             for v in doc.values()):
@@ -314,36 +264,36 @@ def _pts_from_doc(doc, path: str, lengths: frozenset) -> PointsTo:
         p = pts_from_doc(doc)
     except ValueError as err:
         raise FormatError(path, str(err)) from None
-    for key, image in p.env.items():
-        for a in image | {key} if isinstance(key, Address) else image:
-            if a.length not in lengths:
-                raise FormatError(path, f"{a!r}: no cons of the program "
-                                        f"allocates blocks of length {a.length}")
+    _in_scope(p.env, path, scope)
+    for image in p.env.values():
+        _in_scope(image, path, scope)
     return p
 
 
-def _live_from_doc(doc, path: str) -> frozenset:
+def _live_from_doc(doc, path: str, scope: tuple) -> frozenset:
     if not isinstance(doc, list) or not all(isinstance(k, str) for k in doc):
         raise FormatError(path, "expected a list of strings")
     try:
-        return live_from_list(doc)
+        live = live_from_list(doc)
     except ValueError as err:
         raise FormatError(path, str(err)) from None
+    _in_scope(live, path, scope)
+    return live
 
 
-def _loop_from_doc(doc, path: str, lengths: frozenset) -> LiveType:
+def _loop_from_doc(doc, path: str, scope: tuple) -> LiveType:
     if not isinstance(doc, dict) or set(doc) != {"pts", "live"}:
         raise FormatError(path, "expected an object with 'pts' and 'live'")
-    return LiveType(_pts_from_doc(doc["pts"], f"{path}.pts", lengths),
-                    _live_from_doc(doc["live"], f"{path}.live"))
+    return LiveType(_pts_from_doc(doc["pts"], f"{path}.pts", scope),
+                    _live_from_doc(doc["live"], f"{path}.live", scope))
 
 
 def deserialize(text: str, cfg: WidenConfig = WidenConfig()) -> Derivation:
     """Rebuild the derivation a certificate document describes.
 
     The analyses rerun from the recorded entry type and exit live set,
-    each loop seeded with its recorded annotation, and the rewrite
-    follows. A loop annotation the rerun does not reproduce, or a
+    each loop seeded with its recorded annotation; the live pass builds
+    the derivation. A loop annotation the rerun does not reproduce, or a
     residual that differs from the rebuilt one, is a FormatError; the
     rebuilt derivation still has to pass check().
     """
@@ -362,12 +312,12 @@ def deserialize(text: str, cfg: WidenConfig = WidenConfig()) -> Derivation:
         program = parse(doc["program"])
     except ParseError as err:
         raise FormatError("root.program", f"unparsable program: {err}") from None
-    stmts, lengths = _loops_and_lengths(program)
-    entry = _pts_from_doc(doc["entry"], "root.entry", lengths)
-    exit_live = _live_from_doc(doc["exit_live"], "root.exit_live")
+    stmts, scope = _loops_and_scope(program)
+    entry = _pts_from_doc(doc["entry"], "root.entry", scope)
+    exit_live = _live_from_doc(doc["exit_live"], "root.exit_live", scope)
     if not isinstance(doc["loops"], list):
         raise FormatError("root.loops", "expected a list")
-    loops = [_loop_from_doc(t, f"root.loops[{i}]", lengths)
+    loops = [_loop_from_doc(t, f"root.loops[{i}]", scope)
              for i, t in enumerate(doc["loops"])]
     if not isinstance(doc["residual"], str):
         raise FormatError("root.residual", "expected program source text")
@@ -376,9 +326,8 @@ def deserialize(text: str, cfg: WidenConfig = WidenConfig()) -> Derivation:
                                         f"got {len(loops)} annotations")
 
     ann = annotate(program, entry, cfg, {id(w): t.pts for w, t in zip(stmts, loops)})
-    live = live_annotate(ann, exit_live, cfg,
-                         {id(w): t.live for w, t in zip(stmts, loops)})
-    d = rewrite(live, cfg)
+    d = live_annotate(ann, exit_live, cfg,
+                      {id(w): t.live for w, t in zip(stmts, loops)})
     for i, (got, want) in enumerate(zip(_loop_types(d), loops)):
         if got.pts != want.pts:
             raise FormatError(f"root.loops[{i}].pts", "invariant does not contain "

@@ -157,10 +157,11 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _walk(node, path: str):
-    """Flatten an annotation tree into (path, node) rows, preorder."""
+def _walk(node, path: str, split):
+    """Flatten a tree into (path, node) rows, preorder; split(node) gives
+    the node's statement and its children in source order."""
     yield path, node
-    stmt = node.stmt
+    stmt, children = split(node)
     if isinstance(stmt, Seq):
         labels = [f"items[{i}]" for i in range(len(stmt.items))]
     elif isinstance(stmt, If):
@@ -169,8 +170,8 @@ def _walk(node, path: str):
         labels = ("body",)
     else:
         labels = ()
-    for label, child in zip(labels, node.children):
-        yield from _walk(child, f"{path}.{label}")
+    for label, child in zip(labels, children):
+        yield from _walk(child, f"{path}.{label}", split)
 
 
 def _emit_report(doc, out_path) -> int:
@@ -195,13 +196,13 @@ def _cmd_analyze_pts(args) -> int:
     cfg = WidenConfig(instance_cap=args.widen)
     ann = annotate(program, bottom(stmt_vars(program)), cfg)
     nodes = []
-    for path, node in _walk(ann, "root"):
+    for path, node in _walk(ann, "root", lambda a: (a.stmt, a.children)):
         row = {"path": path,
                "stmt": pretty(node.stmt),
                "pre": pts_to_doc(node.pre),
                "post": pts_to_doc(node.post)}
-        if node.invariant is not None:
-            row["invariant"] = pts_to_doc(node.invariant)
+        if isinstance(node.stmt, While):
+            row["invariant"] = row["post"]
         nodes.append(row)
     return _emit_report({"widen": args.widen, "nodes": nodes}, args.out)
 
@@ -226,12 +227,13 @@ def _cmd_analyze_live(args) -> int:
         return 3
     cfg = WidenConfig(instance_cap=args.widen)
     ann = annotate(program, bottom(stmt_vars(program)), cfg)
-    live = live_annotate(ann, final_live, cfg)
+    derivation = live_annotate(ann, final_live, cfg)
     nodes = [{"path": path,
-              "stmt": pretty(node.stmt),
-              "live_pre": live_to_list(node.live_pre),
-              "live_post": live_to_list(node.live_post)}
-             for path, node in _walk(live, "root")]
+              "stmt": pretty(node.judgment.stmt),
+              "live_pre": live_to_list(node.judgment.pre.live),
+              "live_post": live_to_list(node.judgment.post.live)}
+             for path, node in _walk(derivation, "root",
+                                     lambda d: (d.judgment.stmt, d.premises))]
     return _emit_report({"widen": args.widen,
                          "live": live_to_list(final_live),
                          "nodes": nodes}, args.out)

@@ -1,31 +1,31 @@
 """Dead-code elimination driven by the two analyses.
 
-optimize() annotates a program with points-to types from the bottom type
-and with live sets backwards from the caller's final live set, then
-rewrites it (certificate.rewrite): assignments and lookups into dead
-variables, and heap writes whose every possible target is dead, become
-skip; a cons keeps its allocation but the arguments of its dead cells
-are zeroed. dispose is never removed and guards are never rewritten.
-The derivation returned with the residual is the one the certificate
-checker accepts.
+optimize() annotates a program with points-to types from the bottom type,
+then runs liveness backwards from the caller's final live set; that one
+pass (liveness.live_annotate) also rewrites every node: assignments and
+lookups into dead variables, and heap writes whose every possible
+target is dead, become skip; a cons keeps its allocation but the
+arguments of its dead cells are zeroed. dispose is never removed and
+guards are never rewritten. The derivation it returns carries the
+residual and is the one the certificate checker accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certificate import Derivation, rewrite
 from .lang import If, Seq, Skip, Stmt, While, stmt_vars
-from .liveness import LiveType, live_annotate
+from .liveness import Derivation, live_annotate
 from .pointsto import WidenConfig, annotate, bottom
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptResult:
-    optimized: Stmt
     derivation: Derivation
-    entry: LiveType  # bottom points-to, computed entry live set
-    exit: LiveType   # exit points-to, the caller's final live set
+
+    @property
+    def optimized(self) -> Stmt:
+        return self.derivation.judgment.residual
 
 
 def optimize(s: Stmt, final_live, cfg: WidenConfig = WidenConfig()) -> OptResult:
@@ -40,14 +40,7 @@ def optimize(s: Stmt, final_live, cfg: WidenConfig = WidenConfig()) -> OptResult
     if stray:
         raise ValueError(f"final live set mentions unknown variables: {sorted(stray)}")
     ann = annotate(s, bottom(variables), cfg)
-    live = live_annotate(ann, final_live, cfg)
-    derivation = rewrite(live, cfg)
-    return OptResult(
-        optimized=derivation.judgment.residual,
-        derivation=derivation,
-        entry=LiveType(ann.pre, live.live_pre),
-        exit=LiveType(ann.post, live.live_post),
-    )
+    return OptResult(live_annotate(ann, final_live, cfg))
 
 
 def strip_dead_cons(d: Derivation) -> Stmt:

@@ -363,12 +363,12 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
 
         final_live = frozenset(x for x in variables if rng.random() < 0.5)
         live = None
-        if "t2" in checks or "t3" in checks:
+        if "t2" in checks or "t3" in checks or ("t4" in checks and entry_p is base):
             live = live_annotate(ann, final_live, widen)
 
         if "t2" in checks:
             if isinstance(outcome, Final):
-                ok = models_live(st, entry_p, live.live_pre, widen) and \
+                ok = models_live(st, entry_p, live.judgment.pre.live, widen) and \
                     models_live(outcome.state, ann.post, final_live, widen)
                 record("t2", ok, seed)
             else:
@@ -377,8 +377,8 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
         if "t3" in checks:
             if isinstance(outcome, Final):
                 twin = make_similar_state(rng, trial_cfg, st, program,
-                                          live.live_pre, widen)
-                ok = similar_states(st, twin, entry_p, live.live_pre, widen)
+                                          live.judgment.pre.live, widen)
+                ok = similar_states(st, twin, entry_p, live.judgment.pre.live, widen)
                 twin_outcome = execute(program, twin, fuel)
                 ok = ok and isinstance(twin_outcome, Final) and similar_states(
                     outcome.state, twin_outcome.state, ann.post, final_live, widen)
@@ -387,20 +387,21 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
                 report["checks"]["t3"]["skip"] += 1
 
         if "t4" in checks:
-            result = optimize(program, final_live, widen)
+            # from the bottom type the trial's derivation is optimize's
             if entry_p is base:
-                st4, orig4 = st, outcome
+                j, st4, orig4 = live.judgment, st, outcome
             else:
+                j = optimize(program, final_live, widen).derivation.judgment
                 st4 = _gen_state(rng, trial_cfg, base)
                 orig4 = execute(program, st4, fuel)
             twin = make_similar_state(rng, trial_cfg, st4, program,
-                                      result.entry.live, widen)
-            opt_outcome = execute(result.optimized, twin, fuel)
+                                      j.pre.live, widen)
+            opt_outcome = execute(j.residual, twin, fuel)
             if isinstance(orig4, Final):
-                ok = similar_states(st4, twin, base, result.entry.live, widen) \
+                ok = similar_states(st4, twin, base, j.pre.live, widen) \
                     and isinstance(opt_outcome, Final) \
                     and similar_states(orig4.state, opt_outcome.state,
-                                       result.exit.pts, result.exit.live, widen)
+                                       j.post.pts, j.post.live, widen)
                 record("t4", ok, seed)
             elif isinstance(orig4, Aborted):
                 # nothing to compare, but an optimized run that now finishes

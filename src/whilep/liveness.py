@@ -1,4 +1,5 @@
-"""Backward liveness over stack variables and heap cells.
+"""Backward liveness over stack variables and heap cells, and the
+dead-code derivation it yields.
 
 A live set mixes variable names with abstract addresses. The analysis
 walks a points-to-annotated program backwards from a caller-supplied
@@ -6,6 +7,11 @@ final live set; each node's entry set records what must be preserved
 for the program to compute the same live results. Heap writes never
 kill (the written cell is only known up to a set), and the guard of a
 branch or loop is always live.
+
+The same pass builds the optimization derivation: every node's live
+judgment also carries the rule whose side condition holds there and the
+residual that rule emits, so a live judgment plus its residual is the
+judgment the certificate checker revalidates.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lang import (
-    Assign, Cons, Dispose, If, Lookup, Mutate, Seq, Skip, Stmt, While,
+    Assign, Cons, Dispose, If, IntLit, Lookup, Mutate, Seq, Skip, Stmt, While,
     free_vars,
 )
 from .memory import Address, ProgState
@@ -31,18 +37,19 @@ class LiveType:
     live: frozenset
 
 
-@dataclass
-class LiveStmt:
-    """A points-to-annotated node plus its entry/exit live sets."""
+@dataclass(frozen=True)
+class Judgment:
+    stmt: Stmt
+    pre: LiveType
+    post: LiveType
+    residual: Stmt
 
-    ann: AnnStmt
-    live_pre: frozenset
-    live_post: frozenset
-    children: tuple = ()
 
-    @property
-    def stmt(self) -> Stmt:
-        return self.ann.stmt
+@dataclass(frozen=True)
+class Derivation:
+    rule: str
+    judgment: Judgment
+    premises: tuple = ()
 
 
 def cons_live(s: Cons, pre: PointsTo, post: frozenset, cfg: WidenConfig):
@@ -83,12 +90,43 @@ def leaf_live_pre(s: Stmt, pre_pts: PointsTo, post: frozenset,
     raise TypeError(f"not a leaf statement: {s!r}")
 
 
+def leaf_rule(s: Stmt, pre: PointsTo, post: frozenset,
+              cfg: WidenConfig) -> tuple[str, Stmt]:
+    """The leaf rule whose side condition holds for s between entry type
+    pre and exit live set post, and the residual that rule emits.
+
+    Writes to dead variables and heap writes that reach no live cell
+    become skip; a cons keeps its allocation, so that the heap domain
+    evolves as in the original, but the arguments of its dead cells are
+    zeroed, so that the residual never evaluates them.
+    """
+    if isinstance(s, Skip):
+        return "skip", s
+    if isinstance(s, Dispose):
+        return "dis_d", s
+    if isinstance(s, Assign):
+        return ("ass_d2", s) if s.var in post else ("ass_d1", Skip())
+    if isinstance(s, Lookup):
+        return ("lok_d2", s) if s.var in post else ("lok_d1", Skip())
+    if isinstance(s, Mutate):
+        if addr_part(abs_eval(s.target, pre)) & post:
+            return "mut_d2", s
+        return "mut_d1", Skip()
+    if isinstance(s, Cons):
+        hit, live_args = cons_live(s, pre, post, cfg)
+        args = tuple(a if j in live_args else IntLit(0)
+                     for j, a in enumerate(s.args, 1))
+        return ("con_d2" if hit else "con_d1"), Cons(s.var, args)
+    raise TypeError(f"not a leaf statement: {s!r}")
+
+
 _MAX_ITER = 10_000
 
 
 def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
-                  seeds: dict | None = None) -> LiveStmt:
-    """Annotate every node with entry/exit live sets, backwards from post.
+                  seeds: dict | None = None) -> Derivation:
+    """The derivation of an annotated program, backwards from exit live
+    set post: every node's live sets, rule and residual.
 
     seeds, when given, maps id() of every While node to a recorded head
     live set; as in pointsto.annotate, each loop then runs its body once
@@ -96,17 +134,26 @@ def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
     the seed is closed under the body.
     """
     s = ann.stmt
+
+    def node(rule, pre, residual, premises=()):
+        return Derivation(rule, Judgment(s, LiveType(ann.pre, pre),
+                                         LiveType(ann.post, post), residual),
+                          premises)
+
     if isinstance(s, Seq):
-        children, live = [], post
+        premises, live = [], post
         for child in reversed(ann.children):
-            children.append(live_annotate(child, live, cfg, seeds))
-            live = children[-1].live_pre
-        return LiveStmt(ann, live, post, tuple(reversed(children)))
+            premises.append(live_annotate(child, live, cfg, seeds))
+            live = premises[-1].judgment.pre.live
+        premises.reverse()
+        return node("seq_d", live, Seq(*(d.judgment.residual for d in premises)),
+                    tuple(premises))
     if isinstance(s, If):
-        then_live = live_annotate(ann.children[0], post, cfg, seeds)
-        else_live = live_annotate(ann.children[1], post, cfg, seeds)
-        pre = free_vars(s.cond) | then_live.live_pre | else_live.live_pre
-        return LiveStmt(ann, pre, post, (then_live, else_live))
+        then_d = live_annotate(ann.children[0], post, cfg, seeds)
+        else_d = live_annotate(ann.children[1], post, cfg, seeds)
+        pre = free_vars(s.cond) | then_d.judgment.pre.live | else_d.judgment.pre.live
+        return node("if_d", pre, If(s.cond, then_d.judgment.residual,
+                                    else_d.judgment.residual), (then_d, else_d))
     if isinstance(s, While):
         # least fixpoint above the exit set plus the guard: the body is
         # re-analyzed with the loop head as its exit until nothing grows
@@ -115,12 +162,14 @@ def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
             head |= seeds[id(s)]
         for _ in range(_MAX_ITER):
             body = live_annotate(ann.children[0], head, cfg, seeds)
-            grown = head | body.live_pre
+            grown = head | body.judgment.pre.live
             if grown == head or seeds is not None:
-                return LiveStmt(ann, grown, post, (body,))
+                return node("whl_d", grown, While(s.cond, body.judgment.residual),
+                            (body,))
             head = grown
         raise RuntimeError("loop liveness failed to stabilize")
-    return LiveStmt(ann, leaf_live_pre(s, ann.pre, post, cfg), post)
+    rule, residual = leaf_rule(s, ann.pre, post, cfg)
+    return node(rule, leaf_live_pre(s, ann.pre, post, cfg), residual)
 
 
 def models_live(st: ProgState, p: PointsTo, live: frozenset,

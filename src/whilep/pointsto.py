@@ -180,13 +180,13 @@ def abs_eval(e: AExp, p: PointsTo) -> AbsValue:
 @dataclass
 class AnnStmt:
     """A statement with its entry and exit types; children in source order
-    (the items of a Seq, then/else for If, body for While)."""
+    (the items of a Seq, then/else for If, body for While). A While's
+    exit type is its loop invariant."""
 
     stmt: Stmt
     pre: PointsTo
     post: PointsTo
     children: tuple = ()
-    invariant: PointsTo | None = None  # While only
 
 
 def cons_block(p: PointsTo, length: int, cap: int) -> tuple[int, frozenset]:
@@ -289,7 +289,7 @@ def annotate(s: Stmt, p: PointsTo, cfg: WidenConfig,
             body = annotate(s.body, inv, cfg, seeds)
             grown = join(inv, body.post)
             if grown == inv or seeds is not None:
-                return AnnStmt(s, p, grown, (body,), invariant=grown)
+                return AnnStmt(s, p, grown, (body,))
             inv = grown
         raise RuntimeError("loop analysis failed to stabilize")
     post = _transfer_leaf(s, p, cfg)

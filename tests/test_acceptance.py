@@ -31,7 +31,8 @@ def test_criterion_1_motivating_example(fig_src, fig_residual):
     started = time.perf_counter()
     program = parse(fig_src)
     result = optimize(program, frozenset({"y"}), CFG)
-    st = _gen_state(random.Random(0), GenConfig(), result.entry.pts)
+    entry = result.derivation.judgment.pre.pts
+    st = _gen_state(random.Random(0), GenConfig(), entry)
     original = execute(program, st, 100_000)
     optimized = execute(result.optimized, st.copy(), 100_000)
     elapsed = time.perf_counter() - started
@@ -95,7 +96,7 @@ def test_criterion_7_loop_invariants():
             if not isinstance(node.stmt, While):
                 continue
             loops += 1
-            inv = node.invariant
+            inv = node.post
             if not (leq(node.pre, inv)
                     and leq(transfer(node.stmt.body, inv, CFG), inv)):
                 valid = False

@@ -13,15 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 from whilep import GenConfig, gen_program
 from whilep.certificate import (
-    ACCEPT, CheckResult, Derivation, FormatError, Judgment, RULE_ARITY,
-    check, deserialize, serialize,
+    ACCEPT, CheckResult, FormatError, RULE_ARITY, check, deserialize,
+    serialize,
 )
 from whilep.deadcode import optimize
 from whilep.interp import Final, execute, zero_state
 from whilep.lang import (
     Assign, If, IntLit, Seq, Skip, While, parse, pretty, stmt_vars,
 )
-from whilep.liveness import LiveType
+from whilep.liveness import Derivation, Judgment, LiveType
 from whilep.memory import Address
 from whilep.pointsto import PointsTo, WidenConfig, bottom, join, leq
 
@@ -187,6 +187,20 @@ def test_deserialize_rejects_bad_documents():
            "root.loops[0].pts")
     reject(dict(good, entry=dict(good["entry"], p=["addr(2,1,1)"])), "root.entry")
     assert time.perf_counter() - start < 1.0
+    # variables the program never mentions, and addresses in blocks of a
+    # length it never allocates, in live sets and as points-to keys
+    lookup = json.loads(serialize(derivation_for("x := cons(1, 2); y := [x]; z := y",
+                                                 {"z"})))
+    reject(dict(lookup, exit_live=["ghost", "z", "addr(7,1,1)"]), "root.exit_live")
+    with pytest.raises(FormatError, match="^root.exit_live: ghost: "):
+        deserialize(json.dumps(dict(lookup, exit_live=["wraith", "z", "ghost", "spook"])))
+    reject(dict(lookup, exit_live=["ghost", "z"]), "root.exit_live")
+    reject(dict(lookup, exit_live=["z", "addr(7,1,1)"]), "root.exit_live")
+    reject(dict(lookup, entry=dict(lookup["entry"], ghost=[])), "root.entry")
+    head = good["loops"][0]["live"]
+    reject(loop(live=head + ["ghost"]), "root.loops[0].live")
+    reject(loop(live=head + ["addr(7,1,1)"]), "root.loops[0].live")
+    reject(loop(pts=dict(good["loops"][0]["pts"], ghost=[])), "root.loops[0].pts")
     with pytest.raises(FormatError) as err:
         deserialize("{not json")
     assert err.value.path == "root"

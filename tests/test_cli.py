@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output, files, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +92,20 @@ def test_analyze_live(prog, capsys):
     root = doc["nodes"][0]
     assert root["path"] == "root"
     assert root["live_pre"] == ["y"] and root["live_post"] == ["z"]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["analyze", "pts", "--widen", "2"], "analyze_pts_widen2.json"),
+    (["analyze", "live", "--live", "y"], "analyze_live_y.json"),
+])
+def test_analyze_reports_match_golden(capsys, argv, golden):
+    """A while nested in an if, with a cons, a lookup and a heap write:
+    both per-node reports stay byte-identical."""
+    assert main(argv + [str(GOLDEN / "analyze.whl")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_analyze_live_unknown_variable(prog, capsys):

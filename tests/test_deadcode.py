@@ -63,22 +63,25 @@ def test_motivating_example(fig_src, fig_residual):
     result = optimize(parse(fig_src), frozenset({"y"}), CFG)
     assert result.optimized == parse(fig_residual)
     assert pretty(result.optimized) == fig_residual
-    st = _gen_state(random.Random(0), GenConfig(), result.entry.pts)
+    j = result.derivation.judgment
+    st = _gen_state(random.Random(0), GenConfig(), j.pre.pts)
     assert isinstance(execute(parse(fig_src), st, 10_000), Aborted)
     out = execute(result.optimized, st, 10_000)
     assert isinstance(out, Final)
     assert out.state.stack["y"] == 3
-    assert result.entry.live == frozenset({Address(2, 1, 1)})
-    assert result.exit.live == frozenset({"y"})
+    assert j.pre.live == frozenset({Address(2, 1, 1)})
+    assert j.post.live == frozenset({"y"})
 
 
 def test_entry_exit_types():
     prog = parse("x := cons(5); y := [x]")
     result = optimize(prog, frozenset({"y"}), CFG)
     base = bottom(stmt_vars(prog))
-    assert result.entry.pts == base
-    assert result.exit.pts == annotate(prog, base, CFG).post
+    j = result.derivation.judgment
+    assert j.pre.pts == base
+    assert j.post.pts == annotate(prog, base, CFG).post
     assert isinstance(result, OptResult)
+    assert result.optimized is j.residual
 
 
 def test_guards_and_structure_preserved():

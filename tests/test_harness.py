@@ -92,13 +92,13 @@ def test_make_similar_state_contract():
         ann = annotate(prog, base, CFG)
         live = live_annotate(ann, frozenset(), CFG)
         st = _gen_state(rng, cfg, base)
-        twin = make_similar_state(rng, cfg, st, prog, live.live_pre, CFG)
-        assert similar_states(st, twin, base, live.live_pre, CFG), \
+        twin = make_similar_state(rng, cfg, st, prog, live.judgment.pre.live, CFG)
+        assert similar_states(st, twin, base, live.judgment.pre.live, CFG), \
             f"seed {seed}"
         reads = read_vars(prog)
         for x, v in twin.stack.items():
             if st.stack[x] != v:
-                assert x not in live.live_pre and x not in reads
+                assert x not in live.judgment.pre.live and x not in reads
                 changed_var += 1
         for a, v in twin.heap.items():
             if st.heap[a] != v:
@@ -169,3 +169,25 @@ def test_failing_seeds_capped():
     entry = report["checks"]["t1"]
     assert entry["fail"] > 20
     assert len(entry["failing_seeds"]) == 20
+
+
+def test_suite_counts_pinned():
+    """Per-check counts captured before t4 started reusing the trial's
+    live derivation. The t4-only run pins the reuse when neither t2 nor
+    t3 asked for the derivation; its counts differ from the full run's
+    because lemma1 and t3 draw from the same per-trial random stream."""
+    def counts(report):
+        return {name: {k: v for k, v in entry.items() if k != "failing_seeds"}
+                for name, entry in report["checks"].items()}
+
+    full = run_soundness_suite(300, GenConfig(seed=0))
+    assert counts(full) == {
+        "t1": {"pass": 112, "skip": 188, "fail": 0},
+        "t2": {"pass": 112, "skip": 188, "fail": 0},
+        "t3": {"pass": 112, "skip": 188, "fail": 0},
+        "t4": {"pass": 132, "skip": 168, "fail": 0, "corrected": 59},
+        "lemma1": {"pass": 300, "skip": 0, "fail": 0},
+    }
+    only_t4 = run_soundness_suite(300, GenConfig(seed=0), checks=("t4",))
+    assert only_t4["checks"] == {"t4": {"pass": 132, "skip": 168, "fail": 0,
+                                        "corrected": 65, "failing_seeds": []}}

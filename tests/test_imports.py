@@ -50,3 +50,9 @@ def test_package_has_no_unused_imports():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_every_export_resolves():
+    """A stale name in __all__ would make `from whilep import *` fail."""
+    assert [name for name in whilep.__all__ if not hasattr(whilep, name)] == []
+    assert len(set(whilep.__all__)) == len(whilep.__all__)

@@ -7,12 +7,12 @@ from dataclasses import replace
 from whilep import GenConfig, gen_program
 from whilep.harness import _gen_state, _synthetic_ptype
 from whilep.interp import EvalError, Final, eval_aexp, execute
+from whilep.certificate import ACCEPT, check
 from whilep.lang import (
     BinOp, Cmp, IntLit, Var, free_vars, parse, stmt_vars,
 )
 from whilep.liveness import (
-    LiveStmt, leaf_live_pre, live_annotate, models_live,
-    similar_states,
+    leaf_live_pre, live_annotate, models_live, similar_states,
 )
 from whilep.memory import NIL, Address, ProgState
 from whilep.pointsto import (
@@ -85,18 +85,20 @@ def test_live_annotate_sequence():
     prog = parse("x := y; z := x")
     ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
     live = live_annotate(ann, lv("z"), CFG)
-    first, rest = live.children
-    assert rest.live_post == lv("z") and rest.live_pre == lv("x")
-    assert first.live_post == lv("x") and first.live_pre == lv("y")
-    assert live.live_pre == lv("y")
-    assert live.stmt is prog
+    first, rest = live.premises
+    assert rest.judgment.post.live == lv("z")
+    assert rest.judgment.pre.live == lv("x")
+    assert first.judgment.post.live == lv("x")
+    assert first.judgment.pre.live == lv("y")
+    assert live.judgment.pre.live == lv("y")
+    assert live.judgment.stmt is prog
 
 
 def test_live_annotate_if():
     prog = parse("if x < 3 then { y := a } else { y := b }")
     ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
     live = live_annotate(ann, lv("y"), CFG)
-    assert live.live_pre == lv("x", "a", "b")
+    assert live.judgment.pre.live == lv("x", "a", "b")
 
 
 def test_while_live_fixpoint_is_least():
@@ -111,22 +113,47 @@ def test_while_live_fixpoint_is_least():
         for extra in itertools.combinations(["x", "y"], r):
             cand = floor | frozenset(extra)
             body = live_annotate(body_ann, cand, CFG)
-            if body.live_pre <= cand:
+            if body.judgment.pre.live <= cand:
                 closed.append(cand)
-    assert live.live_pre in closed
+    assert live.judgment.pre.live in closed
     for cand in closed:
-        assert live.live_pre <= cand
-    assert live.live_pre == lv("x", "y")
+        assert live.judgment.pre.live <= cand
+    assert live.judgment.pre.live == lv("x", "y")
 
 
 def test_counter_only_loop_keeps_body_dead():
     prog = parse("i := 0; while i < 5 do { x := x + 1; i := i + 1 }")
     ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
     live = live_annotate(ann, lv(), CFG)
-    assert live.live_pre == lv()
-    loop = live.children[1]
-    assert loop.live_pre == lv("i")
-    assert "x" not in loop.live_pre
+    assert live.judgment.pre.live == lv()
+    loop = live.premises[1]
+    assert loop.judgment.pre.live == lv("i")
+    assert "x" not in loop.judgment.pre.live
+
+
+def test_live_annotate_derivation_is_accepted():
+    """The backward pass builds the whole derivation: rules, residuals and
+    live sets that the checker accepts, from the bottom type and from
+    synthetic entry types alike."""
+    rng = random.Random(43)
+    rules = set()
+    for seed in range(150):
+        prog = gen_program(replace(GenConfig(), seed=seed))
+        variables = sorted(stmt_vars(prog))
+        entry = _synthetic_ptype(rng, variables, CFG.instance_cap) \
+            if seed % 2 else bottom(variables)
+        final_live = frozenset(v for v in variables if rng.random() < 0.5)
+        d = live_annotate(annotate(prog, entry, CFG), final_live, CFG)
+        assert check(d, CFG) == ACCEPT, f"seed {seed}"
+        assert d.judgment.stmt is prog and d.judgment.pre.pts == entry
+        assert d.judgment.post.live == final_live
+        todo = [d]
+        while todo:
+            node = todo.pop()
+            rules.add(node.rule)
+            todo.extend(node.premises)
+    assert rules >= {"seq_d", "if_d", "whl_d", "ass_d1", "ass_d2", "con_d2",
+                     "lok_d2", "mut_d1", "dis_d"}
 
 
 def test_models_live_examples():
@@ -214,8 +241,8 @@ def test_live_pre_monotone_in_live_post():
         ann = annotate(prog, bottom(variables), CFG)
         big = frozenset(v for v in variables if rng.random() < 0.6)
         small = frozenset(v for v in big if rng.random() < 0.6)
-        pre_small = live_annotate(ann, small, CFG).live_pre
-        pre_big = live_annotate(ann, big, CFG).live_pre
+        pre_small = live_annotate(ann, small, CFG).judgment.pre.live
+        pre_big = live_annotate(ann, big, CFG).judgment.pre.live
         assert pre_small <= pre_big, f"seed {seed}"
 
 
@@ -232,18 +259,18 @@ def test_motivating_example_live_sets(fig_src):
     ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
     live = live_annotate(ann, lv("y"), CFG)
     # the first cons cell feeds the later lookup, so it is live at entry
-    assert live.live_pre == lv(A211)
+    assert live.judgment.pre.live == lv(A211)
     flat = []
     stack = [live]
     while stack:
         node = stack.pop()
-        if node.children:
-            stack.extend(reversed(node.children))
+        if node.premises:
+            stack.extend(reversed(node.premises))
         else:
             flat.append(node)
-    by_src = {repr(n.stmt): n for n in flat}
-    assert by_src[repr(parse("z := y + 1"))].live_pre == lv("y")
-    assert by_src[repr(parse("i := 10"))].live_post == lv("y", "i")
+    by_src = {repr(n.judgment.stmt): n for n in flat}
+    assert by_src[repr(parse("z := y + 1"))].judgment.pre.live == lv("y")
+    assert by_src[repr(parse("i := 10"))].judgment.post.live == lv("y", "i")
 
 
 def test_executions_respect_live_restricted_types():
@@ -262,7 +289,7 @@ def test_executions_respect_live_restricted_types():
         out = execute(prog, st, 1500)
         if not isinstance(out, Final):
             continue
-        assert models_live(st, base, live.live_pre, CFG), f"seed {seed}"
+        assert models_live(st, base, live.judgment.pre.live, CFG), f"seed {seed}"
         assert models_live(out.state, ann.post, final_live, CFG), \
             f"seed {seed}"
         passed += 1
