@@ -18,7 +18,7 @@ from .interp import (
 )
 from .pointsto import (
     AddrSet, AnnStmt, ExactInt, PointsTo, WidenConfig, abs_eval, annotate,
-    bottom, cap_address, join, leq, models, transfer, widen,
+    bottom, cap_address, join, leq, models, transfer,
 )
 from .liveness import (
     Derivation, Judgment, LiveType, leaf_live_pre, live_annotate, models_live,
@@ -44,7 +44,6 @@ __all__ = [
     "OutOfFuel", "eval_aexp", "eval_bexp", "execute", "zero_state",
     "AddrSet", "AnnStmt", "ExactInt", "PointsTo", "WidenConfig", "abs_eval",
     "annotate", "bottom", "cap_address", "join", "leq", "models", "transfer",
-    "widen",
     "Derivation", "Judgment", "LiveType", "leaf_live_pre", "live_annotate",
     "models_live", "similar_states",
     "OptResult", "optimize", "strip_dead_cons",

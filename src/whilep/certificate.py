@@ -22,8 +22,9 @@ fact once, as one JSON object:
   residual   the canonical residual text
 
 deserialize() rejects, in the entry type, the exit live set and the
-loop annotations, a variable the program does not mention and an
-address whose block length no cons of the program allocates. It reruns
+loop annotations, a variable the program does not mention, an address
+whose block length no cons of the program allocates and an address
+whose instance is above the instance cap. It reruns
 the analyses from entry and exit with each loop seeded by its
 annotation, and rejects an annotation or residual that the rerun does
 not reproduce. A coarser annotation that is still closed is
@@ -201,28 +202,34 @@ class FormatError(Exception):
 _FIELDS = {"program", "entry", "exit_live", "loops", "residual"}
 
 
-def _loops_and_scope(s: Stmt) -> tuple[list, tuple]:
+def _loops_and_scope(s: Stmt, cap: int) -> tuple[list, tuple]:
     """The While nodes of s in source preorder, and the scope of s: the
-    variables it mentions and the block lengths its cons statements
-    allocate."""
+    variables it mentions, the block lengths its cons statements
+    allocate and the instance cap."""
     nodes = list(walk(s))
     return ([node for node in nodes if isinstance(node, While)],
             (stmt_vars(s),
-             frozenset(len(node.args) for node in nodes if isinstance(node, Cons))))
+             frozenset(len(node.args) for node in nodes if isinstance(node, Cons)),
+             cap))
 
 
 def _in_scope(keys, path: str, scope: tuple) -> None:
     """FormatError unless every variable among keys is one the program
-    mentions and every address lies in a block of a length it allocates:
-    the analyses enumerate the cells of a block, so a length read from
-    the document would bound their work. The least offending key is
-    named, so the message does not depend on set order."""
-    variables, lengths = scope
+    mentions and every address lies in a block of a length it allocates,
+    at an instance no greater than the cap: the analyses enumerate the
+    cells of a block, so a length read from the document would bound
+    their work, and they keep no type above the cap, so they never fold
+    one. The least offending key is named, so the message does not
+    depend on set order."""
+    variables, lengths, cap = scope
     for k in sorted(keys, key=key_sort_key):
         if isinstance(k, Address):
             if k.length not in lengths:
                 raise FormatError(path, f"{k!r}: no cons of the program "
                                         f"allocates blocks of length {k.length}")
+            if k.instance > cap:
+                raise FormatError(path, f"{k!r}: instance {k.instance} is "
+                                        f"above the instance cap {cap}")
         elif k not in variables:
             raise FormatError(path, f"{k}: the program mentions no such variable")
 
@@ -312,7 +319,7 @@ def deserialize(text: str, cfg: WidenConfig = WidenConfig()) -> Derivation:
         program = parse(doc["program"])
     except ParseError as err:
         raise FormatError("root.program", f"unparsable program: {err}") from None
-    stmts, scope = _loops_and_scope(program)
+    stmts, scope = _loops_and_scope(program, cfg.instance_cap)
     entry = _pts_from_doc(doc["entry"], "root.entry", scope)
     exit_live = _live_from_doc(doc["exit_live"], "root.exit_live", scope)
     if not isinstance(doc["loops"], list):

@@ -41,49 +41,47 @@ from .pointsto import (
 class GenConfig:
     seed: int = 0
     max_stmts: int = 12
-    max_vars: int = 4
-    int_range: tuple[int, int] = (-3, 9)
-    cons_max_arity: int = 3
-    loop_bound_bias: float = 0.85
 
 
-def gen_aexp(rng: random.Random, cfg: GenConfig, names, depth: int = 2) -> AExp:
+# the shape of generated programs and values
+_NAMES = ("v1", "v2", "v3", "v4")  # every variable a generated program may use
+_INT_RANGE = (-3, 9)
+_CONS_MAX_ARITY = 3
+_LOOP_BOUND_BIAS = 0.85  # share of generated loops that are counter-bounded
+
+
+def gen_aexp(rng: random.Random, names, depth: int = 2) -> AExp:
     if depth <= 0 or rng.random() < 0.55:
         roll = rng.random()
         if roll < 0.45:
-            return IntLit(rng.randint(*cfg.int_range))
+            return IntLit(rng.randint(*_INT_RANGE))
         if roll < 0.92:
             return Var(rng.choice(names))
         return Nil()
     op = rng.choice(("+", "+", "-", "*"))
-    return BinOp(op, gen_aexp(rng, cfg, names, depth - 1),
-                 gen_aexp(rng, cfg, names, depth - 1))
+    return BinOp(op, gen_aexp(rng, names, depth - 1),
+                 gen_aexp(rng, names, depth - 1))
 
 
-def gen_bexp(rng: random.Random, cfg: GenConfig, names) -> BExp:
+def gen_bexp(rng: random.Random) -> BExp:
     roll = rng.random()
     if roll < 0.05:
         return BoolLit(rng.random() < 0.5)
-    lhs = Var(rng.choice(names)) if rng.random() < 0.7 else gen_aexp(rng, cfg, names, 1)
-    cmp = Cmp(rng.choice(("=", "<", "<=")), lhs, gen_aexp(rng, cfg, names, 1))
+    lhs = Var(rng.choice(_NAMES)) if rng.random() < 0.7 else gen_aexp(rng, _NAMES, 1)
+    cmp = Cmp(rng.choice(("=", "<", "<=")), lhs, gen_aexp(rng, _NAMES, 1))
     if roll < 0.75:
         return cmp
     if roll < 0.85:
         return Not(cmp)
-    other = Cmp(rng.choice(("=", "<", "<=")), Var(rng.choice(names)),
-                gen_aexp(rng, cfg, names, 1))
+    other = Cmp(rng.choice(("=", "<", "<=")), Var(rng.choice(_NAMES)),
+                gen_aexp(rng, _NAMES, 1))
     return And(cmp, other) if roll < 0.95 else Or(cmp, other)
 
 
 class _Gen:
-    def __init__(self, rng: random.Random, cfg: GenConfig):
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.cfg = cfg
-        self.names = [f"v{i + 1}" for i in range(max(1, cfg.max_vars))]
         self.ptrs: set[str] = set()  # variables likely holding addresses
-
-    def program(self) -> Stmt:
-        return seq_of(self.block(max(1, self.cfg.max_stmts), frozenset()))
 
     def block(self, budget: int, protected: frozenset) -> list[Stmt]:
         items: list[Stmt] = []
@@ -105,14 +103,14 @@ class _Gen:
             if roll < 0.94:
                 return BinOp("+", base, IntLit(2))
             return BinOp("-", base, IntLit(1))
-        return gen_aexp(rng, self.cfg, self.names, 1)
+        return gen_aexp(rng, _NAMES, 1)
 
     def cons_arg(self) -> AExp:
         roll = self.rng.random()
         if roll < 0.5:
-            return IntLit(self.rng.randint(*self.cfg.int_range))
+            return IntLit(self.rng.randint(*_INT_RANGE))
         if roll < 0.85:
-            return Var(self.rng.choice(self.names))
+            return Var(self.rng.choice(_NAMES))
         return self.calc_expr(1)
 
     def calc_expr(self, depth: int = 2) -> AExp:
@@ -120,10 +118,10 @@ class _Gen:
         assignments usually evaluate rather than abort."""
         rng = self.rng
         if depth <= 0 or rng.random() < 0.5:
-            plain = [x for x in self.names if x not in self.ptrs]
+            plain = [x for x in _NAMES if x not in self.ptrs]
             if plain and rng.random() < 0.5:
                 return Var(rng.choice(plain))
-            return IntLit(rng.randint(*self.cfg.int_range))
+            return IntLit(rng.randint(*_INT_RANGE))
         op = rng.choice(("+", "+", "-", "*"))
         return BinOp(op, self.calc_expr(depth - 1), self.calc_expr(depth - 1))
 
@@ -131,11 +129,11 @@ class _Gen:
         """One generation step: ([statements], units consumed)."""
         rng = self.rng
         roll = rng.random()
-        writable = [x for x in self.names if x not in protected]
+        writable = [x for x in _NAMES if x not in protected]
         if budget >= 3 and roll < 0.08:
             then_budget = rng.randint(1, budget - 2)
             else_budget = rng.randint(1, budget - 1 - then_budget)
-            cond = gen_bexp(rng, self.cfg, self.names)
+            cond = gen_bexp(rng)
             before = set(self.ptrs)
             then_body = seq_of(self.block(then_budget, protected))
             after_then = self.ptrs
@@ -144,7 +142,7 @@ class _Gen:
             self.ptrs = after_then & self.ptrs  # pointer on both paths only
             return [If(cond, then_body, else_body)], 1 + then_budget + else_budget
         if budget >= 5 and roll < 0.18 and writable:
-            if rng.random() < self.cfg.loop_bound_bias:
+            if rng.random() < _LOOP_BOUND_BIAS:
                 counter = rng.choice(writable)
                 self.ptrs.discard(counter)
                 bound = rng.randint(1, 4)
@@ -156,7 +154,7 @@ class _Gen:
                 loop = While(Cmp("<", Var(counter), IntLit(bound)), seq_of(body))
                 return [Assign(counter, IntLit(0)), loop], 3 + body_budget
             body_budget = rng.randint(1, budget - 1)
-            cond = gen_bexp(rng, self.cfg, self.names)
+            cond = gen_bexp(rng)
             before = set(self.ptrs)
             loop = While(cond, seq_of(self.block(body_budget, protected)))
             self.ptrs &= before
@@ -165,10 +163,10 @@ class _Gen:
             # conditional re-allocation: x may point at either block, so a
             # later write through x is a weak update
             x = rng.choice(writable)
-            arity = rng.randint(1, self.cfg.cons_max_arity)
+            arity = rng.randint(1, _CONS_MAX_ARITY)
             first = Cons(x, tuple(self.cons_arg() for _ in range(arity)))
             again = Cons(x, tuple(self.cons_arg() for _ in range(arity)))
-            branch = If(gen_bexp(rng, self.cfg, self.names), again, Skip())
+            branch = If(gen_bexp(rng), again, Skip())
             write = Mutate(self.ptr_expr() if rng.random() < 0.3 else Var(x),
                            self.cons_arg())
             self.ptrs.add(x)
@@ -190,14 +188,14 @@ class _Gen:
                 self.ptrs.discard(target)
             return Assign(target, expr)
         if roll < 0.48 and target:
-            arity = rng.randint(1, self.cfg.cons_max_arity)
+            arity = rng.randint(1, _CONS_MAX_ARITY)
             self.ptrs.add(target)
             return Cons(target, tuple(self.cons_arg() for _ in range(arity)))
         if roll < 0.64 and target and self.ptrs:
             self.ptrs.discard(target)  # cell contents may be anything
             return Lookup(target, self.ptr_expr())
         if roll < 0.84 and self.ptrs:
-            value = Var(rng.choice(self.names)) if rng.random() < 0.4 \
+            value = Var(rng.choice(_NAMES)) if rng.random() < 0.4 \
                 else self.calc_expr(1)
             return Mutate(self.ptr_expr(), value)
         if roll < 0.88 and self.ptrs:
@@ -205,13 +203,14 @@ class _Gen:
         if roll < 0.94:
             return Skip()
         if target:
-            return Assign(target, gen_aexp(rng, self.cfg, self.names, 1))
+            return Assign(target, gen_aexp(rng, _NAMES, 1))
         return Skip()
 
 
 def gen_program(cfg: GenConfig) -> Stmt:
     """Seed-reproducible random program; equal configs give equal trees."""
-    return _Gen(random.Random(f"prog:{cfg.seed}"), cfg).program()
+    gen = _Gen(random.Random(f"prog:{cfg.seed}"))
+    return seq_of(gen.block(max(1, cfg.max_stmts), frozenset()))
 
 
 # --- states ---
@@ -233,42 +232,42 @@ def _synthetic_ptype(rng: random.Random, variables, cap: int) -> PointsTo:
     return PointsTo(env)
 
 
-def _random_value(rng: random.Random, cfg: GenConfig, image: frozenset):
+def _random_value(rng: random.Random, image: frozenset):
     roll = rng.random()
     if image and roll < 0.45:
         return rng.choice(sorted(image))
     if roll < 0.85:
-        return rng.randint(*cfg.int_range)
+        return rng.randint(*_INT_RANGE)
     return NIL
 
 
-def _gen_state(rng: random.Random, cfg: GenConfig, p: PointsTo) -> ProgState:
+def _gen_state(rng: random.Random, p: PointsTo) -> ProgState:
     # draw in sorted order so a seed reproduces across processes
-    stack = {x: _random_value(rng, cfg, p.image(x))
+    stack = {x: _random_value(rng, p.image(x))
              for x in sorted(p.variables())}
     heap = {}
     for a in sorted(p.tracked()):
         if rng.random() < 0.9:
-            heap[a] = _random_value(rng, cfg, p.image(a))
+            heap[a] = _random_value(rng, p.image(a))
     return ProgState(stack, heap)
 
 
 def gen_state(cfg: GenConfig, p: PointsTo) -> ProgState:
     """A state satisfying the points-to model relation for p."""
-    return _gen_state(random.Random(f"state:{cfg.seed}"), cfg, p)
+    return _gen_state(random.Random(f"state:{cfg.seed}"), p)
 
 
-def _junk_value(rng: random.Random, cfg: GenConfig):
+def _junk_value(rng: random.Random):
     roll = rng.random()
     if roll < 0.5:
-        return rng.randint(*cfg.int_range)
+        return rng.randint(*_INT_RANGE)
     if roll < 0.7:
         return NIL
     length = rng.randint(1, 3)
     return Address(length, rng.randint(1, 4), rng.randint(1, length))
 
 
-def make_similar_state(rng: random.Random, cfg: GenConfig, st: ProgState,
+def make_similar_state(rng: random.Random, st: ProgState,
                        program: Stmt, entry_live: frozenset,
                        widen: WidenConfig) -> ProgState:
     """A twin similar to st at (entry type, entry_live), rerandomized only
@@ -278,12 +277,12 @@ def make_similar_state(rng: random.Random, cfg: GenConfig, st: ProgState,
     reads = read_vars(program)
     for x in twin.stack:
         if x not in entry_live and x not in reads:
-            twin.stack[x] = _junk_value(rng, cfg)
+            twin.stack[x] = _junk_value(rng)
     if not any(isinstance(node, Lookup) for node in walk(program)):
         cap = widen.instance_cap
         for a in twin.heap:
             if cap_address(a, cap) not in entry_live:
-                twin.heap[a] = _junk_value(rng, cfg)
+                twin.heap[a] = _junk_value(rng)
     return twin
 
 
@@ -292,11 +291,10 @@ def make_similar_state(rng: random.Random, cfg: GenConfig, st: ProgState,
 _ALL_CHECKS = ("t1", "t2", "t3", "t4", "lemma1")
 
 
-def _lemma1_trial(rng: random.Random, cfg: GenConfig, widen: WidenConfig) -> bool:
-    names = [f"v{i + 1}" for i in range(max(1, cfg.max_vars))]
-    p = _synthetic_ptype(rng, names, widen.instance_cap)
-    st = _gen_state(rng, cfg, p)
-    e = gen_aexp(rng, cfg, names, rng.randint(1, 3))
+def _lemma1_trial(rng: random.Random, widen: WidenConfig) -> bool:
+    p = _synthetic_ptype(rng, _NAMES, widen.instance_cap)
+    st = _gen_state(rng, p)
+    e = gen_aexp(rng, _NAMES, rng.randint(1, 3))
     abstract = abs_eval(e, p)
     try:
         value = eval_aexp(e, st.stack)
@@ -341,7 +339,7 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
         rng = random.Random(f"suite:{seed}")
 
         if "lemma1" in checks:
-            record("lemma1", _lemma1_trial(rng, trial_cfg, widen), seed)
+            record("lemma1", _lemma1_trial(rng, widen), seed)
 
         program_checks = [c for c in checks if c != "lemma1"]
         if not program_checks:
@@ -352,7 +350,7 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
         entry_p = _synthetic_ptype(rng, variables, widen.instance_cap) \
             if rng.random() < 0.35 else base
         ann = annotate(program, entry_p, widen)
-        st = _gen_state(rng, trial_cfg, entry_p)
+        st = _gen_state(rng, entry_p)
         outcome = execute(program, st, fuel)
 
         if "t1" in checks:
@@ -376,7 +374,7 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
 
         if "t3" in checks:
             if isinstance(outcome, Final):
-                twin = make_similar_state(rng, trial_cfg, st, program,
+                twin = make_similar_state(rng, st, program,
                                           live.judgment.pre.live, widen)
                 ok = similar_states(st, twin, entry_p, live.judgment.pre.live, widen)
                 twin_outcome = execute(program, twin, fuel)
@@ -392,9 +390,9 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
                 j, st4, orig4 = live.judgment, st, outcome
             else:
                 j = optimize(program, final_live, widen).derivation.judgment
-                st4 = _gen_state(rng, trial_cfg, base)
+                st4 = _gen_state(rng, base)
                 orig4 = execute(program, st4, fuel)
-            twin = make_similar_state(rng, trial_cfg, st4, program,
+            twin = make_similar_state(rng, st4, program,
                                       j.pre.live, widen)
             opt_outcome = execute(j.residual, twin, fuel)
             if isinstance(orig4, Final):

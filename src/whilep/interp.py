@@ -128,27 +128,20 @@ def execute(s: Stmt, state: ProgState, fuel: int = DEFAULT_FUEL) -> ExecOutcome:
     st = state.copy()
     try:
         return Final(_run(s, st, gas, Blocks(st.heap)))
-    except _Abort:
+    except (_Abort, EvalError):
         return Aborted()
     except _Fuel:
         return OutOfFuel()
-
-
-def _eval(e: AExp, stack: Stack) -> Value:
-    try:
-        return eval_aexp(e, stack)
-    except EvalError:
-        raise _Abort() from None
 
 
 def _run(s: Stmt, st: ProgState, gas: _Gas, blocks: Blocks) -> ProgState:
     if isinstance(s, Skip):
         return st
     if isinstance(s, Assign):
-        st.stack[s.var] = _eval(s.expr, st.stack)
+        st.stack[s.var] = eval_aexp(s.expr, st.stack)
         return st
     if isinstance(s, Cons):
-        vals = [_eval(a, st.stack) for a in s.args]
+        vals = [eval_aexp(a, st.stack) for a in s.args]
         n = len(vals)
         u = fresh_instance(blocks, n)
         for i, v in enumerate(vals, start=1):
@@ -156,20 +149,20 @@ def _run(s: Stmt, st: ProgState, gas: _Gas, blocks: Blocks) -> ProgState:
         st.stack[s.var] = Address(n, u, 1)
         return st
     if isinstance(s, Lookup):
-        target = _eval(s.addr, st.stack)
+        target = eval_aexp(s.addr, st.stack)
         if not isinstance(target, Address) or target not in st.heap:
             raise _Abort()
         st.stack[s.var] = st.heap[target]
         return st
     if isinstance(s, Mutate):
-        target = _eval(s.target, st.stack)
-        value = _eval(s.value, st.stack)
+        target = eval_aexp(s.target, st.stack)
+        value = eval_aexp(s.value, st.stack)
         if not isinstance(target, Address) or target not in st.heap:
             raise _Abort()
         st.heap[target] = value
         return st
     if isinstance(s, Dispose):
-        target = _eval(s.addr, st.stack)
+        target = eval_aexp(s.addr, st.stack)
         if not isinstance(target, Address) or target not in st.heap:
             raise _Abort()
         blocks.dispose(target)
@@ -182,19 +175,12 @@ def _run(s: Stmt, st: ProgState, gas: _Gas, blocks: Blocks) -> ProgState:
             st = _run(items[i], st, gas, blocks)
         return _run(items[last], st, gas, blocks)
     if isinstance(s, If):
-        try:
-            taken = eval_bexp(s.cond, st.stack)
-        except EvalError:
-            raise _Abort() from None
+        taken = eval_bexp(s.cond, st.stack)
         return _run(s.then_body if taken else s.else_body, st, gas, blocks)
     if isinstance(s, While):
         while True:
             gas.tick()
-            try:
-                again = eval_bexp(s.cond, st.stack)
-            except EvalError:
-                raise _Abort() from None
-            if not again:
+            if not eval_bexp(s.cond, st.stack):
                 return st
             st = _run(s.body, st, gas, blocks)
     raise TypeError(f"not a statement: {s!r}")

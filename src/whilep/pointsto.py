@@ -8,6 +8,11 @@ it is folded onto the cap instance, which from then on stands for every
 concrete instance at or above it (a summary). Strong updates are only
 allowed through a singleton target below the cap.
 
+No type holds an address above the cap. bottom, join and every transfer
+preserve that: the cons transfer writes only the capped cells that
+cons_block returns, so no pass folds a whole type afterwards. A type
+read from a certificate is checked against the cap when it is loaded.
+
 The model relation compares runtime addresses against the analysis
 through cap_address, which is the identity until the cap is reached.
 """
@@ -83,21 +88,6 @@ def cap_address(a: Address, cap: int) -> Address:
     if a.instance <= cap:
         return a
     return Address(a.length, cap, a.index)
-
-
-def widen(p: PointsTo, cap: int) -> PointsTo:
-    env: dict = {}
-    changed = False
-    for key, image in p.env.items():
-        if isinstance(key, Address) and key.instance > cap:
-            key = cap_address(key, cap)
-            changed = True
-        capped = frozenset(cap_address(a, cap) for a in image)
-        if len(capped) != len(image):
-            changed = True
-        old = env.get(key)
-        env[key] = capped if old is None else old | capped
-    return PointsTo(env) if changed else p
 
 
 # --- abstract expression evaluation ---
@@ -222,14 +212,12 @@ def _transfer_leaf(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
     if isinstance(s, Cons):
         n = len(s.args)
         images = [addr_part(abs_eval(a, p)) for a in s.args]
-        v, _ = cons_block(p, n, cfg.instance_cap)
+        _, cells = cons_block(p, n, cfg.instance_cap)
         env = dict(p.env)
-        env[s.var] = frozenset(Address(n, i, 1) for i in range(1, v + 1))
-        for i in range(1, v + 1):
-            for j in range(1, n + 1):
-                cell = Address(n, i, j)
-                env[cell] = env.get(cell, EMPTY) | images[j - 1]
-        return widen(PointsTo(env), cfg.instance_cap)
+        env[s.var] = frozenset(a for a in cells if a.index == 1)
+        for a in cells:
+            env[a] = env.get(a, EMPTY) | images[a.index - 1]
+        return PointsTo(env)
     if isinstance(s, Lookup):
         targets = addr_part(abs_eval(s.addr, p))
         image: frozenset = EMPTY

@@ -32,7 +32,7 @@ def test_criterion_1_motivating_example(fig_src, fig_residual):
     program = parse(fig_src)
     result = optimize(program, frozenset({"y"}), CFG)
     entry = result.derivation.judgment.pre.pts
-    st = _gen_state(random.Random(0), GenConfig(), entry)
+    st = _gen_state(random.Random(0), entry)
     original = execute(program, st, 100_000)
     optimized = execute(result.optimized, st.copy(), 100_000)
     elapsed = time.perf_counter() - started

@@ -182,6 +182,19 @@ def test_check_cert_rejects_wrong_program(prog, capsys, tmp_path):
         "Reject: root: certificate does not describe this program\n"
 
 
+def test_check_cert_rejects_a_larger_cap(prog, capsys, tmp_path):
+    src = prog("p := 0; i := 0; while i < 5 do { p := cons(p); i := i + 1 }")
+    cert = tmp_path / "cert.json"
+    assert main(["optimize", src, "--live", "p", "--widen", "3",
+                 "--cert", str(cert)]) == 0
+    capsys.readouterr()
+    assert main(["check-cert", src, str(cert), "--widen", "3"]) == 0
+    capsys.readouterr()
+    assert main(["check-cert", src, str(cert), "--widen", "2"]) == 2
+    assert capsys.readouterr().out == ("Reject: root.loops[0].pts: addr(1,3,1): "
+                                       "instance 3 is above the instance cap 2\n")
+
+
 def test_optimize_strip_dead_cons_warns(prog, capsys, tmp_path):
     src = prog("x := cons(y, z)")
     cert = tmp_path / "cert.json"

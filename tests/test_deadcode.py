@@ -64,7 +64,7 @@ def test_motivating_example(fig_src, fig_residual):
     assert result.optimized == parse(fig_residual)
     assert pretty(result.optimized) == fig_residual
     j = result.derivation.judgment
-    st = _gen_state(random.Random(0), GenConfig(), j.pre.pts)
+    st = _gen_state(random.Random(0), j.pre.pts)
     assert isinstance(execute(parse(fig_src), st, 10_000), Aborted)
     out = execute(result.optimized, st, 10_000)
     assert isinstance(out, Final)

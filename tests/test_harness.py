@@ -72,10 +72,9 @@ def test_gen_state_from_bottom():
 
 def test_gen_state_models_its_type():
     rng = random.Random(61)
-    cfg = GenConfig(seed=61)
     for _ in range(1000):
         p = _synthetic_ptype(rng, ["x", "y", "z"], 3)
-        st = _gen_state(rng, cfg, p)
+        st = _gen_state(rng, p)
         assert models(st, p, CFG)
         assert set(st.stack) == {"x", "y", "z"}
         for a in st.heap:
@@ -91,8 +90,8 @@ def test_make_similar_state_contract():
         base = bottom(stmt_vars(prog))
         ann = annotate(prog, base, CFG)
         live = live_annotate(ann, frozenset(), CFG)
-        st = _gen_state(rng, cfg, base)
-        twin = make_similar_state(rng, cfg, st, prog, live.judgment.pre.live, CFG)
+        st = _gen_state(rng, base)
+        twin = make_similar_state(rng, st, prog, live.judgment.pre.live, CFG)
         assert similar_states(st, twin, base, live.judgment.pre.live, CFG), \
             f"seed {seed}"
         reads = read_vars(prog)
@@ -109,13 +108,12 @@ def test_make_similar_state_contract():
 
 def test_junk_values_cover_all_kinds():
     rng = random.Random(71)
-    cfg = GenConfig(seed=71)
     prog = parse("x := 1; y := 2")  # writes only: both variables junkable
     base = bottom(stmt_vars(prog))
     kinds = set()
     for _ in range(300):
-        st = _gen_state(rng, cfg, base)
-        twin = make_similar_state(rng, cfg, st, prog, frozenset(), CFG)
+        st = _gen_state(rng, base)
+        twin = make_similar_state(rng, st, prog, frozenset(), CFG)
         for v in twin.stack.values():
             kinds.add(NilValue if isinstance(v, NilValue) else type(v))
     assert {int, NilValue, Address} <= kinds

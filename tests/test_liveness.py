@@ -170,10 +170,9 @@ def test_models_live_examples():
 
 def test_models_is_models_live_at_full_liveness():
     rng = random.Random(5)
-    cfg = GenConfig(seed=5)
     for _ in range(60):
         p = _synthetic_ptype(rng, ["x", "y"], 3)
-        st = _gen_state(rng, cfg, p)
+        st = _gen_state(rng, p)
         everything = frozenset(p.env)
         assert models(st, p, CFG) == models_live(st, p, everything, CFG)
 
@@ -181,10 +180,9 @@ def test_models_is_models_live_at_full_liveness():
 def test_models_live_antitone_in_live_set():
     """Shrinking the live set can only make the relation easier to satisfy."""
     rng = random.Random(11)
-    cfg = GenConfig(seed=11)
     for _ in range(80):
         p = _synthetic_ptype(rng, ["x", "y"], 3)
-        st = _gen_state(rng, cfg, p)
+        st = _gen_state(rng, p)
         keys = sorted(p.env, key=repr)
         big = frozenset(k for k in keys if rng.random() < 0.7)
         small = frozenset(k for k in big if rng.random() < 0.6)
@@ -215,9 +213,8 @@ def test_expression_eval_depends_only_on_free_vars():
     from whilep.harness import gen_aexp
 
     rng = random.Random(19)
-    gcfg = GenConfig(seed=19)
     for _ in range(300):
-        e = gen_aexp(rng, gcfg, ["x", "y", "z"], rng.randint(1, 3))
+        e = gen_aexp(rng, ["x", "y", "z"], rng.randint(1, 3))
         stack = {"x": rng.randint(-3, 9), "y": rng.choice([NIL, 2, A111]),
                  "z": rng.choice([0, A211, 5])}
         junked = {v: (rng.randint(-99, 99) if rng.random() < 0.7 else NIL)
@@ -285,7 +282,7 @@ def test_executions_respect_live_restricted_types():
         ann = annotate(prog, base, CFG)
         final_live = frozenset(v for v in variables if rng.random() < 0.5)
         live = live_annotate(ann, final_live, CFG)
-        st = _gen_state(rng, cfg, base)
+        st = _gen_state(rng, base)
         out = execute(prog, st, 1500)
         if not isinstance(out, Final):
             continue

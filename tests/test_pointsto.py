@@ -1,4 +1,4 @@
-"""Points-to lattice, abstract evaluation, transfer, and widening tests."""
+"""Points-to lattice, abstract evaluation, transfer, and instance-cap tests."""
 
 import itertools
 import random
@@ -13,7 +13,7 @@ from whilep.lang import (
 from whilep.memory import Address, ProgState
 from whilep.pointsto import (
     AddrSet, ExactInt, PointsTo, WidenConfig, abs_eval, addr_part, annotate,
-    bottom, cap_address, join, leq, models, transfer, widen,
+    bottom, cap_address, join, leq, models, transfer,
 )
 
 CFG = WidenConfig()
@@ -153,12 +153,42 @@ def test_annotate_while_integer_loop():
     assert ann.post == bottom({"x"})  # a loop's exit type is its invariant
 
 
+def _instances(p):
+    """Instance numbers of every address in p, as a key or in an image."""
+    for key, image in p.env.items():
+        if isinstance(key, Address):
+            yield key.instance
+        for a in image:
+            yield a.instance
+
+
+def _max_instance(ann):
+    todo, top = [ann], 0
+    while todo:
+        node = todo.pop()
+        top = max(top, *_instances(node.pre), *_instances(node.post), 0)
+        todo.extend(node.children)
+    return top
+
+
 def test_annotate_while_allocating_loop_caps():
     src = "i := 0; while i < 9 do { x := cons(x); i := i + 1 }"
     ann = annotate(parse(src), bottom({"i", "x"}), CFG)
-    tracked = ann.post.tracked()
-    assert tracked  # the loop allocates
-    assert all(a.instance <= CFG.instance_cap for a in tracked)
+    assert ann.post.tracked()  # the loop allocates
+    assert _max_instance(ann) == CFG.instance_cap
+
+
+def test_annotate_never_exceeds_cap():
+    """From the bottom type and from synthetic entry types within the cap,
+    no annotated node holds an address above the cap."""
+    rng = random.Random(23)
+    for cap in (1, 2, 3):
+        cfg = WidenConfig(instance_cap=cap)
+        for seed in range(60):
+            prog = gen_program(GenConfig(seed=seed, max_stmts=(12, 30)[seed % 2]))
+            variables = sorted(stmt_vars(prog))
+            for entry in (bottom(variables), _synthetic_ptype(rng, variables, cap)):
+                assert _max_instance(annotate(prog, entry, cfg)) <= cap, (cap, seed)
 
 
 def test_annotate_determinism():
@@ -181,52 +211,13 @@ def test_models_examples():
 
 def test_leq_preserves_models():
     rng = random.Random(7)
-    cfg = GenConfig(seed=7)
     for _ in range(80):
         q = _synthetic_ptype(rng, ["x", "y"], 3)
-        st = _gen_state(rng, cfg, q)
+        st = _gen_state(rng, q)
         assert models(st, q, CFG)
         bigger = join(q, _synthetic_ptype(rng, ["x", "y"], 3))
         assert leq(q, bigger)
         assert models(st, bigger, CFG)
-
-
-def test_widen_examples():
-    p = pts({"x": [A111], A111: []})
-    assert widen(p, 3) == p
-    q = pts({"x": [Address(1, 4, 1)], Address(1, 4, 1): []})
-    assert widen(q, 3) == pts({"x": [Address(1, 3, 1)], Address(1, 3, 1): []})
-    rng = random.Random(9)
-    for _ in range(40):
-        r = _synthetic_ptype(rng, ["x"], 5)
-        assert widen(widen(r, 3), 3) == widen(r, 3)
-
-
-def test_widen_merges_images():
-    p = pts({Address(1, 3, 1): [A111], Address(1, 5, 1): [A121]})
-    assert widen(p, 3) == pts({Address(1, 3, 1): [A111, A121]})
-
-
-def test_widen_monotone():
-    rng = random.Random(13)
-    for _ in range(60):
-        q = _synthetic_ptype(rng, ["x", "y"], 5)
-        p = PointsTo({k: frozenset(a for a in img if rng.random() < 0.6)
-                      for k, img in q.env.items()})
-        assert leq(p, q)
-        assert leq(widen(p, 3), widen(q, 3))
-
-
-def test_widen_preserves_models():
-    """A state that models a type exactly still models its widening."""
-    rng = random.Random(17)
-    cfg = GenConfig(seed=17)
-    exact = WidenConfig(instance_cap=10_000)  # no folding at this cap
-    for _ in range(60):
-        p = _synthetic_ptype(rng, ["x", "y"], 5)
-        st = _gen_state(rng, cfg, p)
-        assert models(st, p, exact)
-        assert models(st, widen(p, 3), CFG)
 
 
 def test_cap_address():
@@ -305,7 +296,7 @@ def test_executions_land_inside_exit_type():
         cfg = replace(GenConfig(), seed=seed)
         prog = gen_program(cfg)
         base = bottom(stmt_vars(prog))
-        st = _gen_state(rng, cfg, base)
+        st = _gen_state(rng, base)
         out = execute(prog, st, 1500)
         if isinstance(out, Final):
             assert models(out.state, annotate(prog, base, CFG).post, CFG), \
