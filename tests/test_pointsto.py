@@ -153,22 +153,19 @@ def test_annotate_while_integer_loop():
     assert ann.post == bottom({"x"})  # a loop's exit type is its invariant
 
 
-def _instances(p):
-    """Instance numbers of every address in p, as a key or in an image."""
-    for key, image in p.env.items():
-        if isinstance(key, Address):
-            yield key.instance
-        for a in image:
-            yield a.instance
-
-
 def _max_instance(ann):
-    todo, top = [ann], 0
+    """Largest instance of an address on any node of ann, as a key or in
+    an image; 0 when there is none."""
+    todo, instances = [ann], []
     while todo:
         node = todo.pop()
-        top = max(top, *_instances(node.pre), *_instances(node.post), 0)
         todo.extend(node.children)
-    return top
+        for p in (node.pre, node.post):
+            for key, image in p.env.items():
+                instances.extend(a.instance for a in image)
+                if isinstance(key, Address):
+                    instances.append(key.instance)
+    return max(instances, default=0)
 
 
 def test_annotate_while_allocating_loop_caps():
