@@ -44,9 +44,7 @@ from .lang import (
     While, free_vars, parse, pretty, stmt_vars, walk,
 )
 from .memory import Address
-from .liveness import (
-    Derivation, LiveType, leaf_live_pre, leaf_rule, live_annotate,
-)
+from .liveness import Derivation, LiveType, leaf_live_pre, live_annotate
 from .pointsto import (
     PointsTo, WidenConfig, annotate, join, key_sort_key, leq, live_from_list,
     live_to_list, pts_from_doc, pts_to_doc, transfer,
@@ -172,9 +170,9 @@ def _check(d: Derivation, path: str, cfg: WidenConfig) -> CheckResult:
     # condition, and the rewrite from the node's own entry type
     if post_p != transfer(s, pre_p, cfg):
         return _fail(path, "exit points-to type does not match the transfer")
-    if pre_l != leaf_live_pre(s, pre_p, post_l, cfg):
+    live, rule, residual = leaf_live_pre(s, pre_p, post_l, cfg)
+    if pre_l != live:
         return _fail(path, "entry live set does not match the live rule")
-    rule, residual = leaf_rule(s, pre_p, post_l, cfg)
     if d.rule != rule:
         return _fail(path, f"side condition of {d.rule} does not hold")
     if r != residual:

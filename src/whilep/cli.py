@@ -20,7 +20,7 @@ from .lang import If, ParseError, Seq, While, parse, pretty, stmt_vars
 from .liveness import live_annotate
 from .memory import format_value
 from .pointsto import WidenConfig, annotate, bottom, live_to_list, pts_to_doc
-from .harness import GenConfig, run_soundness_suite
+from .harness import ALL_CHECKS, SUITE_FUEL, GenConfig, run_soundness_suite
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,6 +47,10 @@ def _build_parser() -> _Parser:
                                  "and certified dead-code elimination for a "
                                  "heap-manipulating while-language.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    widen = argparse.ArgumentParser(add_help=False)
+    widen.add_argument("--widen", type=_positive, metavar="K",
+                       default=WidenConfig.instance_cap,
+                       help="instance cap of the analyses (default: %(default)s)")
 
     p_run = sub.add_parser("run", help="execute a program")
     p_run.add_argument("file")
@@ -58,25 +62,23 @@ def _build_parser() -> _Parser:
     p_an = sub.add_parser("analyze", help="print per-node analysis results")
     an_sub = p_an.add_subparsers(dest="analysis", required=True, metavar="KIND")
 
-    p_pts = an_sub.add_parser("pts", help="points-to annotations")
+    p_pts = an_sub.add_parser("pts", parents=[widen], help="points-to annotations")
     p_pts.add_argument("file")
-    p_pts.add_argument("--widen", type=_positive, default=3, metavar="K")
     p_pts.add_argument("--out", help="write the JSON report to this path")
     p_pts.set_defaults(func=_cmd_analyze_pts)
 
-    p_live = an_sub.add_parser("live", help="live-set annotations")
+    p_live = an_sub.add_parser("live", parents=[widen], help="live-set annotations")
     p_live.add_argument("file")
     p_live.add_argument("--live", default="",
                         help="comma-separated variables live at exit")
-    p_live.add_argument("--widen", type=_positive, default=3, metavar="K")
     p_live.add_argument("--out", help="write the JSON report to this path")
     p_live.set_defaults(func=_cmd_analyze_live)
 
-    p_opt = sub.add_parser("optimize", help="dead-code-eliminate a program")
+    p_opt = sub.add_parser("optimize", parents=[widen],
+                           help="dead-code-eliminate a program")
     p_opt.add_argument("file")
     p_opt.add_argument("--live", default="",
                        help="comma-separated variables live at exit")
-    p_opt.add_argument("--widen", type=_positive, default=3, metavar="K")
     p_opt.add_argument("--emit", help="write the residual program to this path")
     p_opt.add_argument("--cert", help="write the derivation certificate here")
     p_opt.add_argument("--strip-dead-cons", action="store_true",
@@ -85,20 +87,19 @@ def _build_parser() -> _Parser:
                             "the unstripped residual)")
     p_opt.set_defaults(func=_cmd_optimize)
 
-    p_chk = sub.add_parser("check-cert", help="validate a certificate")
+    p_chk = sub.add_parser("check-cert", parents=[widen],
+                           help="validate a certificate")
     p_chk.add_argument("file", help="program the certificate must describe")
     p_chk.add_argument("cert")
-    p_chk.add_argument("--widen", type=_positive, default=3, metavar="K",
-                       help="instance cap the certificate was produced under")
     p_chk.set_defaults(func=_cmd_check_cert)
 
-    p_test = sub.add_parser("test-soundness", help="run differential suites")
+    p_test = sub.add_parser("test-soundness", parents=[widen],
+                            help="run differential suites")
     p_test.add_argument("--trials", type=_positive, default=1000)
     p_test.add_argument("--seed", type=int, default=0)
-    p_test.add_argument("--fuel", type=_positive, default=1500)
-    p_test.add_argument("--widen", type=_positive, default=3, metavar="K")
-    p_test.add_argument("--checks", default="t1,t2,t3,t4,lemma1",
-                        help="comma-separated subset of t1,t2,t3,t4,lemma1")
+    p_test.add_argument("--fuel", type=_positive, default=SUITE_FUEL)
+    p_test.add_argument("--checks", default=",".join(ALL_CHECKS),
+                        help=f"comma-separated subset of {','.join(ALL_CHECKS)}")
     p_test.add_argument("--break-weak-update", action="store_true",
                         help="sabotage the analysis to prove the suite "
                              "can fail")
@@ -298,9 +299,8 @@ def _cmd_check_cert(args) -> int:
 
 def _cmd_test_soundness(args) -> int:
     names = tuple(x.strip() for x in args.checks.split(",") if x.strip())
-    valid = ("t1", "t2", "t3", "t4", "lemma1")
     for name in names:
-        if name not in valid:
+        if name not in ALL_CHECKS:
             print(f"whilep: unknown check: {name}", file=sys.stderr)
             return 3
     if not names:

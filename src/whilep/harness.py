@@ -288,7 +288,8 @@ def make_similar_state(rng: random.Random, st: ProgState,
 
 # --- differential suites ---
 
-_ALL_CHECKS = ("t1", "t2", "t3", "t4", "lemma1")
+ALL_CHECKS = ("t1", "t2", "t3", "t4", "lemma1")
+SUITE_FUEL = 1500
 
 
 def _lemma1_trial(rng: random.Random, widen: WidenConfig) -> bool:
@@ -308,9 +309,9 @@ def _lemma1_trial(rng: random.Random, widen: WidenConfig) -> bool:
 
 
 def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
-                        checks=_ALL_CHECKS,
+                        checks=ALL_CHECKS,
                         widen: WidenConfig = WidenConfig(),
-                        fuel: int = 1500) -> dict:
+                        fuel: int = SUITE_FUEL) -> dict:
     """Run the requested differential checks over n_trials fresh seeds.
 
     Aborting or fuel-starved reference runs are counted as skipped, never

@@ -11,7 +11,8 @@ branch or loop is always live.
 The same pass builds the optimization derivation: every node's live
 judgment also carries the rule whose side condition holds there and the
 residual that rule emits, so a live judgment plus its residual is the
-judgment the certificate checker revalidates.
+judgment the certificate checker revalidates. At a leaf, one function,
+leaf_live_pre, decides all three from the node's entry type.
 """
 
 from __future__ import annotations
@@ -52,48 +53,10 @@ class Derivation:
     premises: tuple = ()
 
 
-def cons_live(s: Cons, pre: PointsTo, post: frozenset, cfg: WidenConfig):
-    """The touched-and-live set I of a cons, and the argument positions
-    (1-based) whose cells may be live afterwards."""
-    _, cells = cons_block(pre, len(s.args), cfg.instance_cap)
-    hit = (cells | {s.var}) & post
-    return hit, frozenset(a.index for a in hit if isinstance(a, Address))
-
-
-def leaf_live_pre(s: Stmt, pre_pts: PointsTo, post: frozenset,
-                  cfg: WidenConfig) -> frozenset:
-    """Entry live set of a leaf statement given its exit live set."""
-    if isinstance(s, Skip):
-        return post
-    if isinstance(s, Assign):
-        if s.var not in post:
-            return post
-        return (post - {s.var}) | free_vars(s.expr)
-    if isinstance(s, Cons):
-        entry = post - {s.var}
-        for j in cons_live(s, pre_pts, post, cfg)[1]:
-            entry |= free_vars(s.args[j - 1])
-        return entry
-    if isinstance(s, Lookup):
-        if s.var not in post:
-            return post
-        targets = addr_part(abs_eval(s.addr, pre_pts))
-        return (post - {s.var}) | free_vars(s.addr) | targets
-    if isinstance(s, Mutate):
-        targets = addr_part(abs_eval(s.target, pre_pts))
-        entry = post | free_vars(s.target)
-        if targets & post:
-            entry |= free_vars(s.value)
-        return entry
-    if isinstance(s, Dispose):
-        return post | free_vars(s.addr)
-    raise TypeError(f"not a leaf statement: {s!r}")
-
-
-def leaf_rule(s: Stmt, pre: PointsTo, post: frozenset,
-              cfg: WidenConfig) -> tuple[str, Stmt]:
-    """The leaf rule whose side condition holds for s between entry type
-    pre and exit live set post, and the residual that rule emits.
+def leaf_live_pre(s: Stmt, pre: PointsTo, post: frozenset,
+                  cfg: WidenConfig) -> tuple[frozenset, str, Stmt]:
+    """The leaf rule for s between entry type pre and exit live set post:
+    (entry live set, the rule whose side condition holds, its residual).
 
     Writes to dead variables and heap writes that reach no live cell
     become skip; a cons keeps its allocation, so that the heap domain
@@ -101,22 +64,33 @@ def leaf_rule(s: Stmt, pre: PointsTo, post: frozenset,
     zeroed, so that the residual never evaluates them.
     """
     if isinstance(s, Skip):
-        return "skip", s
-    if isinstance(s, Dispose):
-        return "dis_d", s
+        return post, "skip", s
     if isinstance(s, Assign):
-        return ("ass_d2", s) if s.var in post else ("ass_d1", Skip())
-    if isinstance(s, Lookup):
-        return ("lok_d2", s) if s.var in post else ("lok_d1", Skip())
-    if isinstance(s, Mutate):
-        if addr_part(abs_eval(s.target, pre)) & post:
-            return "mut_d2", s
-        return "mut_d1", Skip()
+        if s.var not in post:
+            return post, "ass_d1", Skip()
+        return (post - {s.var}) | free_vars(s.expr), "ass_d2", s
     if isinstance(s, Cons):
-        hit, live_args = cons_live(s, pre, post, cfg)
+        _, cells = cons_block(pre, len(s.args), cfg.instance_cap)
+        live_args = {a.index for a in cells & post}
+        entry = post - {s.var}
+        for j in live_args:
+            entry |= free_vars(s.args[j - 1])
         args = tuple(a if j in live_args else IntLit(0)
                      for j, a in enumerate(s.args, 1))
-        return ("con_d2" if hit else "con_d1"), Cons(s.var, args)
+        rule = "con_d2" if live_args or s.var in post else "con_d1"
+        return entry, rule, Cons(s.var, args)
+    if isinstance(s, Lookup):
+        if s.var not in post:
+            return post, "lok_d1", Skip()
+        targets = addr_part(abs_eval(s.addr, pre))
+        return (post - {s.var}) | free_vars(s.addr) | targets, "lok_d2", s
+    if isinstance(s, Mutate):
+        entry = post | free_vars(s.target)
+        if addr_part(abs_eval(s.target, pre)) & post:
+            return entry | free_vars(s.value), "mut_d2", s
+        return entry, "mut_d1", Skip()
+    if isinstance(s, Dispose):
+        return post | free_vars(s.addr), "dis_d", s
     raise TypeError(f"not a leaf statement: {s!r}")
 
 
@@ -168,8 +142,8 @@ def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
                             (body,))
             head = grown
         raise RuntimeError("loop liveness failed to stabilize")
-    rule, residual = leaf_rule(s, ann.pre, post, cfg)
-    return node(rule, leaf_live_pre(s, ann.pre, post, cfg), residual)
+    live, rule, residual = leaf_live_pre(s, ann.pre, post, cfg)
+    return node(rule, live, residual)
 
 
 def models_live(st: ProgState, p: PointsTo, live: frozenset,

@@ -11,7 +11,7 @@ only bounds from below) are deliberately not used.
 
 from dataclasses import replace
 
-from whilep import Derivation, Judgment
+from whilep import Derivation
 from whilep.lang import Assign, IntLit, Skip
 from whilep.liveness import LiveType
 from whilep.memory import Address

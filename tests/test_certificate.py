@@ -1,5 +1,6 @@
 """Derivation checking and the on-disk certificate format."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -11,7 +12,7 @@ import pytest
 import tamper_ops
 from hypothesis import given, settings, strategies as st
 
-from whilep import GenConfig, gen_program
+from whilep import GenConfig, gen_program, liveness, pointsto
 from whilep.certificate import (
     ACCEPT, CheckResult, FormatError, RULE_ARITY, check, deserialize,
     serialize,
@@ -126,6 +127,60 @@ def test_pipeline_time_is_linear():
     while len(runs) < 3 and min(runs, default=bound) >= bound:
         runs.append(_pipeline_seconds(20_000))
     assert min(runs) < bound, (bound, runs)
+
+
+def test_each_pass_computes_a_cons_block_twice(monkeypatch):
+    """optimize, deserialize and check each compute a cons's block once in
+    its transfer and once in its leaf rule, and nowhere else."""
+    calls, cons_block = [], pointsto.cons_block
+
+    def counted(*args):
+        calls.append(args)
+        return cons_block(*args)
+
+    monkeypatch.setattr(pointsto, "cons_block", counted)
+    monkeypatch.setattr(liveness, "cons_block", counted)
+    src = chain_src(200)
+    assert src.count("cons(") == 100
+    per_pass = []
+
+    def blocks_in(run):
+        calls.clear()
+        out = run()
+        per_pass.append(len(calls))
+        return out
+
+    d = blocks_in(lambda: optimize(parse(src), frozenset({"p0"}), CFG).derivation)
+    text = serialize(d)
+    again = blocks_in(lambda: deserialize(text, CFG))
+    assert blocks_in(lambda: check(again, CFG)) == ACCEPT
+    assert per_pass == [200, 200, 200]
+
+
+# sha256 per instance cap over the certificates of a seeded corpus
+CORPUS_DIGESTS = {
+    1: "6e1ea380bb7e8fccc166dcbc7cc87817fe9e225be25030c761ba77187412d8d7",
+    2: "08bbad6c68d1b5a53040b1255fdefcb77a6f75debfdb2e4d14fb7fb7482a6720",
+    3: "50b39ee4c0b728c956fb538d03aea31162d8badf8ed2b53f143fa719227eaf32",
+}
+
+
+def test_corpus_certificates_pinned():
+    """The certificates of 600 generated programs stay byte-identical."""
+    corpus = []
+    for seed in range(600):
+        prog = gen_program(GenConfig(seed=seed, max_stmts=(12, 40)[seed % 2]))
+        rng = random.Random(f"live:{seed}")
+        live = frozenset(v for v in sorted(stmt_vars(prog)) if rng.random() < 0.5)
+        corpus.append((prog, live))
+    digests = {}
+    for cap in CORPUS_DIGESTS:
+        h = hashlib.sha256()
+        for prog, live in corpus:
+            cfg = WidenConfig(instance_cap=cap)
+            h.update(serialize(optimize(prog, live, cfg).derivation).encode())
+        digests[cap] = h.hexdigest()
+    assert digests == CORPUS_DIGESTS
 
 
 LOOP_SRC = "p := cons(0); i := 0; while i < 3 do { q := [p]; i := i + 1 }"

@@ -1,4 +1,5 @@
-"""Static check: no module of the package imports a name it never uses."""
+"""Static check: no module of the package or its tests imports a name it
+never uses."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import whilep
 
 PACKAGE = Path(whilep.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,11 +47,20 @@ def test_checker_finds_unused_imports():
         "Any (line 5)", "match (line 4)", "os (line 2)", "osp (line 3)"]
 
 
+def _unused_by_file(paths) -> dict:
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in paths}
+    return {name: names for name, names in found.items() if names}
+
+
 def test_package_has_no_unused_imports():
     """__init__.py is left out: its imports are the package's re-exports."""
-    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
-    assert {name: names for name, names in found.items() if names} == {}
+    assert _unused_by_file(path for path in sorted(PACKAGE.glob("*.py"))
+                           if path.name != "__init__.py") == {}
+
+
+def test_tests_have_no_unused_imports():
+    assert _unused_by_file(sorted(TESTS.glob("*.py"))) == {}
 
 
 def test_every_export_resolves():

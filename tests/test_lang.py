@@ -6,9 +6,9 @@ import pytest
 
 from whilep import GenConfig, gen_program
 from whilep.lang import (
-    And, Assign, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit, Lookup,
-    Mutate, Nil, Not, Or, ParseError, Seq, Skip, Var, While, free_vars,
-    parse, pretty, read_vars, seq_items, seq_of, stmt_vars, walk,
+    And, Assign, BinOp, BoolLit, Cmp, Cons, Dispose, IntLit, Lookup, Not,
+    Or, ParseError, Seq, Skip, Var, While, free_vars, parse, pretty,
+    read_vars, seq_items, seq_of, stmt_vars, walk,
 )
 
 

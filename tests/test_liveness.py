@@ -8,9 +8,7 @@ from whilep import GenConfig, gen_program
 from whilep.harness import _gen_state, _synthetic_ptype
 from whilep.interp import EvalError, Final, eval_aexp, execute
 from whilep.certificate import ACCEPT, check
-from whilep.lang import (
-    BinOp, Cmp, IntLit, Var, free_vars, parse, stmt_vars,
-)
+from whilep.lang import free_vars, parse, pretty, stmt_vars
 from whilep.liveness import (
     leaf_live_pre, live_annotate, models_live, similar_states,
 )
@@ -21,6 +19,7 @@ from whilep.pointsto import (
 
 CFG = WidenConfig()
 A111 = Address(1, 1, 1)
+A121 = Address(1, 2, 1)
 A211 = Address(2, 1, 1)
 A212 = Address(2, 1, 2)
 
@@ -33,52 +32,71 @@ def lv(*keys):
     return frozenset(keys)
 
 
-def pre_of(src, post, p=None):
+def leaf_of(src, post, p=None):
+    """(entry live set, rule, residual text) of a leaf from exit set post."""
     prog = parse(src)
     p = p if p is not None else bottom(stmt_vars(prog))
-    return leaf_live_pre(prog, p, frozenset(post), CFG)
+    live, rule, residual = leaf_live_pre(prog, p, frozenset(post), CFG)
+    return live, rule, pretty(residual)
 
 
 def test_skip_and_assign_rules():
-    assert pre_of("skip", [A111, "x"]) == lv(A111, "x")
-    assert pre_of("x := y", ["x"]) == lv("y")
-    assert pre_of("x := y", ["z"]) == lv("z")
-    assert pre_of("x := x + y", ["x", "z"]) == lv("x", "y", "z")
+    assert leaf_of("skip", [A111, "x"]) == (lv(A111, "x"), "skip", "skip")
+    assert leaf_of("x := y", ["x"]) == (lv("y"), "ass_d2", "x := y")
+    assert leaf_of("x := y", ["z"]) == (lv("z"), "ass_d1", "skip")
+    assert leaf_of("x := x + y", ["x", "z"]) == \
+        (lv("x", "y", "z"), "ass_d2", "x := x + y")
 
 
 def test_cons_rules():
-    # nothing touched is live: the whole allocation is dead
-    assert pre_of("x := cons(y, z)", []) == lv()
-    assert pre_of("x := cons(y, z)", ["w"]) == lv("w")
-    # only the pointer is live: args are dead, pointer killed
-    assert pre_of("x := cons(y, z)", ["x"]) == lv()
-    assert pre_of("x := cons(y, z)", ["x", "w"]) == lv("w")
-    # a live cell makes exactly its position's argument live
-    assert pre_of("x := cons(y, z)", ["x", A212]) == lv("z", A212)
-    assert pre_of("x := cons(y, z)", [A211, A212]) == lv("y", "z", A211, A212)
+    # nothing touched is live: the whole allocation is dead, but it stays
+    # in the residual so that the heap domain evolves as in the original
+    assert leaf_of("x := cons(y, z)", []) == (lv(), "con_d1", "x := cons(0, 0)")
+    assert leaf_of("x := cons(y, z)", ["w"]) == \
+        (lv("w"), "con_d1", "x := cons(0, 0)")
+    # only the pointer is live: args are dead and zeroed, pointer killed
+    assert leaf_of("x := cons(y, z)", ["x"]) == (lv(), "con_d2", "x := cons(0, 0)")
+    assert leaf_of("x := cons(y, z)", ["x", "w"]) == \
+        (lv("w"), "con_d2", "x := cons(0, 0)")
+    # a live cell makes exactly its position's argument live and kept
+    assert leaf_of("x := cons(y, z)", ["x", A212]) == \
+        (lv("z", A212), "con_d2", "x := cons(0, z)")
+    assert leaf_of("x := cons(y, z)", [A211, A212]) == \
+        (lv("y", "z", A211, A212), "con_d2", "x := cons(y, z)")
+    # from the bottom type the block is instance 1, so a live instance-2
+    # cell is not written and the argument stays dead
+    assert leaf_of("x := cons(y)", [A121]) == (lv(A121), "con_d1", "x := cons(0)")
+    # once instance 1 is tracked, the allocation may occupy instance 1 or
+    # 2, and a live cell of either keeps the argument
+    p = pts({"x": [], "y": [], A111: []})
+    assert leaf_of("x := cons(y)", [A121], p) == \
+        (lv("y", A121), "con_d2", "x := cons(y)")
+    assert leaf_of("x := cons(y)", [A111], p) == \
+        (lv("y", A111), "con_d2", "x := cons(y)")
 
 
 def test_lookup_rules():
     p = pts({"x": [A211], "y": []})
-    assert leaf_live_pre(parse("y := [x]"), p, lv("y"), CFG) == lv("x", A211)
-    assert leaf_live_pre(parse("y := [x]"), p, lv("z"), CFG) == lv("z")
+    assert leaf_of("y := [x]", ["y"], p) == (lv("x", A211), "lok_d2", "y := [x]")
+    assert leaf_of("y := [x]", ["z"], p) == (lv("z"), "lok_d1", "skip")
     # shifted address: the target cell comes from abstract evaluation
     q = pts({"x": [A211]})
-    assert leaf_live_pre(parse("y := [x + 1]"), q, lv("y"), CFG) == \
-        lv("x", A212)
+    assert leaf_of("y := [x + 1]", ["y"], q) == \
+        (lv("x", A212), "lok_d2", "y := [x + 1]")
 
 
 def test_mutate_rules():
     # integer target: no live cell can be written, value stays dead
-    assert pre_of("[i] := x", ["y"]) == lv("y", "i")
+    assert leaf_of("[i] := x", ["y"]) == (lv("y", "i"), "mut_d1", "skip")
     p = pts({"p": [A111], "q": [], A111: []})
-    assert leaf_live_pre(parse("[p] := q"), p, lv(A111), CFG) == \
-        lv(A111, "p", "q")
-    assert leaf_live_pre(parse("[p] := q"), p, lv("z"), CFG) == lv("z", "p")
+    assert leaf_of("[p] := q", [A111], p) == \
+        (lv(A111, "p", "q"), "mut_d2", "[p] := q")
+    assert leaf_of("[p] := q", ["z"], p) == (lv("z", "p"), "mut_d1", "skip")
 
 
 def test_dispose_rule():
-    assert pre_of("dispose(x)", ["y", A111]) == lv("x", "y", A111)
+    assert leaf_of("dispose(x)", ["y", A111]) == \
+        (lv("x", "y", A111), "dis_d", "dispose(x)")
 
 
 def test_live_annotate_sequence():

@@ -8,7 +8,7 @@ from whilep import GenConfig, gen_program
 from whilep.harness import _gen_state, _synthetic_ptype
 from whilep.interp import Final, execute
 from whilep.lang import (
-    BinOp, IntLit, Mutate, Seq, Var, While, parse, stmt_vars,
+    BinOp, IntLit, Mutate, Var, While, parse, stmt_vars,
 )
 from whilep.memory import Address, ProgState
 from whilep.pointsto import (
