@@ -1,5 +1,8 @@
 """Parser, pretty-printer, and syntax helper tests."""
 
+import hashlib
+import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -145,6 +148,128 @@ def test_parse_error_carries_position():
     assert err.value.line == 2
     assert err.value.col == 3
     assert "2:3" in str(err.value)
+
+
+# Every kind of syntax error with the exact text, line and column that
+# parse reports: stray characters, each expectation, end of input, and
+# positions after comments, tabs and CR LF line ends.
+SYNTAX_ERRORS = [
+    ("x := @", "1:6: unexpected character '@'", 1, 6),
+    ("x := 1;\n  y := \u00e9", "2:8: unexpected character '\u00e9'", 2, 8),
+    ("skip;\x0cskip", "1:6: unexpected character '\\x0c'", 1, 6),
+    ("x := 1 / 2", "1:8: unexpected character '/'", 1, 8),
+    ("x : 1", "1:3: unexpected character ':'", 1, 3),
+    ("if x > 1 then { skip } else { skip }", "1:6: unexpected character '>'", 1, 6),
+    ("dispose x", "1:9: expected '(', found 'x'", 1, 9),
+    ("if x < 1 { skip } else { skip }", "1:10: expected 'then', found '{'", 1, 10),
+    ("skip; 3", "1:7: expected a statement, found '3'", 1, 7),
+    ("x := 1; then", "1:9: expected a statement, found 'then'", 1, 9),
+    ("x := ;", "1:6: expected an expression, found ';'", 1, 6),
+    ("x := cons()", "1:11: expected an expression, found ')'", 1, 11),
+    ("while x do { skip }", "1:9: expected '=', '<' or '<=', found 'do'", 1, 9),
+    ("if x + 1 then { skip } else { skip }",
+     "1:10: expected '=', '<' or '<=', found 'then'", 1, 10),
+    ("skip skip", "1:6: unexpected trailing input 'skip'", 1, 6),
+    ("x := 1 y := 2", "1:8: unexpected trailing input 'y'", 1, 8),
+    ("x := addr(1, 1, 1)", "1:10: unexpected trailing input '('", 1, 10),
+    ("x :=", "1:5: expected an expression, found 'end of input'", 1, 5),
+    ("skip;", "1:6: expected a statement, found 'end of input'", 1, 6),
+    ("x := [y", "1:8: expected ']', found 'end of input'", 1, 8),
+    ("if x < 1 then { skip } else", "1:28: expected '{', found 'end of input'", 1, 28),
+    ("while x <", "1:10: expected an expression, found 'end of input'", 1, 10),
+    ("   // only a comment\n", "2:1: expected a statement, found 'end of input'", 2, 1),
+    ("// first\nx := 1; // second\n\t\tdispose(\t)",
+     "3:12: expected an expression, found ')'", 3, 12),
+    ("x := 1;\r\ny := cons(1,\r\n\t2;", "3:3: expected ')', found ';'", 3, 3),
+    ("x := 1;\r\n\ty := 2 @", "2:9: unexpected character '@'", 2, 9),
+    ("skip;\rskip skip", "1:12: unexpected trailing input 'skip'", 1, 12),
+    ("x :=\n  := 3", "2:3: expected an expression, found ':='", 2, 3),
+    # a parenthesized guard is first tried as a comparison operand
+    ("if (x < ) then { skip } else { skip }",
+     "1:9: expected an expression, found ')'", 1, 9),
+    ("if (x < 1) and (y <) then { skip } else { skip }",
+     "1:20: expected an expression, found ')'", 1, 20),
+    ("if (x + 1 then { skip } else { skip }",
+     "1:11: expected '=', '<' or '<=', found 'then'", 1, 11),
+    # the whole source is lexed first, so a stray character wins over an
+    # earlier syntax error
+    ("x := ;\ny := 1 @ 2", "2:8: unexpected character '@'", 2, 8),
+]
+
+
+@pytest.mark.parametrize("src, text, line, col", SYNTAX_ERRORS)
+def test_syntax_error_contract(src, text, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert (str(err.value), err.value.line, err.value.col) == (text, line, col)
+    assert err.value.message == text.split(": ", 1)[1]
+
+
+# sha256 over the outcome of every edited text in test_parse_outcomes_pinned
+EDIT_OUTCOMES_DIGEST = "3c28499b6b6f205f24a920f034ede204c52d5d82907501b90a4198ff9b3c7515"
+
+# what an edit inserts: stray characters, comment starts, line ends and
+# every kind of token
+_INSERTS = ("\u00e9", "\x0c", "/", "//", "\r", "\r\n", "\n", "\t", "@", ":", ">",
+            ";", ",", "(", ")", "[", "]", "{", "}", ":=", "<=", "<", "=", "-",
+            "+", "*", "0", "7", "x", "skip", "if", "then", "else", "while",
+            "do", "not", "and", "or", "true", "nil", "cons", "dispose")
+
+
+def _chain_text(n):
+    names = ("p0", "p1", "p2", "p3")
+    return "; ".join(
+        f"{names[i % 4]} := cons({i % 10}, {names[(i - 1) % 4]})"
+        if i % 2 == 0 else f"{names[i % 4]} := [{names[(i - 1) % 4]} + 1]"
+        for i in range(n))
+
+
+def _edit(text, rng):
+    roll = rng.random()
+    at = rng.randrange(len(text) + 1)
+    if roll < 0.6:
+        return text[:at] + rng.choice(_INSERTS) + text[at:]
+    if roll < 0.85:
+        return text[:at] + text[at + 1:]
+    return text[:at]
+
+
+def test_parse_outcomes_pinned():
+    """The tree or exact error of 3,000 seeded edits of generated and
+    chain programs stays the same."""
+    rng = random.Random("parse-edits")
+    h = hashlib.sha256()
+    for i in range(3_000):
+        if i % 3:
+            text = pretty(gen_program(GenConfig(seed=i, max_stmts=(12, 24)[i % 2])))
+        else:
+            text = _chain_text(rng.randint(1, 40))
+        for _ in range(rng.choice((1, 1, 2))):
+            text = _edit(text, rng)
+        try:
+            outcome = pretty(parse(text))
+        except ParseError as err:
+            outcome = str(err)
+        h.update(f"{outcome}\n".encode())
+    assert h.hexdigest() == EDIT_OUTCOMES_DIGEST
+
+
+def _guard_chain_seconds(n):
+    """Best of three parses of n statements, each with two parenthesized
+    guards that are first tried as comparison operands."""
+    src = "; ".join(["if (x < 1) and (y < 2) then { x := x + 1 } else { skip }"] * n)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        parse(src)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_parse_time_is_linear_with_backtracking():
+    # linear parsing takes ~4x as long for 4x the statements; locating
+    # each backtracked failure in the source would make it quadratic
+    assert _guard_chain_seconds(4_000) < 8 * _guard_chain_seconds(1_000)
 
 
 def test_empty_program_rejected():
