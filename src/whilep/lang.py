@@ -8,13 +8,18 @@ Comments run from // to end of line.
 
 Addresses exist only at runtime; the grammar has no address literals, so
 `addr(2,1,1)` in a source file is a syntax error.
+
+Whitespace is exactly space, tab, CR and LF. parse reports bad input as a
+ParseError whose str is `line:col: message` (the CLI prefixes the file
+name): line and column are 1-based, a tab counts as one column, and only
+LF ends a line.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import islice
 
 
 # --- abstract syntax ---
@@ -176,11 +181,6 @@ def seq_of(stmts: list[Stmt]) -> Stmt:
     return stmts[0] if len(stmts) == 1 else Seq(*stmts)
 
 
-def seq_items(s: Stmt) -> list[Stmt]:
-    """The top-level statements of s."""
-    return list(s.items) if isinstance(s, Seq) else [s]
-
-
 def walk(s: Stmt):
     """Every statement node of s in source preorder: a Seq before its
     items, an if before its then- and else-branch, a loop before its
@@ -209,27 +209,23 @@ def free_vars(e: AExp | BExp) -> frozenset[str]:
     return frozenset()
 
 
-def stmt_exprs(s: Stmt) -> list[AExp | BExp]:
-    """Every expression occurrence in s, guards included, in source order."""
-    out: list[AExp | BExp] = []
+def read_vars(s: Stmt) -> frozenset[str]:
+    """Variables whose value some expression of s, guards included, may
+    consult."""
+    exprs: list[AExp | BExp] = []
     for node in walk(s):
         if isinstance(node, Assign):
-            out.append(node.expr)
+            exprs.append(node.expr)
         elif isinstance(node, Cons):
-            out += node.args
+            exprs += node.args
         elif isinstance(node, (Lookup, Dispose)):
-            out.append(node.addr)
+            exprs.append(node.addr)
         elif isinstance(node, Mutate):
-            out += (node.target, node.value)
+            exprs += (node.target, node.value)
         elif isinstance(node, (If, While)):
-            out.append(node.cond)
-    return out
-
-
-def read_vars(s: Stmt) -> frozenset[str]:
-    """Variables whose value some expression of s may consult."""
+            exprs.append(node.cond)
     out: set[str] = set()
-    for e in stmt_exprs(s):
+    for e in exprs:
         out |= free_vars(e)
     return frozenset(out)
 
@@ -242,7 +238,7 @@ def stmt_vars(s: Stmt) -> frozenset[str]:
     return frozenset(out)
 
 
-# --- lexer ---
+# --- lexer: a token is its text ---
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
@@ -257,76 +253,51 @@ KEYWORDS = {
     "not", "and", "or", "true", "false", "nil",
 }
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>:=|<=|[;,()\[\]{}+\-*=<])
-    """,
-    re.VERBOSE,
-)
+_LEXEME = r"\d+|[A-Za-z_][A-Za-z0-9_]*|:=|<=|[;,()\[\]{}+\-*=<]"
+_LEXEME_RE = re.compile(_LEXEME)
+# Whitespace and comments match with group 1 empty; a character that
+# starts no lexeme matches alone, as a stray.
+_TOKEN_RE = re.compile(rf"[ \t\r\n]+|//[^\n]*|({_LEXEME}|.)")
 
 
-class Token(NamedTuple):
-    kind: str  # 'int', 'ident', keyword text, or operator text
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(src: str) -> list[Token]:
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        text = m.group(0)
-        kind = m.lastgroup
-        if kind == "int":
-            tokens.append(Token("int", text, line, col))
-        elif kind == "ident":
-            tokens.append(Token(text if text in KEYWORDS else "ident", text, line, col))
-        elif kind == "op":
-            tokens.append(Token(text, text, line, col))
-        # whitespace and comments update position only
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+def _is_ident(text: str) -> bool:
+    return text.isidentifier() and text not in KEYWORDS
 
 
 # --- parser (recursive descent with backtracking for '(' in guards) ---
 
+class _Failure(Exception):
+    """A syntax error at a token index; parse() locates it in the source."""
+
+    def __init__(self, at: int, message: str):
+        self.at = at
+        self.message = message
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens  # the last is "", the end of input
         self.pos = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            got = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {kind!r}, found {got!r}", tok.line, tok.col)
-        return self.next()
+    def fail(self, expected: str):
+        found = self.tokens[self.pos] or "end of input"
+        raise _Failure(self.pos, f"expected {expected}, found {found!r}")
 
-    def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+    def expect(self, text: str) -> None:
+        if self.tokens[self.pos] != text:
+            self.fail(repr(text))
+        self.pos += 1
+
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos] == text
 
     # statements
 
@@ -345,16 +316,16 @@ class _Parser:
 
     def simple_stmt(self) -> Stmt:
         tok = self.peek()
-        if tok.kind == "skip":
+        if tok == "skip":
             self.next()
             return Skip()
-        if tok.kind == "dispose":
+        if tok == "dispose":
             self.next()
             self.expect("(")
             e = self.aexp()
             self.expect(")")
             return Dispose(e)
-        if tok.kind == "if":
+        if tok == "if":
             self.next()
             cond = self.bexp()
             self.expect("then")
@@ -362,19 +333,19 @@ class _Parser:
             self.expect("else")
             else_body = self.braced()
             return If(cond, then_body, else_body)
-        if tok.kind == "while":
+        if tok == "while":
             self.next()
             cond = self.bexp()
             self.expect("do")
             return While(cond, self.braced())
-        if tok.kind == "[":
+        if tok == "[":
             self.next()
             target = self.aexp()
             self.expect("]")
             self.expect(":=")
             return Mutate(target, self.aexp())
-        if tok.kind == "ident":
-            name = self.next().text
+        if _is_ident(tok):
+            self.next()
             self.expect(":=")
             if self.at("cons"):
                 self.next()
@@ -384,22 +355,21 @@ class _Parser:
                     self.next()
                     args.append(self.aexp())
                 self.expect(")")
-                return Cons(name, tuple(args))
+                return Cons(tok, tuple(args))
             if self.at("["):
                 self.next()
                 e = self.aexp()
                 self.expect("]")
-                return Lookup(name, e)
-            return Assign(name, self.aexp())
-        got = tok.text if tok.kind != "eof" else "end of input"
-        raise ParseError(f"expected a statement, found {got!r}", tok.line, tok.col)
+                return Lookup(tok, e)
+            return Assign(tok, self.aexp())
+        self.fail("a statement")
 
     # arithmetic expressions: * binds tighter than + and -, all left-associative
 
     def aexp(self) -> AExp:
         e = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+        while self.peek() in ("+", "-"):
+            op = self.next()
             e = BinOp(op, e, self.term())
         return e
 
@@ -411,29 +381,21 @@ class _Parser:
         return e
 
     def factor(self) -> AExp:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            return IntLit(int(tok.text))
-        if tok.kind == "-":  # signed integer literal only
-            nxt = self.tokens[self.pos + 1]
-            if nxt.kind == "int":
-                self.next()
-                self.next()
-                return IntLit(-int(nxt.text))
-        if tok.kind == "nil":
-            self.next()
+        tok = self.next()  # put back below if it starts no expression
+        if tok.isdecimal():
+            return IntLit(int(tok))
+        if tok == "-" and self.peek().isdecimal():  # signed integer literal only
+            return IntLit(-int(self.next()))
+        if tok == "nil":
             return Nil()
-        if tok.kind == "ident":
-            self.next()
-            return Var(tok.text)
-        if tok.kind == "(":
-            self.next()
+        if _is_ident(tok):
+            return Var(tok)
+        if tok == "(":
             e = self.aexp()
             self.expect(")")
             return e
-        got = tok.text if tok.kind != "eof" else "end of input"
-        raise ParseError(f"expected an expression, found {got!r}", tok.line, tok.col)
+        self.pos -= 1
+        self.fail("an expression")
 
     # guards: not binds tighter than and, and tighter than or
 
@@ -459,19 +421,19 @@ class _Parser:
 
     def batom(self) -> BExp:
         tok = self.peek()
-        if tok.kind == "true":
+        if tok == "true":
             self.next()
             return BoolLit(True)
-        if tok.kind == "false":
+        if tok == "false":
             self.next()
             return BoolLit(False)
-        if tok.kind == "(":
+        if tok == "(":
             # '(' may open a parenthesized guard or a comparison operand;
             # try the comparison first and backtrack if no operator follows.
             saved = self.pos
             try:
                 return self.cmp()
-            except ParseError:
+            except _Failure:
                 self.pos = saved
             self.next()
             e = self.bexp()
@@ -481,22 +443,37 @@ class _Parser:
 
     def cmp(self) -> BExp:
         lhs = self.aexp()
-        tok = self.peek()
-        if tok.kind not in ("=", "<", "<="):
-            got = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected '=', '<' or '<=', found {got!r}", tok.line, tok.col)
+        op = self.peek()
+        if op not in ("=", "<", "<="):
+            self.fail("'=', '<' or '<='")
         self.next()
-        return Cmp(tok.kind, lhs, self.aexp())
+        return Cmp(op, lhs, self.aexp())
 
 
 def parse(src: str) -> Stmt:
-    """Parse a program, raising ParseError with line/column on bad input."""
-    parser = _Parser(_tokenize(src))
-    s = parser.stmt()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-    return s
+    """Parse a program, raising ParseError with line/column on bad input.
+
+    The whole source is lexed first, so a stray character is reported
+    before any syntax error."""
+    tokens = list(filter(None, _TOKEN_RE.findall(src)))
+    try:
+        stray = [tok for tok in set(tokens) if not _LEXEME_RE.fullmatch(tok)]
+        if stray:
+            at = min(map(tokens.index, stray))
+            raise _Failure(at, f"unexpected character {tokens[at]!r}")
+        tokens.append("")
+        parser = _Parser(tokens)
+        s = parser.stmt()
+        if parser.peek():
+            raise _Failure(parser.pos, f"unexpected trailing input {parser.peek()!r}")
+        return s
+    except _Failure as failure:
+        # the offset of token failure.at, or the end of the source
+        starts = (m.start() for m in _TOKEN_RE.finditer(src) if m.lastindex)
+        offset = next(islice(starts, failure.at, None), len(src))
+        line = src.count("\n", 0, offset) + 1
+        col = offset - src.rfind("\n", 0, offset)
+        raise ParseError(failure.message, line, col) from None
 
 
 # --- printer; output is canonical and reparses to the same tree ---

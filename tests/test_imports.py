@@ -1,5 +1,5 @@
-"""Static check: no module of the package or its tests imports a name it
-never uses."""
+"""Static checks: no module of the package or its tests imports a name it
+never uses, and no module of the package imports another's private name."""
 
 import ast
 from pathlib import Path
@@ -47,20 +47,39 @@ def test_checker_finds_unused_imports():
         "Any (line 5)", "match (line 4)", "os (line 2)", "osp (line 3)"]
 
 
-def _unused_by_file(paths) -> dict:
-    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
-             for path in paths}
+def private_imports(source: str) -> list[str]:
+    """Names with a leading underscore that source imports from another
+    module, as 'name (line n)'."""
+    return sorted(f"{alias.name} (line {node.lineno})"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_checker_finds_private_imports():
+    source = ("from __future__ import annotations\n"
+              "from .lang import _Parser, parse\n"
+              "from .memory import _helper as helper, Address\n")
+    assert private_imports(source) == ["_Parser (line 2)", "_helper (line 3)"]
+
+
+def _by_file(check, paths) -> dict:
+    found = {path.name: check(path.read_text(encoding="utf-8")) for path in paths}
     return {name: names for name, names in found.items() if names}
+
+
+def test_package_imports_no_private_names():
+    assert _by_file(private_imports, sorted(PACKAGE.glob("*.py"))) == {}
 
 
 def test_package_has_no_unused_imports():
     """__init__.py is left out: its imports are the package's re-exports."""
-    assert _unused_by_file(path for path in sorted(PACKAGE.glob("*.py"))
-                           if path.name != "__init__.py") == {}
+    assert _by_file(unused_imports, (path for path in sorted(PACKAGE.glob("*.py"))
+                                     if path.name != "__init__.py")) == {}
 
 
 def test_tests_have_no_unused_imports():
-    assert _unused_by_file(sorted(TESTS.glob("*.py"))) == {}
+    assert _by_file(unused_imports, sorted(TESTS.glob("*.py"))) == {}
 
 
 def test_every_export_resolves():
