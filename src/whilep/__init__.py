@@ -17,8 +17,8 @@ from .interp import (
     eval_aexp, eval_bexp, execute, zero_state,
 )
 from .pointsto import (
-    AddrSet, AnnStmt, ExactInt, PointsTo, WidenConfig, abs_eval, annotate,
-    bottom, cap_address, join, leq, models, transfer,
+    AnnStmt, PointsTo, WidenConfig, abs_eval, annotate, bottom, cap_address,
+    join, leq, models, transfer,
 )
 from .liveness import (
     Derivation, Judgment, LiveType, leaf_live_pre, live_annotate, models_live,
@@ -42,8 +42,8 @@ __all__ = [
     "value_lt",
     "DEFAULT_FUEL", "Aborted", "EvalError", "ExecOutcome", "Final",
     "OutOfFuel", "eval_aexp", "eval_bexp", "execute", "zero_state",
-    "AddrSet", "AnnStmt", "ExactInt", "PointsTo", "WidenConfig", "abs_eval",
-    "annotate", "bottom", "cap_address", "join", "leq", "models", "transfer",
+    "AnnStmt", "PointsTo", "WidenConfig", "abs_eval", "annotate", "bottom",
+    "cap_address", "join", "leq", "models", "transfer",
     "Derivation", "Judgment", "LiveType", "leaf_live_pre", "live_annotate",
     "models_live", "similar_states",
     "OptResult", "optimize", "strip_dead_cons",

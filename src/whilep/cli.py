@@ -122,7 +122,7 @@ def _load_program(path: str):
         return None
 
 
-_INIT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(-?\d+)$")
+_INIT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(-?[0-9]+)$")
 
 
 def _cmd_run(args) -> int:

@@ -253,7 +253,7 @@ KEYWORDS = {
     "not", "and", "or", "true", "false", "nil",
 }
 
-_LEXEME = r"\d+|[A-Za-z_][A-Za-z0-9_]*|:=|<=|[;,()\[\]{}+\-*=<]"
+_LEXEME = r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|:=|<=|[;,()\[\]{}+\-*=<]"
 _LEXEME_RE = re.compile(_LEXEME)
 # Whitespace and comments match with group 1 empty; a character that
 # starts no lexeme matches alone, as a stray.

@@ -171,7 +171,7 @@ def format_value(v: Value) -> str:
     return repr(v) if isinstance(v, Address) else str(v)
 
 
-_ADDR_RE = re.compile(r"addr\((\d+),(\d+),(\d+)\)\Z")
+_ADDR_RE = re.compile(r"addr\(([0-9]+),([0-9]+),([0-9]+)\)\Z")
 
 
 def parse_addr(text: str) -> Address | None:

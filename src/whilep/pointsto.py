@@ -8,6 +8,13 @@ it is folded onto the cap instance, which from then on stands for every
 concrete instance at or above it (a summary). Strong updates are only
 allowed through a singleton target below the cap.
 
+abs_eval gives an expression's abstract value as a plain int when it is
+that exact integer and as a frozenset of addresses otherwise. transfer
+is the step of one leaf statement: it computes the images of the keys
+the leaf may change (its variable, a cons's block cells, a heap write's
+targets) and nothing else; every other key keeps its image. annotate
+applies it at every leaf.
+
 No type holds an address above the cap. bottom, join and every transfer
 preserve that: the cons transfer writes only the capped cells that
 cons_block returns, so no pass folds a whole type afterwards. A type
@@ -92,21 +99,8 @@ def cap_address(a: Address, cap: int) -> Address:
 
 # --- abstract expression evaluation ---
 
-@dataclass(frozen=True)
-class ExactInt:
-    value: int
-
-
-@dataclass(frozen=True)
-class AddrSet:
-    addrs: frozenset
-
-
-AbsValue = ExactInt | AddrSet
-
-
-def addr_part(v: AbsValue) -> frozenset:
-    return v.addrs if isinstance(v, AddrSet) else EMPTY
+def addr_part(v: int | frozenset) -> frozenset:
+    return EMPTY if isinstance(v, int) else v
 
 
 def _shifts(addrs: frozenset, k: int) -> frozenset:
@@ -127,41 +121,39 @@ def _variants(addrs: frozenset) -> frozenset:
     return frozenset(out)
 
 
-def abs_eval(e: AExp, p: PointsTo) -> AbsValue:
-    """Abstract value of e: an exact integer or a set of possible addresses.
+def abs_eval(e: AExp, p: PointsTo) -> int | frozenset:
+    """Abstract value of e: an int when e is that exact integer, otherwise
+    the frozenset of addresses it may be.
 
-    An AddrSet V promises only that an address result lies in V; the
+    A set V promises only that an address result lies in V; the
     concrete value may always be some integer or nil instead.
     """
     if isinstance(e, IntLit):
-        return ExactInt(e.value)
+        return e.value
     if isinstance(e, Nil):
-        return AddrSet(EMPTY)
+        return EMPTY
     if isinstance(e, Var):
-        return AddrSet(p.image(e.name))
+        return p.image(e.name)
     if isinstance(e, BinOp):
         v1 = abs_eval(e.lhs, p)
         v2 = abs_eval(e.rhs, p)
-        if isinstance(v1, ExactInt) and isinstance(v2, ExactInt):
+        if isinstance(v1, int) and isinstance(v2, int):
             if e.op == "+":
-                return ExactInt(v1.value + v2.value)
+                return v1 + v2
             if e.op == "-":
-                return ExactInt(v1.value - v2.value)
-            return ExactInt(v1.value * v2.value)
+                return v1 - v2
+            return v1 * v2
         if e.op == "*":
-            return AddrSet(EMPTY)  # multiplication never yields an address
-        if isinstance(v2, ExactInt):  # addrs (+|-) known offset
-            k = v2.value if e.op == "+" else -v2.value
-            return AddrSet(_shifts(v1.addrs, k))
-        if isinstance(v1, ExactInt):  # known int + addrs; int - addrs is undefined
-            if e.op == "+":
-                return AddrSet(_shifts(v2.addrs, v1.value))
-            return AddrSet(EMPTY)
+            return EMPTY  # multiplication never yields an address
+        if isinstance(v2, int):  # addrs (+|-) known offset
+            return _shifts(v1, v2 if e.op == "+" else -v2)
+        if isinstance(v1, int):  # known int + addrs; int - addrs is undefined
+            return _shifts(v2, v1) if e.op == "+" else EMPTY
         # both sides may be addresses or unknown integers: any in-block
         # shift of the left side, plus of the right side under +
         if e.op == "+":
-            return AddrSet(_variants(v1.addrs) | _variants(v2.addrs))
-        return AddrSet(_variants(v1.addrs))
+            return _variants(v1) | _variants(v2)
+        return _variants(v1)
     raise TypeError(f"not an arithmetic expression: {e!r}")
 
 
@@ -202,47 +194,34 @@ def _block_cells(length: int, v: int, cap: int) -> frozenset:
         for j in range(1, length + 1))
 
 
-def _transfer_leaf(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
+def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
+    """Exit type of leaf s from entry type p: each branch computes the
+    images of the keys s writes, and every other key keeps its image."""
     if isinstance(s, (Skip, Dispose)):
-        return p
-    if isinstance(s, Assign):
-        env = dict(p.env)
-        env[s.var] = addr_part(abs_eval(s.expr, p))
-        return PointsTo(env)
-    if isinstance(s, Cons):
-        n = len(s.args)
+        delta = {}
+    elif isinstance(s, Assign):
+        delta = {s.var: addr_part(abs_eval(s.expr, p))}
+    elif isinstance(s, Cons):
         images = [addr_part(abs_eval(a, p)) for a in s.args]
-        _, cells = cons_block(p, n, cfg.instance_cap)
-        env = dict(p.env)
-        env[s.var] = frozenset(a for a in cells if a.index == 1)
-        for a in cells:
-            env[a] = env.get(a, EMPTY) | images[a.index - 1]
-        return PointsTo(env)
-    if isinstance(s, Lookup):
+        _, cells = cons_block(p, len(s.args), cfg.instance_cap)
+        delta = {s.var: frozenset(a for a in cells if a.index == 1)}
+        delta.update((a, p.image(a) | images[a.index - 1]) for a in cells)
+    elif isinstance(s, Lookup):
         targets = addr_part(abs_eval(s.addr, p))
-        image: frozenset = EMPTY
-        for a in targets:
-            image |= p.image(a)
-        env = dict(p.env)
-        env[s.var] = image
-        return PointsTo(env)
-    if isinstance(s, Mutate):
+        delta = {s.var: EMPTY.union(*map(p.image, targets))}
+    elif isinstance(s, Mutate):
         targets = addr_part(abs_eval(s.target, p))
-        if not targets:
-            return p
         stored = addr_part(abs_eval(s.value, p))
-        env = dict(p.env)
         only = next(iter(targets)) if len(targets) == 1 else None
         if only is not None and only.instance < cfg.instance_cap:
-            env[only] = stored  # strong update: unique, non-summary target
+            delta = {only: stored}  # strong update: unique, non-summary target
+        elif cfg.break_weak_update:  # sabotage: drop the old images
+            delta = dict.fromkeys(targets, stored)
         else:
-            for a in targets:
-                if cfg.break_weak_update:
-                    env[a] = stored
-                else:
-                    env[a] = env.get(a, EMPTY) | stored
-        return PointsTo(env)
-    raise TypeError(f"not a leaf statement: {s!r}")
+            delta = {a: p.image(a) | stored for a in targets}
+    else:
+        raise TypeError(f"not a leaf statement: {s!r}")
+    return PointsTo({**p.env, **delta}) if delta else p
 
 
 _MAX_ITER = 10_000
@@ -280,13 +259,7 @@ def annotate(s: Stmt, p: PointsTo, cfg: WidenConfig,
                 return AnnStmt(s, p, grown, (body,))
             inv = grown
         raise RuntimeError("loop analysis failed to stabilize")
-    post = _transfer_leaf(s, p, cfg)
-    return AnnStmt(s, p, post)
-
-
-def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
-    """Exit type of s from entry type p."""
-    return annotate(s, p, cfg).post
+    return AnnStmt(s, p, transfer(s, p, cfg))
 
 
 def models(st: ProgState, p: PointsTo, cfg: WidenConfig) -> bool:

@@ -252,6 +252,10 @@ def test_deserialize_rejects_bad_documents():
     reject(dict(lookup, exit_live=["ghost", "z"]), "root.exit_live")
     reject(dict(lookup, exit_live=["z", "addr(7,1,1)"]), "root.exit_live")
     reject(dict(lookup, entry=dict(lookup["entry"], ghost=[])), "root.entry")
+    # addresses are written with ASCII digits only
+    arabic = "addr(\u0662,1,1)"
+    reject(dict(lookup, entry=dict(lookup["entry"], **{arabic: []})), "root.entry")
+    reject(dict(lookup, entry=dict(lookup["entry"], y=[arabic])), "root.entry")
     head = good["loops"][0]["live"]
     reject(loop(live=head + ["ghost"]), "root.loops[0].live")
     reject(loop(live=head + ["addr(7,1,1)"]), "root.loops[0].live")

@@ -47,6 +47,8 @@ def test_run_init(prog, capsys):
     assert "unknown variable: w" in capsys.readouterr().err
     assert main(["run", path, "--init", "x=one"]) == 3
     assert "bad --init binding" in capsys.readouterr().err
+    assert main(["run", path, "--init", "x=\u0663"]) == 3  # only ASCII digits
+    assert "bad --init binding" in capsys.readouterr().err
 
 
 def test_parse_error_reports_position(prog, capsys):

@@ -1,5 +1,6 @@
 """Static checks: no module of the package or its tests imports a name it
-never uses, and no module of the package imports another's private name."""
+never uses, no module of the package imports another's private name, and
+no string of the package holds the Unicode digit class \\d."""
 
 import ast
 from pathlib import Path
@@ -63,6 +64,25 @@ def test_checker_finds_private_imports():
     assert private_imports(source) == ["_Parser (line 2)", "_helper (line 3)"]
 
 
+def digit_classes(source: str) -> list[str]:
+    """String constants in source that hold the regex class \\d, which
+    matches every Unicode decimal digit, as 'text (line n)'."""
+    return sorted(f"{node.value} (line {node.lineno})"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "\\d" in node.value)
+
+
+def test_checker_finds_digit_classes():
+    source = ("import re\n"
+              "A = re.compile(r'x(\\d+)')\n"
+              "B = '-?\\\\d'\n"
+              "C = r'[0-9]+|\\w'\n"
+              "D = rf'({A}|\\d)'\n")
+    assert digit_classes(source) == [
+        "-?\\d (line 3)", "x(\\d+) (line 2)", "|\\d) (line 5)"]
+
+
 def _by_file(check, paths) -> dict:
     found = {path.name: check(path.read_text(encoding="utf-8")) for path in paths}
     return {name: names for name, names in found.items() if names}
@@ -76,6 +96,12 @@ def test_package_has_no_unused_imports():
     """__init__.py is left out: its imports are the package's re-exports."""
     assert _by_file(unused_imports, (path for path in sorted(PACKAGE.glob("*.py"))
                                      if path.name != "__init__.py")) == {}
+
+
+def test_package_reads_only_ascii_digits():
+    """Every regex of the package reads program, certificate or command
+    line text, where a digit is 0-9."""
+    assert _by_file(digit_classes, sorted(PACKAGE.glob("*.py"))) == {}
 
 
 def test_tests_have_no_unused_imports():

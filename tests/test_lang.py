@@ -137,6 +137,13 @@ def test_no_address_literals():
         parse("x := addr(1, 1, 1)")
 
 
+def test_integer_literals_are_ascii_digits():
+    """Other Unicode decimal digits are stray characters, not literals."""
+    with pytest.raises(ParseError) as err:
+        parse("x := \u0663\u0664 + 1")  # Arabic-Indic 3 and 4
+    assert str(err.value) == "1:6: unexpected character '\u0663'"
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse("skip skip")

@@ -53,6 +53,7 @@ def test_address_repr_and_parse():
     assert parse_addr("addr(2,5,9)") is None  # index out of the block
     assert parse_addr("x") is None
     assert parse_addr("addr(2,5)") is None
+    assert parse_addr("addr(\u0662,1,1)") is None  # only ASCII digits
 
 
 def test_nil_is_a_distinct_value():

@@ -4,16 +4,19 @@ import itertools
 import random
 from dataclasses import replace
 
+import pytest
+
 from whilep import GenConfig, gen_program
 from whilep.harness import _gen_state, _synthetic_ptype
 from whilep.interp import Final, execute
 from whilep.lang import (
-    BinOp, IntLit, Mutate, Var, While, parse, stmt_vars,
+    Assign, BinOp, Cons, If, IntLit, Lookup, Mutate, Seq, Var, While, parse,
+    stmt_vars,
 )
 from whilep.memory import Address, ProgState
 from whilep.pointsto import (
-    AddrSet, ExactInt, PointsTo, WidenConfig, abs_eval, addr_part, annotate,
-    bottom, cap_address, join, leq, models, transfer,
+    PointsTo, WidenConfig, abs_eval, addr_part, annotate, bottom, cap_address,
+    cons_block, join, leq, models, transfer,
 )
 
 CFG = WidenConfig()
@@ -80,34 +83,50 @@ def test_lattice_laws():
         assert leq(p, p)
 
 
+def exact(e, p):
+    """abs_eval's result on e, asserted to be a plain exact int."""
+    v = abs_eval(e, p)
+    assert type(v) is int, v
+    return v
+
+
 def test_abs_eval_examples():
-    assert abs_eval(IntLit(7), bottom({"x"})) == ExactInt(7)
+    assert exact(IntLit(7), bottom({"x"})) == 7
     p = pts({"x": [Address(3, 1, 1)]})
     assert abs_eval(BinOp("+", Var("x"), IntLit(1)), p) == \
-        AddrSet(frozenset({Address(3, 1, 2)}))
+        frozenset({Address(3, 1, 2)})
     q = pts({"x": [Address(3, 1, 1)], "y": [Address(2, 1, 1)]})
     got = abs_eval(BinOp("+", Var("x"), Var("y")), q)
-    assert got == AddrSet(frozenset({
+    assert got == frozenset({
         Address(3, 1, 1), Address(3, 1, 2), Address(3, 1, 3),
-        Address(2, 1, 1), Address(2, 1, 2)}))
+        Address(2, 1, 1), Address(2, 1, 2)})
 
 
 def test_abs_eval_arithmetic_closures():
-    assert abs_eval(BinOp("+", IntLit(2), IntLit(3)), pts({})) == ExactInt(5)
-    assert abs_eval(BinOp("*", IntLit(2), IntLit(3)), pts({})) == ExactInt(6)
+    assert exact(BinOp("+", IntLit(2), IntLit(3)), pts({})) == 5
+    assert exact(BinOp("*", IntLit(2), IntLit(3)), pts({})) == 6
+    assert exact(BinOp("-", IntLit(2), IntLit(3)), pts({})) == -1
     p = pts({"x": [Address(2, 1, 1)], "y": []})
     # multiplication can never produce an address
-    assert abs_eval(BinOp("*", Var("x"), Var("y")), p) == AddrSet(frozenset())
+    assert abs_eval(BinOp("*", Var("x"), Var("y")), p) == frozenset()
     # subtracting an unknown keeps only the left side's block variants
     assert abs_eval(BinOp("-", Var("x"), Var("y")), p) == \
-        AddrSet(frozenset({Address(2, 1, 1), Address(2, 1, 2)}))
+        frozenset({Address(2, 1, 1), Address(2, 1, 2)})
     # out-of-block shifts are dropped
-    assert abs_eval(BinOp("+", Var("x"), IntLit(5)), p) == AddrSet(frozenset())
+    assert abs_eval(BinOp("+", Var("x"), IntLit(5)), p) == frozenset()
+    assert addr_part(5) == frozenset()
 
 
 def test_transfer_skip_identity():
     p = pts({"x": [A111], A111: []})
     assert transfer(parse("skip"), p, CFG) == p
+
+
+def test_transfer_is_the_leaf_step_only():
+    for src in ("skip; skip", "if x < 1 then { skip } else { skip }",
+                "while x < 1 do { skip }"):
+        with pytest.raises(TypeError, match="not a leaf statement"):
+            transfer(parse(src), bottom({"x"}), CFG)
 
 
 def test_transfer_cons_from_bottom():
@@ -186,6 +205,46 @@ def test_annotate_never_exceeds_cap():
             variables = sorted(stmt_vars(prog))
             for entry in (bottom(variables), _synthetic_ptype(rng, variables, cap)):
                 assert _max_instance(annotate(prog, entry, cfg)) <= cap, (cap, seed)
+
+
+def _may_write(s, p, cap):
+    """The keys leaf s may change from entry type p."""
+    if isinstance(s, Cons):
+        return {s.var} | cons_block(p, len(s.args), cap)[1]
+    if isinstance(s, (Assign, Lookup)):
+        return {s.var}
+    if isinstance(s, Mutate):
+        return addr_part(abs_eval(s.target, p))
+    return set()
+
+
+def test_leaf_exit_changes_only_the_keys_the_leaf_writes():
+    """Frame property of the leaf step: a leaf's exit type keeps every key
+    of its entry type and differs from it only on the leaf's variable,
+    the cells cons_block returns for a cons and the targets of a heap
+    write."""
+    rng = random.Random(37)
+    changed_by_kind = {Assign: 0, Cons: 0, Lookup: 0, Mutate: 0}
+    for seed in range(600):
+        cap = 1 + seed % 3
+        cfg = WidenConfig(instance_cap=cap)
+        prog = gen_program(GenConfig(seed=seed, max_stmts=(12, 30)[seed // 3 % 2]))
+        variables = sorted(stmt_vars(prog))
+        for entry in (bottom(variables), _synthetic_ptype(rng, variables, cap)):
+            todo = [annotate(prog, entry, cfg)]
+            while todo:
+                node = todo.pop()
+                todo.extend(node.children)
+                if isinstance(node.stmt, (Seq, If, While)):
+                    continue
+                pre, post = node.pre.env, node.post.env
+                assert pre.keys() <= post.keys(), (seed, node.stmt)
+                changed = {k for k, image in post.items() if pre.get(k) != image}
+                assert changed <= _may_write(node.stmt, node.pre, cap), \
+                    (seed, node.stmt)
+                if changed:
+                    changed_by_kind[type(node.stmt)] += 1
+    assert min(changed_by_kind.values()) >= 100, changed_by_kind
 
 
 def test_annotate_determinism():
@@ -279,7 +338,7 @@ def test_loop_invariant_validity():
             if isinstance(node.stmt, While):
                 inv = node.post
                 assert leq(node.pre, inv)
-                assert leq(transfer(node.stmt.body, inv, CFG), inv)
+                assert leq(annotate(node.stmt.body, inv, CFG).post, inv)
                 checked += 1
             stack.extend(node.children)
     assert checked >= 30
