@@ -1,12 +1,13 @@
 """Big-step interpreter tests: evaluation, outcomes, fuel, and frames."""
 
+import hashlib
 import random
 import time
 from dataclasses import replace
 
 import pytest
 
-from whilep import GenConfig, gen_program
+from whilep import GenConfig, gen_program, gen_state
 from whilep.interp import (
     Aborted, EvalError, Final, OutOfFuel, eval_aexp, eval_bexp, execute,
     zero_state,
@@ -14,7 +15,8 @@ from whilep.interp import (
 from whilep.lang import (
     BinOp, BoolLit, Cmp, Cons, Dispose, IntLit, Nil, Var, parse, stmt_vars,
 )
-from whilep.memory import NIL, Address, ProgState
+from whilep.memory import NIL, Address, ProgState, format_value
+from whilep.pointsto import bottom
 
 
 def run(src, stack=None, fuel=10_000):
@@ -247,3 +249,30 @@ def test_zero_state():
     st = zero_state({"a", "b"})
     assert st.stack == {"a": 0, "b": 0}
     assert st.heap == {}
+
+
+def test_execute_outcomes_pinned():
+    """One digest over the outcome of 2,000 generated programs, each run
+    from its generated state at a small and a large fuel: the kind, and
+    for a final state the sorted, formatted stack and heap."""
+    digest = hashlib.sha256()
+    kinds = {40: {}, 1500: {}}
+    for seed in range(2000):
+        cfg = GenConfig(seed=seed)
+        prog = gen_program(cfg)
+        state = gen_state(cfg, bottom(sorted(stmt_vars(prog))))
+        for fuel, counts in kinds.items():
+            out = execute(prog, state, fuel)
+            kind = type(out).__name__
+            counts[kind] = counts.get(kind, 0) + 1
+            digest.update(f"{seed} {fuel} {kind}\n".encode())
+            if isinstance(out, Final):
+                stack = sorted(f"{x}={format_value(v)}"
+                               for x, v in out.state.stack.items())
+                heap = sorted(f"{format_value(a)}={format_value(v)}"
+                              for a, v in out.state.heap.items())
+                digest.update(f"{stack} {heap}\n".encode())
+    assert kinds == {40: {"Final": 775, "Aborted": 1198, "OutOfFuel": 27},
+                     1500: {"Final": 783, "Aborted": 1199, "OutOfFuel": 18}}
+    assert digest.hexdigest() == \
+        "9a793c484f286e76178dde369ef27c1aef2b0d43a9f09c9518c69e605cb10187"
