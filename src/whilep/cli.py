@@ -31,11 +31,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
+def _integer(text: str) -> int:
+    """An ASCII decimal integer, optionally negative; int() alone would
+    also take other scripts' digits, underscores and blanks."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _positive(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1: {text}")
     return value
@@ -96,7 +101,7 @@ def _build_parser() -> _Parser:
     p_test = sub.add_parser("test-soundness", parents=[widen],
                             help="run differential suites")
     p_test.add_argument("--trials", type=_positive, default=1000)
-    p_test.add_argument("--seed", type=int, default=0)
+    p_test.add_argument("--seed", type=_integer, default=0)
     p_test.add_argument("--fuel", type=_positive, default=SUITE_FUEL)
     p_test.add_argument("--checks", default=",".join(ALL_CHECKS),
                         help=f"comma-separated subset of {','.join(ALL_CHECKS)}")

@@ -3,6 +3,12 @@
 An address addr(n, u, i) names cell i of the u-th allocated block of
 length n; indices run from 1 to n. Blocks are never merged, so a block
 is identified by (length, instance) and a cell by the full triple.
+
+An Address is a tuple (length, instance, index) checked when it is made,
+so hashing, equality and order are the tuple's, done in C, and order is
+the triple order. An Address therefore equals the plain triple. No value
+of the language and no key of a type is a tuple, so no state, type or
+certificate can tell.
 """
 
 from __future__ import annotations
@@ -10,26 +16,32 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Union
 
 
-@dataclass(frozen=True, order=True)
-class Address:
-    length: int
-    instance: int
-    index: int
+class Address(tuple):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError(f"block length must be >= 1, got {self.length}")
-        if self.instance < 1:
-            raise ValueError(f"instance must be >= 1, got {self.instance}")
-        if not 1 <= self.index <= self.length:
-            raise ValueError(
-                f"index must be in 1..{self.length}, got {self.index}")
+    def __new__(cls, length: int, instance: int, index: int):
+        if length < 1:
+            raise ValueError(f"block length must be >= 1, got {length}")
+        if instance < 1:
+            raise ValueError(f"instance must be >= 1, got {instance}")
+        if not 1 <= index <= length:
+            raise ValueError(f"index must be in 1..{length}, got {index}")
+        return tuple.__new__(cls, (length, instance, index))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__ with these arguments
+        return tuple(self)
+
+    length = property(itemgetter(0))
+    instance = property(itemgetter(1))
+    index = property(itemgetter(2))
 
     def __repr__(self):
-        return f"addr({self.length},{self.instance},{self.index})"
+        return f"addr({self[0]},{self[1]},{self[2]})"
 
 
 class NilValue:
@@ -98,7 +110,7 @@ class Blocks:
         cells = self._cells
         if cells is None:
             return
-        block = (a.length, a.instance)
+        block = a[:2]  # (length, instance)
         left = cells[block] - 1
         if left:
             cells[block] = left
@@ -121,7 +133,7 @@ def fresh_instance(blocks: Blocks, length: int) -> int:
         # most runs start from
         cells = blocks._cells = {}
         for a in blocks.heap:
-            block = (a.length, a.instance)
+            block = a[:2]
             cells[block] = cells.get(block, 0) + 1
     freed = blocks._freed.get(length)
     if freed:
@@ -137,9 +149,10 @@ def fresh_instance(blocks: Blocks, length: int) -> int:
 
 def addr_shift(a: Address, k: int) -> Address | None:
     """Move k cells within a's block; None when the result leaves 1..length."""
-    i = a.index + k
-    if 1 <= i <= a.length:
-        return Address(a.length, a.instance, i)
+    n, u, i = a
+    i += k
+    if 1 <= i <= n:
+        return Address(n, u, i)
     return None
 
 
@@ -158,11 +171,7 @@ def value_lt(v1: Value, v2: Value) -> bool:
     r1, r2 = _rank(v1), _rank(v2)
     if r1 != r2:
         return r1 < r2
-    if r1 == 0:
-        return v1 < v2
-    if r1 == 1:
-        return False
-    return (v1.length, v1.instance, v1.index) < (v2.length, v2.instance, v2.index)
+    return r1 != 1 and v1 < v2
 
 
 def format_value(v: Value) -> str:

@@ -240,6 +240,25 @@ def test_usage_errors_exit_3(capsys):
     capsys.readouterr()
 
 
+def test_integer_options_read_ascii_digits_only(prog, capsys):
+    path = prog("x := 1; while x < 100 do { x := x + 1 }")
+    for bad in ("\u0665\u0660", "1_000", " 7 ", "7 ", "+7", "\uff15"):
+        assert main(["run", path, "--fuel", bad]) == 3, bad
+        assert "not an integer" in capsys.readouterr().err
+        assert main(["analyze", "pts", path, "--widen", bad]) == 3, bad
+        assert main(["test-soundness", "--trials", bad]) == 3, bad
+        assert main(["test-soundness", "--seed", bad]) == 3, bad
+        assert main(["test-soundness", "--seed", "-" + bad]) == 3, bad
+        capsys.readouterr()
+    assert main(["run", path, "--fuel", "50"]) == 1
+    assert "out of fuel" in capsys.readouterr().out
+    assert main(["run", path, "--fuel", "500"]) == 0
+    assert "x = 100" in capsys.readouterr().out
+    assert main(["test-soundness", "--trials", "3", "--seed", "-2",
+                 "--checks", "t1"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 3
+
+
 def test_soundness_command(capsys):
     assert main(["test-soundness", "--trials", "40", "--seed", "7",
                  "--checks", "t1,lemma1"]) == 0

@@ -13,7 +13,8 @@ from whilep.interp import (
     zero_state,
 )
 from whilep.lang import (
-    BinOp, BoolLit, Cmp, Cons, Dispose, IntLit, Nil, Var, parse, stmt_vars,
+    Assign, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit, Nil, Not, Seq, Skip,
+    Var, parse, stmt_vars,
 )
 from whilep.memory import NIL, Address, ProgState, format_value
 from whilep.pointsto import bottom
@@ -63,6 +64,22 @@ def test_eval_bexp():
                      {"x": NIL, "y": Address(2, 1, 1)}) is True
     assert eval_bexp(Cmp("<=", Var("x"), Var("x")), {"x": 3}) is True
     assert eval_bexp(Cmp("<", Var("x"), IntLit(5)), {"x": 9}) is False
+
+
+def test_unknown_node_raises_only_when_reached():
+    """A node outside the language is a TypeError when it runs, and
+    nothing before that."""
+    stray = object()
+    prog = Seq(Assign("x", IntLit(1)), If(Cmp("=", Var("x"), IntLit(2)), stray, Skip()))
+    assert execute(prog, ProgState({"x": 0}, {})) == Final(ProgState({"x": 1}, {}))
+    prog = Seq(Assign("x", IntLit(2)), If(Cmp("=", Var("x"), IntLit(2)), stray, Skip()))
+    with pytest.raises(TypeError, match="not a statement"):
+        execute(prog, ProgState({"x": 0}, {}))
+    with pytest.raises(TypeError, match="not an arithmetic expression"):
+        eval_aexp(BinOp("+", IntLit(1), stray), {})
+    with pytest.raises(TypeError, match="not a guard"):
+        eval_bexp(Not(stray), {})
+    assert execute(Seq(Skip(), Dispose(stray)), ProgState({}, {}), 0) == OutOfFuel()
 
 
 def test_execute_skip():

@@ -1,5 +1,8 @@
 """Address model, value order, state container and allocation index tests."""
 
+import copy
+import itertools
+import pickle
 import random
 import time
 from dataclasses import replace
@@ -41,9 +44,38 @@ def alloc(blocks, length):
 def test_address_validation():
     Address(1, 1, 1)
     Address(3, 7, 2)
-    for bad in [(0, 1, 1), (2, 0, 1), (2, 1, 0), (2, 1, 3)]:
-        with pytest.raises(ValueError):
+    cases = [((0, 1, 1), "block length must be >= 1, got 0"),
+             ((2, 0, 1), "instance must be >= 1, got 0"),
+             ((2, 1, 0), "index must be in 1..2, got 0"),
+             ((2, 1, 3), "index must be in 1..2, got 3")]
+    for bad, message in cases:
+        with pytest.raises(ValueError) as err:
             Address(*bad)
+        assert str(err.value) == message
+
+
+def test_address_copy_and_pickle_keep_the_type():
+    a = Address(3, 7, 2)
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a)),
+              copy.deepcopy({a: a})[a]):
+        assert b == a and type(b) is Address
+        assert (b.length, b.instance, b.index) == (3, 7, 2)
+        assert repr(b) == "addr(3,7,2)"
+
+
+def test_address_order_and_hash_follow_the_triple():
+    triples = [(n, u, i) for n in (1, 2, 3) for u in (1, 2, 10)
+               for i in range(1, n + 1)]
+    random.Random(15).shuffle(triples)
+    addrs = [Address(*t) for t in triples]
+    assert [(a.length, a.instance, a.index) for a in sorted(addrs)] == sorted(triples)
+    for a, b in itertools.product(addrs, repeat=2):
+        assert (a < b) == ((a.length, a.instance, a.index) < (b.length, b.instance, b.index))
+        assert value_lt(a, b) == (a < b)
+    for t in triples:
+        assert hash(Address(*t)) == hash(Address(*t))
+        assert Address(*t) == Address(*t)
+    assert len(set(addrs) | {Address(*t) for t in triples}) == len(triples)
 
 
 def test_address_repr_and_parse():
