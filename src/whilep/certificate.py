@@ -21,7 +21,10 @@ fact once, as one JSON object:
              and the loop-head live set
   residual   the canonical residual text
 
-deserialize() rejects, in the entry type, the exit live set and the
+deserialize() rejects a document that repeats an object key, which
+JSON would resolve by keeping the last value; together with addresses
+read only in their repr spelling, every fact has exactly one key. It
+rejects, in the entry type, the exit live set and the
 loop annotations, a variable the program does not mention, an address
 whose block length no cons of the program allocates and an address
 whose instance is above the instance cap. It reruns
@@ -218,18 +221,21 @@ def _in_scope(keys, path: str, scope: tuple) -> None:
     cells of a block, so a length read from the document would bound
     their work, and they keep no type above the cap, so they never fold
     one. The least offending key is named, so the message does not
-    depend on set order."""
+    depend on set order; keys are sorted only once one offends."""
     variables, lengths, cap = scope
-    for k in sorted(keys, key=key_sort_key):
-        if isinstance(k, Address):
-            if k.length not in lengths:
-                raise FormatError(path, f"{k!r}: no cons of the program "
-                                        f"allocates blocks of length {k.length}")
-            if k.instance > cap:
-                raise FormatError(path, f"{k!r}: instance {k.instance} is "
-                                        f"above the instance cap {cap}")
-        elif k not in variables:
-            raise FormatError(path, f"{k}: the program mentions no such variable")
+    bad = [k for k in keys
+           if (k.length not in lengths or k.instance > cap
+               if isinstance(k, Address) else k not in variables)]
+    if not bad:
+        return
+    k = min(bad, key=key_sort_key)
+    if not isinstance(k, Address):
+        raise FormatError(path, f"{k}: the program mentions no such variable")
+    if k.length not in lengths:
+        raise FormatError(path, f"{k!r}: no cons of the program "
+                                f"allocates blocks of length {k.length}")
+    raise FormatError(path, f"{k!r}: instance {k.instance} is "
+                            f"above the instance cap {cap}")
 
 
 def _loop_types(d: Derivation) -> list:
@@ -293,6 +299,19 @@ def _loop_from_doc(doc, path: str, scope: tuple) -> LiveType:
                     _live_from_doc(doc["live"], f"{path}.live", scope))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of pairs; FormatError if a key repeats, since JSON
+    would keep only its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError("root", f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def deserialize(text: str, cfg: WidenConfig = WidenConfig()) -> Derivation:
     """Rebuild the derivation a certificate document describes.
 
@@ -303,7 +322,7 @@ def deserialize(text: str, cfg: WidenConfig = WidenConfig()) -> Derivation:
     rebuilt derivation still has to pass check().
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise FormatError("root", f"not valid JSON: {err}") from None
     if not isinstance(doc, dict):

@@ -13,6 +13,10 @@ Whitespace is exactly space, tab, CR and LF. parse reports bad input as a
 ParseError whose str is `line:col: message` (the CLI prefixes the file
 name): line and column are 1-based, a tab counts as one column, and only
 LF ends a line.
+
+Trees are immutable, so one parse shares a single IntLit, Nil or Var
+node among all occurrences of the same token text. Sharing holds within
+one parse call only: two calls never return a common node.
 """
 
 from __future__ import annotations
@@ -260,6 +264,9 @@ _LEXEME_RE = re.compile(_LEXEME)
 _TOKEN_RE = re.compile(rf"[ \t\r\n]+|//[^\n]*|({_LEXEME}|.)")
 
 
+_STMT_KEYWORDS = frozenset({"skip", "dispose", "if", "while"})
+
+
 def _is_ident(text: str) -> bool:
     return text.isidentifier() and text not in KEYWORDS
 
@@ -278,6 +285,9 @@ class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens  # the last is "", the end of input
         self.pos = 0
+        # token text -> its IntLit, Nil or Var node, shared by every
+        # occurrence in this parse; "-7" keys the signed literal
+        self.atoms: dict[str, AExp] = {}
 
     def peek(self) -> str:
         return self.tokens[self.pos]
@@ -299,12 +309,13 @@ class _Parser:
     def at(self, text: str) -> bool:
         return self.tokens[self.pos] == text
 
-    # statements
+    # statements; the hot productions index self.tokens directly
 
     def stmt(self) -> Stmt:
+        tokens = self.tokens
         items = [self.simple_stmt()]
-        while self.at(";"):
-            self.next()
+        while tokens[self.pos] == ";":
+            self.pos += 1
             items.append(self.simple_stmt())
         return seq_of(items)
 
@@ -315,87 +326,102 @@ class _Parser:
         return body
 
     def simple_stmt(self) -> Stmt:
-        tok = self.peek()
-        if tok == "skip":
-            self.next()
-            return Skip()
-        if tok == "dispose":
-            self.next()
-            self.expect("(")
-            e = self.aexp()
-            self.expect(")")
-            return Dispose(e)
-        if tok == "if":
-            self.next()
-            cond = self.bexp()
-            self.expect("then")
-            then_body = self.braced()
-            self.expect("else")
-            else_body = self.braced()
-            return If(cond, then_body, else_body)
-        if tok == "while":
-            self.next()
-            cond = self.bexp()
-            self.expect("do")
-            return While(cond, self.braced())
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
+        # most statements are x := ...; neither an identifier nor ':=' is
+        # the final "", so the two tokens after tok exist
+        if _is_ident(tok):
+            if tokens[pos + 1] != ":=":
+                self.pos = pos + 1
+                self.fail("':='")
+            rhs = tokens[pos + 2]
+            if rhs == "cons":
+                self.pos = pos + 3
+                self.expect("(")
+                args = [self.aexp()]
+                while tokens[self.pos] == ",":
+                    self.pos += 1
+                    args.append(self.aexp())
+                self.expect(")")
+                return Cons(tok, tuple(args))
+            if rhs == "[":
+                self.pos = pos + 3
+                e = self.aexp()
+                self.expect("]")
+                return Lookup(tok, e)
+            self.pos = pos + 2
+            return Assign(tok, self.aexp())
         if tok == "[":
-            self.next()
+            self.pos = pos + 1
             target = self.aexp()
             self.expect("]")
             self.expect(":=")
             return Mutate(target, self.aexp())
-        if _is_ident(tok):
-            self.next()
-            self.expect(":=")
-            if self.at("cons"):
-                self.next()
-                self.expect("(")
-                args = [self.aexp()]
-                while self.at(","):
-                    self.next()
-                    args.append(self.aexp())
-                self.expect(")")
-                return Cons(tok, tuple(args))
-            if self.at("["):
-                self.next()
-                e = self.aexp()
-                self.expect("]")
-                return Lookup(tok, e)
-            return Assign(tok, self.aexp())
-        self.fail("a statement")
+        if tok not in _STMT_KEYWORDS:
+            self.fail("a statement")
+        self.pos = pos + 1
+        if tok == "skip":
+            return Skip()
+        if tok == "dispose":
+            self.expect("(")
+            e = self.aexp()
+            self.expect(")")
+            return Dispose(e)
+        cond = self.bexp()
+        if tok == "if":
+            self.expect("then")
+            then_body = self.braced()
+            self.expect("else")
+            return If(cond, then_body, self.braced())
+        self.expect("do")
+        return While(cond, self.braced())
 
     # arithmetic expressions: * binds tighter than + and -, all left-associative
 
     def aexp(self) -> AExp:
+        tokens = self.tokens
         e = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.next()
+        while (op := tokens[self.pos]) == "+" or op == "-":
+            self.pos += 1
             e = BinOp(op, e, self.term())
         return e
 
     def term(self) -> AExp:
+        tokens = self.tokens
         e = self.factor()
-        while self.at("*"):
-            self.next()
+        while tokens[self.pos] == "*":
+            self.pos += 1
             e = BinOp("*", e, self.factor())
         return e
 
     def factor(self) -> AExp:
-        tok = self.next()  # put back below if it starts no expression
-        if tok.isdecimal():
-            return IntLit(int(tok))
-        if tok == "-" and self.peek().isdecimal():  # signed integer literal only
-            return IntLit(-int(self.next()))
-        if tok == "nil":
-            return Nil()
-        if _is_ident(tok):
-            return Var(tok)
-        if tok == "(":
-            e = self.aexp()
-            self.expect(")")
-            return e
-        self.pos -= 1
-        self.fail("an expression")
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
+        atom = self.atoms.get(tok)
+        if atom is None:
+            if tok.isdecimal():
+                atom = IntLit(int(tok))
+            elif _is_ident(tok):
+                atom = Var(tok)
+            elif tok == "nil":
+                atom = Nil()
+            elif tok == "-" and tokens[pos + 1].isdecimal():
+                # a signed integer literal, the only negative one
+                pos += 1
+                tok = "-" + tokens[pos]
+                atom = self.atoms.get(tok) or IntLit(int(tok))
+            elif tok == "(":
+                self.pos = pos + 1
+                e = self.aexp()
+                self.expect(")")
+                return e
+            else:
+                self.fail("an expression")
+            self.atoms[tok] = atom
+        self.pos = pos + 1
+        return atom
 
     # guards: not binds tighter than and, and tighter than or
 

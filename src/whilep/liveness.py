@@ -53,6 +53,9 @@ class Derivation:
     premises: tuple = ()
 
 
+_ZERO = IntLit(0)  # the argument of a dead cell; nodes are immutable
+
+
 def leaf_live_pre(s: Stmt, pre: PointsTo, post: frozenset,
                   cfg: WidenConfig) -> tuple[frozenset, str, Stmt]:
     """The leaf rule for s between entry type pre and exit live set post:
@@ -71,13 +74,15 @@ def leaf_live_pre(s: Stmt, pre: PointsTo, post: frozenset,
         return (post - {s.var}) | free_vars(s.expr), "ass_d2", s
     if isinstance(s, Cons):
         _, cells = cons_block(pre, len(s.args), cfg.instance_cap)
-        live_args = {a.index for a in cells & post}
+        live_args = {a[2] for a in cells & post}
         entry = post - {s.var}
         for j in live_args:
             entry |= free_vars(s.args[j - 1])
-        args = tuple(a if j in live_args else IntLit(0)
-                     for j, a in enumerate(s.args, 1))
         rule = "con_d2" if live_args or s.var in post else "con_d1"
+        if len(live_args) == len(s.args):  # the rewrite keeps s as it is
+            return entry, rule, s
+        args = tuple([a if j in live_args else _ZERO
+                      for j, a in enumerate(s.args, 1)])
         return entry, rule, Cons(s.var, args)
     if isinstance(s, Lookup):
         if s.var not in post:

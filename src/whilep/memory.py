@@ -180,7 +180,8 @@ def format_value(v: Value) -> str:
     return repr(v) if isinstance(v, Address) else str(v)
 
 
-_ADDR_RE = re.compile(r"addr\(([0-9]+),([0-9]+),([0-9]+)\)\Z")
+# numerals without leading zeros: every address has one spelling, its repr
+_ADDR_RE = re.compile(r"addr\(([1-9][0-9]*),([1-9][0-9]*),([1-9][0-9]*)\)\Z")
 
 
 def parse_addr(text: str) -> Address | None:

@@ -9,7 +9,11 @@ concrete instance at or above it (a summary). Strong updates are only
 allowed through a singleton target below the cap.
 
 abs_eval gives an expression's abstract value as a plain int when it is
-that exact integer and as a frozenset of addresses otherwise. transfer
+that exact integer and as a frozenset of addresses otherwise. An
+address plus or minus a known offset is shifted within its block, and
+a shift that leaves the block is dropped; the shifts that stay are
+valid addresses by construction, so they are built without Address's
+checks. transfer
 is the step of one leaf statement: it computes the images of the keys
 the leaf may change (its variable, a cons's block cells, a heap write's
 targets) and nothing else; every other key keeps its image. annotate
@@ -33,7 +37,7 @@ from .lang import (
     AExp, Assign, BinOp, Cons, Dispose, If, IntLit, Lookup, Mutate, Nil,
     Seq, Skip, Stmt, Var, While,
 )
-from .memory import Address, ProgState, addr_shift, parse_addr
+from .memory import Address, ProgState, parse_addr
 
 Key = object  # str (variable) or Address (tracked cell)
 
@@ -104,11 +108,12 @@ def addr_part(v: int | frozenset) -> frozenset:
 
 
 def _shifts(addrs: frozenset, k: int) -> frozenset:
-    out = set()
-    for a in addrs:
-        shifted = addr_shift(a, k)
-        if shifted is not None:
-            out.add(shifted)
+    """Each address moved k cells, dropped where that leaves its block."""
+    out = []
+    for n, u, i in addrs:
+        i += k
+        if 1 <= i <= n:  # valid, so built without Address's checks
+            out.append(tuple.__new__(Address, (n, u, i)))
     return frozenset(out)
 
 
@@ -128,12 +133,10 @@ def abs_eval(e: AExp, p: PointsTo) -> int | frozenset:
     A set V promises only that an address result lies in V; the
     concrete value may always be some integer or nil instead.
     """
+    if isinstance(e, Var):
+        return p.env.get(e.name, EMPTY)
     if isinstance(e, IntLit):
         return e.value
-    if isinstance(e, Nil):
-        return EMPTY
-    if isinstance(e, Var):
-        return p.image(e.name)
     if isinstance(e, BinOp):
         v1 = abs_eval(e.lhs, p)
         v2 = abs_eval(e.rhs, p)
@@ -154,6 +157,8 @@ def abs_eval(e: AExp, p: PointsTo) -> int | frozenset:
         if e.op == "+":
             return _variants(v1) | _variants(v2)
         return _variants(v1)
+    if isinstance(e, Nil):
+        return EMPTY
     raise TypeError(f"not an arithmetic expression: {e!r}")
 
 
@@ -178,8 +183,10 @@ def cons_block(p: PointsTo, length: int, cap: int) -> tuple[int, frozenset]:
     by p, and cells are the capped addresses of every block instance the
     allocation may occupy (instances 1..v, folded at the cap).
     """
-    used = {k.instance for k in p.env
-            if isinstance(k, Address) and k.length == length}
+    used = set()  # a plain loop: a comprehension costs more on small types
+    for k in p.env:
+        if type(k) is Address and k[0] == length:
+            used.add(k[1])
     v = 1
     while v in used:
         v += 1
@@ -194,18 +201,23 @@ def _block_cells(length: int, v: int, cap: int) -> frozenset:
         for j in range(1, length + 1))
 
 
+@lru_cache(maxsize=1024)
+def _block_heads(length: int, v: int, cap: int) -> frozenset:
+    """The index-1 cells of _block_cells: where the cons's variable points."""
+    return frozenset(a for a in _block_cells(length, v, cap) if a[2] == 1)
+
+
 def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
     """Exit type of leaf s from entry type p: each branch computes the
     images of the keys s writes, and every other key keeps its image."""
-    if isinstance(s, (Skip, Dispose)):
-        delta = {}
-    elif isinstance(s, Assign):
+    if isinstance(s, Assign):
         delta = {s.var: addr_part(abs_eval(s.expr, p))}
     elif isinstance(s, Cons):
         images = [addr_part(abs_eval(a, p)) for a in s.args]
-        _, cells = cons_block(p, len(s.args), cfg.instance_cap)
-        delta = {s.var: frozenset(a for a in cells if a.index == 1)}
-        delta.update((a, p.image(a) | images[a.index - 1]) for a in cells)
+        length, cap, env = len(s.args), cfg.instance_cap, p.env
+        v, cells = cons_block(p, length, cap)
+        delta = {a: env.get(a, EMPTY) | images[a[2] - 1] for a in cells}
+        delta[s.var] = _block_heads(length, v, cap)
     elif isinstance(s, Lookup):
         targets = addr_part(abs_eval(s.addr, p))
         delta = {s.var: EMPTY.union(*map(p.image, targets))}
@@ -219,9 +231,11 @@ def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
             delta = dict.fromkeys(targets, stored)
         else:
             delta = {a: p.image(a) | stored for a in targets}
+    elif isinstance(s, (Skip, Dispose)):
+        delta = {}
     else:
         raise TypeError(f"not a leaf statement: {s!r}")
-    return PointsTo({**p.env, **delta}) if delta else p
+    return PointsTo(p.env | delta) if delta else p
 
 
 _MAX_ITER = 10_000

@@ -271,6 +271,37 @@ def test_deserialize_rejects_bad_documents():
     assert err.value.path == "root"
 
 
+def test_deserialize_rejects_a_repeated_key():
+    """JSON keeps the last value of a repeated key, so a document could
+    state two facts for one key and have the first ignored."""
+    good = serialize(derivation_for(LOOP_SRC, {"q"}))
+    decoy = '{"program": "skip",' + good[1:]
+    assert json.loads(decoy) == json.loads(good)
+    with pytest.raises(FormatError, match="^root: repeated key 'program'$"):
+        deserialize(decoy)
+    nested = good.replace('"pts": {', '"pts": {"p": [], ', 1)
+    assert json.loads(nested) == json.loads(good)
+    with pytest.raises(FormatError, match="^root: repeated key 'p'$"):
+        deserialize(nested)
+    assert deserialize(good) == derivation_for(LOOP_SRC, {"q"})
+
+
+def test_deserialize_reads_one_spelling_per_address():
+    """A numeral with a leading zero would name a cell under a second key,
+    whose image could silently replace the first; no such key or image
+    member is read."""
+    good = json.loads(serialize(derivation_for("x := cons(1); y := [x]", {"y"})))
+    for entry in ({"addr(1,01,1)": ["addr(1,1,1)"], "addr(1,1,1)": []},
+                  {"addr(1,1,1)": [], "x": ["addr(01,1,1)"]}):
+        doc = dict(good, entry=dict(good["entry"], **entry))
+        with pytest.raises(FormatError) as err:
+            deserialize(json.dumps(doc))
+        assert err.value.path == "root.entry"
+        spelled = {k: [a.replace("01", "1") for a in v]
+                   for k, v in doc["entry"].items() if "01" not in k}
+        deserialize(json.dumps(dict(doc, entry=spelled)))
+
+
 def test_coarser_closed_invariant_accepted():
     d = derivation_for(LOOP_SRC, {"q"})
     doc = json.loads(serialize(d))

@@ -3,7 +3,7 @@
 import hashlib
 import random
 import time
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 
 import pytest
 
@@ -277,6 +277,29 @@ def test_parse_time_is_linear_with_backtracking():
     # linear parsing takes ~4x as long for 4x the statements; locating
     # each backtracked failure in the source would make it quadratic
     assert _guard_chain_seconds(4_000) < 8 * _guard_chain_seconds(1_000)
+
+
+def _nodes(tree):
+    """Every statement and expression node of tree, repeats included."""
+    out, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        for value in vars(node).values():
+            children = value if isinstance(value, tuple) else (value,)
+            todo += (child for child in children if is_dataclass(child))
+    return out
+
+
+def test_atoms_are_shared_within_one_parse_only():
+    src = "x := cons(1, y, nil); y := [x + 1]; z := y + 1 - -2 * -2"
+    first, second = parse(src), parse(src)
+    assert first == second
+    assert not {id(n) for n in _nodes(first)} & {id(n) for n in _nodes(second)}
+    cons, lookup, assign = first.items
+    assert cons.args[0] is lookup.addr.rhs  # both read the token 1
+    assert cons.args[1] is assign.expr.lhs.lhs  # both read y
+    assert assign.expr.rhs.lhs is assign.expr.rhs.rhs == IntLit(-2)
 
 
 def test_empty_program_rejected():

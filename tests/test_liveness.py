@@ -75,6 +75,17 @@ def test_cons_rules():
         (lv("y", A111), "con_d2", "x := cons(y)")
 
 
+def test_cons_residual_is_the_statement_when_every_cell_is_live():
+    s = parse("x := cons(y, z)")
+    p = bottom(stmt_vars(s))
+    live, rule, residual = leaf_live_pre(s, p, lv("x", A211, A212), CFG)
+    assert residual is s and rule == "con_d2"
+    # a dead cell zeroes its argument in a new statement
+    live, rule, residual = leaf_live_pre(s, p, lv("x", A212), CFG)
+    assert residual is not s and residual == parse("x := cons(0, z)")
+    assert residual.args[1] is s.args[1]
+
+
 def test_lookup_rules():
     p = pts({"x": [A211], "y": []})
     assert leaf_of("y := [x]", ["y"], p) == (lv("x", A211), "lok_d2", "y := [x]")

@@ -86,6 +86,11 @@ def test_address_repr_and_parse():
     assert parse_addr("x") is None
     assert parse_addr("addr(2,5)") is None
     assert parse_addr("addr(\u0662,1,1)") is None  # only ASCII digits
+    # no leading zeros: an accepted text is the repr of its address
+    for text in ("addr(01,1,1)", "addr(1,01,1)", "addr(1,1,01)", "addr(0,1,1)"):
+        assert parse_addr(text) is None, text
+    for text in ("addr(1,1,1)", "addr(10,20,10)"):
+        assert repr(parse_addr(text)) == text
 
 
 def test_nil_is_a_distinct_value():

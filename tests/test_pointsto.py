@@ -13,10 +13,10 @@ from whilep.lang import (
     Assign, BinOp, Cons, If, IntLit, Lookup, Mutate, Seq, Var, While, parse,
     stmt_vars,
 )
-from whilep.memory import Address, ProgState
+from whilep.memory import Address, ProgState, addr_shift
 from whilep.pointsto import (
-    PointsTo, WidenConfig, abs_eval, addr_part, annotate, bottom, cap_address,
-    cons_block, join, leq, models, transfer,
+    PointsTo, WidenConfig, _shifts, abs_eval, addr_part, annotate, bottom,
+    cap_address, cons_block, join, leq, models, transfer,
 )
 
 CFG = WidenConfig()
@@ -115,6 +115,17 @@ def test_abs_eval_arithmetic_closures():
     # out-of-block shifts are dropped
     assert abs_eval(BinOp("+", Var("x"), IntLit(5)), p) == frozenset()
     assert addr_part(5) == frozenset()
+
+
+def test_shifts_agree_with_addr_shift():
+    """_shifts builds its addresses without Address's checks; each is the
+    checked shift, and a real Address."""
+    for n, u, k in itertools.product(range(1, 4), range(1, 5), range(-4, 5)):
+        for i in range(1, n + 1):
+            a = Address(n, u, i)
+            got = _shifts(frozenset({a}), k)
+            assert got == {addr_shift(a, k)} - {None}, (a, k)
+            assert all(type(b) is Address for b in got)
 
 
 def test_transfer_skip_identity():
