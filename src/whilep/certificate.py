@@ -40,11 +40,11 @@ equal derivations produce byte-identical documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .lang import (
-    Assign, Cons, Dispose, If, Lookup, Mutate, ParseError, Seq, Skip, Stmt,
-    While, free_vars, parse, pretty, stmt_vars, walk,
+    Assign, Cons, Dispose, If, Lookup, Mutate, ParseError, Record, Seq, Skip,
+    Stmt, While, free_vars, parse, pretty, stmt_vars, walk,
 )
 from .memory import Address
 from .liveness import Derivation, LiveType, leaf_live_pre, live_annotate
@@ -69,8 +69,8 @@ _RULE_FORM = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = ()
     ok: bool
     path: str = ""
     reason: str = ""
@@ -263,7 +263,21 @@ def serialize(d: Derivation) -> str:
                   for t in _loop_types(d)],
         "residual": pretty(j.residual),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _to_json(doc, "\n") + "\n"
+
+
+def _to_json(value, newline: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) of nested dicts, lists and
+    strings; json's indenting encoder is pure Python and leaves cycles."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        body = ",".join(f"{inner}{encode_basestring_ascii(k)}: "
+                        f"{_to_json(value[k], inner)}" for k in sorted(value))
+        return f"{{{body}{newline}}}" if body else "{}"
+    body = ",".join(inner + _to_json(v, inner) for v in value)
+    return f"[{body}{newline}]" if body else "[]"
 
 
 def _pts_from_doc(doc, path: str, scope: tuple) -> PointsTo:

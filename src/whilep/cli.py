@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     widen = argparse.ArgumentParser(add_help=False)
     widen.add_argument("--widen", type=_positive, metavar="K",
-                       default=WidenConfig.instance_cap,
+                       default=WidenConfig().instance_cap,
                        help="instance cap of the analyses (default: %(default)s)")
 
     p_run = sub.add_parser("run", help="execute a program")
@@ -113,12 +113,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_program(path: str):
+def _read_text(path: str) -> str:
+    """The text of a file; OSError if unreadable, ValueError if not UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"whilep: cannot read {path}: {exc.strerror}", file=sys.stderr)
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
+def _load_program(path: str):
+    try:
+        text = _read_text(path)
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        print(f"whilep: cannot read {path}: {reason}", file=sys.stderr)
         return None
     try:
         return parse(text)
@@ -279,12 +288,14 @@ def _cmd_check_cert(args) -> int:
     if program is None:
         return 1
     try:
-        with open(args.cert, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text = _read_text(args.cert)
     except OSError as exc:
         print(f"whilep: cannot read {args.cert}: {exc.strerror}",
               file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"Reject: root: {exc}")
+        return 2
     cfg = WidenConfig(instance_cap=args.widen)
     try:
         derivation = deserialize(text, cfg)

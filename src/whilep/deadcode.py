@@ -12,15 +12,13 @@ residual and is the one the certificate checker accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .lang import If, Seq, Skip, Stmt, While, stmt_vars
+from .lang import If, Record, Seq, Skip, Stmt, While, stmt_vars
 from .liveness import Derivation, live_annotate
 from .pointsto import WidenConfig, annotate, bottom
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(Record):
+    __slots__ = ()
     derivation: Derivation
 
     @property

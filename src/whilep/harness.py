@@ -20,13 +20,12 @@ which no analysis in this package claims to prevent.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 
 from .deadcode import optimize
 from .interp import Aborted, EvalError, Final, eval_aexp, execute
 from .lang import (
     AExp, And, Assign, BExp, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit,
-    Lookup, Mutate, Nil, Not, Or, Skip, Stmt, Var, While, free_vars,
+    Lookup, Mutate, Nil, Not, Or, Record, Skip, Stmt, Var, While, free_vars,
     read_vars, seq_of, stmt_vars, walk,
 )
 from .memory import NIL, Address, ProgState
@@ -36,8 +35,8 @@ from .pointsto import (
 )
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(Record):
+    __slots__ = ()
     seed: int = 0
     max_stmts: int = 12
 
@@ -346,7 +345,7 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
         if all(c == "lemma1" for c in checks):
             continue
         rng = random.Random(f"suite:{seed}")
-        program = gen_program(replace(gen_cfg, seed=seed))
+        program = gen_program(GenConfig(seed, gen_cfg.max_stmts))
         variables = sorted(stmt_vars(program))
         base = bottom(variables)
         entry_p = _synthetic_ptype(rng, variables, widen.instance_cap) \

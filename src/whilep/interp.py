@@ -19,12 +19,11 @@ A node outside the language raises TypeError when it is reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, itemgetter, mul, sub
 
 from .lang import (
     AExp, And, Assign, BExp, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit,
-    Lookup, Mutate, Nil, Not, Or, Seq, Skip, Stmt, Var, While,
+    Lookup, Mutate, Nil, Not, Or, Record, Seq, Skip, Stmt, Var, While,
 )
 from .memory import (
     NIL, Address, Blocks, ProgState, Stack, Value, addr_shift,
@@ -46,19 +45,17 @@ def eval_bexp(b: BExp, stack: Stack) -> bool:
     return _bexp(b)(stack)
 
 
-@dataclass(frozen=True)
-class Final:
+class Final(Record):
+    __slots__ = ()
     state: ProgState
 
 
-@dataclass(frozen=True)
-class Aborted:
-    pass
+class Aborted(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OutOfFuel:
-    pass
+class OutOfFuel(Record):
+    __slots__ = ()
 
 
 ExecOutcome = Final | Aborted | OutOfFuel

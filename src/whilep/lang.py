@@ -14,123 +14,146 @@ ParseError whose str is `line:col: message` (the CLI prefixes the file
 name): line and column are 1-based, a tab counts as one column, and only
 LF ends a line.
 
-Trees are immutable, so one parse shares a single IntLit, Nil or Var
-node among all occurrences of the same token text. Sharing holds within
-one parse call only: two calls never return a common node.
+Trees are immutable Records, class-tagged tuples with structural
+equality, so one parse shares a single IntLit, Nil or Var node among all
+occurrences of the same token text. Sharing holds within one parse call
+only: two calls never return a common node.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
+
+
+class Record(tuple):
+    """The immutable base of nodes and results. A subclass declares
+    __slots__ = () and annotated fields, defaults last. A record is the
+    tuple of its fields and then its class as a tag, so records of
+    different classes are never equal. The constructor and the C field
+    accessors are those of a namedtuple of the fields and the tag; copy
+    and pickle rebuild through the constructor."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
+        base = namedtuple(cls.__name__, names + ("tag",), defaults=defaults + (cls,))
+        for name in names:
+            setattr(cls, name, vars(base)[name])
+        if "__new__" not in cls.__dict__:
+            cls.__new__ = base.__new__
+        cls._fields = names
+
+    def __getnewargs__(self):
+        return self[:-1]
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self))
+        return f"{type(self).__qualname__}({fields})"
 
 
 # --- abstract syntax ---
 
-@dataclass(frozen=True)
-class AExp:
-    pass
+class AExp(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IntLit(AExp):
+    __slots__ = ()
     value: int
 
 
-@dataclass(frozen=True)
 class Nil(AExp):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(AExp):
+    __slots__ = ()
     name: str
 
 
-@dataclass(frozen=True)
 class BinOp(AExp):
+    __slots__ = ()
     op: str  # '+', '-', '*'
     lhs: AExp
     rhs: AExp
 
 
-@dataclass(frozen=True)
-class BExp:
-    pass
+class BExp(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class BoolLit(BExp):
+    __slots__ = ()
     value: bool
 
 
-@dataclass(frozen=True)
 class Cmp(BExp):
+    __slots__ = ()
     op: str  # '=', '<', '<='
     lhs: AExp
     rhs: AExp
 
 
-@dataclass(frozen=True)
 class Not(BExp):
+    __slots__ = ()
     arg: BExp
 
 
-@dataclass(frozen=True)
 class And(BExp):
+    __slots__ = ()
     lhs: BExp
     rhs: BExp
 
 
-@dataclass(frozen=True)
 class Or(BExp):
+    __slots__ = ()
     lhs: BExp
     rhs: BExp
 
 
-@dataclass(frozen=True)
-class Stmt:
-    pass
+class Stmt(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Skip(Stmt):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Assign(Stmt):
+    __slots__ = ()
     var: str
     expr: AExp
 
 
-@dataclass(frozen=True)
 class Cons(Stmt):
     """x := cons(e1, ..., en); allocates a fresh n-cell block, n >= 1."""
 
+    __slots__ = ()
     var: str
     args: tuple[AExp, ...]
 
 
-@dataclass(frozen=True)
 class Lookup(Stmt):
+    __slots__ = ()
     var: str
     addr: AExp
 
 
-@dataclass(frozen=True)
 class Mutate(Stmt):
+    __slots__ = ()
     target: AExp
     value: AExp
 
 
-@dataclass(frozen=True)
 class Dispose(Stmt):
+    __slots__ = ()
     addr: AExp
 
 
-@dataclass(frozen=True, init=False)
 class Seq(Stmt):
     """Sequencing of two or more statements, none of them a Seq.
 
@@ -138,9 +161,10 @@ class Seq(Stmt):
     Seq(a, Seq(b, c)) == Seq(a, b, c) == parse("a; b; c").
     """
 
+    __slots__ = ()
     items: tuple
 
-    def __init__(self, *items: Stmt):
+    def __new__(cls, *items: Stmt):
         flat = []
         for s in items:
             if isinstance(s, Seq):
@@ -149,7 +173,10 @@ class Seq(Stmt):
                 flat.append(s)
         if len(flat) < 2:
             raise ValueError("Seq takes at least two statements")
-        object.__setattr__(self, "items", tuple(flat))
+        return tuple.__new__(cls, (tuple(flat), cls))
+
+    def __getnewargs__(self):
+        return self.items
 
     # The binary view of the right-nested chain, for callers written
     # against it; rest builds a new Seq of the remaining items.
@@ -160,22 +187,19 @@ class Seq(Stmt):
 
     @property
     def rest(self) -> Stmt:
-        if len(self.items) == 2:
-            return self.items[1]
-        rest = object.__new__(Seq)
-        object.__setattr__(rest, "items", self.items[1:])
-        return rest
+        items = self.items
+        return items[1] if len(items) == 2 else tuple.__new__(Seq, (items[1:], Seq))
 
 
-@dataclass(frozen=True)
 class If(Stmt):
+    __slots__ = ()
     cond: BExp
     then_body: Stmt
     else_body: Stmt
 
 
-@dataclass(frozen=True)
 class While(Stmt):
+    __slots__ = ()
     cond: BExp
     body: Stmt
 

@@ -17,11 +17,9 @@ leaf_live_pre, decides all three from the node's entry type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lang import (
-    Assign, Cons, Dispose, If, IntLit, Lookup, Mutate, Seq, Skip, Stmt, While,
-    free_vars,
+    Assign, Cons, Dispose, If, IntLit, Lookup, Mutate, Record, Seq, Skip, Stmt,
+    While, free_vars,
 )
 from .memory import Address, ProgState
 from .pointsto import (
@@ -30,24 +28,24 @@ from .pointsto import (
 )
 
 
-@dataclass(frozen=True)
-class LiveType:
+class LiveType(Record):
     """A points-to type paired with a live set; the unit of judgment."""
 
+    __slots__ = ()
     pts: PointsTo
     live: frozenset
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(Record):
+    __slots__ = ()
     stmt: Stmt
     pre: LiveType
     post: LiveType
     residual: Stmt
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Record):
+    __slots__ = ()
     rule: str
     judgment: Judgment
     premises: tuple = ()

@@ -4,23 +4,25 @@ An address addr(n, u, i) names cell i of the u-th allocated block of
 length n; indices run from 1 to n. Blocks are never merged, so a block
 is identified by (length, instance) and a cell by the full triple.
 
-An Address is a tuple (length, instance, index) checked when it is made,
+An Address is a named tuple (length, instance, index), checked when made,
 so hashing, equality and order are the tuple's, done in C, and order is
 the triple order. An Address therefore equals the plain triple. No value
 of the language and no key of a type is a tuple, so no state, type or
-certificate can tell.
+certificate can tell. AST nodes are tuples too (lang.Record), but no
+node is ever a value or a key.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
-from operator import itemgetter
+from collections import namedtuple
 from typing import Union
 
+from .lang import Record
 
-class Address(tuple):
+
+class Address(namedtuple("Address", "length instance index")):
     __slots__ = ()
 
     def __new__(cls, length: int, instance: int, index: int):
@@ -31,14 +33,6 @@ class Address(tuple):
         if not 1 <= index <= length:
             raise ValueError(f"index must be in 1..{length}, got {index}")
         return tuple.__new__(cls, (length, instance, index))
-
-    def __getnewargs__(self):
-        # copy and pickle rebuild through __new__ with these arguments
-        return tuple(self)
-
-    length = property(itemgetter(0))
-    instance = property(itemgetter(1))
-    index = property(itemgetter(2))
 
     def __repr__(self):
         return f"addr({self[0]},{self[1]},{self[2]})"
@@ -67,8 +61,8 @@ Stack = dict  # str -> Value, total on the program's variables
 Heap = dict   # Address -> Value, finite
 
 
-@dataclass
-class ProgState:
+class ProgState(Record):
+    __slots__ = ()
     stack: Stack
     heap: Heap
 

@@ -30,20 +30,18 @@ through cap_address, which is the identity until the cap is reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .lang import (
     AExp, Assign, BinOp, Cons, Dispose, If, IntLit, Lookup, Mutate, Nil,
-    Seq, Skip, Stmt, Var, While,
+    Record, Seq, Skip, Stmt, Var, While,
 )
 from .memory import Address, ProgState, parse_addr
 
 Key = object  # str (variable) or Address (tracked cell)
 
 
-@dataclass(frozen=True)
-class WidenConfig:
+class WidenConfig(Record):
     """Analysis knobs: the instance cap K and a sabotage switch.
 
     break_weak_update is a sabotage switch for the test harness: it makes
@@ -51,6 +49,7 @@ class WidenConfig:
     unsound and must be caught by the differential suites.
     """
 
+    __slots__ = ()
     instance_cap: int = 3
     break_weak_update: bool = False
 
@@ -58,8 +57,8 @@ class WidenConfig:
 EMPTY: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
-class PointsTo:
+class PointsTo(Record):
+    __slots__ = ()
     env: dict  # Key -> frozenset[Address]
 
     def image(self, key: Key) -> frozenset:
@@ -164,12 +163,12 @@ def abs_eval(e: AExp, p: PointsTo) -> int | frozenset:
 
 # --- transfer functions and annotation ---
 
-@dataclass
-class AnnStmt:
+class AnnStmt(Record):
     """A statement with its entry and exit types; children in source order
     (the items of a Seq, then/else for If, body for While). A While's
     exit type is its loop invariant."""
 
+    __slots__ = ()
     stmt: Stmt
     pre: PointsTo
     post: PointsTo

@@ -9,8 +9,6 @@ removing a member of a loop head's exit live set, which the loop rule
 only bounds from below) are deliberately not used.
 """
 
-from dataclasses import replace
-
 from whilep import Derivation
 from whilep.lang import Assign, IntLit, Skip
 from whilep.liveness import LiveType
@@ -30,6 +28,11 @@ _MISFORM = {"skip": "dis_d", "ass_d1": "lok_d1", "ass_d2": "lok_d2",
             "lok_d2": "ass_d2", "mut_d1": "dis_d", "mut_d2": "dis_d",
             "dis_d": "skip", "seq_d": "if_d", "if_d": "whl_d",
             "whl_d": "seq_d", "csq_d": "skip"}
+
+
+def replace(node, **changes):
+    """node with the named fields changed, the others kept."""
+    return type(node)(**dict(zip(node._fields, node), **changes))
 
 
 def walk(d: Derivation, addr=()):

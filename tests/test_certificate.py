@@ -1,12 +1,12 @@
 """Derivation checking and the on-disk certificate format."""
 
+import gc
 import hashlib
 import itertools
 import json
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 import tamper_ops
@@ -39,7 +39,7 @@ def corpus():
     rng = random.Random(53)
     out = []
     for seed in range(40):
-        prog = gen_program(replace(GenConfig(), seed=seed))
+        prog = gen_program(GenConfig(seed=seed))
         variables = sorted(stmt_vars(prog))
         live = frozenset(v for v in variables if rng.random() < 0.5)
         out.append(optimize(prog, live, CFG).derivation)
@@ -77,6 +77,20 @@ def test_serialize_addresses_and_nesting():
     assert "addr(1,2,1)" in doc["loops"][1]["pts"]["q"]
     assert doc["loops"][2]["pts"]["q"] == []
     assert doc["residual"].startswith("x := cons(0); if")
+
+
+def test_serialize_matches_json_dumps_and_leaves_no_cycles():
+    d = derivation_for(LOOP_SRC, {"q"})
+    text = serialize(d)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            serialize(d)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_round_trip(fig_src):
@@ -436,7 +450,7 @@ def test_check_rejects_rule_on_wrong_form():
 def test_check_rejects_flipped_side_condition():
     d = derivation_for("z := y + 1", {"z"})
     assert d.rule == "ass_d2"
-    wrong = Derivation("ass_d1", replace(d.judgment, residual=parse("skip")))
+    wrong = Derivation("ass_d1", tamper_ops.replace(d.judgment, residual=parse("skip")))
     verdict = check(wrong, CFG)
     assert not verdict.ok and "side condition" in verdict.reason
 
@@ -530,18 +544,18 @@ def test_check_rejects_broken_seq_chain(fig_src):
         verdict = check(Derivation("seq_d", d.judgment, premises), CFG)
         assert verdict == CheckResult(False, "root", reason), label
     judgments = {
-        "entry": (replace(d.judgment, pre=other),
+        "entry": (tamper_ops.replace(d.judgment, pre=other),
                   "seq_d entry does not match the first premise"),
-        "exit": (replace(d.judgment, post=other),
+        "exit": (tamper_ops.replace(d.judgment, post=other),
                  "seq_d exit does not match the last premise"),
         "wrong residual item": (
-            replace(d.judgment, residual=Seq(Skip(), *items[1:])),
+            tamper_ops.replace(d.judgment, residual=Seq(Skip(), *items[1:])),
             "seq_d residual is not the premises' sequence"),
         "residual items dropped": (
-            replace(d.judgment, residual=Seq(*items[:4])),
+            tamper_ops.replace(d.judgment, residual=Seq(*items[:4])),
             "seq_d residual is not the premises' sequence"),
         "residual not a sequence": (
-            replace(d.judgment, residual=items[0]),
+            tamper_ops.replace(d.judgment, residual=items[0]),
             "seq_d residual is not the premises' sequence"),
     }
     for label, (judgment, reason) in judgments.items():

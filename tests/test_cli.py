@@ -62,6 +62,32 @@ def test_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+# valid UTF-8 up to the byte 0xff at offset 16
+NOT_UTF8 = b"x := 1 // caf\xc3\xa9 \xff\n"
+
+
+@pytest.mark.parametrize("command", [["run"], ["analyze", "pts"],
+                                     ["analyze", "live"], ["optimize"],
+                                     ["check-cert"]])
+def test_program_not_utf8_is_a_read_error(tmp_path, capsys, command):
+    path = tmp_path / "prog.whl"
+    path.write_bytes(NOT_UTF8)
+    cert = [str(tmp_path / "cert.json")] if command == ["check-cert"] else []
+    assert main([*command, str(path), *cert]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"whilep: cannot read {path}: "
+                   "not valid UTF-8: invalid start byte at byte 16\n")
+
+
+def test_check_cert_rejects_a_certificate_not_utf8(prog, capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    cert.write_bytes(b'{"program": "\xff"}')
+    assert main(["check-cert", prog("skip"), str(cert)]) == 2
+    assert capsys.readouterr().out == \
+        "Reject: root: not valid UTF-8: invalid start byte at byte 13\n"
+
+
 def test_analyze_pts(prog, capsys):
     assert main(["analyze", "pts", prog("x := cons(5); dispose(x)")]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -1,7 +1,6 @@
 """Dead-code elimination: rewrites, guarantees, and emitted derivations."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -101,7 +100,7 @@ def test_guards_and_structure_preserved():
 
     rng = random.Random(41)
     for seed in range(150):
-        prog = gen_program(replace(GenConfig(), seed=seed, max_stmts=14))
+        prog = gen_program(GenConfig(seed=seed, max_stmts=14))
         variables = sorted(stmt_vars(prog))
         live = frozenset(v for v in variables if rng.random() < 0.5)
         assert same_shape(prog, optimize(prog, live, CFG).optimized)
@@ -111,7 +110,7 @@ def test_emitted_derivations_check(fig_src):
     rng = random.Random(43)
     sources = [fig_src]
     for seed in range(120):
-        sources.append(pretty(gen_program(replace(GenConfig(), seed=seed))))
+        sources.append(pretty(gen_program(GenConfig(seed=seed))))
     for src in sources:
         prog = parse(src)
         variables = sorted(stmt_vars(prog))
@@ -126,7 +125,7 @@ def test_repeated_optimization_converges():
     point is genuinely stable under one more pass."""
     rng = random.Random(47)
     for seed in range(100):
-        prog = gen_program(replace(GenConfig(), seed=seed))
+        prog = gen_program(GenConfig(seed=seed))
         variables = sorted(stmt_vars(prog))
         live = frozenset(v for v in variables if rng.random() < 0.5)
         current = prog

@@ -1,7 +1,6 @@
 """Random program/state generation and the differential soundness suites."""
 
 import random
-from dataclasses import replace
 
 from whilep.harness import (
     GenConfig, _gen_state, _synthetic_ptype, gen_program, gen_state,
@@ -85,7 +84,7 @@ def test_make_similar_state_contract():
     rng = random.Random(67)
     changed_var = changed_cell = 0
     for seed in range(200):
-        cfg = replace(GenConfig(), seed=seed)
+        cfg = GenConfig(seed=seed)
         prog = gen_program(cfg)
         base = bottom(stmt_vars(prog))
         ann = annotate(prog, base, CFG)

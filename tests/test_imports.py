@@ -1,8 +1,11 @@
-"""Static checks: no module of the package or its tests imports a name it
-never uses, no module of the package imports another's private name, and
-no string of the package holds the Unicode digit class \\d."""
+"""Import checks: no module of the package or its tests imports a name it
+never uses, no module of the package imports another's private name or
+dataclasses, importing the package loads neither dataclasses nor
+inspect, and no string of the package holds the Unicode digit class \\d."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import whilep
@@ -64,6 +67,26 @@ def test_checker_finds_private_imports():
     assert private_imports(source) == ["_Parser (line 2)", "_helper (line 3)"]
 
 
+def imported_modules(source: str) -> list[str]:
+    """The top-level names of the modules source imports, as 'name (line n)';
+    relative imports are left out."""
+    tree = ast.parse(source)
+    names = [(alias.name, node.lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += [(node.module, node.lineno) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    return sorted(f"{name.split('.')[0]} (line {line})" for name, line in names)
+
+
+def test_checker_finds_imported_modules():
+    source = ("from __future__ import annotations\n"
+              "import json.encoder, re\n"
+              "from dataclasses import dataclass\n"
+              "from .lang import Record\n")
+    assert imported_modules(source) == [
+        "__future__ (line 1)", "dataclasses (line 3)", "json (line 2)", "re (line 2)"]
+
+
 def digit_classes(source: str) -> list[str]:
     """String constants in source that hold the regex class \\d, which
     matches every Unicode decimal digit, as 'text (line n)'."""
@@ -96,6 +119,22 @@ def test_package_has_no_unused_imports():
     """__init__.py is left out: its imports are the package's re-exports."""
     assert _by_file(unused_imports, (path for path in sorted(PACKAGE.glob("*.py"))
                                      if path.name != "__init__.py")) == {}
+
+
+def test_package_does_not_import_dataclasses():
+    """Nodes are Records; dataclasses would also pull in inspect."""
+    uses = {path.name: [name for name in imported_modules(path.read_text(encoding="utf-8"))
+                        if name.startswith("dataclasses ")]
+            for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys, whilep, whilep.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, cwd=PACKAGE.parent)
+    assert proc.stdout == "[]\n"
 
 
 def test_package_reads_only_ascii_digits():

@@ -3,7 +3,6 @@
 import hashlib
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -203,7 +202,7 @@ def test_sequence_fuel_accounting():
 def test_fuel_monotonicity():
     """A run that finishes keeps the same outcome with more fuel."""
     for seed in range(80):
-        prog = gen_program(replace(GenConfig(), seed=seed))
+        prog = gen_program(GenConfig(seed=seed))
         state = zero_state(stmt_vars(prog))
         out = execute(prog, state, 400)
         if isinstance(out, Final):
@@ -213,7 +212,7 @@ def test_fuel_monotonicity():
 
 def test_determinism():
     for seed in range(60):
-        prog = gen_program(replace(GenConfig(), seed=seed))
+        prog = gen_program(GenConfig(seed=seed))
         state = zero_state(stmt_vars(prog))
         assert execute(prog, state, 600) == execute(prog, state, 600)
 

@@ -3,14 +3,13 @@
 import hashlib
 import random
 import time
-from dataclasses import is_dataclass, replace
 
 import pytest
 
 from whilep import GenConfig, gen_program
 from whilep.lang import (
     And, Assign, BinOp, BoolLit, Cmp, Cons, Dispose, IntLit, Lookup, Not,
-    Or, ParseError, Seq, Skip, Var, While, free_vars, parse, pretty,
+    Or, ParseError, Record, Seq, Skip, Var, While, free_vars, parse, pretty,
     read_vars, seq_of, stmt_vars, walk,
 )
 
@@ -78,7 +77,7 @@ def test_walk_is_preorder_and_iterative():
 
 def test_generated_sequences_are_flat():
     for seed in range(100):
-        prog = gen_program(replace(GenConfig(), seed=seed, max_stmts=20))
+        prog = gen_program(GenConfig(seed=seed, max_stmts=20))
         for s in walk(prog):
             if isinstance(s, Seq):
                 assert len(s.items) >= 2
@@ -285,9 +284,11 @@ def _nodes(tree):
     while todo:
         node = todo.pop()
         out.append(node)
-        for value in vars(node).values():
-            children = value if isinstance(value, tuple) else (value,)
-            todo += (child for child in children if is_dataclass(child))
+        for name in node._fields:
+            value = getattr(node, name)
+            children = (value,) if isinstance(value, Record) else value
+            if isinstance(children, tuple):
+                todo += (child for child in children if isinstance(child, Record))
     return out
 
 
@@ -358,11 +359,11 @@ def test_seq_of_keeps_items():
 def test_round_trip_generated_programs():
     """parse(pretty(s)) == s across a wide generated corpus."""
     for seed in range(200):
-        prog = gen_program(replace(GenConfig(), seed=seed, max_stmts=16))
+        prog = gen_program(GenConfig(seed=seed, max_stmts=16))
         assert parse(pretty(prog)) == prog, f"seed {seed}"
 
 
 def test_pretty_is_canonical():
     for seed in range(50):
-        prog = gen_program(replace(GenConfig(), seed=seed))
+        prog = gen_program(GenConfig(seed=seed))
         assert pretty(parse(pretty(prog))) == pretty(prog)

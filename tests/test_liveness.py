@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 from whilep import GenConfig, gen_program
 from whilep.harness import _gen_state, _synthetic_ptype
@@ -167,7 +166,7 @@ def test_live_annotate_derivation_is_accepted():
     rng = random.Random(43)
     rules = set()
     for seed in range(150):
-        prog = gen_program(replace(GenConfig(), seed=seed))
+        prog = gen_program(GenConfig(seed=seed))
         variables = sorted(stmt_vars(prog))
         entry = _synthetic_ptype(rng, variables, CFG.instance_cap) \
             if seed % 2 else bottom(variables)
@@ -262,7 +261,7 @@ def test_expression_eval_depends_only_on_free_vars():
 def test_live_pre_monotone_in_live_post():
     rng = random.Random(31)
     for seed in range(120):
-        prog = gen_program(replace(GenConfig(), seed=seed))
+        prog = gen_program(GenConfig(seed=seed))
         variables = sorted(stmt_vars(prog))
         ann = annotate(prog, bottom(variables), CFG)
         big = frozenset(v for v in variables if rng.random() < 0.6)
@@ -274,7 +273,7 @@ def test_live_pre_monotone_in_live_post():
 
 def test_live_annotate_determinism():
     for seed in range(30):
-        prog = gen_program(replace(GenConfig(), seed=seed))
+        prog = gen_program(GenConfig(seed=seed))
         ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
         live = frozenset(sorted(stmt_vars(prog))[:1])
         assert live_annotate(ann, live, CFG) == live_annotate(ann, live, CFG)
@@ -304,7 +303,7 @@ def test_executions_respect_live_restricted_types():
     rng = random.Random(37)
     passed = 0
     for seed in range(300):
-        cfg = replace(GenConfig(), seed=seed)
+        cfg = GenConfig(seed=seed)
         prog = gen_program(cfg)
         variables = sorted(stmt_vars(prog))
         base = bottom(variables)

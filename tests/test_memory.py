@@ -5,7 +5,6 @@ import itertools
 import pickle
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -217,7 +216,7 @@ def test_index_matches_heap_scan_on_generated_programs(monkeypatch):
     rng = random.Random(14)
     cases = []
     for seed in range(2000):
-        cfg = replace(GenConfig(), seed=seed)
+        cfg = GenConfig(seed=seed)
         program = gen_program(cfg)
         if "dispose" not in pretty(program):
             continue

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -260,7 +259,7 @@ def test_leaf_exit_changes_only_the_keys_the_leaf_writes():
 
 def test_annotate_determinism():
     for seed in range(30):
-        prog = gen_program(replace(GenConfig(), seed=seed))
+        prog = gen_program(GenConfig(seed=seed))
         base = bottom(stmt_vars(prog))
         assert annotate(prog, base, CFG) == annotate(prog, base, CFG)
 
@@ -307,7 +306,7 @@ def _mutate_corner(prog, p_ann, q_ann, cap):
 def test_transfer_monotone_outside_strong_update_corner():
     rng = random.Random(23)
     for seed in range(250):
-        prog = gen_program(replace(GenConfig(), seed=seed))
+        prog = gen_program(GenConfig(seed=seed))
         variables = sorted(stmt_vars(prog))
         q = _synthetic_ptype(rng, variables, 3)
         p = PointsTo({k: frozenset(a for a in img if rng.random() < 0.5)
@@ -341,7 +340,7 @@ def test_loop_invariant_validity():
     """Every loop invariant contains its entry and is closed under the body."""
     checked = 0
     for seed in range(150):
-        prog = gen_program(replace(GenConfig(), seed=seed, max_stmts=14))
+        prog = gen_program(GenConfig(seed=seed, max_stmts=14))
         ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
         stack = [ann]
         while stack:
@@ -360,7 +359,7 @@ def test_executions_land_inside_exit_type():
     rng = random.Random(29)
     passed = 0
     for seed in range(300):
-        cfg = replace(GenConfig(), seed=seed)
+        cfg = GenConfig(seed=seed)
         prog = gen_program(cfg)
         base = bottom(stmt_vars(prog))
         st = _gen_state(rng, base)
