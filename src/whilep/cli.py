@@ -114,9 +114,11 @@ def _build_parser() -> _Parser:
 
 
 def _read_text(path: str) -> str:
-    """The text of a file; OSError if unreadable, ValueError if not UTF-8."""
+    """The text of a file; OSError if unreadable, ValueError if not UTF-8.
+    Line ends are kept as they are, so that only LF ends a line, as in
+    parse."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from None

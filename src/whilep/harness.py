@@ -271,12 +271,24 @@ def make_similar_state(rng: random.Random, st: ProgState,
     """A twin similar to st at (entry type, entry_live), rerandomized only
     where the program provably never looks: dead variables outside its
     read set, and dead cells when it contains no lookup."""
+    return _similar_state(rng, st, read_vars(program), _has_lookup(program),
+                          entry_live, widen)
+
+
+def _has_lookup(program: Stmt) -> bool:
+    return any(isinstance(node, Lookup) for node in walk(program))
+
+
+def _similar_state(rng: random.Random, st: ProgState, reads: frozenset,
+                   has_lookup: bool, entry_live: frozenset,
+                   widen: WidenConfig) -> ProgState:
+    """make_similar_state for a program with the given read set and with
+    or without a lookup."""
     twin = st.copy()
-    reads = read_vars(program)
     for x in twin.stack:
         if x not in entry_live and x not in reads:
             twin.stack[x] = _junk_value(rng)
-    if not any(isinstance(node, Lookup) for node in walk(program)):
+    if not has_lookup:
         cap = widen.instance_cap
         for a in twin.heap:
             if cap_address(a, cap) not in entry_live:
@@ -347,6 +359,8 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
         rng = random.Random(f"suite:{seed}")
         program = gen_program(GenConfig(seed, gen_cfg.max_stmts))
         variables = sorted(stmt_vars(program))
+        # what the twins of t3 and t4 may rerandomize
+        reads, has_lookup = read_vars(program), _has_lookup(program)
         base = bottom(variables)
         entry_p = _synthetic_ptype(rng, variables, widen.instance_cap) \
             if rng.random() < 0.35 else base
@@ -375,8 +389,8 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
 
         if "t3" in checks:
             if isinstance(outcome, Final):
-                twin = make_similar_state(random.Random(f"suite:{seed}:t3"), st,
-                                          program, live.judgment.pre.live, widen)
+                twin = _similar_state(random.Random(f"suite:{seed}:t3"), st, reads,
+                                      has_lookup, live.judgment.pre.live, widen)
                 ok = similar_states(st, twin, entry_p, live.judgment.pre.live, widen)
                 twin_outcome = execute(program, twin, fuel)
                 ok = ok and isinstance(twin_outcome, Final) and similar_states(
@@ -394,7 +408,7 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
                 j = optimize(program, final_live, widen).derivation.judgment
                 st4 = _gen_state(rng4, base)
                 orig4 = execute(program, st4, fuel)
-            twin = make_similar_state(rng4, st4, program, j.pre.live, widen)
+            twin = _similar_state(rng4, st4, reads, has_lookup, j.pre.live, widen)
             opt_outcome = execute(j.residual, twin, fuel)
             if isinstance(orig4, Final):
                 ok = similar_states(st4, twin, base, j.pre.live, widen) \

@@ -9,7 +9,9 @@ Comments run from // to end of line.
 Addresses exist only at runtime; the grammar has no address literals, so
 `addr(2,1,1)` in a source file is a syntax error.
 
-Whitespace is exactly space, tab, CR and LF. parse reports bad input as a
+Whitespace is exactly space, tab, CR and LF. The lexer makes one pass of
+one regular expression, which skips the whitespace and comments before
+each token in the same match as the token. parse reports bad input as a
 ParseError whose str is `line:col: message` (the CLI prefixes the file
 name): line and column are 1-based, a tab counts as one column, and only
 LF ends a line.
@@ -31,20 +33,29 @@ class Record(tuple):
     """The immutable base of nodes and results. A subclass declares
     __slots__ = () and annotated fields, defaults last. A record is the
     tuple of its fields and then its class as a tag, so records of
-    different classes are never equal. The constructor and the C field
-    accessors are those of a namedtuple of the fields and the tag; copy
-    and pickle rebuild through the constructor."""
+    different classes are never equal. The constructor takes the fields
+    only, as namedtuple's does, and the C field accessors are a
+    namedtuple's; copy and pickle rebuild through the constructor."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         names = tuple(cls.__dict__.get("__annotations__", ()))
         defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
-        base = namedtuple(cls.__name__, names + ("tag",), defaults=defaults + (cls,))
+        base = namedtuple(cls.__name__, names)
         for name in names:
             setattr(cls, name, vars(base)[name])
         if "__new__" not in cls.__dict__:
-            cls.__new__ = base.__new__
+            # namedtuple's own constructor is such a lambda; namedtuple
+            # rejects field names that start with "_", so no field
+            # shadows _cls, _new or _tag
+            fields = "".join(f"{name}, " for name in names)
+            new = eval(f"lambda _cls, {fields}: _new(_cls, ({fields}_tag,))",
+                       {"__builtins__": {}, "_new": tuple.__new__, "_tag": cls})
+            new.__name__ = "__new__"
+            new.__qualname__ = f"{cls.__qualname__}.__new__"
+            new.__defaults__ = defaults
+            cls.__new__ = new
         cls._fields = names
 
     def __getnewargs__(self):
@@ -225,45 +236,62 @@ def walk(s: Stmt):
             todo.append(node.body)
 
 
-# --- free variables ---
+# --- variables ---
+
+def _collect(root: Record, writes: bool) -> frozenset[str]:
+    """The variables that root and the nodes under it read, and also
+    those they write when writes is set: one iterative walk, dispatching
+    on the class tag node[-1]."""
+    out, todo = set(), [root]
+    while todo:
+        node = todo.pop()
+        tag = node[-1]
+        if tag is Var:
+            out.add(node.name)
+        elif tag is BinOp or tag is Cmp or tag is And or tag is Or:
+            todo += (node.lhs, node.rhs)
+        elif tag is Assign:
+            if writes:
+                out.add(node.var)
+            todo.append(node.expr)
+        elif tag is Lookup:
+            if writes:
+                out.add(node.var)
+            todo.append(node.addr)
+        elif tag is Cons:
+            if writes:
+                out.add(node.var)
+            todo += node.args
+        elif tag is Seq:
+            todo += node.items
+        elif tag is Mutate:
+            todo += (node.target, node.value)
+        elif tag is Dispose:
+            todo.append(node.addr)
+        elif tag is Not:
+            todo.append(node.arg)
+        elif tag is If:
+            todo += (node.cond, node.then_body, node.else_body)
+        elif tag is While:
+            todo += (node.cond, node.body)
+        elif not (tag is IntLit or tag is Nil or tag is BoolLit or tag is Skip):
+            raise TypeError(f"not an expression or statement: {node!r}")
+    return frozenset(out)
+
 
 def free_vars(e: AExp | BExp) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, (BinOp, And, Or, Cmp)):
-        return free_vars(e.lhs) | free_vars(e.rhs)
-    if isinstance(e, Not):
-        return free_vars(e.arg)
-    return frozenset()
+    return _collect(e, False)
 
 
 def read_vars(s: Stmt) -> frozenset[str]:
     """Variables whose value some expression of s, guards included, may
     consult."""
-    exprs: list[AExp | BExp] = []
-    for node in walk(s):
-        if isinstance(node, Assign):
-            exprs.append(node.expr)
-        elif isinstance(node, Cons):
-            exprs += node.args
-        elif isinstance(node, (Lookup, Dispose)):
-            exprs.append(node.addr)
-        elif isinstance(node, Mutate):
-            exprs += (node.target, node.value)
-        elif isinstance(node, (If, While)):
-            exprs.append(node.cond)
-    out: set[str] = set()
-    for e in exprs:
-        out |= free_vars(e)
-    return frozenset(out)
+    return _collect(s, False)
 
 
 def stmt_vars(s: Stmt) -> frozenset[str]:
     """All variables mentioned by s, written or read."""
-    out = set(read_vars(s))
-    out.update(node.var for node in walk(s)
-               if isinstance(node, (Assign, Cons, Lookup)))
-    return frozenset(out)
+    return _collect(s, True)
 
 
 # --- lexer: a token is its text ---
@@ -283,9 +311,12 @@ KEYWORDS = {
 
 _LEXEME = r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|:=|<=|[;,()\[\]{}+\-*=<]"
 _LEXEME_RE = re.compile(_LEXEME)
-# Whitespace and comments match with group 1 empty; a character that
-# starts no lexeme matches alone, as a stray.
-_TOKEN_RE = re.compile(rf"[ \t\r\n]+|//[^\n]*|({_LEXEME}|.)")
+# Each match skips the whitespace and comments before a token and yields
+# the token: a lexeme, a character that starts none (a stray), or "" at
+# the end of input. The skip has one way to match, and what follows it
+# always matches, so no match backtracks. After trailing whitespace or a
+# comment, findall also yields the empty match at the end: a second "".
+_LEX_RE = re.compile(rf"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*({_LEXEME}|.|\Z)")
 
 
 _STMT_KEYWORDS = frozenset({"skip", "dispose", "if", "while"})
@@ -307,7 +338,7 @@ class _Failure(Exception):
 
 class _Parser:
     def __init__(self, tokens: list[str]):
-        self.tokens = tokens  # the last is "", the end of input
+        self.tokens = tokens  # the first "" is the end of input
         self.pos = 0
         # token text -> its IntLit, Nil or Var node, shared by every
         # occurrence in this parse; "-7" keys the signed literal
@@ -505,21 +536,21 @@ def parse(src: str) -> Stmt:
 
     The whole source is lexed first, so a stray character is reported
     before any syntax error."""
-    tokens = list(filter(None, _TOKEN_RE.findall(src)))
+    tokens = _LEX_RE.findall(src)
     try:
-        stray = [tok for tok in set(tokens) if not _LEXEME_RE.fullmatch(tok)]
+        stray = [tok for tok in set(tokens) if tok and not _LEXEME_RE.fullmatch(tok)]
         if stray:
             at = min(map(tokens.index, stray))
             raise _Failure(at, f"unexpected character {tokens[at]!r}")
-        tokens.append("")
         parser = _Parser(tokens)
         s = parser.stmt()
         if parser.peek():
             raise _Failure(parser.pos, f"unexpected trailing input {parser.peek()!r}")
         return s
     except _Failure as failure:
-        # the offset of token failure.at, or the end of the source
-        starts = (m.start() for m in _TOKEN_RE.finditer(src) if m.lastindex)
+        # the offset of token failure.at: group 1 of its match starts at
+        # the token, and at len(src) for the end of input
+        starts = (m.start(1) for m in _LEX_RE.finditer(src))
         offset = next(islice(starts, failure.at, None), len(src))
         line = src.count("\n", 0, offset) + 1
         col = offset - src.rfind("\n", 0, offset)

@@ -111,26 +111,31 @@ def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
     the seed is closed under the body.
     """
     s = ann.stmt
-
-    def node(rule, pre, residual, premises=()):
-        return Derivation(rule, Judgment(s, LiveType(ann.pre, pre),
-                                         LiveType(ann.post, post), residual),
-                          premises)
-
     if isinstance(s, Seq):
+        # a leaf item is stepped here, not through a call of
+        # live_annotate; leaf_live_pre is looked up at each call, so a
+        # patched one sees it
         premises, live = [], post
         for child in reversed(ann.children):
-            premises.append(live_annotate(child, live, cfg, seeds))
-            live = premises[-1].judgment.pre.live
+            item = child.stmt
+            tag = item[-1]
+            if tag is If or tag is While:
+                d = live_annotate(child, live, cfg, seeds)
+            else:
+                pre, rule, residual = leaf_live_pre(item, child.pre, live, cfg)
+                d = _node(child, rule, pre, live, residual)
+            premises.append(d)
+            live = d.judgment.pre.live
         premises.reverse()
-        return node("seq_d", live, Seq(*(d.judgment.residual for d in premises)),
-                    tuple(premises))
+        return _node(ann, "seq_d", live, post,
+                     Seq(*(d.judgment.residual for d in premises)), tuple(premises))
     if isinstance(s, If):
         then_d = live_annotate(ann.children[0], post, cfg, seeds)
         else_d = live_annotate(ann.children[1], post, cfg, seeds)
         pre = free_vars(s.cond) | then_d.judgment.pre.live | else_d.judgment.pre.live
-        return node("if_d", pre, If(s.cond, then_d.judgment.residual,
-                                    else_d.judgment.residual), (then_d, else_d))
+        return _node(ann, "if_d", pre, post, If(s.cond, then_d.judgment.residual,
+                                                 else_d.judgment.residual),
+                     (then_d, else_d))
     if isinstance(s, While):
         # least fixpoint above the exit set plus the guard: the body is
         # re-analyzed with the loop head as its exit until nothing grows
@@ -141,12 +146,20 @@ def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
             body = live_annotate(ann.children[0], head, cfg, seeds)
             grown = head | body.judgment.pre.live
             if grown == head or seeds is not None:
-                return node("whl_d", grown, While(s.cond, body.judgment.residual),
-                            (body,))
+                return _node(ann, "whl_d", grown, post,
+                             While(s.cond, body.judgment.residual), (body,))
             head = grown
         raise RuntimeError("loop liveness failed to stabilize")
-    live, rule, residual = leaf_live_pre(s, ann.pre, post, cfg)
-    return node(rule, live, residual)
+    pre, rule, residual = leaf_live_pre(s, ann.pre, post, cfg)
+    return _node(ann, rule, pre, post, residual)
+
+
+def _node(ann: AnnStmt, rule: str, pre: frozenset, post: frozenset,
+          residual: Stmt, premises: tuple = ()) -> Derivation:
+    """The derivation node of ann's statement between live sets pre and
+    post."""
+    return Derivation(rule, Judgment(ann.stmt, LiveType(ann.pre, pre),
+                                     LiveType(ann.post, post), residual), premises)
 
 
 def models_live(st: ProgState, p: PointsTo, live: frozenset,

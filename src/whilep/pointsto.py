@@ -13,11 +13,15 @@ that exact integer and as a frozenset of addresses otherwise. An
 address plus or minus a known offset is shifted within its block, and
 a shift that leaves the block is dropped; the shifts that stay are
 valid addresses by construction, so they are built without Address's
-checks. transfer
-is the step of one leaf statement: it computes the images of the keys
-the leaf may change (its variable, a cons's block cells, a heap write's
-targets) and nothing else; every other key keeps its image. annotate
-applies it at every leaf.
+checks. The shifts of a set by an offset, its closure under unknown
+offsets and the cells of a cons are each kept in a bounded cache keyed
+by value, since every pass over a program asks for the same ones.
+
+transfer is the step of one leaf statement: it computes the images of
+the keys the leaf may change (its variable, a cons's block cells, a heap
+write's targets) and nothing else; every other key keeps its image.
+annotate applies it at every leaf, and steps the leaf items of a
+sequence in its own loop rather than through a call of itself.
 
 No type holds an address above the cap. bottom, join and every transfer
 preserve that: the cons transfer writes only the capped cells that
@@ -106,6 +110,7 @@ def addr_part(v: int | frozenset) -> frozenset:
     return EMPTY if isinstance(v, int) else v
 
 
+@lru_cache(maxsize=1024)
 def _shifts(addrs: frozenset, k: int) -> frozenset:
     """Each address moved k cells, dropped where that leaves its block."""
     out = []
@@ -116,6 +121,7 @@ def _shifts(addrs: frozenset, k: int) -> frozenset:
     return frozenset(out)
 
 
+@lru_cache(maxsize=1024)
 def _variants(addrs: frozenset) -> frozenset:
     """Every in-block shift of every address: the unknown-offset closure."""
     out = set()
@@ -250,9 +256,15 @@ def annotate(s: Stmt, p: PointsTo, cfg: WidenConfig,
     when the seed contains the loop's entry and is closed under the body.
     """
     if isinstance(s, Seq):
+        # a leaf item is stepped here, not through a call of annotate;
+        # transfer is looked up at each call, so a patched one sees it
         children, q = [], p
         for item in s.items:
-            child = annotate(item, q, cfg, seeds)
+            tag = item[-1]
+            if tag is If or tag is While:
+                child = annotate(item, q, cfg, seeds)
+            else:
+                child = AnnStmt(item, q, transfer(item, q, cfg))
             children.append(child)
             q = child.post
         return AnnStmt(s, p, q, tuple(children))

@@ -20,7 +20,7 @@ from whilep.certificate import (
 from whilep.deadcode import optimize
 from whilep.interp import Final, execute, zero_state
 from whilep.lang import (
-    Assign, If, IntLit, Seq, Skip, While, parse, pretty, stmt_vars,
+    Assign, If, IntLit, Seq, Skip, While, parse, pretty, stmt_vars, walk,
 )
 from whilep.liveness import Derivation, Judgment, LiveType
 from whilep.memory import Address
@@ -169,6 +169,68 @@ def test_each_pass_computes_a_cons_block_twice(monkeypatch):
     again = blocks_in(lambda: deserialize(text, CFG))
     assert blocks_in(lambda: check(again, CFG)) == ACCEPT
     assert per_pass == [200, 200, 200]
+
+
+# leaves that are Seq items, branch bodies and the whole program
+LOOP_FREE = [
+    "x := cons(1, 2); y := [x + 1]; [x] := y; dispose(x); skip; z := x",
+    "x := 1; if x < 2 then { y := cons(x) } else { y := 2; z := [y] }; w := y",
+    "if true then { skip } else { x := cons(1); [x] := 2 }",
+    "x := 7",
+]
+# leaves that are also lone loop bodies and items of loop bodies
+WITH_LOOPS = [
+    "i := 0; while i < 3 do { i := i + 1 }",
+    "p := cons(0); i := 0; while i < 2 do { q := [p]; p := cons(p); i := i + 1 }",
+    "p := nil; while p = nil do { while true do { p := cons(p) } }; x := [p]",
+    "while x < 1 do { if x = 0 then { x := 1 } else { skip } }",
+]
+
+
+def _leaf_ids(s):
+    return sorted(id(n) for n in walk(s) if not isinstance(n, (Seq, If, While)))
+
+
+@pytest.fixture
+def leaf_steps(monkeypatch):
+    """The ids of the statements passed to pointsto.transfer and to
+    liveness.leaf_live_pre, through counting wrappers installed where the
+    passes look them up."""
+    calls = {}
+    for module, name in ((pointsto, "transfer"), (liveness, "leaf_live_pre")):
+        original, seen = getattr(module, name), calls.setdefault(name, [])
+
+        def counted(s, *args, original=original, seen=seen):
+            seen.append(id(s))
+            return original(s, *args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("src", LOOP_FREE)
+def test_the_analyses_step_each_leaf_once(src, leaf_steps):
+    """Without loops, annotate and live_annotate each take exactly one
+    leaf step per leaf, wherever it sits."""
+    prog = parse(src)
+    variables = stmt_vars(prog)
+    ann = pointsto.annotate(prog, bottom(variables), CFG)
+    liveness.live_annotate(ann, variables, CFG)
+    assert sorted(leaf_steps["transfer"]) == _leaf_ids(prog)
+    assert sorted(leaf_steps["leaf_live_pre"]) == _leaf_ids(prog)
+
+
+@pytest.mark.parametrize("src", LOOP_FREE + WITH_LOOPS)
+def test_deserialize_steps_each_leaf_once(src, leaf_steps):
+    """The seeded rerun of deserialize runs each loop body once, so each
+    leaf is stepped exactly once by each analysis."""
+    prog = parse(src)
+    text = serialize(optimize(prog, stmt_vars(prog), CFG).derivation)
+    for seen in leaf_steps.values():
+        seen.clear()
+    d = deserialize(text, CFG)
+    assert sorted(leaf_steps["transfer"]) == _leaf_ids(d.judgment.stmt)
+    assert sorted(leaf_steps["leaf_live_pre"]) == _leaf_ids(d.judgment.stmt)
 
 
 # sha256 per instance cap over the certificates of a seeded corpus

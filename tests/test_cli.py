@@ -88,6 +88,29 @@ def test_check_cert_rejects_a_certificate_not_utf8(prog, capsys, tmp_path):
         "Reject: root: not valid UTF-8: invalid start byte at byte 13\n"
 
 
+def test_lone_cr_does_not_end_a_line(tmp_path, capsys):
+    """The CLI reads files with their line ends as they are, so it
+    locates an error where parse does: only LF ends a line."""
+    path = tmp_path / "prog.whl"
+    path.write_bytes(b"x := 1;\r y := ;")
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"{path}:1:15: expected an expression, found ';'\n"
+
+
+def test_check_cert_accepts_crlf_files(prog, capsys, tmp_path, fig_src):
+    src = prog(fig_src)
+    cert = tmp_path / "cert.json"
+    assert main(["optimize", src, "--live", "y", "--cert", str(cert)]) == 0
+    capsys.readouterr()
+    for path in (Path(src), cert):
+        text = path.read_bytes()
+        assert b"\r" not in text
+        path.write_bytes(text.replace(b"\n", b"\r\n"))
+    assert main(["check-cert", src, str(cert)]) == 0
+    assert capsys.readouterr().out == "Accept\n"
+
+
 def test_analyze_pts(prog, capsys):
     assert main(["analyze", "pts", prog("x := cons(5); dispose(x)")]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -2,15 +2,17 @@
 
 import hashlib
 import random
+import re
 import time
 
 import pytest
 
 from whilep import GenConfig, gen_program
+from whilep import lang
 from whilep.lang import (
-    And, Assign, BinOp, BoolLit, Cmp, Cons, Dispose, IntLit, Lookup, Not,
-    Or, ParseError, Record, Seq, Skip, Var, While, free_vars, parse, pretty,
-    read_vars, seq_of, stmt_vars, walk,
+    And, Assign, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit, Lookup,
+    Mutate, Not, Or, ParseError, Record, Seq, Skip, Var, While, free_vars,
+    parse, pretty, read_vars, seq_of, stmt_vars, walk,
 )
 
 
@@ -347,6 +349,112 @@ def test_stmt_vars_and_read_vars():
     assert stmt_vars(prog) == {"x", "y", "z", "w"}
     assert read_vars(prog) == {"y", "x", "z", "w"}
     assert read_vars(parse("x := 1")) == frozenset()
+
+
+# the recursive folds that free_vars, read_vars and stmt_vars replaced,
+# kept as the reference for their one-walk versions
+
+def _ref_free_vars(e):
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, (BinOp, And, Or, Cmp)):
+        return _ref_free_vars(e.lhs) | _ref_free_vars(e.rhs)
+    if isinstance(e, Not):
+        return _ref_free_vars(e.arg)
+    return frozenset()
+
+
+def _exprs(s):
+    """Every expression and guard directly under a statement of s."""
+    out = []
+    for node in walk(s):
+        if isinstance(node, Assign):
+            out.append(node.expr)
+        elif isinstance(node, Cons):
+            out += node.args
+        elif isinstance(node, (Lookup, Dispose)):
+            out.append(node.addr)
+        elif isinstance(node, Mutate):
+            out += (node.target, node.value)
+        elif isinstance(node, (If, While)):
+            out.append(node.cond)
+    return out
+
+
+def _ref_read_vars(s):
+    out = set()
+    for e in _exprs(s):
+        out |= _ref_free_vars(e)
+    return frozenset(out)
+
+
+def _ref_stmt_vars(s):
+    return _ref_read_vars(s) | {node.var for node in walk(s)
+                                if isinstance(node, (Assign, Cons, Lookup))}
+
+
+GUARDS = [
+    "true", "not false", "x = 1", "not x < y", "not not (x <= y + z)",
+    "a = 1 and b < c", "a = 1 or not b < c", "not (a = b and c = d) or e <= f",
+    "(a < 1 or b < 2) and not (c < 3 or d < 4 and e = nil)",
+    "not (x * (y - z) = w) and (v = v or true)",
+]
+
+
+def test_variable_sets_match_the_recursive_folds():
+    guards = [parse(f"if {g} then {{ skip }} else {{ skip }}").cond for g in GUARDS]
+    for g in guards:
+        assert free_vars(g) == _ref_free_vars(g), g
+    assert free_vars(guards[-1]) == {"x", "y", "z", "w", "v"}
+    for seed in range(2_000):
+        prog = gen_program(GenConfig(seed=seed, max_stmts=(12, 40)[seed % 2]))
+        assert read_vars(prog) == _ref_read_vars(prog), seed
+        assert stmt_vars(prog) == _ref_stmt_vars(prog), seed
+        for e in _exprs(prog):
+            assert free_vars(e) == _ref_free_vars(e), seed
+
+
+def test_variable_sets_reject_an_unknown_node():
+    """A node kind the walk does not know raises instead of adding
+    nothing to the set."""
+    class Probe(lang.Stmt):
+        __slots__ = ()
+        var: str
+
+    with pytest.raises(TypeError):
+        stmt_vars(Seq(Assign("x", Var("y")), Probe("z")))
+    with pytest.raises(TypeError):
+        free_vars(Not(Probe("z")))
+
+
+# the two-step lexer that _LEX_RE replaced, kept as the reference: lex
+# whitespace, comments and tokens, drop the first two, append the end
+_REF_TOKEN_RE = re.compile(rf"[ \t\r\n]+|//[^\n]*|({lang._LEXEME}|.)")
+
+
+def _ref_tokens(src):
+    return list(filter(None, _REF_TOKEN_RE.findall(src))) + [""]
+
+
+LEX_CASES = [
+    "", " ", "\t\r\n  ", "\r", "\n\n", "// only a comment", "//", "// a\n// b",
+    "x := 1 // trailing comment, no newline", "x := 1 //", "x := 1 //\n",
+    "/", "x := 1 / 2", "x/", "/x", "//x\n/", "// c\n@", "// c\n\u00e9 := 1",
+    "x//y", "x := 1;\r y := ;", "x :=\r\n\t1", "x\ry", "\tskip;\t\tskip\t",
+    "skip;\x0cskip", "\u00a0", ":=:=<=<", "::", "x := -1", "a1_b2 3c",
+    "x := 1;\n// end\n", "   \n  // trailing\n  ",
+]
+
+
+@pytest.mark.parametrize("src", LEX_CASES)
+def test_lexer_matches_the_two_step_lexer(src):
+    """The tokens up to the end of input are the reference's; after
+    trailing whitespace or a comment, findall also yields the empty match
+    at the end, a second "" that the parser never reads."""
+    tokens = lang._LEX_RE.findall(src)
+    end = tokens.index("") + 1
+    assert tokens[:end] == _ref_tokens(src)
+    assert tokens[end:] in ([], [""])
 
 
 def test_seq_of_keeps_items():

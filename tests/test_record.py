@@ -152,6 +152,19 @@ def test_constructors_take_keywords_and_defaults():
     assert GenConfig(max_stmts=4) == GenConfig(0, 4)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: IntLit(1, Skip), lambda: IntLit(1, tag=Skip), lambda: Skip(Nil),
+    lambda: Nil(tag=IntLit), lambda: WidenConfig(3, False, WidenConfig),
+    lambda: Derivation("skip", J, (), Derivation), lambda: IntLit(),
+], ids=["tag", "tag-keyword", "no-fields", "no-fields-keyword", "defaults",
+        "after-default", "missing"])
+def test_constructors_take_the_fields_only(build):
+    """The class tag is no argument: a surplus one is a TypeError, as for
+    the frozen dataclasses, not a record tagged with another class."""
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_seq_splices_and_keeps_its_binary_view():
     a, b, c = Assign("a", IntLit(1)), Skip(), Dispose(Var("p"))
     assert Seq(a, Seq(b, c)) == Seq(Seq(a, b), c) == Seq(a, b, c)
