@@ -28,13 +28,15 @@ rejects, in the entry type, the exit live set and the
 loop annotations, a variable the program does not mention, an address
 whose block length no cons of the program allocates and an address
 whose instance is above the instance cap. It reruns
-the analyses from entry and exit with each loop seeded by its
-annotation, and rejects an annotation or residual that the rerun does
-not reproduce. A coarser annotation that is still closed is
-reproduced: on disk, weakening is expressed through the loop
-annotations and the entry type, and csq_d stays in memory only
+the analyses from entry and exit, each loop starting from its
+annotation and iterating to closure, and rejects an annotation or
+residual that the rerun does not reproduce. A coarser annotation that
+is still closed is reproduced: on disk, weakening is expressed through
+the loop annotations and the entry type, and csq_d stays in memory only
 (serialize raises ValueError on it). Serialization is deterministic, so
-equal derivations produce byte-identical documents.
+equal derivations produce byte-identical documents. This module also
+owns the text form of points-to keys, types and live sets, which the
+analyze reports of the command line share.
 """
 
 from __future__ import annotations
@@ -46,12 +48,9 @@ from .lang import (
     Assign, Cons, Dispose, If, Lookup, Mutate, ParseError, Record, Seq, Skip,
     Stmt, While, free_vars, parse, pretty, stmt_vars, walk,
 )
-from .memory import Address
+from .memory import Address, parse_addr
 from .liveness import Derivation, LiveType, leaf_live_pre, live_annotate
-from .pointsto import (
-    PointsTo, WidenConfig, annotate, join, key_sort_key, leq, live_from_list,
-    live_to_list, pts_from_doc, pts_to_doc, transfer,
-)
+from .pointsto import PointsTo, WidenConfig, annotate, join, leq, transfer
 
 
 # premises per rule; None for seq_d, which takes one per item
@@ -203,6 +202,35 @@ class FormatError(Exception):
 _FIELDS = {"program", "entry", "exit_live", "loops", "residual"}
 
 
+def _key_to_str(key) -> str:
+    """A variable's name or an address's repr."""
+    return key if isinstance(key, str) else repr(key)
+
+
+def _key_from_str(text: str):
+    """Inverse of _key_to_str; None when text is neither shape."""
+    a = parse_addr(text)
+    if a is not None:
+        return a
+    return text if text.isidentifier() else None
+
+
+def _key_sort_key(key):
+    """Variables by name, then addresses as triples."""
+    if isinstance(key, str):
+        return (0, key, 0, 0, 0)
+    return (1, "", key.length, key.instance, key.index)
+
+
+def pts_to_doc(p: PointsTo) -> dict:
+    return {_key_to_str(key): [repr(a) for a in sorted(image)]
+            for key, image in p.env.items()}
+
+
+def live_to_list(live: frozenset) -> list:
+    return [_key_to_str(k) for k in sorted(live, key=_key_sort_key)]
+
+
 def _loops_and_scope(s: Stmt, cap: int) -> tuple[list, tuple]:
     """The While nodes of s in source preorder, and the scope of s: the
     variables it mentions, the block lengths its cons statements
@@ -228,7 +256,7 @@ def _in_scope(keys, path: str, scope: tuple) -> None:
                if isinstance(k, Address) else k not in variables)]
     if not bad:
         return
-    k = min(bad, key=key_sort_key)
+    k = min(bad, key=_key_sort_key)
     if not isinstance(k, Address):
         raise FormatError(path, f"{k}: the program mentions no such variable")
     if k.length not in lengths:
@@ -285,23 +313,29 @@ def _pts_from_doc(doc, path: str, scope: tuple) -> PointsTo:
             isinstance(v, list) and all(isinstance(a, str) for a in v)
             for v in doc.values()):
         raise FormatError(path, "expected an object of string lists")
-    try:
-        p = pts_from_doc(doc)
-    except ValueError as err:
-        raise FormatError(path, str(err)) from None
-    _in_scope(p.env, path, scope)
-    for image in p.env.values():
+    env = {}
+    for text, items in doc.items():
+        key = _key_from_str(text)
+        if key is None:
+            raise FormatError(path, f"bad points-to key: {text!r}")
+        image = frozenset(map(parse_addr, items))
+        if None in image:
+            item = next(item for item in items if parse_addr(item) is None)
+            raise FormatError(path, f"bad address in image of {text!r}: {item!r}")
+        env[key] = image
+    _in_scope(env, path, scope)
+    for image in env.values():
         _in_scope(image, path, scope)
-    return p
+    return PointsTo(env)
 
 
 def _live_from_doc(doc, path: str, scope: tuple) -> frozenset:
     if not isinstance(doc, list) or not all(isinstance(k, str) for k in doc):
         raise FormatError(path, "expected a list of strings")
-    try:
-        live = live_from_list(doc)
-    except ValueError as err:
-        raise FormatError(path, str(err)) from None
+    live = frozenset(map(_key_from_str, doc))
+    if None in live:
+        text = next(text for text in doc if _key_from_str(text) is None)
+        raise FormatError(path, f"bad live-set entry: {text!r}")
     _in_scope(live, path, scope)
     return live
 
@@ -330,10 +364,12 @@ def deserialize(text: str, cfg: WidenConfig = WidenConfig()) -> Derivation:
     """Rebuild the derivation a certificate document describes.
 
     The analyses rerun from the recorded entry type and exit live set,
-    each loop seeded with its recorded annotation; the live pass builds
-    the derivation. A loop annotation the rerun does not reproduce, or a
-    residual that differs from the rebuilt one, is a FormatError; the
-    rebuilt derivation still has to pass check().
+    each loop starting from its recorded annotation, and the live pass
+    builds the derivation. A loop annotation the rerun does not
+    reproduce, or a residual that differs from the rebuilt one, is a
+    FormatError. Every loop iterates to closure, so the derivation
+    returned is one check() accepts; whether it is the one for a given
+    program is for the caller to compare.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)

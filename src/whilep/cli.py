@@ -13,13 +13,15 @@ import json
 import re
 import sys
 
-from .certificate import FormatError, check, deserialize, serialize
+from .certificate import (
+    FormatError, check, deserialize, live_to_list, pts_to_doc, serialize,
+)
 from .deadcode import optimize, strip_dead_cons
 from .interp import DEFAULT_FUEL, Aborted, OutOfFuel, execute, zero_state
 from .lang import If, ParseError, Seq, While, parse, pretty, stmt_vars
 from .liveness import live_annotate
 from .memory import format_value
-from .pointsto import WidenConfig, annotate, bottom, live_to_list, pts_to_doc
+from .pointsto import WidenConfig, annotate, bottom
 from .harness import ALL_CHECKS, SUITE_FUEL, GenConfig, run_soundness_suite
 
 
@@ -105,9 +107,6 @@ def _build_parser() -> _Parser:
     p_test.add_argument("--fuel", type=_positive, default=SUITE_FUEL)
     p_test.add_argument("--checks", default=",".join(ALL_CHECKS),
                         help=f"comma-separated subset of {','.join(ALL_CHECKS)}")
-    p_test.add_argument("--break-weak-update", action="store_true",
-                        help="sabotage the analysis to prove the suite "
-                             "can fail")
     p_test.set_defaults(func=_cmd_test_soundness)
 
     return parser
@@ -324,8 +323,7 @@ def _cmd_test_soundness(args) -> int:
     if not names:
         print("whilep: --checks selected nothing", file=sys.stderr)
         return 3
-    widen = WidenConfig(instance_cap=args.widen,
-                        break_weak_update=args.break_weak_update)
+    widen = WidenConfig(instance_cap=args.widen)
     report = run_soundness_suite(args.trials, GenConfig(seed=args.seed),
                                  checks=names, widen=widen, fuel=args.fuel)
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -344,14 +344,6 @@ class _Parser:
         # occurrence in this parse; "-7" keys the signed literal
         self.atoms: dict[str, AExp] = {}
 
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def next(self) -> str:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def fail(self, expected: str):
         found = self.tokens[self.pos] or "end of input"
         raise _Failure(self.pos, f"expected {expected}, found {found!r}")
@@ -361,10 +353,7 @@ class _Parser:
             self.fail(repr(text))
         self.pos += 1
 
-    def at(self, text: str) -> bool:
-        return self.tokens[self.pos] == text
-
-    # statements; the hot productions index self.tokens directly
+    # statements
 
     def stmt(self) -> Stmt:
         tokens = self.tokens
@@ -481,42 +470,40 @@ class _Parser:
     # guards: not binds tighter than and, and tighter than or
 
     def bexp(self) -> BExp:
+        tokens = self.tokens
         e = self.band()
-        while self.at("or"):
-            self.next()
+        while tokens[self.pos] == "or":
+            self.pos += 1
             e = Or(e, self.band())
         return e
 
     def band(self) -> BExp:
+        tokens = self.tokens
         e = self.bnot()
-        while self.at("and"):
-            self.next()
+        while tokens[self.pos] == "and":
+            self.pos += 1
             e = And(e, self.bnot())
         return e
 
     def bnot(self) -> BExp:
-        if self.at("not"):
-            self.next()
+        if self.tokens[self.pos] == "not":
+            self.pos += 1
             return Not(self.bnot())
         return self.batom()
 
     def batom(self) -> BExp:
-        tok = self.peek()
-        if tok == "true":
-            self.next()
-            return BoolLit(True)
-        if tok == "false":
-            self.next()
-            return BoolLit(False)
+        pos = self.pos
+        tok = self.tokens[pos]
+        if tok == "true" or tok == "false":
+            self.pos = pos + 1
+            return BoolLit(tok == "true")
         if tok == "(":
             # '(' may open a parenthesized guard or a comparison operand;
             # try the comparison first and backtrack if no operator follows.
-            saved = self.pos
             try:
                 return self.cmp()
             except _Failure:
-                self.pos = saved
-            self.next()
+                self.pos = pos + 1
             e = self.bexp()
             self.expect(")")
             return e
@@ -524,10 +511,10 @@ class _Parser:
 
     def cmp(self) -> BExp:
         lhs = self.aexp()
-        op = self.peek()
+        op = self.tokens[self.pos]
         if op not in ("=", "<", "<="):
             self.fail("'=', '<' or '<='")
-        self.next()
+        self.pos += 1
         return Cmp(op, lhs, self.aexp())
 
 
@@ -544,8 +531,8 @@ def parse(src: str) -> Stmt:
             raise _Failure(at, f"unexpected character {tokens[at]!r}")
         parser = _Parser(tokens)
         s = parser.stmt()
-        if parser.peek():
-            raise _Failure(parser.pos, f"unexpected trailing input {parser.peek()!r}")
+        if tokens[parser.pos]:
+            raise _Failure(parser.pos, f"unexpected trailing input {tokens[parser.pos]!r}")
         return s
     except _Failure as failure:
         # the offset of token failure.at: group 1 of its match starts at

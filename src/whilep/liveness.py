@@ -106,9 +106,10 @@ def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
     set post: every node's live sets, rule and residual.
 
     seeds, when given, maps id() of every While node to a recorded head
-    live set; as in pointsto.annotate, each loop then runs its body once
-    from exit, guard and seed together, and ends at the seed exactly when
-    the seed is closed under the body.
+    live set; as in pointsto.annotate, each loop then starts from exit,
+    guard and seed together and iterates to closure, so it ends at the
+    seed exactly when the seed holds guard and exit and is closed under
+    the body.
     """
     s = ann.stmt
     if isinstance(s, Seq):
@@ -145,7 +146,7 @@ def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
         for _ in range(_MAX_ITER):
             body = live_annotate(ann.children[0], head, cfg, seeds)
             grown = head | body.judgment.pre.live
-            if grown == head or seeds is not None:
+            if grown == head:
                 return _node(ann, "whl_d", grown, post,
                              While(s.cond, body.judgment.residual), (body,))
             head = grown

@@ -40,22 +40,16 @@ from .lang import (
     AExp, Assign, BinOp, Cons, Dispose, If, IntLit, Lookup, Mutate, Nil,
     Record, Seq, Skip, Stmt, Var, While,
 )
-from .memory import Address, ProgState, parse_addr
+from .memory import Address, ProgState
 
 Key = object  # str (variable) or Address (tracked cell)
 
 
 class WidenConfig(Record):
-    """Analysis knobs: the instance cap K and a sabotage switch.
-
-    break_weak_update is a sabotage switch for the test harness: it makes
-    multi-target heap writes drop the union with the old image, which is
-    unsound and must be caught by the differential suites.
-    """
+    """The analyses' one parameter: the instance cap K."""
 
     __slots__ = ()
     instance_cap: int = 3
-    break_weak_update: bool = False
 
 
 EMPTY: frozenset = frozenset()
@@ -232,8 +226,6 @@ def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
         only = next(iter(targets)) if len(targets) == 1 else None
         if only is not None and only.instance < cfg.instance_cap:
             delta = {only: stored}  # strong update: unique, non-summary target
-        elif cfg.break_weak_update:  # sabotage: drop the old images
-            delta = dict.fromkeys(targets, stored)
         else:
             delta = {a: p.image(a) | stored for a in targets}
     elif isinstance(s, (Skip, Dispose)):
@@ -251,9 +243,10 @@ def annotate(s: Stmt, p: PointsTo, cfg: WidenConfig,
     """Run the analysis from entry type p, annotating every node.
 
     seeds, when given, maps id() of every While node in s to a recorded
-    invariant. Each loop then starts from entry joined with its seed and
-    runs its body once: the resulting invariant equals the seed exactly
-    when the seed contains the loop's entry and is closed under the body.
+    invariant, and each loop starts from its entry joined with its seed.
+    A loop iterates to closure either way, so the invariant it ends at
+    equals its seed exactly when the seed contains the loop's entry and
+    is closed under the body.
     """
     if isinstance(s, Seq):
         # a leaf item is stepped here, not through a call of annotate;
@@ -280,7 +273,7 @@ def annotate(s: Stmt, p: PointsTo, cfg: WidenConfig,
         for _ in range(_MAX_ITER):
             body = annotate(s.body, inv, cfg, seeds)
             grown = join(inv, body.post)
-            if grown == inv or seeds is not None:
+            if grown == inv:
                 return AnnStmt(s, p, grown, (body,))
             inv = grown
         raise RuntimeError("loop analysis failed to stabilize")
@@ -301,62 +294,3 @@ def models(st: ProgState, p: PointsTo, cfg: WidenConfig) -> bool:
             if cap_address(v, cap) not in p.image(cap_address(a, cap)):
                 return False
     return True
-
-
-# --- textual form (shared by the certificate format and the CLI) ---
-
-def key_to_str(key: Key) -> str:
-    return key if isinstance(key, str) else repr(key)
-
-
-def key_from_str(text: str) -> Key | None:
-    """Inverse of key_to_str; None when text is neither shape."""
-    a = parse_addr(text)
-    if a is not None:
-        return a
-    if text.isidentifier():
-        return text
-    return None
-
-
-def key_sort_key(key: Key):
-    if isinstance(key, str):
-        return (0, key, 0, 0, 0)
-    return (1, "", key.length, key.instance, key.index)
-
-
-def pts_to_doc(p: PointsTo) -> dict:
-    return {
-        key_to_str(key): [repr(a) for a in sorted(image)]
-        for key, image in p.env.items()
-    }
-
-
-def pts_from_doc(doc: dict) -> PointsTo:
-    env = {}
-    for text, addrs in doc.items():
-        key = key_from_str(text)
-        if key is None:
-            raise ValueError(f"bad points-to key: {text!r}")
-        image = set()
-        for item in addrs:
-            a = parse_addr(item)
-            if a is None:
-                raise ValueError(f"bad address in image of {text!r}: {item!r}")
-            image.add(a)
-        env[key] = frozenset(image)
-    return PointsTo(env)
-
-
-def live_to_list(live: frozenset) -> list:
-    return [key_to_str(k) for k in sorted(live, key=key_sort_key)]
-
-
-def live_from_list(items: list) -> frozenset:
-    out = set()
-    for text in items:
-        key = key_from_str(text)
-        if key is None:
-            raise ValueError(f"bad live-set entry: {text!r}")
-        out.add(key)
-    return frozenset(out)

@@ -16,6 +16,7 @@ from whilep.lang import While, parse, stmt_vars
 from whilep.pointsto import WidenConfig, annotate, bottom, leq
 from whilep.harness import _gen_state
 
+import mutants
 import tamper_ops
 
 CFG = WidenConfig()
@@ -134,15 +135,21 @@ def test_criterion_8_certificates(fig_src):
                   f"{rejected}/{mutated} tampered certificates rejected")
 
 
-def test_criterion_9_suite_detects_sabotage():
-    broken = WidenConfig(CFG.instance_cap, break_weak_update=True)
-    failures = 0
-    for start in range(0, 10_000, 1_000):
-        suite = run_soundness_suite(1_000, GenConfig(seed=start),
-                                    checks=("t1",), widen=broken)
-        failures = suite["checks"]["t1"]["fail"]
-        if failures:
-            break
-    report(9, failures >= 1,
-           f"disabling weak updates is caught: first failing block "
-           f"reports {failures} soundness violations")
+def test_criterion_9_suite_detects_sabotage(monkeypatch):
+    """Each mutant of the table is killed by its differential check
+    within 1,000 trials from seed 0, first at the seed the table lists,
+    where the healthy analyses pass."""
+    first, healthy = {}, {}
+    for name, mutant in mutants.MUTANTS.items():
+        with monkeypatch.context() as patch:
+            mutants.install(patch, name)
+            suite = run_soundness_suite(1_000, GenConfig(seed=0),
+                                        checks=(mutant.check,), widen=CFG)
+        first[name] = suite["checks"][mutant.check]["failing_seeds"][:1]
+        replay = run_soundness_suite(1, GenConfig(seed=mutant.first_kill),
+                                     checks=(mutant.check,), widen=CFG)
+        healthy[name] = replay["checks"][mutant.check]["fail"]
+    ok = first == {name: [m.first_kill] for name, m in mutants.MUTANTS.items()} \
+        and not any(healthy.values())
+    report(9, ok, f"all {len(first)} mutants killed within 1,000 trials, "
+                  f"first at seeds {first}")

@@ -345,6 +345,32 @@ def test_deserialize_rejects_bad_documents():
     with pytest.raises(FormatError) as err:
         deserialize("{not json")
     assert err.value.path == "root"
+    # two nested loops: an annotation missing part of its loop's
+    # fixpoint is named by its own index, and the other loop's holds
+    nested = json.loads(serialize(derivation_for(NESTED_SRC, {"q"})))
+
+    def nest(i, field, value):
+        loops = list(nested["loops"])
+        loops[i] = dict(loops[i], **{field: value})
+        return dict(nested, loops=loops)
+
+    for i, t in enumerate(nested["loops"]):
+        where = f"root.loops[{i}]"
+        for key, image in t["pts"].items():
+            reject(nest(i, "pts", {k: v for k, v in t["pts"].items() if k != key}),
+                   f"{where}.pts")
+            for a in image:
+                reject(nest(i, "pts", dict(t["pts"], **{key: [b for b in image if b != a]})),
+                       f"{where}.pts")
+        for key in t["live"]:
+            reject(nest(i, "live", [k for k in t["live"] if k != key]), f"{where}.live")
+        reject(nest(i, "pts", dict(t["pts"], ghost=[])), f"{where}.pts")
+        reject(nest(i, "live", t["live"] + ["addr(7,1,1)"]), f"{where}.live")
+
+
+NESTED_SRC = ("p := cons(0); i := 0; z := 0; while i < 2 do { j := 0; "
+              "while j < 2 do { q := [p]; p := cons(p); j := j + 1 }; "
+              "i := i + 1 }")
 
 
 def test_deserialize_rejects_a_repeated_key():
@@ -376,6 +402,48 @@ def test_deserialize_reads_one_spelling_per_address():
         spelled = {k: [a.replace("01", "1") for a in v]
                    for k, v in doc["entry"].items() if "01" not in k}
         deserialize(json.dumps(dict(doc, entry=spelled)))
+
+
+def _loop_seeds(d):
+    """The recorded annotations of d's loops, in source preorder."""
+    out, todo = [], [d]
+    while todo:
+        node = todo.pop()
+        if node.rule == "whl_d":
+            out.append((node.judgment.post.pts, node.judgment.pre.live))
+        todo.extend(reversed(node.premises))
+    return out
+
+
+def test_perturbed_seeds_still_reach_closure():
+    """A loop seed that misses part of the fixpoint is only a start value:
+    the seeded analyses still iterate every loop to closure, so they
+    return the unseeded derivation, which check accepts."""
+    perturbed = 0
+    for seed in range(150):
+        prog = gen_program(GenConfig(seed=seed, max_stmts=14))
+        loops = [n for n in walk(prog) if isinstance(n, While)]
+        variables = stmt_vars(prog)
+        live = frozenset(sorted(variables)[::2])
+        ann = pointsto.annotate(prog, bottom(variables), CFG)
+        d = liveness.live_annotate(ann, live, CFG)
+        seeds = _loop_seeds(d)
+        all_pts = {id(w): pts for w, (pts, _) in zip(loops, seeds)}
+        all_live = {id(w): head for w, (_, head) in zip(loops, seeds)}
+        cases = []
+        for w, (pts, head) in zip(loops, seeds):
+            cases += [({**all_pts, id(w): PointsTo({k: v for k, v in pts.env.items()
+                                                    if k != key})}, all_live)
+                      for key in pts.env]
+            cases += [(all_pts, {**all_live, id(w): head - {key}}) for key in head]
+        for pts_seeds, live_seeds in cases:
+            again = liveness.live_annotate(
+                pointsto.annotate(prog, bottom(variables), CFG, pts_seeds),
+                live, CFG, live_seeds)
+            assert check(again, CFG) == ACCEPT, seed
+            assert again == d, seed
+        perturbed += len(cases)
+    assert perturbed >= 1_000, perturbed
 
 
 def test_coarser_closed_invariant_accepted():
@@ -455,8 +523,10 @@ def test_document_tamper_corpus_rejected():
                 d = deserialize(json.dumps(mutant), CFG)
             except FormatError:
                 continue
-            assert d.judgment.stmt != prog or not check(d, CFG).ok, \
-                f"seed {seed}: {kind} mutation accepted"
+            # a derivation deserialize returns is valid by construction,
+            # so only the program comparison can reject it
+            assert check(d, CFG).ok, f"seed {seed}: {kind} mutation unchecked"
+            assert d.judgment.stmt != prog, f"seed {seed}: {kind} mutation accepted"
     assert min(counts[k] for k in ("address", "key", "live", "loop",
                                    "residual", "program")) >= 100, counts
 

@@ -1,11 +1,14 @@
 """End-to-end command-line behavior: output, files, and exit codes."""
 
+import argparse
 import json
+import re
 from pathlib import Path
 
+import mutants
 import pytest
 
-from whilep.cli import main
+from whilep.cli import _build_parser, main
 
 RUN_SRC = "x := cons(3, 4); y := [x + 1]; z := y * 2"
 
@@ -318,10 +321,48 @@ def test_soundness_command(capsys):
         assert entry["fail"] == 0
 
 
-def test_soundness_sabotage_fails(capsys):
+def test_soundness_sabotage_fails(capsys, monkeypatch):
+    """A failing suite exits 1; the analyses take no sabotage flag."""
+    mutants.install(monkeypatch, "weak_drop")
     code = main(["test-soundness", "--trials", "600", "--seed", "0",
-                 "--checks", "t1", "--break-weak-update"])
+                 "--checks", "t1"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
     assert doc["checks"]["t1"]["fail"] >= 1
     assert doc["checks"]["t1"]["failing_seeds"]
+    assert main(["test-soundness", "--trials", "1", "--break-weak-update"]) == 3
+
+
+def _argparse_flags(parser, command=""):
+    """(subcommand, its long options) for every leaf subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _argparse_flags(sub, f"{command} {name}".strip())
+            return
+    yield command, {opt for action in parser._actions
+                    for opt in action.option_strings
+                    if opt.startswith("--") and opt != "--help"}
+
+
+def _readme_flags():
+    """(subcommand, the long options its synopsis lines list) from the
+    README's "Command line" block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    entries = []
+    for line in block.splitlines():
+        if line.startswith("whilep "):
+            words = line.split()[1:]
+            command = " ".join(words[:2] if words[0] == "analyze" else words[:1])
+            entries.append((command, set()))
+        entries[-1][1].update(re.findall(r"--[a-z][a-z-]*", line))
+    return entries
+
+
+def test_readme_synopsis_lists_the_argparse_flags():
+    """Each subcommand has one synopsis entry in the README, listing
+    exactly the options its parser takes."""
+    readme = _readme_flags()
+    assert len(readme) == len(dict(readme))
+    assert dict(readme) == dict(_argparse_flags(_build_parser()))

@@ -2,6 +2,7 @@
 
 import random
 
+import mutants
 from whilep.harness import (
     GenConfig, _gen_state, _synthetic_ptype, gen_program, gen_state,
     make_similar_state, run_soundness_suite,
@@ -144,25 +145,28 @@ def test_suite_completion_rate():
     assert report["checks"]["t1"]["pass"] >= 60
 
 
-def test_sabotage_is_detected_and_replayable():
-    broken = WidenConfig(break_weak_update=True)
+def test_sabotage_is_detected_and_replayable(monkeypatch):
+    """A weak write that drops the old images fails t1, and its first
+    failing seed replays alone."""
+    mutants.install(monkeypatch, "weak_drop")
     report = run_soundness_suite(600, GenConfig(seed=0), checks=("t1",),
-                                 widen=broken)
+                                 widen=CFG)
     assert report["checks"]["t1"]["fail"] >= 1
     seeds = report["checks"]["t1"]["failing_seeds"]
     assert seeds
     replay = run_soundness_suite(1, GenConfig(seed=seeds[0]), checks=("t1",),
-                                 widen=broken)
+                                 widen=CFG)
     assert replay["checks"]["t1"]["fail"] == 1
+    monkeypatch.undo()
     healthy = run_soundness_suite(1, GenConfig(seed=seeds[0]), checks=("t1",),
                                   widen=CFG)
     assert healthy["checks"]["t1"]["fail"] == 0
 
 
-def test_failing_seeds_capped():
-    broken = WidenConfig(break_weak_update=True)
+def test_failing_seeds_capped(monkeypatch):
+    mutants.install(monkeypatch, "weak_drop")
     report = run_soundness_suite(4000, GenConfig(seed=0), checks=("t1",),
-                                 widen=broken)
+                                 widen=CFG)
     entry = report["checks"]["t1"]
     assert entry["fail"] > 20
     assert len(entry["failing_seeds"]) == 20

@@ -58,7 +58,7 @@ SAMPLES = [
      "AnnStmt(stmt=Skip(), pre=PointsTo(env={'p': frozenset({addr(2,1,1)}), "
      "addr(2,1,1): frozenset()}), post=PointsTo(env={'p': frozenset({addr(2,1,1)}), "
      "addr(2,1,1): frozenset()}), children=())"),
-    (WidenConfig(), "WidenConfig(instance_cap=3, break_weak_update=False)"),
+    (WidenConfig(), "WidenConfig(instance_cap=3)"),
     (LiveType(PointsTo({}), frozenset({"p"})),
      "LiveType(pts=PointsTo(env={}), live=frozenset({'p'}))"),
     (Judgment(Skip(), LiveType(PointsTo({}), frozenset()),
