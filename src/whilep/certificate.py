@@ -3,10 +3,10 @@
 A derivation node (liveness.Derivation, built by live_annotate) records
 one rule application: the original statement, its residual, the
 entry/exit (points-to, live) pairs, and premise derivations. check()
-revalidates one from scratch: rule/statement shape, side
-conditions recomputed from the node's own entry type, the rewrite
-itself, and how premises compose. The consequence rule (csq_d) is
-accepted on input even though the optimizer never emits it.
+revalidates one in memory: rule/statement shape, side conditions
+recomputed from the node's own entry type, the rewrite itself, how
+premises compose, and csq_d, the consequence rule the optimizer never
+emits.
 
 The rules are compositional: given the program, its entry type and its
 exit live set, every judgment is forced except the loop invariants and
@@ -21,22 +21,28 @@ fact once, as one JSON object:
              and the loop-head live set
   residual   the canonical residual text
 
-deserialize() rejects a document that repeats an object key, which
-JSON would resolve by keeping the last value; together with addresses
-read only in their repr spelling, every fact has exactly one key. It
-rejects, in the entry type, the exit live set and the
-loop annotations, a variable the program does not mention, an address
-whose block length no cons of the program allocates and an address
-whose instance is above the instance cap. It reruns
-the analyses from entry and exit, each loop starting from its
-annotation and iterating to closure, and rejects an annotation or
-residual that the rerun does not reproduce. A coarser annotation that
-is still closed is reproduced: on disk, weakening is expressed through
-the loop annotations and the entry type, and csq_d stays in memory only
-(serialize raises ValueError on it). Serialization is deterministic, so
-equal derivations produce byte-identical documents. This module also
-owns the text form of points-to keys, types and live sets, which the
-analyze reports of the command line share.
+deserialize() rejects a document that repeats an object key, which JSON
+would resolve by keeping the last value; with addresses read only in
+their repr spelling, every fact has exactly one key. It rejects, in the
+entry type, the exit live set and the loop annotations, a variable the
+program does not mention, an address whose block length no cons of the
+program allocates and an address whose instance is above the instance
+cap. It reruns the analyses from entry and exit, each loop starting
+from its annotation and iterating to closure, and rejects an annotation
+or residual that the rerun does not reproduce. A coarser annotation
+that is still closed is reproduced: on disk, weakening is expressed
+through the loop annotations and the entry type, and csq_d stays in
+memory only (serialize raises ValueError on it). Serialization is
+deterministic, so equal derivations produce byte-identical documents.
+The analyze reports of the command line share the text form of
+points-to keys, types and live sets defined here.
+
+The check-cert verdict is that rerun and a comparison of the rebuilt
+program with the given one; check() is not on that path. The verdict
+trusts parse and pretty, annotate with transfer and join, live_annotate
+with leaf_live_pre, and the loop-annotation and residual comparisons.
+test_document_tamper_corpus_rejected, test_perturbed_seeds_still_reach_closure
+and criterion 8 assert that check() accepts what the passes build.
 """
 
 from __future__ import annotations
@@ -361,19 +367,14 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def deserialize(text: str, cfg: WidenConfig = WidenConfig()) -> Derivation:
-    """Rebuild the derivation a certificate document describes.
-
-    The analyses rerun from the recorded entry type and exit live set,
-    each loop starting from its recorded annotation, and the live pass
-    builds the derivation. A loop annotation the rerun does not
-    reproduce, or a residual that differs from the rebuilt one, is a
-    FormatError. Every loop iterates to closure, so the derivation
-    returned is one check() accepts; whether it is the one for a given
-    program is for the caller to compare.
-    """
+    """The derivation a certificate document describes, rebuilt by the
+    seeded rerun of the module docstring; FormatError if the rerun does
+    not reproduce the document. check() accepts what it returns; whether
+    that describes a given program is for the caller to compare."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # also an integer over the digit limit, or nesting too deep
         raise FormatError("root", f"not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise FormatError("root", "expected an object")

@@ -5,18 +5,20 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 import time
 from collections import Counter
 
 import pytest
 import tamper_ops
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from whilep import GenConfig, gen_program, liveness, pointsto
+from whilep import GenConfig, certificate, gen_program, liveness, pointsto
 from whilep.certificate import (
     ACCEPT, CheckResult, FormatError, RULE_ARITY, check, deserialize,
     serialize,
 )
+from whilep.cli import main
 from whilep.deadcode import optimize
 from whilep.interp import Final, execute, zero_state
 from whilep.lang import (
@@ -193,11 +195,13 @@ def _leaf_ids(s):
 
 @pytest.fixture
 def leaf_steps(monkeypatch):
-    """The ids of the statements passed to pointsto.transfer and to
-    liveness.leaf_live_pre, through counting wrappers installed where the
-    passes look them up."""
+    """The ids of the statements passed to transfer and to leaf_live_pre,
+    through counting wrappers installed in every module that calls them:
+    the passes and the rule checker."""
     calls = {}
-    for module, name in ((pointsto, "transfer"), (liveness, "leaf_live_pre")):
+    for module, name in ((pointsto, "transfer"), (certificate, "transfer"),
+                         (liveness, "leaf_live_pre"),
+                         (certificate, "leaf_live_pre")):
         original, seen = getattr(module, name), calls.setdefault(name, [])
 
         def counted(s, *args, original=original, seen=seen):
@@ -231,6 +235,27 @@ def test_deserialize_steps_each_leaf_once(src, leaf_steps):
     d = deserialize(text, CFG)
     assert sorted(leaf_steps["transfer"]) == _leaf_ids(d.judgment.stmt)
     assert sorted(leaf_steps["leaf_live_pre"]) == _leaf_ids(d.judgment.stmt)
+
+
+@pytest.mark.parametrize("src", LOOP_FREE + WITH_LOOPS)
+def test_check_cert_steps_each_leaf_once(src, leaf_steps, tmp_path, capsys):
+    """The check-cert verdict is the seeded rerun alone: each leaf of the
+    program deserialize rebuilds is stepped once by each analysis."""
+    prog = parse(src)
+    (tmp_path / "prog.whl").write_text(src, encoding="utf-8")
+    (tmp_path / "cert.json").write_text(
+        serialize(optimize(prog, stmt_vars(prog), CFG).derivation),
+        encoding="utf-8")
+    for seen in leaf_steps.values():
+        seen.clear()
+    assert main(["check-cert", str(tmp_path / "prog.whl"),
+                 str(tmp_path / "cert.json")]) == 0
+    assert capsys.readouterr().out == "Accept\n"
+    # the stepped leaves all belong to the one rebuilt tree, alive
+    # throughout the verdict, so distinct leaves have distinct ids
+    leaves = len(_leaf_ids(prog))
+    for seen in leaf_steps.values():
+        assert len(seen) == len(set(seen)) == leaves
 
 
 # sha256 per instance cap over the certificates of a seeded corpus
@@ -542,13 +567,22 @@ FIELD_PATHS = (("program",), ("entry",), ("entry", "p"), ("exit_live",),
                ("loops", 0, "pts", "p"), ("loops", 0, "live"), ("residual",))
 
 
+# json.loads raises ValueError on the first, RecursionError on the second
+UNREADABLE_JSON = ('{"program": ' + "1" * 5001 + "}",
+                   "[" * (sys.getrecursionlimit() + 1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text())
+@example(UNREADABLE_JSON[0])
+@example(UNREADABLE_JSON[1])
 def test_deserialize_text_raises_only_format_error(text):
     try:
         deserialize(text)
-    except FormatError:
-        pass
+    except FormatError as err:
+        if text in UNREADABLE_JSON:
+            assert err.path == "root"
+            assert err.message.startswith("not valid JSON: ")
 
 
 @settings(max_examples=300, deadline=None)

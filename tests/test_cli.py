@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import sys
 from pathlib import Path
 
 import mutants
@@ -225,6 +226,14 @@ def test_check_cert_rejects_format_errors(prog, capsys, tmp_path):
     cert.write_text('{"rule": "skip"}', encoding="utf-8")
     assert main(["check-cert", src, str(cert)]) == 2
     assert capsys.readouterr().out.startswith("Reject: root:")
+    # json.loads raises ValueError on the first, RecursionError on the second
+    for text in ('{"program": ' + "1" * 5001 + "}",
+                 "[" * (sys.getrecursionlimit() + 1)):
+        cert.write_text(text, encoding="utf-8")
+        assert main(["check-cert", src, str(cert)]) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("Reject: root: not valid JSON: ")
+        assert err == ""
 
 
 def test_check_cert_rejects_wrong_program(prog, capsys, tmp_path):
