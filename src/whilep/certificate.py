@@ -28,12 +28,13 @@ entry type, the exit live set and the loop annotations, a variable the
 program does not mention, an address whose block length no cons of the
 program allocates and an address whose instance is above the instance
 cap. It reruns the analyses from entry and exit, each loop starting
-from its annotation and iterating to closure, and rejects an annotation
-or residual that the rerun does not reproduce. A coarser annotation
-that is still closed is reproduced: on disk, weakening is expressed
-through the loop annotations and the entry type, and csq_d stays in
-memory only (serialize raises ValueError on it). Serialization is
-deterministic, so equal derivations produce byte-identical documents.
+from its annotation joined with its entry (and, in points-to, with its
+allocations) and iterating to closure, and rejects an annotation or
+residual that the rerun does not reproduce. A coarser annotation that
+is still closed is reproduced: on disk, weakening is expressed through
+the loop annotations and the entry type, and csq_d stays in memory only
+(serialize raises ValueError on it). Serialization is deterministic, so
+equal derivations produce byte-identical documents.
 The analyze reports of the command line share the text form of
 points-to keys, types and live sets defined here.
 

@@ -21,7 +21,7 @@ from .interp import DEFAULT_FUEL, Aborted, OutOfFuel, execute, zero_state
 from .lang import If, ParseError, Seq, While, parse, pretty, stmt_vars
 from .liveness import live_annotate
 from .memory import format_value
-from .pointsto import WidenConfig, annotate, bottom
+from .pointsto import MAX_INSTANCE_CAP, WidenConfig, annotate, bottom
 from .harness import ALL_CHECKS, SUITE_FUEL, GenConfig, run_soundness_suite
 
 
@@ -48,6 +48,14 @@ def _positive(text: str) -> int:
     return value
 
 
+def _widen(text: str) -> WidenConfig:
+    """--widen K: the instance cap, at most MAX_INSTANCE_CAP."""
+    cap = _positive(text)
+    if cap > MAX_INSTANCE_CAP:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_INSTANCE_CAP}: {text}")
+    return WidenConfig(cap)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="whilep",
                      description="Interpreter, pointer and liveness analyses, "
@@ -55,9 +63,10 @@ def _build_parser() -> _Parser:
                                  "heap-manipulating while-language.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     widen = argparse.ArgumentParser(add_help=False)
-    widen.add_argument("--widen", type=_positive, metavar="K",
-                       default=WidenConfig().instance_cap,
-                       help="instance cap of the analyses (default: %(default)s)")
+    widen.add_argument("--widen", type=_widen, metavar="K", default=WidenConfig(),
+                       help=f"instance cap of the analyses, at most {MAX_INSTANCE_CAP}; "
+                            f"types grow with its square (default: "
+                            f"{WidenConfig().instance_cap})")
 
     p_run = sub.add_parser("run", help="execute a program")
     p_run.add_argument("file")
@@ -209,8 +218,7 @@ def _cmd_analyze_pts(args) -> int:
     program = _load_program(args.file)
     if program is None:
         return 1
-    cfg = WidenConfig(instance_cap=args.widen)
-    ann = annotate(program, bottom(stmt_vars(program)), cfg)
+    ann = annotate(program, bottom(stmt_vars(program)), args.widen)
     nodes = []
     for path, node in _walk(ann, "root", lambda a: (a.stmt, a.children)):
         row = {"path": path,
@@ -220,7 +228,7 @@ def _cmd_analyze_pts(args) -> int:
         if isinstance(node.stmt, While):
             row["invariant"] = row["post"]
         nodes.append(row)
-    return _emit_report({"widen": args.widen, "nodes": nodes}, args.out)
+    return _emit_report({"widen": args.widen.instance_cap, "nodes": nodes}, args.out)
 
 
 def _parse_live(arg: str, program) -> frozenset | None:
@@ -241,16 +249,15 @@ def _cmd_analyze_live(args) -> int:
     final_live = _parse_live(args.live, program)
     if final_live is None:
         return 3
-    cfg = WidenConfig(instance_cap=args.widen)
-    ann = annotate(program, bottom(stmt_vars(program)), cfg)
-    derivation = live_annotate(ann, final_live, cfg)
+    ann = annotate(program, bottom(stmt_vars(program)), args.widen)
+    derivation = live_annotate(ann, final_live, args.widen)
     nodes = [{"path": path,
               "stmt": pretty(node.judgment.stmt),
               "live_pre": live_to_list(node.judgment.pre.live),
               "live_post": live_to_list(node.judgment.post.live)}
              for path, node in _walk(derivation, "root",
                                      lambda d: (d.judgment.stmt, d.premises))]
-    return _emit_report({"widen": args.widen,
+    return _emit_report({"widen": args.widen.instance_cap,
                          "live": live_to_list(final_live),
                          "nodes": nodes}, args.out)
 
@@ -262,8 +269,7 @@ def _cmd_optimize(args) -> int:
     final_live = _parse_live(args.live, program)
     if final_live is None:
         return 3
-    cfg = WidenConfig(instance_cap=args.widen)
-    result = optimize(program, final_live, cfg)
+    result = optimize(program, final_live, args.widen)
     residual = result.optimized
     if args.strip_dead_cons:
         residual = strip_dead_cons(result.derivation)
@@ -299,7 +305,7 @@ def _cmd_check_cert(args) -> int:
         print(f"Reject: root: {exc}")
         return 2
     try:
-        derivation = deserialize(text, WidenConfig(instance_cap=args.widen))
+        derivation = deserialize(text, args.widen)
     except FormatError as exc:
         print(f"Reject: {exc.path}: {exc.message}")
         return 2
@@ -319,9 +325,8 @@ def _cmd_test_soundness(args) -> int:
     if not names:
         print("whilep: --checks selected nothing", file=sys.stderr)
         return 3
-    widen = WidenConfig(instance_cap=args.widen)
     report = run_soundness_suite(args.trials, GenConfig(seed=args.seed),
-                                 checks=names, widen=widen, fuel=args.fuel)
+                                 checks=names, widen=args.widen, fuel=args.fuel)
     print(json.dumps(report, indent=2, sort_keys=True))
     failures = sum(entry["fail"] for entry in report["checks"].values())
     return 0 if failures == 0 else 1

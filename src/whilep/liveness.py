@@ -97,19 +97,16 @@ def leaf_live_pre(s: Stmt, pre: PointsTo, post: frozenset,
     raise TypeError(f"not a leaf statement: {s!r}")
 
 
-_MAX_ITER = 10_000
-
-
 def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
                   seeds: dict | None = None) -> Derivation:
     """The derivation of an annotated program, backwards from exit live
     set post: every node's live sets, rule and residual.
 
-    seeds, when given, maps id() of every While node to a recorded head
-    live set; as in pointsto.annotate, each loop then starts from exit,
-    guard and seed together and iterates to closure, so it ends at the
-    seed exactly when the seed holds guard and exit and is closed under
-    the body.
+    Each loop iterates to closure from exit set and guard, joined with
+    its seed when seeds (id() of every While node -> recorded head live
+    set) is given, as in pointsto.annotate; so it ends at the seed exactly
+    when the seed holds guard and exit and is closed under the body. It
+    ends: head sets only grow, over the program's variables and cells <= K.
     """
     s = ann.stmt
     if isinstance(s, Seq):
@@ -128,8 +125,9 @@ def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
             premises.append(d)
             live = d.judgment.pre.live
         premises.reverse()
-        return _node(ann, "seq_d", live, post,
-                     Seq(*(d.judgment.residual for d in premises)), tuple(premises))
+        # no residual item is a Seq, so the items are not re-spliced
+        residual = tuple.__new__(Seq, (tuple([d.judgment.residual for d in premises]), Seq))
+        return _node(ann, "seq_d", live, post, residual, tuple(premises))
     if isinstance(s, If):
         then_d = live_annotate(ann.children[0], post, cfg, seeds)
         else_d = live_annotate(ann.children[1], post, cfg, seeds)
@@ -140,17 +138,14 @@ def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
     if isinstance(s, While):
         # least fixpoint above the exit set plus the guard: the body is
         # re-analyzed with the loop head as its exit until nothing grows
-        head = post | free_vars(s.cond)
-        if seeds is not None:
-            head |= seeds[id(s)]
-        for _ in range(_MAX_ITER):
+        head = post | free_vars(s.cond) | (seeds or {}).get(id(s), frozenset())
+        while True:
             body = live_annotate(ann.children[0], head, cfg, seeds)
             grown = head | body.judgment.pre.live
             if grown == head:
                 return _node(ann, "whl_d", grown, post,
                              While(s.cond, body.judgment.residual), (body,))
             head = grown
-        raise RuntimeError("loop liveness failed to stabilize")
     pre, rule, residual = leaf_live_pre(s, ann.pre, post, cfg)
     return _node(ann, rule, pre, post, residual)
 

@@ -23,6 +23,13 @@ write's targets) and nothing else; every other key keeps its image.
 annotate applies it at every leaf, and steps the leaf items of a
 sequence in its own loop rather than through a call of itself.
 
+A loop starts from its entry joined with its allocations: the cells of
+instances 1..K of each block length a cons in its body allocates, at
+empty images. Every closed invariant tracks them, as cons_block takes
+the least untracked instance and no rule untracks one, so the start is
+below the least fixpoint and the rounds do not grow with K. Iteration
+ends: images only grow, over the program's variables and cells <= K.
+
 No type holds an address above the cap. bottom, join and every transfer
 preserve that: the cons transfer writes only the capped cells that
 cons_block returns, so no pass folds a whole type afterwards. A type
@@ -38,7 +45,7 @@ from functools import lru_cache
 
 from .lang import (
     AExp, Assign, BinOp, Cons, Dispose, If, IntLit, Lookup, Mutate, Nil,
-    Record, Seq, Skip, Stmt, Var, While,
+    Record, Seq, Skip, Stmt, Var, While, walk,
 )
 from .memory import Address, ProgState
 
@@ -46,11 +53,14 @@ Key = object  # str (variable) or Address (tracked cell)
 
 
 class WidenConfig(Record):
-    """The analyses' one parameter: the instance cap K."""
+    """The analyses' one parameter: the instance cap K. Types grow with
+    K squared, so the command line takes K up to MAX_INSTANCE_CAP."""
 
     __slots__ = ()
     instance_cap: int = 3
 
+
+MAX_INSTANCE_CAP = 1_000
 
 EMPTY: frozenset = frozenset()
 
@@ -235,48 +245,49 @@ def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
     return PointsTo(p.env | delta) if delta else p
 
 
-_MAX_ITER = 10_000
-
-
 def annotate(s: Stmt, p: PointsTo, cfg: WidenConfig,
              seeds: dict | None = None) -> AnnStmt:
-    """Run the analysis from entry type p, annotating every node.
+    """Run the analysis from entry type p, annotating every node. seeds,
+    when given, maps id() of every While node in s to a recorded
+    invariant, which joins the loop's start; the loop then ends at its
+    seed exactly when the seed contains its entry and is closed under
+    the body."""
+    return _annotate(s, p, cfg, seeds or {}, {})
 
-    seeds, when given, maps id() of every While node in s to a recorded
-    invariant, and each loop starts from its entry joined with its seed.
-    A loop iterates to closure either way, so the invariant it ends at
-    equals its seed exactly when the seed contains the loop's entry and
-    is closed under the body.
-    """
+
+def _annotate(s: Stmt, p: PointsTo, cfg: WidenConfig, seeds: dict,
+              starts: dict) -> AnnStmt:
+    """annotate, with each loop's start memoised in starts by id()."""
     if isinstance(s, Seq):
-        # a leaf item is stepped here, not through a call of annotate;
-        # transfer is looked up at each call, so a patched one sees it
+        # leaf items step here; transfer is looked up per call, so patches apply
         children, q = [], p
         for item in s.items:
             tag = item[-1]
             if tag is If or tag is While:
-                child = annotate(item, q, cfg, seeds)
+                child = _annotate(item, q, cfg, seeds, starts)
             else:
                 child = AnnStmt(item, q, transfer(item, q, cfg))
             children.append(child)
             q = child.post
         return AnnStmt(s, p, q, tuple(children))
     if isinstance(s, If):
-        then_ann = annotate(s.then_body, p, cfg, seeds)
-        else_ann = annotate(s.else_body, p, cfg, seeds)
+        then_ann = _annotate(s.then_body, p, cfg, seeds, starts)
+        else_ann = _annotate(s.else_body, p, cfg, seeds, starts)
         return AnnStmt(s, p, join(then_ann.post, else_ann.post),
                        (then_ann, else_ann))
     if isinstance(s, While):
-        # inflationary iteration; the address universe under the cap is
-        # finite, so this terminates with entry <= inv and step(inv) <= inv
-        inv = p if seeds is None else join(p, seeds[id(s)])
-        for _ in range(_MAX_ITER):
-            body = annotate(s.body, inv, cfg, seeds)
+        if id(s) not in starts:  # the body's allocations at empty images, and the seed
+            cap = cfg.instance_cap
+            starts[id(s)] = PointsTo({a: EMPTY for n in walk(s.body) if isinstance(n, Cons)
+                                      for a in _block_cells(len(n.args), cap, cap)}
+                                     | seeds.get(id(s), bottom(())).env)
+        inv = join(p, starts[id(s)])
+        while True:
+            body = _annotate(s.body, inv, cfg, seeds, starts)
             grown = join(inv, body.post)
             if grown == inv:
                 return AnnStmt(s, p, grown, (body,))
             inv = grown
-        raise RuntimeError("loop analysis failed to stabilize")
     return AnnStmt(s, p, transfer(s, p, cfg))
 
 

@@ -173,6 +173,57 @@ def test_each_pass_computes_a_cons_block_twice(monkeypatch):
     assert per_pass == [200, 200, 200]
 
 
+PROBE = "p := 0; i := 0; while i < 5 do { p := cons(p); i := i + 1 }"
+TWO_DEEP = ("p := 0; q := 0; i := 0; while i < 3 do { q := cons(q, i); j := 0; "
+            "while j < 3 do { p := cons(p, q); j := j + 1 }; i := i + 1 }")
+CAPS = (3, 50, 400)
+
+
+def _transfer_steps(monkeypatch, run):
+    """How many leaf steps pointsto.transfer takes during run()."""
+    steps, transfer = [], pointsto.transfer
+
+    def counted(*args):
+        steps.append(args[0])
+        return transfer(*args)
+
+    monkeypatch.setattr(pointsto, "transfer", counted)
+    run()
+    monkeypatch.setattr(pointsto, "transfer", transfer)
+    return len(steps)
+
+
+@pytest.mark.parametrize("src", [PROBE, TWO_DEEP])
+def test_loop_rounds_do_not_grow_with_the_cap(src, monkeypatch):
+    """Each loop starts at the cells its body allocates, so optimize takes
+    as many leaf steps at every cap; iterated from the entry alone, the
+    rounds grew with the cap (12, 106 and 406 steps on PROBE at caps 3,
+    50 and 200, and 26, 120 and 420 on TWO_DEEP)."""
+    steps = [_transfer_steps(monkeypatch, lambda: optimize(
+        parse(src), {"p"}, WidenConfig(instance_cap=k))) for k in CAPS]
+    assert steps[0] == steps[1] == steps[2], steps
+
+
+def test_thinned_invariant_rejected_in_rounds_independent_of_the_cap(monkeypatch):
+    """A certificate whose loop invariant is thinned to its variables is
+    rejected at that invariant, after as many leaf steps at every cap."""
+    steps = []
+    for k in CAPS:
+        cfg = WidenConfig(instance_cap=k)
+        doc = json.loads(serialize(optimize(parse(PROBE), {"p"}, cfg).derivation))
+        inv = doc["loops"][0]["pts"]
+        doc["loops"][0]["pts"] = {key: inv[key] for key in ("i", "p")}
+        text = json.dumps(doc)
+
+        def rerun():
+            with pytest.raises(FormatError) as err:
+                deserialize(text, cfg)
+            assert err.value.path == "root.loops[0].pts"
+
+        steps.append(_transfer_steps(monkeypatch, rerun))
+    assert steps[0] == steps[1] == steps[2], steps
+
+
 # leaves that are Seq items, branch bodies and the whole program
 LOOP_FREE = [
     "x := cons(1, 2); y := [x + 1]; [x] := y; dispose(x); skip; z := x",

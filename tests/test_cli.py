@@ -10,6 +10,7 @@ import mutants
 import pytest
 
 from whilep.cli import _build_parser, main
+from whilep.pointsto import MAX_INSTANCE_CAP
 
 RUN_SRC = "x := cons(3, 4); y := [x + 1]; z := y * 2"
 
@@ -299,6 +300,33 @@ def test_usage_errors_exit_3(capsys):
     assert main(["run", "x", "--fuel", "0"]) == 3
     assert main(["test-soundness", "--checks", "t9"]) == 3
     capsys.readouterr()
+
+
+# a loop whose invariant tracks every instance up to the cap
+ALLOC_LOOP_SRC = "i := 0; while i < 2 do { p := cons(0); i := i + 1 }"
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "pts", "{prog}"], ["analyze", "live", "{prog}"],
+    ["optimize", "{prog}", "--cert", "{cert}"], ["check-cert", "{prog}", "{cert}"],
+    ["test-soundness", "--trials", "1"],
+], ids=["analyze-pts", "analyze-live", "optimize", "check-cert", "test-soundness"])
+def test_widen_takes_at_most_the_maximum(command, prog, capsys, tmp_path):
+    """Every --widen accepts MAX_INSTANCE_CAP and rejects one more as a
+    usage error that names the maximum."""
+    path, cert = prog(ALLOC_LOOP_SRC), str(tmp_path / "cert.json")
+    top = str(MAX_INSTANCE_CAP)
+    assert main(["optimize", path, "--live", "p", "--widen", top, "--cert", cert]) == 0
+    argv = [arg.format(prog=path, cert=cert) for arg in command]
+    capsys.readouterr()
+    assert main(argv + ["--widen", top]) == 0
+    out = capsys.readouterr().out
+    if command[0] == "check-cert":
+        assert out == "Accept\n"
+    if command[0] == "analyze":
+        assert json.loads(out)["widen"] == MAX_INSTANCE_CAP
+    assert main(argv + ["--widen", str(MAX_INSTANCE_CAP + 1)]) == 3
+    assert f"must be <= {MAX_INSTANCE_CAP}: " in capsys.readouterr().err
 
 
 def test_integer_options_read_ascii_digits_only(prog, capsys):

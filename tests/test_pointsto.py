@@ -10,12 +10,12 @@ from whilep.harness import _gen_state, _synthetic_ptype
 from whilep.interp import Final, execute
 from whilep.lang import (
     Assign, BinOp, Cons, If, IntLit, Lookup, Mutate, Seq, Var, While, parse,
-    stmt_vars,
+    stmt_vars, walk,
 )
 from whilep.memory import Address, ProgState, addr_shift
 from whilep.pointsto import (
-    PointsTo, WidenConfig, _shifts, abs_eval, addr_part, annotate, bottom,
-    cap_address, cons_block, join, leq, models, transfer,
+    AnnStmt, PointsTo, WidenConfig, _shifts, abs_eval, addr_part, annotate,
+    bottom, cap_address, cons_block, join, leq, models, transfer,
 )
 
 CFG = WidenConfig()
@@ -352,6 +352,46 @@ def test_loop_invariant_validity():
                 checked += 1
             stack.extend(node.children)
     assert checked >= 30
+
+
+def _kleene(s, p, cfg):
+    """Reference analysis: plain Kleene iteration, each loop from its entry
+    alone, with no allocation start and no seed."""
+    if isinstance(s, Seq):
+        children, q = [], p
+        for item in s.items:
+            children.append(_kleene(item, q, cfg))
+            q = children[-1].post
+        return AnnStmt(s, p, q, tuple(children))
+    if isinstance(s, If):
+        then_ann, else_ann = _kleene(s.then_body, p, cfg), _kleene(s.else_body, p, cfg)
+        return AnnStmt(s, p, join(then_ann.post, else_ann.post), (then_ann, else_ann))
+    if isinstance(s, While):
+        inv = p
+        while True:
+            body = _kleene(s.body, inv, cfg)
+            grown = join(inv, body.post)
+            if grown == inv:
+                return AnnStmt(s, p, inv, (body,))
+            inv = grown
+    return AnnStmt(s, p, transfer(s, p, cfg))
+
+
+def test_allocation_start_reaches_the_kleene_fixpoint():
+    """Starting each loop at its allocations lies below the least fixpoint:
+    every node's types equal plain Kleene iteration from the entry."""
+    allocating_loops = 0
+    for seed, size, cap in itertools.product(range(200), (12, 40), (1, 2, 3)):
+        cfg = WidenConfig(instance_cap=cap)
+        prog = gen_program(GenConfig(seed=seed, max_stmts=size))
+        variables = sorted(stmt_vars(prog))
+        rng = random.Random(f"{seed}:{size}:{cap}")
+        for entry in (bottom(variables), _synthetic_ptype(rng, variables, cap)):
+            assert annotate(prog, entry, cfg) == _kleene(prog, entry, cfg), (seed, size, cap)
+        allocating_loops += cap == 1 and any(
+            isinstance(node, While) and any(isinstance(n, Cons) for n in walk(node.body))
+            for node in walk(prog))
+    assert allocating_loops >= 150, allocating_loops
 
 
 def test_executions_land_inside_exit_type():
