@@ -2,11 +2,11 @@
 
 A derivation node (liveness.Derivation, built by live_annotate) records
 one rule application: the original statement, its residual, the
-entry/exit (points-to, live) pairs, and premise derivations. check()
-revalidates one in memory: rule/statement shape, side conditions
-recomputed from the node's own entry type, the rewrite itself, how
-premises compose, and csq_d, the consequence rule the optimizer never
-emits.
+entry/exit (points-to, live) pairs, and one premise per child of the
+statement. check() revalidates one in memory, in preorder, knowing only
+the rules the optimizer builds: rule/statement shape, side conditions
+recomputed from the node's own entry type, the rewrite itself, and how
+premises compose. It names a bad node by its `analyze live` row path.
 
 The rules are compositional: given the program, its entry type and its
 exit live set, every judgment is forced except the loop invariants and
@@ -30,10 +30,10 @@ program allocates and an address whose instance is above the instance
 cap. It reruns the analyses from entry and exit, each loop starting
 from its annotation joined with its entry (and, in points-to, with its
 allocations) and iterating to closure, and rejects an annotation or
-residual that the rerun does not reproduce. A coarser annotation that
-is still closed is reproduced: on disk, weakening is expressed through
-the loop annotations and the entry type, and csq_d stays in memory only
-(serialize raises ValueError on it). Serialization is deterministic, so
+residual that the rerun does not reproduce, every loop invariant
+before any loop-head live set. A coarser annotation that is still
+closed is reproduced: weakening is expressed through the loop
+annotations and the entry type. Serialization is deterministic, so
 equal derivations produce byte-identical documents.
 The analyze reports of the command line share the text form of
 points-to keys, types and live sets defined here.
@@ -48,24 +48,19 @@ and criterion 8 assert that check() accepts what the passes build.
 
 from __future__ import annotations
 
+import functools
 import json
 from json.encoder import encode_basestring_ascii
 
 from .lang import (
     Assign, Cons, Dispose, If, Lookup, Mutate, ParseError, Record, Seq, Skip,
-    Stmt, While, free_vars, parse, pretty, stmt_vars, walk,
+    Stmt, While, children, free_vars, parse, pretty, stmt_vars, walk,
+    walk_paths,
 )
 from .memory import Address, parse_addr
 from .liveness import Derivation, LiveType, leaf_live_pre, live_annotate
 from .pointsto import PointsTo, WidenConfig, annotate, join, leq, transfer
 
-
-# premises per rule; None for seq_d, which takes one per item
-RULE_ARITY = {
-    "skip": 0, "ass_d1": 0, "ass_d2": 0, "con_d1": 0, "con_d2": 0,
-    "lok_d1": 0, "lok_d2": 0, "mut_d1": 0, "mut_d2": 0, "dis_d": 0,
-    "seq_d": None, "if_d": 2, "whl_d": 1, "csq_d": 1,
-}
 
 _RULE_FORM = {
     "skip": Skip, "ass_d1": Assign, "ass_d2": Assign,
@@ -82,119 +77,106 @@ class CheckResult(Record):
     reason: str = ""
 
 
-def _fail(path: str, reason: str) -> CheckResult:
-    return CheckResult(False, path, reason)
-
-
 ACCEPT = CheckResult(True)
 
 
 def check(d: Derivation, cfg: WidenConfig = WidenConfig()) -> CheckResult:
-    """Accept iff every node is a valid rule application."""
-    return _check(d, "root", cfg)
+    """Accept iff every node is a valid rule application. Nodes are
+    checked in preorder, so the first invalid one is reported, by its
+    row path in `whilep analyze live` (lang.walk_paths)."""
+    todo = [d]
+    while todo:
+        node = todo.pop()
+        reason = _invalid(node, cfg)
+        if reason is not None:
+            # the nodes before it are valid, so the walk reaches it too
+            path = next(path for path, n in walk_paths(
+                d, lambda x: (x.judgment.stmt, x.premises)) if n is node)
+            return CheckResult(False, path, reason)
+        todo += reversed(node.premises)
+    return ACCEPT
 
 
-def _check(d: Derivation, path: str, cfg: WidenConfig) -> CheckResult:
+def _invalid(d: Derivation, cfg: WidenConfig) -> str | None:
+    """Why d's own rule application is invalid, or None if it is valid;
+    the premises are checked as nodes of their own."""
     j = d.judgment
     s, r = j.stmt, j.residual
     pre_p, pre_l = j.pre.pts, j.pre.live
     post_p, post_l = j.post.pts, j.post.live
 
-    if d.rule not in RULE_ARITY:
-        return _fail(path, f"unknown rule {d.rule!r}")
     form = _RULE_FORM.get(d.rule)
-    if form is not None and not isinstance(s, form):
-        return _fail(path, f"{d.rule} does not apply to {pretty(s)!r}")
-    arity = len(s.items) if d.rule == "seq_d" else RULE_ARITY[d.rule]
+    if form is None:
+        return f"unknown rule {d.rule!r}"
+    if not isinstance(s, form):
+        return f"{d.rule} does not apply to {pretty(s)!r}"
+    arity = len(children(s))
     if len(d.premises) != arity:
-        return _fail(path, f"{d.rule} takes {arity} premises, got {len(d.premises)}")
-
-    if d.rule == "csq_d":
-        inner = d.premises[0]
-        ij = inner.judgment
-        if ij.stmt != s:
-            return _fail(path, "csq_d premise proves a different statement")
-        if ij.residual != r:
-            return _fail(path, "csq_d premise emits a different residual")
-        if not (leq(pre_p, ij.pre.pts) and pre_l >= ij.pre.live):
-            return _fail(path, "csq_d entry is not below the premise entry")
-        if not (leq(ij.post.pts, post_p) and ij.post.live >= post_l):
-            return _fail(path, "csq_d premise exit is not below the exit")
-        return _check(inner, f"{path}.premises[0]", cfg)
+        return f"{d.rule} takes {arity} premises, got {len(d.premises)}"
 
     if d.rule == "seq_d":
         js = [premise.judgment for premise in d.premises]
         if tuple(pj.stmt for pj in js) != s.items:
-            return _fail(path, "seq_d premises do not cover the items in order")
+            return "seq_d premises do not cover the items in order"
         if js[0].pre != j.pre:
-            return _fail(path, "seq_d entry does not match the first premise")
+            return "seq_d entry does not match the first premise"
         for i in range(1, len(js)):
             if js[i - 1].post != js[i].pre:
-                return _fail(path, f"seq_d premises {i - 1} and {i} do not chain")
+                return f"seq_d premises {i - 1} and {i} do not chain"
         if js[-1].post != j.post:
-            return _fail(path, "seq_d exit does not match the last premise")
+            return "seq_d exit does not match the last premise"
         if not isinstance(r, Seq) or r.items != tuple(pj.residual for pj in js):
-            return _fail(path, "seq_d residual is not the premises' sequence")
-        return _check_premises(d, path, cfg)
+            return "seq_d residual is not the premises' sequence"
+        return None
 
     if d.rule == "if_d":
-        then_d, else_d = d.premises
-        if then_d.judgment.stmt != s.then_body or else_d.judgment.stmt != s.else_body:
-            return _fail(path, "if_d premises do not cover the branches")
-        if then_d.judgment.pre.pts != pre_p or else_d.judgment.pre.pts != pre_p:
-            return _fail(path, "if_d branches must start at the entry type")
-        if post_p != join(then_d.judgment.post.pts, else_d.judgment.post.pts):
-            return _fail(path, "if_d exit type is not the branch join")
-        if then_d.judgment.post.live != post_l or else_d.judgment.post.live != post_l:
-            return _fail(path, "if_d branches must end at the exit live set")
-        expected = free_vars(s.cond) | then_d.judgment.pre.live | else_d.judgment.pre.live
-        if pre_l != expected:
-            return _fail(path, "if_d entry live set is not guard + branch entries")
-        if r != If(s.cond, then_d.judgment.residual, else_d.judgment.residual):
-            return _fail(path, "if_d residual does not rebuild the branches")
-        return _check_premises(d, path, cfg)
+        tj, ej = d.premises[0].judgment, d.premises[1].judgment
+        if tj.stmt != s.then_body or ej.stmt != s.else_body:
+            return "if_d premises do not cover the branches"
+        if tj.pre.pts != pre_p or ej.pre.pts != pre_p:
+            return "if_d branches must start at the entry type"
+        if post_p != join(tj.post.pts, ej.post.pts):
+            return "if_d exit type is not the branch join"
+        if tj.post.live != post_l or ej.post.live != post_l:
+            return "if_d branches must end at the exit live set"
+        if pre_l != free_vars(s.cond) | tj.pre.live | ej.pre.live:
+            return "if_d entry live set is not guard + branch entries"
+        if r != If(s.cond, tj.residual, ej.residual):
+            return "if_d residual does not rebuild the branches"
+        return None
 
     if d.rule == "whl_d":
-        body = d.premises[0]
-        bj = body.judgment
+        bj = d.premises[0].judgment
         if bj.stmt != s.body:
-            return _fail(path, "whl_d premise does not cover the body")
+            return "whl_d premise does not cover the body"
         if not leq(pre_p, post_p):
-            return _fail(path, "whl_d entry type is not below the invariant")
+            return "whl_d entry type is not below the invariant"
         if bj.pre.pts != post_p:
-            return _fail(path, "whl_d body must start at the invariant")
+            return "whl_d body must start at the invariant"
         if not leq(bj.post.pts, post_p):
-            return _fail(path, "whl_d invariant is not closed under the body")
+            return "whl_d invariant is not closed under the body"
         if not pre_l >= free_vars(s.cond) | post_l:
-            return _fail(path, "whl_d head live set misses the guard or exit")
+            return "whl_d head live set misses the guard or exit"
         if bj.post.live != pre_l:
-            return _fail(path, "whl_d body must end at the head live set")
+            return "whl_d body must end at the head live set"
         if not bj.pre.live <= pre_l:
-            return _fail(path, "whl_d head live set is not closed under the body")
+            return "whl_d head live set is not closed under the body"
         if r != While(s.cond, bj.residual):
-            return _fail(path, "whl_d residual does not rebuild the loop")
-        return _check(body, f"{path}.premises[0]", cfg)
+            return "whl_d residual does not rebuild the loop"
+        return None
 
     # leaf rules: recompute the transfer, the live rule, the side
     # condition, and the rewrite from the node's own entry type
     if post_p != transfer(s, pre_p, cfg):
-        return _fail(path, "exit points-to type does not match the transfer")
+        return "exit points-to type does not match the transfer"
     live, rule, residual = leaf_live_pre(s, pre_p, post_l, cfg)
     if pre_l != live:
-        return _fail(path, "entry live set does not match the live rule")
+        return "entry live set does not match the live rule"
     if d.rule != rule:
-        return _fail(path, f"side condition of {d.rule} does not hold")
+        return f"side condition of {d.rule} does not hold"
     if r != residual:
-        return _fail(path, f"residual does not match the {d.rule} rewrite")
-    return ACCEPT
-
-
-def _check_premises(d: Derivation, path: str, cfg: WidenConfig) -> CheckResult:
-    for i, premise in enumerate(d.premises):
-        result = _check(premise, f"{path}.premises[{i}]", cfg)
-        if not result.ok:
-            return result
-    return ACCEPT
+        return f"residual does not match the {d.rule} rewrite"
+    return None
 
 
 # --- document format ---
@@ -214,12 +196,10 @@ def _key_to_str(key) -> str:
     return key if isinstance(key, str) else repr(key)
 
 
-def _key_from_str(text: str):
-    """Inverse of _key_to_str; None when text is neither shape."""
-    a = parse_addr(text)
-    if a is not None:
-        return a
-    return text if text.isidentifier() else None
+def _key_from_str(text: str, addr):
+    """Inverse of _key_to_str, reading addresses with addr; None when
+    text is neither shape."""
+    return addr(text) or (text if text.isidentifier() else None)
 
 
 def _key_sort_key(key):
@@ -278,8 +258,6 @@ def _loop_types(d: Derivation) -> list:
     out, todo = [], [d]
     while todo:
         node = todo.pop()
-        if node.rule == "csq_d":
-            raise ValueError("csq_d has no on-disk form")
         if node.rule == "whl_d":
             j = node.judgment
             out.append(LiveType(j.post.pts, j.pre.live))
@@ -288,7 +266,7 @@ def _loop_types(d: Derivation) -> list:
 
 
 def serialize(d: Derivation) -> str:
-    """The certificate document of d; ValueError if d uses csq_d."""
+    """The certificate document of d."""
     j = d.judgment
     doc = {
         "program": pretty(j.stmt),
@@ -315,19 +293,19 @@ def _to_json(value, newline: str) -> str:
     return f"[{body}{newline}]" if body else "[]"
 
 
-def _pts_from_doc(doc, path: str, scope: tuple) -> PointsTo:
+def _pts_from_doc(doc, path: str, scope: tuple, addr) -> PointsTo:
     if not isinstance(doc, dict) or not all(
             isinstance(v, list) and all(isinstance(a, str) for a in v)
             for v in doc.values()):
         raise FormatError(path, "expected an object of string lists")
     env = {}
     for text, items in doc.items():
-        key = _key_from_str(text)
+        key = _key_from_str(text, addr)
         if key is None:
             raise FormatError(path, f"bad points-to key: {text!r}")
-        image = frozenset(map(parse_addr, items))
+        image = frozenset(map(addr, items))
         if None in image:
-            item = next(item for item in items if parse_addr(item) is None)
+            item = next(item for item in items if addr(item) is None)
             raise FormatError(path, f"bad address in image of {text!r}: {item!r}")
         env[key] = image
     _in_scope(env, path, scope)
@@ -336,22 +314,22 @@ def _pts_from_doc(doc, path: str, scope: tuple) -> PointsTo:
     return PointsTo(env)
 
 
-def _live_from_doc(doc, path: str, scope: tuple) -> frozenset:
+def _live_from_doc(doc, path: str, scope: tuple, addr) -> frozenset:
     if not isinstance(doc, list) or not all(isinstance(k, str) for k in doc):
         raise FormatError(path, "expected a list of strings")
-    live = frozenset(map(_key_from_str, doc))
+    live = frozenset(_key_from_str(text, addr) for text in doc)
     if None in live:
-        text = next(text for text in doc if _key_from_str(text) is None)
+        text = next(text for text in doc if _key_from_str(text, addr) is None)
         raise FormatError(path, f"bad live-set entry: {text!r}")
     _in_scope(live, path, scope)
     return live
 
 
-def _loop_from_doc(doc, path: str, scope: tuple) -> LiveType:
+def _loop_from_doc(doc, path: str, scope: tuple, addr) -> LiveType:
     if not isinstance(doc, dict) or set(doc) != {"pts", "live"}:
         raise FormatError(path, "expected an object with 'pts' and 'live'")
-    return LiveType(_pts_from_doc(doc["pts"], f"{path}.pts", scope),
-                    _live_from_doc(doc["live"], f"{path}.live", scope))
+    return LiveType(_pts_from_doc(doc["pts"], f"{path}.pts", scope, addr),
+                    _live_from_doc(doc["live"], f"{path}.live", scope, addr))
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -389,11 +367,14 @@ def deserialize(text: str, cfg: WidenConfig = WidenConfig()) -> Derivation:
     except ParseError as err:
         raise FormatError("root.program", f"unparsable program: {err}") from None
     stmts, scope = _loops_and_scope(program, cfg.instance_cap)
-    entry = _pts_from_doc(doc["entry"], "root.entry", scope)
-    exit_live = _live_from_doc(doc["exit_live"], "root.exit_live", scope)
+    # each distinct address spelling is read once; the memo dies with
+    # the call, so a rejected document's strings are not kept
+    addr = functools.cache(parse_addr)
+    entry = _pts_from_doc(doc["entry"], "root.entry", scope, addr)
+    exit_live = _live_from_doc(doc["exit_live"], "root.exit_live", scope, addr)
     if not isinstance(doc["loops"], list):
         raise FormatError("root.loops", "expected a list")
-    loops = [_loop_from_doc(t, f"root.loops[{i}]", scope)
+    loops = [_loop_from_doc(t, f"root.loops[{i}]", scope, addr)
              for i, t in enumerate(doc["loops"])]
     if not isinstance(doc["residual"], str):
         raise FormatError("root.residual", "expected program source text")
@@ -404,10 +385,14 @@ def deserialize(text: str, cfg: WidenConfig = WidenConfig()) -> Derivation:
     ann = annotate(program, entry, cfg, {id(w): t.pts for w, t in zip(stmts, loops)})
     d = live_annotate(ann, exit_live, cfg,
                       {id(w): t.live for w, t in zip(stmts, loops)})
-    for i, (got, want) in enumerate(zip(_loop_types(d), loops)):
+    # the live pass reads the invariants: a points-to fault can also
+    # change an earlier loop's live set, so every invariant comes first
+    types = list(zip(_loop_types(d), loops))
+    for i, (got, want) in enumerate(types):
         if got.pts != want.pts:
             raise FormatError(f"root.loops[{i}].pts", "invariant does not contain "
                               "the loop entry or is not closed under the body")
+    for i, (got, want) in enumerate(types):
         if got.live != want.live:
             raise FormatError(f"root.loops[{i}].live", "head live set does not "
                               "contain guard and exit or is not closed under the body")

@@ -18,8 +18,7 @@ from .certificate import (
 )
 from .deadcode import optimize, strip_dead_cons
 from .interp import DEFAULT_FUEL, Aborted, OutOfFuel, execute, zero_state
-from .lang import If, ParseError, Seq, While, parse, pretty, stmt_vars
-from .liveness import live_annotate
+from .lang import ParseError, While, parse, pretty, stmt_vars, walk_paths
 from .memory import format_value
 from .pointsto import MAX_INSTANCE_CAP, WidenConfig, annotate, bottom
 from .harness import ALL_CHECKS, SUITE_FUEL, GenConfig, run_soundness_suite
@@ -182,23 +181,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _walk(node, path: str, split):
-    """Flatten a tree into (path, node) rows, preorder; split(node) gives
-    the node's statement and its children in source order."""
-    yield path, node
-    stmt, children = split(node)
-    if isinstance(stmt, Seq):
-        labels = [f"items[{i}]" for i in range(len(stmt.items))]
-    elif isinstance(stmt, If):
-        labels = ("then", "else")
-    elif isinstance(stmt, While):
-        labels = ("body",)
-    else:
-        labels = ()
-    for label, child in zip(labels, children):
-        yield from _walk(child, f"{path}.{label}", split)
-
-
 def _emit_report(doc, out_path) -> int:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
@@ -220,7 +202,7 @@ def _cmd_analyze_pts(args) -> int:
         return 1
     ann = annotate(program, bottom(stmt_vars(program)), args.widen)
     nodes = []
-    for path, node in _walk(ann, "root", lambda a: (a.stmt, a.children)):
+    for path, node in walk_paths(ann, lambda a: (a.stmt, a.children)):
         row = {"path": path,
                "stmt": pretty(node.stmt),
                "pre": pts_to_doc(node.pre),
@@ -249,14 +231,13 @@ def _cmd_analyze_live(args) -> int:
     final_live = _parse_live(args.live, program)
     if final_live is None:
         return 3
-    ann = annotate(program, bottom(stmt_vars(program)), args.widen)
-    derivation = live_annotate(ann, final_live, args.widen)
+    derivation = optimize(program, final_live, args.widen).derivation
     nodes = [{"path": path,
               "stmt": pretty(node.judgment.stmt),
               "live_pre": live_to_list(node.judgment.pre.live),
               "live_post": live_to_list(node.judgment.post.live)}
-             for path, node in _walk(derivation, "root",
-                                     lambda d: (d.judgment.stmt, d.premises))]
+             for path, node in walk_paths(derivation,
+                                          lambda d: (d.judgment.stmt, d.premises))]
     return _emit_report({"widen": args.widen.instance_cap,
                          "live": live_to_list(final_live),
                          "nodes": nodes}, args.out)

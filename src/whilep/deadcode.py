@@ -6,8 +6,9 @@ pass (liveness.live_annotate) also rewrites every node: assignments and
 lookups into dead variables, and heap writes whose every possible
 target is dead, become skip; a cons keeps its allocation but the
 arguments of its dead cells are zeroed. dispose is never removed and
-guards are never rewritten. The derivation it returns carries the
-residual and is the one the certificate checker accepts.
+guards are never rewritten. The derivation it returns, built only from
+the optimizer's rules, carries the residual; `whilep analyze live`
+reports it, and the certificate checker accepts it.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ def strip_dead_cons(d: Derivation) -> Stmt:
     s = d.judgment.stmt
     if d.rule == "con_d1":
         return Skip()
-    if d.rule == "csq_d":
-        return strip_dead_cons(d.premises[0])
     if d.rule == "seq_d":
         return Seq(*map(strip_dead_cons, d.premises))
     if d.rule == "if_d":

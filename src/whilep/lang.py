@@ -220,6 +220,17 @@ def seq_of(stmts: list[Stmt]) -> Stmt:
     return stmts[0] if len(stmts) == 1 else Seq(*stmts)
 
 
+def children(s: Stmt) -> tuple:
+    """The statements directly under s, in source order."""
+    if isinstance(s, Seq):
+        return s.items
+    if isinstance(s, If):
+        return (s.then_body, s.else_body)
+    if isinstance(s, While):
+        return (s.body,)
+    return ()
+
+
 def walk(s: Stmt):
     """Every statement node of s in source preorder: a Seq before its
     items, an if before its then- and else-branch, a loop before its
@@ -228,12 +239,26 @@ def walk(s: Stmt):
     while todo:
         node = todo.pop()
         yield node
-        if isinstance(node, Seq):
-            todo += reversed(node.items)
-        elif isinstance(node, If):
-            todo += (node.else_body, node.then_body)
-        elif isinstance(node, While):
-            todo.append(node.body)
+        todo += reversed(children(node))
+
+
+def walk_paths(root, split):
+    """(path, node) for every node of a tree that mirrors a statement,
+    in source preorder; split(node) gives the node's statement and one
+    subtree per child of it. The tool's one node address: "root", then
+    .items[i] under a Seq, .then and .else under an if, .body under a
+    loop. The analyze reports print it; check names a node by it."""
+    todo = [("root", root)]
+    while todo:
+        path, node = todo.pop()
+        yield path, node
+        stmt, subtrees = split(node)
+        if isinstance(stmt, Seq):
+            labels = [f"items[{i}]" for i in range(len(stmt.items))]
+        else:
+            labels = {If: ("then", "else"), While: ("body",)}.get(type(stmt), ())
+        todo += reversed([(f"{path}.{label}", subtree)
+                          for label, subtree in zip(labels, subtrees)])
 
 
 # --- variables ---

@@ -27,7 +27,7 @@ _MISFORM = {"skip": "dis_d", "ass_d1": "lok_d1", "ass_d2": "lok_d2",
             "con_d1": "skip", "con_d2": "mut_d2", "lok_d1": "ass_d1",
             "lok_d2": "ass_d2", "mut_d1": "dis_d", "mut_d2": "dis_d",
             "dis_d": "skip", "seq_d": "if_d", "if_d": "whl_d",
-            "whl_d": "seq_d", "csq_d": "skip"}
+            "whl_d": "seq_d"}
 
 
 def replace(node, **changes):

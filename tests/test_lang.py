@@ -11,8 +11,8 @@ from whilep import GenConfig, gen_program
 from whilep import lang
 from whilep.lang import (
     And, Assign, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit, Lookup,
-    Mutate, Not, Or, ParseError, Record, Seq, Skip, Var, While, free_vars,
-    parse, pretty, read_vars, seq_of, stmt_vars, walk,
+    Mutate, Not, Or, ParseError, Record, Seq, Skip, Var, While, children,
+    free_vars, parse, pretty, read_vars, seq_of, stmt_vars, walk, walk_paths,
 )
 
 
@@ -71,8 +71,15 @@ def test_walk_is_preorder_and_iterative():
         "x := 1", "if x < 1 then { y := 2; skip } else { while x < 2 do "
         "{ x := x + 1 } }", "y := 2; skip", "y := 2", "skip",
         "while x < 2 do { x := x + 1 }", "x := x + 1", "dispose(x)"]
+    rows = list(walk_paths(prog, lambda s: (s, children(s))))
+    assert [node for _, node in rows] == list(walk(prog))
+    assert [path for path, _ in rows] == [
+        "root", "root.items[0]", "root.items[1]", "root.items[1].then",
+        "root.items[1].then.items[0]", "root.items[1].then.items[1]",
+        "root.items[1].else", "root.items[1].else.body", "root.items[2]"]
     chain = parse("; ".join(["x := x + 1"] * 50_000))
     assert sum(1 for _ in walk(chain)) == 50_001
+    assert sum(1 for _ in walk_paths(chain, lambda s: (s, children(s)))) == 50_001
     assert pretty(chain).count(";") == 49_999
     assert stmt_vars(chain) == read_vars(chain) == {"x"}
 
