@@ -114,6 +114,20 @@ def _invalid(d: Derivation, cfg: WidenConfig) -> str | None:
     if len(d.premises) != arity:
         return f"{d.rule} takes {arity} premises, got {len(d.premises)}"
 
+    if not arity:
+        # a leaf rule: recompute the transfer, the live rule, the side
+        # condition, and the rewrite from the node's own entry type
+        if post_p != transfer(s, pre_p, cfg):
+            return "exit points-to type does not match the transfer"
+        live, rule, residual = leaf_live_pre(s, pre_p, post_l, cfg)
+        if pre_l != live:
+            return "entry live set does not match the live rule"
+        if d.rule != rule:
+            return f"side condition of {d.rule} does not hold"
+        if r != residual:
+            return f"residual does not match the {d.rule} rewrite"
+        return None
+
     if d.rule == "seq_d":
         js = [premise.judgment for premise in d.premises]
         if tuple(pj.stmt for pj in js) != s.items:
@@ -145,37 +159,24 @@ def _invalid(d: Derivation, cfg: WidenConfig) -> str | None:
             return "if_d residual does not rebuild the branches"
         return None
 
-    if d.rule == "whl_d":
-        bj = d.premises[0].judgment
-        if bj.stmt != s.body:
-            return "whl_d premise does not cover the body"
-        if not leq(pre_p, post_p):
-            return "whl_d entry type is not below the invariant"
-        if bj.pre.pts != post_p:
-            return "whl_d body must start at the invariant"
-        if not leq(bj.post.pts, post_p):
-            return "whl_d invariant is not closed under the body"
-        if not pre_l >= free_vars(s.cond) | post_l:
-            return "whl_d head live set misses the guard or exit"
-        if bj.post.live != pre_l:
-            return "whl_d body must end at the head live set"
-        if not bj.pre.live <= pre_l:
-            return "whl_d head live set is not closed under the body"
-        if r != While(s.cond, bj.residual):
-            return "whl_d residual does not rebuild the loop"
-        return None
-
-    # leaf rules: recompute the transfer, the live rule, the side
-    # condition, and the rewrite from the node's own entry type
-    if post_p != transfer(s, pre_p, cfg):
-        return "exit points-to type does not match the transfer"
-    live, rule, residual = leaf_live_pre(s, pre_p, post_l, cfg)
-    if pre_l != live:
-        return "entry live set does not match the live rule"
-    if d.rule != rule:
-        return f"side condition of {d.rule} does not hold"
-    if r != residual:
-        return f"residual does not match the {d.rule} rewrite"
+    # the only rule left is whl_d
+    bj = d.premises[0].judgment
+    if bj.stmt != s.body:
+        return "whl_d premise does not cover the body"
+    if not leq(pre_p, post_p):
+        return "whl_d entry type is not below the invariant"
+    if bj.pre.pts != post_p:
+        return "whl_d body must start at the invariant"
+    if not leq(bj.post.pts, post_p):
+        return "whl_d invariant is not closed under the body"
+    if not pre_l >= free_vars(s.cond) | post_l:
+        return "whl_d head live set misses the guard or exit"
+    if bj.post.live != pre_l:
+        return "whl_d body must end at the head live set"
+    if not bj.pre.live <= pre_l:
+        return "whl_d head live set is not closed under the body"
+    if r != While(s.cond, bj.residual):
+        return "whl_d residual does not rebuild the loop"
     return None
 
 

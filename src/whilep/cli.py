@@ -16,11 +16,11 @@ import sys
 from .certificate import (
     FormatError, deserialize, live_to_list, pts_to_doc, serialize,
 )
-from .deadcode import optimize, strip_dead_cons
+from .deadcode import annotate_from_bottom, optimize, strip_dead_cons
 from .interp import DEFAULT_FUEL, Aborted, OutOfFuel, execute, zero_state
 from .lang import ParseError, While, parse, pretty, stmt_vars, walk_paths
 from .memory import format_value
-from .pointsto import MAX_INSTANCE_CAP, WidenConfig, annotate, bottom
+from .pointsto import MAX_INSTANCE_CAP, WidenConfig
 from .harness import ALL_CHECKS, SUITE_FUEL, GenConfig, run_soundness_suite
 
 
@@ -200,7 +200,7 @@ def _cmd_analyze_pts(args) -> int:
     program = _load_program(args.file)
     if program is None:
         return 1
-    ann = annotate(program, bottom(stmt_vars(program)), args.widen)
+    ann = annotate_from_bottom(program, args.widen)
     nodes = []
     for path, node in walk_paths(ann, lambda a: (a.stmt, a.children)):
         row = {"path": path,

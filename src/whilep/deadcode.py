@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .lang import If, Record, Seq, Skip, Stmt, While, stmt_vars
 from .liveness import Derivation, live_annotate
-from .pointsto import WidenConfig, annotate, bottom
+from .pointsto import AnnStmt, WidenConfig, annotate, bottom
 
 
 class OptResult(Record):
@@ -27,18 +27,24 @@ class OptResult(Record):
         return self.derivation.judgment.residual
 
 
+def annotate_from_bottom(s: Stmt, cfg: WidenConfig) -> AnnStmt:
+    """The points-to pass of optimize: s annotated from the bottom type
+    over its variables. `whilep analyze pts` reports it."""
+    return annotate(s, bottom(stmt_vars(s)), cfg)
+
+
 def optimize(s: Stmt, final_live, cfg: WidenConfig = WidenConfig()) -> OptResult:
     """Analyze from the bottom type, then eliminate dead code.
 
     final_live lists what the caller observes after the program ends;
     it must only mention program variables.
     """
-    variables = stmt_vars(s)
+    ann = annotate_from_bottom(s, cfg)
     final_live = frozenset(final_live)
-    stray = {x for x in final_live if isinstance(x, str)} - set(variables)
+    # the bottom type's keys are the program's variables
+    stray = {x for x in final_live if isinstance(x, str)} - ann.pre.env.keys()
     if stray:
         raise ValueError(f"final live set mentions unknown variables: {sorted(stray)}")
-    ann = annotate(s, bottom(variables), cfg)
     return OptResult(live_annotate(ann, final_live, cfg))
 
 

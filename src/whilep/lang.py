@@ -35,7 +35,13 @@ class Record(tuple):
     tuple of its fields and then its class as a tag, so records of
     different classes are never equal. The constructor takes the fields
     only, as namedtuple's does, and the C field accessors are a
-    namedtuple's; copy and pickle rebuild through the constructor."""
+    namedtuple's; copy and pickle rebuild through the constructor.
+
+    Node classes are not subclassed, so the per-node hot paths use two
+    idioms: they dispatch on the tag, `node[-1] is Cls`, instead of a
+    chain of isinstance tests, and they build a record as
+    `tuple.__new__(Cls, (*fields, Cls))`, which equals `Cls(*fields)`
+    without the Python-level constructor call."""
 
     __slots__ = ()
 
@@ -222,11 +228,12 @@ def seq_of(stmts: list[Stmt]) -> Stmt:
 
 def children(s: Stmt) -> tuple:
     """The statements directly under s, in source order."""
-    if isinstance(s, Seq):
+    tag = s[-1]
+    if tag is Seq:
         return s.items
-    if isinstance(s, If):
+    if tag is If:
         return (s.then_body, s.else_body)
-    if isinstance(s, While):
+    if tag is While:
         return (s.body,)
     return ()
 
@@ -575,17 +582,18 @@ _APREC = {"+": 1, "-": 1, "*": 2}
 
 
 def pretty_aexp(e: AExp, prec: int = 0) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, Nil):
-        return "nil"
-    if isinstance(e, Var):
+    tag = e[-1]
+    if tag is Var:
         return e.name
-    if isinstance(e, BinOp):
+    if tag is IntLit:
+        return str(e.value)
+    if tag is BinOp:
         mine = _APREC[e.op]
         # left-associative: right operand at equal precedence needs parens
         text = f"{pretty_aexp(e.lhs, mine)} {e.op} {pretty_aexp(e.rhs, mine + 1)}"
         return f"({text})" if mine < prec else text
+    if tag is Nil:
+        return "nil"
     raise TypeError(f"not an arithmetic expression: {e!r}")
 
 
@@ -593,39 +601,41 @@ _BPREC_OR, _BPREC_AND, _BPREC_NOT = 1, 2, 3
 
 
 def pretty_bexp(b: BExp, prec: int = 0) -> str:
-    if isinstance(b, BoolLit):
-        return "true" if b.value else "false"
-    if isinstance(b, Cmp):
+    tag = b[-1]
+    if tag is Cmp:
         return f"{pretty_aexp(b.lhs)} {b.op} {pretty_aexp(b.rhs)}"
-    if isinstance(b, Not):
+    if tag is Not:
         return f"not {pretty_bexp(b.arg, _BPREC_NOT)}"
-    if isinstance(b, And):
+    if tag is And:
         text = f"{pretty_bexp(b.lhs, _BPREC_AND)} and {pretty_bexp(b.rhs, _BPREC_AND + 1)}"
         return f"({text})" if _BPREC_AND < prec else text
-    if isinstance(b, Or):
+    if tag is Or:
         text = f"{pretty_bexp(b.lhs, _BPREC_OR)} or {pretty_bexp(b.rhs, _BPREC_OR + 1)}"
         return f"({text})" if _BPREC_OR < prec else text
+    if tag is BoolLit:
+        return "true" if b.value else "false"
     raise TypeError(f"not a guard: {b!r}")
 
 
 def pretty(s: Stmt) -> str:
-    if isinstance(s, Skip):
-        return "skip"
-    if isinstance(s, Assign):
+    tag = s[-1]
+    if tag is Assign:
         return f"{s.var} := {pretty_aexp(s.expr)}"
-    if isinstance(s, Cons):
-        return f"{s.var} := cons({', '.join(pretty_aexp(a) for a in s.args)})"
-    if isinstance(s, Lookup):
+    if tag is Cons:
+        return f"{s.var} := cons({', '.join(map(pretty_aexp, s.args))})"
+    if tag is Lookup:
         return f"{s.var} := [{pretty_aexp(s.addr)}]"
-    if isinstance(s, Mutate):
+    if tag is Mutate:
         return f"[{pretty_aexp(s.target)}] := {pretty_aexp(s.value)}"
-    if isinstance(s, Dispose):
-        return f"dispose({pretty_aexp(s.addr)})"
-    if isinstance(s, Seq):
+    if tag is Seq:
         return "; ".join(map(pretty, s.items))
-    if isinstance(s, If):
+    if tag is Skip:
+        return "skip"
+    if tag is Dispose:
+        return f"dispose({pretty_aexp(s.addr)})"
+    if tag is If:
         return (f"if {pretty_bexp(s.cond)} then {{ {pretty(s.then_body)} }}"
                 f" else {{ {pretty(s.else_body)} }}")
-    if isinstance(s, While):
+    if tag is While:
         return f"while {pretty_bexp(s.cond)} do {{ {pretty(s.body)} }}"
     raise TypeError(f"not a statement: {s!r}")

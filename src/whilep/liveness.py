@@ -13,6 +13,9 @@ judgment also carries the rule whose side condition holds there and the
 residual that rule emits, so a live judgment plus its residual is the
 judgment the certificate checker revalidates. At a leaf, one function,
 leaf_live_pre, decides all three from the node's entry type.
+leaf_live_pre and live_annotate dispatch on the class tag node[-1], and
+_node and the rewrites build their records with tuple.__new__ (see
+lang.Record).
 """
 
 from __future__ import annotations
@@ -51,7 +54,10 @@ class Derivation(Record):
     premises: tuple = ()
 
 
-_ZERO = IntLit(0)  # the argument of a dead cell; nodes are immutable
+# the argument of a dead cell and the residual of a removed leaf;
+# nodes are immutable, so one of each serves every rewrite
+_ZERO = IntLit(0)
+_SKIP = Skip()
 
 
 def leaf_live_pre(s: Stmt, pre: PointsTo, post: frozenset,
@@ -64,13 +70,12 @@ def leaf_live_pre(s: Stmt, pre: PointsTo, post: frozenset,
     evolves as in the original, but the arguments of its dead cells are
     zeroed, so that the residual never evaluates them.
     """
-    if isinstance(s, Skip):
-        return post, "skip", s
-    if isinstance(s, Assign):
+    tag = s[-1]
+    if tag is Assign:
         if s.var not in post:
-            return post, "ass_d1", Skip()
+            return post, "ass_d1", _SKIP
         return (post - {s.var}) | free_vars(s.expr), "ass_d2", s
-    if isinstance(s, Cons):
+    if tag is Cons:
         _, cells = cons_block(pre, len(s.args), cfg.instance_cap)
         live_args = {a[2] for a in cells & post}
         entry = post - {s.var}
@@ -81,18 +86,20 @@ def leaf_live_pre(s: Stmt, pre: PointsTo, post: frozenset,
             return entry, rule, s
         args = tuple([a if j in live_args else _ZERO
                       for j, a in enumerate(s.args, 1)])
-        return entry, rule, Cons(s.var, args)
-    if isinstance(s, Lookup):
+        return entry, rule, tuple.__new__(Cons, (s.var, args, Cons))
+    if tag is Lookup:
         if s.var not in post:
-            return post, "lok_d1", Skip()
+            return post, "lok_d1", _SKIP
         targets = addr_part(abs_eval(s.addr, pre))
         return (post - {s.var}) | free_vars(s.addr) | targets, "lok_d2", s
-    if isinstance(s, Mutate):
+    if tag is Mutate:
         entry = post | free_vars(s.target)
         if addr_part(abs_eval(s.target, pre)) & post:
             return entry | free_vars(s.value), "mut_d2", s
-        return entry, "mut_d1", Skip()
-    if isinstance(s, Dispose):
+        return entry, "mut_d1", _SKIP
+    if tag is Skip:
+        return post, "skip", s
+    if tag is Dispose:
         return post | free_vars(s.addr), "dis_d", s
     raise TypeError(f"not a leaf statement: {s!r}")
 
@@ -109,7 +116,8 @@ def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
     ends: head sets only grow, over the program's variables and cells <= K.
     """
     s = ann.stmt
-    if isinstance(s, Seq):
+    tag = s[-1]
+    if tag is Seq:
         # a leaf item is stepped here, not through a call of
         # live_annotate; leaf_live_pre is looked up at each call, so a
         # patched one sees it
@@ -128,14 +136,14 @@ def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
         # no residual item is a Seq, so the items are not re-spliced
         residual = tuple.__new__(Seq, (tuple([d.judgment.residual for d in premises]), Seq))
         return _node(ann, "seq_d", live, post, residual, tuple(premises))
-    if isinstance(s, If):
+    if tag is If:
         then_d = live_annotate(ann.children[0], post, cfg, seeds)
         else_d = live_annotate(ann.children[1], post, cfg, seeds)
         pre = free_vars(s.cond) | then_d.judgment.pre.live | else_d.judgment.pre.live
         return _node(ann, "if_d", pre, post, If(s.cond, then_d.judgment.residual,
                                                  else_d.judgment.residual),
                      (then_d, else_d))
-    if isinstance(s, While):
+    if tag is While:
         # least fixpoint above the exit set plus the guard: the body is
         # re-analyzed with the loop head as its exit until nothing grows
         head = post | free_vars(s.cond) | (seeds or {}).get(id(s), frozenset())
@@ -154,8 +162,11 @@ def _node(ann: AnnStmt, rule: str, pre: frozenset, post: frozenset,
           residual: Stmt, premises: tuple = ()) -> Derivation:
     """The derivation node of ann's statement between live sets pre and
     post."""
-    return Derivation(rule, Judgment(ann.stmt, LiveType(ann.pre, pre),
-                                     LiveType(ann.post, post), residual), premises)
+    new = tuple.__new__
+    return new(Derivation, (rule, new(Judgment, (
+        ann.stmt, new(LiveType, (ann.pre, pre, LiveType)),
+        new(LiveType, (ann.post, post, LiveType)), residual, Judgment)),
+        premises, Derivation))
 
 
 def models_live(st: ProgState, p: PointsTo, live: frozenset,

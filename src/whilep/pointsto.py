@@ -21,7 +21,10 @@ transfer is the step of one leaf statement: it computes the images of
 the keys the leaf may change (its variable, a cons's block cells, a heap
 write's targets) and nothing else; every other key keeps its image.
 annotate applies it at every leaf, and steps the leaf items of a
-sequence in its own loop rather than through a call of itself.
+sequence in its own loop rather than through a call of itself. These
+per-node paths, abs_eval, transfer and annotate, dispatch on the class
+tag node[-1] and build the PointsTo and AnnStmt of a leaf with
+tuple.__new__ (see lang.Record).
 
 A loop starts from its entry joined with its allocations: the cells of
 instances 1..K of each block length a cons in its body allocates, at
@@ -142,11 +145,12 @@ def abs_eval(e: AExp, p: PointsTo) -> int | frozenset:
     A set V promises only that an address result lies in V; the
     concrete value may always be some integer or nil instead.
     """
-    if isinstance(e, Var):
+    tag = e[-1]
+    if tag is Var:
         return p.env.get(e.name, EMPTY)
-    if isinstance(e, IntLit):
+    if tag is IntLit:
         return e.value
-    if isinstance(e, BinOp):
+    if tag is BinOp:
         v1 = abs_eval(e.lhs, p)
         v2 = abs_eval(e.rhs, p)
         if isinstance(v1, int) and isinstance(v2, int):
@@ -166,7 +170,7 @@ def abs_eval(e: AExp, p: PointsTo) -> int | frozenset:
         if e.op == "+":
             return _variants(v1) | _variants(v2)
         return _variants(v1)
-    if isinstance(e, Nil):
+    if tag is Nil:
         return EMPTY
     raise TypeError(f"not an arithmetic expression: {e!r}")
 
@@ -219,18 +223,19 @@ def _block_heads(length: int, v: int, cap: int) -> frozenset:
 def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
     """Exit type of leaf s from entry type p: each branch computes the
     images of the keys s writes, and every other key keeps its image."""
-    if isinstance(s, Assign):
+    tag = s[-1]
+    if tag is Assign:
         delta = {s.var: addr_part(abs_eval(s.expr, p))}
-    elif isinstance(s, Cons):
+    elif tag is Cons:
         images = [addr_part(abs_eval(a, p)) for a in s.args]
         length, cap, env = len(s.args), cfg.instance_cap, p.env
         v, cells = cons_block(p, length, cap)
         delta = {a: env.get(a, EMPTY) | images[a[2] - 1] for a in cells}
         delta[s.var] = _block_heads(length, v, cap)
-    elif isinstance(s, Lookup):
+    elif tag is Lookup:
         targets = addr_part(abs_eval(s.addr, p))
-        delta = {s.var: EMPTY.union(*map(p.image, targets))}
-    elif isinstance(s, Mutate):
+        delta = {s.var: EMPTY.union(*[p.env.get(a, EMPTY) for a in targets])}
+    elif tag is Mutate:
         targets = addr_part(abs_eval(s.target, p))
         stored = addr_part(abs_eval(s.value, p))
         only = next(iter(targets)) if len(targets) == 1 else None
@@ -238,11 +243,11 @@ def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
             delta = {only: stored}  # strong update: unique, non-summary target
         else:
             delta = {a: p.image(a) | stored for a in targets}
-    elif isinstance(s, (Skip, Dispose)):
-        delta = {}
+    elif tag is Skip or tag is Dispose:
+        return p
     else:
         raise TypeError(f"not a leaf statement: {s!r}")
-    return PointsTo(p.env | delta) if delta else p
+    return tuple.__new__(PointsTo, (p.env | delta, PointsTo)) if delta else p
 
 
 def annotate(s: Stmt, p: PointsTo, cfg: WidenConfig,
@@ -258,7 +263,8 @@ def annotate(s: Stmt, p: PointsTo, cfg: WidenConfig,
 def _annotate(s: Stmt, p: PointsTo, cfg: WidenConfig, seeds: dict,
               starts: dict) -> AnnStmt:
     """annotate, with each loop's start memoised in starts by id()."""
-    if isinstance(s, Seq):
+    tag = s[-1]
+    if tag is Seq:
         # leaf items step here; transfer is looked up per call, so patches apply
         children, q = [], p
         for item in s.items:
@@ -266,16 +272,16 @@ def _annotate(s: Stmt, p: PointsTo, cfg: WidenConfig, seeds: dict,
             if tag is If or tag is While:
                 child = _annotate(item, q, cfg, seeds, starts)
             else:
-                child = AnnStmt(item, q, transfer(item, q, cfg))
+                child = tuple.__new__(AnnStmt, (item, q, transfer(item, q, cfg), (), AnnStmt))
             children.append(child)
             q = child.post
         return AnnStmt(s, p, q, tuple(children))
-    if isinstance(s, If):
+    if tag is If:
         then_ann = _annotate(s.then_body, p, cfg, seeds, starts)
         else_ann = _annotate(s.else_body, p, cfg, seeds, starts)
         return AnnStmt(s, p, join(then_ann.post, else_ann.post),
                        (then_ann, else_ann))
-    if isinstance(s, While):
+    if tag is While:
         if id(s) not in starts:  # the body's allocations at empty images, and the seed
             cap = cfg.instance_cap
             starts[id(s)] = PointsTo({a: EMPTY for n in walk(s.body) if isinstance(n, Cons)

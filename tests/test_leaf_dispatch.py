@@ -1,0 +1,296 @@
+"""The per-node hot paths dispatch on the class tag and build records with
+tuple.__new__ (lang.Record). These tests hold them to frozen isinstance
+versions of abs_eval, transfer and leaf_live_pre, to the constructors,
+and to a loud TypeError on a node of the wrong kind."""
+
+import ast
+import pickle
+import random
+from pathlib import Path
+
+import pytest
+
+from whilep import GenConfig, gen_program
+from whilep.harness import _synthetic_ptype
+from whilep.lang import (
+    AExp, And, Assign, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit, Lookup,
+    Mutate, Nil, Seq, Skip, Stmt, Var, While, children, free_vars, parse,
+    pretty, pretty_aexp, pretty_bexp, stmt_vars, walk,
+)
+from whilep.liveness import Derivation, Judgment, LiveType, leaf_live_pre
+from whilep.memory import Address
+from whilep.pointsto import (
+    EMPTY, AnnStmt, PointsTo, WidenConfig, _block_heads, _shifts, _variants,
+    abs_eval, addr_part, bottom, cons_block, transfer,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "whilep"
+
+
+# --- frozen reference copies: the isinstance versions the tag dispatch replaced ---
+
+def ref_abs_eval(e: AExp, p: PointsTo):
+    if isinstance(e, Var):
+        return p.env.get(e.name, EMPTY)
+    if isinstance(e, IntLit):
+        return e.value
+    if isinstance(e, BinOp):
+        v1 = ref_abs_eval(e.lhs, p)
+        v2 = ref_abs_eval(e.rhs, p)
+        if isinstance(v1, int) and isinstance(v2, int):
+            if e.op == "+":
+                return v1 + v2
+            if e.op == "-":
+                return v1 - v2
+            return v1 * v2
+        if e.op == "*":
+            return EMPTY
+        if isinstance(v2, int):
+            return _shifts(v1, v2 if e.op == "+" else -v2)
+        if isinstance(v1, int):
+            return _shifts(v2, v1) if e.op == "+" else EMPTY
+        if e.op == "+":
+            return _variants(v1) | _variants(v2)
+        return _variants(v1)
+    if isinstance(e, Nil):
+        return EMPTY
+    raise TypeError(f"not an arithmetic expression: {e!r}")
+
+
+def ref_transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
+    if isinstance(s, Assign):
+        delta = {s.var: addr_part(ref_abs_eval(s.expr, p))}
+    elif isinstance(s, Cons):
+        images = [addr_part(ref_abs_eval(a, p)) for a in s.args]
+        length, cap, env = len(s.args), cfg.instance_cap, p.env
+        v, cells = cons_block(p, length, cap)
+        delta = {a: env.get(a, EMPTY) | images[a[2] - 1] for a in cells}
+        delta[s.var] = _block_heads(length, v, cap)
+    elif isinstance(s, Lookup):
+        targets = addr_part(ref_abs_eval(s.addr, p))
+        delta = {s.var: EMPTY.union(*map(p.image, targets))}
+    elif isinstance(s, Mutate):
+        targets = addr_part(ref_abs_eval(s.target, p))
+        stored = addr_part(ref_abs_eval(s.value, p))
+        only = next(iter(targets)) if len(targets) == 1 else None
+        if only is not None and only.instance < cfg.instance_cap:
+            delta = {only: stored}
+        else:
+            delta = {a: p.image(a) | stored for a in targets}
+    elif isinstance(s, (Skip, Dispose)):
+        delta = {}
+    else:
+        raise TypeError(f"not a leaf statement: {s!r}")
+    return PointsTo(p.env | delta) if delta else p
+
+
+def ref_leaf_live_pre(s: Stmt, pre: PointsTo, post: frozenset, cfg: WidenConfig):
+    if isinstance(s, Skip):
+        return post, "skip", s
+    if isinstance(s, Assign):
+        if s.var not in post:
+            return post, "ass_d1", Skip()
+        return (post - {s.var}) | free_vars(s.expr), "ass_d2", s
+    if isinstance(s, Cons):
+        _, cells = cons_block(pre, len(s.args), cfg.instance_cap)
+        live_args = {a[2] for a in cells & post}
+        entry = post - {s.var}
+        for j in live_args:
+            entry |= free_vars(s.args[j - 1])
+        rule = "con_d2" if live_args or s.var in post else "con_d1"
+        if len(live_args) == len(s.args):
+            return entry, rule, s
+        args = tuple([a if j in live_args else IntLit(0)
+                      for j, a in enumerate(s.args, 1)])
+        return entry, rule, Cons(s.var, args)
+    if isinstance(s, Lookup):
+        if s.var not in post:
+            return post, "lok_d1", Skip()
+        targets = addr_part(ref_abs_eval(s.addr, pre))
+        return (post - {s.var}) | free_vars(s.addr) | targets, "lok_d2", s
+    if isinstance(s, Mutate):
+        entry = post | free_vars(s.target)
+        if addr_part(ref_abs_eval(s.target, pre)) & post:
+            return entry | free_vars(s.value), "mut_d2", s
+        return entry, "mut_d1", Skip()
+    if isinstance(s, Dispose):
+        return post | free_vars(s.addr), "dis_d", s
+    raise TypeError(f"not a leaf statement: {s!r}")
+
+
+# --- differential ---
+
+def _partial_ptype(rng: random.Random, variables, cap: int) -> PointsTo:
+    """A type that tracks only some cells of a block, as a certificate's
+    entry type or loop invariant may: a proper, nonempty subset of the
+    cells of one or two blocks of length 2 or 3."""
+    env = {x: EMPTY for x in variables}
+    for _ in range(rng.randint(1, 2)):
+        n, u = rng.randint(2, 3), rng.randint(1, cap)
+        kept = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+        for j in kept:
+            env[Address(n, u, j)] = EMPTY
+    cells = [k for k in env if isinstance(k, Address)]
+    for key in list(env):
+        if rng.random() < 0.5:
+            env[key] = frozenset(rng.sample(cells, rng.randint(1, min(2, len(cells)))))
+    # a variable may also point at a cell of the block that is not tracked
+    for x in variables:
+        if rng.random() < 0.2:
+            a = rng.choice(cells)
+            env[x] = env[x] | {Address(a.length, a.instance, a.length + 1 - a.index)}
+    return PointsTo(env)
+
+
+def _expressions(s: Stmt):
+    """Every arithmetic expression node under leaf s."""
+    todo = [getattr(s, name) for name in ("expr", "addr", "target", "value")
+            if hasattr(s, name)]
+    todo += getattr(s, "args", ())
+    while todo:
+        e = todo.pop()
+        yield e
+        if isinstance(e, BinOp):
+            todo += (e.lhs, e.rhs)
+
+
+def test_leaf_steps_match_the_isinstance_reference():
+    """transfer, leaf_live_pre and abs_eval agree with the frozen copies on
+    every leaf of gen_program seeds 0-299, at caps 1-3, from three kinds
+    of entry type and random exit live sets that include cells."""
+    kinds = set()
+    for seed in range(300):
+        prog = gen_program(GenConfig(seed=seed))
+        variables = sorted(stmt_vars(prog))
+        leaves = [n for n in walk(prog) if not children(n)]
+        for cap in (1, 2, 3):
+            cfg = WidenConfig(instance_cap=cap)
+            rng = random.Random(f"leaf:{seed}:{cap}")
+            for entry in (bottom(variables), _synthetic_ptype(rng, variables, cap),
+                          _partial_ptype(rng, variables, cap)):
+                for s in leaves:
+                    kinds.add(type(s))
+                    for e in _expressions(s):
+                        assert abs_eval(e, entry) == ref_abs_eval(e, entry), (seed, e)
+                    post_p = transfer(s, entry, cfg)
+                    assert post_p == ref_transfer(s, entry, cfg), (seed, cap, s)
+                    assert type(post_p) is PointsTo
+                    keys = sorted(post_p.env.keys() | entry.env.keys(), key=repr)
+                    post = frozenset(k for k in keys if rng.random() < 0.5)
+                    assert leaf_live_pre(s, entry, post, cfg) == \
+                        ref_leaf_live_pre(s, entry, post, cfg), (seed, cap, s, post)
+    assert kinds == {Skip, Assign, Cons, Lookup, Mutate, Dispose}
+
+
+# --- direct construction ---
+
+_P = PointsTo({"p": frozenset({Address(2, 1, 1)}), Address(2, 1, 1): EMPTY})
+_LEAF = Cons("p", (IntLit(1), Var("q")))
+_T = LiveType(_P, frozenset({"p", Address(2, 1, 2)}))
+_J = Judgment(_LEAF, _T, _T, _LEAF)
+_DIRECT = {
+    PointsTo: (_P.env,),
+    AnnStmt: (_LEAF, _P, _P, ()),
+    Cons: ("x", (IntLit(0), Var("p"))),
+    Seq: ((_LEAF, Skip()),),
+    LiveType: (_P, frozenset({"p"})),
+    Judgment: (_LEAF, _T, _T, Skip()),
+    Derivation: ("con_d2", _J, (Derivation("skip", _J),)),
+}
+
+
+def _direct_builds(tree) -> set[str]:
+    """The classes named first in calls of tuple.__new__, or of a local
+    alias `new` of it."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Name):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "new"
+                    or isinstance(func, ast.Attribute) and func.attr == "__new__"
+                    and isinstance(func.value, ast.Name) and func.value.id == "tuple"):
+                out.add(node.args[0].id)
+    return out
+
+
+def _hash(record):
+    """The record's hash, or None when a field (a dict) is unhashable."""
+    try:
+        return hash(record)
+    except TypeError:
+        return None
+
+
+def test_every_direct_construction_is_sampled():
+    """Each class the package builds directly is one the next test
+    compares; Record's and Address's own constructors pass cls."""
+    built = set().union(*(_direct_builds(ast.parse(path.read_text(encoding="utf-8")))
+                          for path in SRC.glob("*.py")))
+    assert built == {cls.__name__ for cls in _DIRECT} | {"Address", "cls"}
+
+
+@pytest.mark.parametrize("cls", list(_DIRECT), ids=lambda cls: cls.__name__)
+def test_direct_construction_equals_the_constructor(cls):
+    """tuple.__new__(Cls, (*fields, Cls)) is Cls(*fields): same class,
+    ==, hash (or both unhashable), repr and pickle round trip."""
+    fields = _DIRECT[cls]
+    direct = tuple.__new__(cls, (*fields, cls))
+    built = cls(*fields[0]) if cls is Seq else cls(*fields)
+    assert type(direct) is cls
+    assert direct == built and _hash(direct) == _hash(built)
+    assert repr(direct) == repr(built)
+    twin = pickle.loads(pickle.dumps(direct))
+    assert type(twin) is cls and twin == built and repr(twin) == repr(built)
+
+
+def test_direct_address_equals_the_constructor():
+    """_shifts builds valid addresses without Address's checks; they have
+    no tag, as Address is a plain namedtuple."""
+    direct = tuple.__new__(Address, (3, 2, 1))
+    built = Address(3, 2, 1)
+    assert type(direct) is Address
+    assert direct == built and hash(direct) == hash(built)
+    assert repr(direct) == repr(built) == "addr(3,2,1)"
+    assert pickle.loads(pickle.dumps(direct)) == built
+
+
+# --- wrong kinds ---
+
+_P0 = bottom({"x"})
+_CFG = WidenConfig()
+_LOOP = While(Cmp("<", Var("x"), IntLit(1)), Skip())
+_CALLS = {
+    "abs_eval": lambda n: abs_eval(n, _P0),
+    "transfer": lambda n: transfer(n, _P0, _CFG),
+    "leaf_live_pre": lambda n: leaf_live_pre(n, _P0, EMPTY, _CFG),
+    "pretty": pretty,
+    "pretty_aexp": pretty_aexp,
+    "pretty_bexp": pretty_bexp,
+}
+_WRONG_KINDS = [
+    ("abs_eval", Skip(), "not an arithmetic expression"),
+    ("abs_eval", BoolLit(True), "not an arithmetic expression"),
+    ("abs_eval", _P0, "not an arithmetic expression"),
+    ("transfer", parse("skip; skip"), "not a leaf statement"),
+    ("transfer", _LOOP, "not a leaf statement"),
+    ("transfer", Var("x"), "not a leaf statement"),
+    ("leaf_live_pre", _LOOP, "not a leaf statement"),
+    ("leaf_live_pre", If(BoolLit(True), Skip(), Skip()), "not a leaf statement"),
+    ("leaf_live_pre", IntLit(0), "not a leaf statement"),
+    ("pretty", Var("x"), "not a statement"),
+    ("pretty", And(BoolLit(True), BoolLit(False)), "not a statement"),
+    ("pretty_aexp", Skip(), "not an arithmetic expression"),
+    ("pretty_aexp", Cmp("=", Nil(), Nil()), "not an arithmetic expression"),
+    ("pretty_bexp", Var("x"), "not a guard"),
+    ("pretty_bexp", Skip(), "not a guard"),
+]
+
+
+@pytest.mark.parametrize("name, node, message", _WRONG_KINDS,
+                         ids=[f"{name}-{type(node).__name__}" for name, node, _ in _WRONG_KINDS])
+def test_wrong_kind_nodes_raise_type_error(name, node, message):
+    """Tag dispatch never falls through silently: a node of another kind
+    is the TypeError the isinstance chains raised, with the same text."""
+    with pytest.raises(TypeError) as info:
+        _CALLS[name](node)
+    assert str(info.value) == f"{message}: {node!r}"
