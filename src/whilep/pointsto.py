@@ -17,14 +17,16 @@ checks. The shifts of a set by an offset, its closure under unknown
 offsets and the cells of a cons are each kept in a bounded cache keyed
 by value, since every pass over a program asks for the same ones.
 
-transfer is the step of one leaf statement: it computes the images of
-the keys the leaf may change (its variable, a cons's block cells, a heap
-write's targets) and nothing else; every other key keeps its image.
-annotate applies it at every leaf, and steps the leaf items of a
-sequence in its own loop rather than through a call of itself. These
-per-node paths, abs_eval, transfer and annotate, dispatch on the class
-tag node[-1] and build the PointsTo and AnnStmt of a leaf with
-tuple.__new__ (see lang.Record).
+transfer is the step of one leaf statement: of the keys the leaf may
+change (its variable, a cons's block cells, a heap write's targets) it
+writes only those whose image changes or that become tracked, and
+returns its entry type itself when there are none; join returns its
+first type when the second adds nothing. A step that changes nothing
+thus costs no copy. annotate applies transfer at every leaf, stepping
+the leaf items of a sequence in its own loop. These per-node paths,
+abs_eval, transfer and annotate, dispatch on the class tag node[-1] and
+build the PointsTo and AnnStmt of a leaf with tuple.__new__ (see
+lang.Record).
 
 A loop starts from its entry joined with its allocations: the cells of
 instances 1..K of each block length a cons in its body allocates, at
@@ -97,11 +99,14 @@ def leq(p: PointsTo, q: PointsTo) -> bool:
 
 
 def join(p: PointsTo, q: PointsTo) -> PointsTo:
-    env = dict(p.env)
+    """Least upper bound: writes only the keys of q that p lacks or whose
+    image q's adds to. Returns p itself when q adds nothing (leq(q, p))."""
+    env, delta = p.env, {}
     for key, image in q.env.items():
         old = env.get(key)
-        env[key] = image if old is None else old | image
-    return PointsTo(env)
+        if old is None or not image <= old:
+            delta[key] = image if old is None else old | image
+    return PointsTo(env | delta) if delta else p
 
 
 def cap_address(a: Address, cap: int) -> Address:
@@ -221,33 +226,47 @@ def _block_heads(length: int, v: int, cap: int) -> frozenset:
 
 
 def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
-    """Exit type of leaf s from entry type p: each branch computes the
-    images of the keys s writes, and every other key keeps its image."""
-    tag = s[-1]
+    """Exit type of leaf s from entry type p: each branch writes only the
+    keys s may change whose image changes or that become tracked; every
+    other key keeps its image. Returns p itself when s writes no key."""
+    tag, env = s[-1], p.env
     if tag is Assign:
-        delta = {s.var: addr_part(abs_eval(s.expr, p))}
+        image = addr_part(abs_eval(s.expr, p))
+        delta = {s.var: image} if env.get(s.var) != image else None
     elif tag is Cons:
         images = [addr_part(abs_eval(a, p)) for a in s.args]
-        length, cap, env = len(s.args), cfg.instance_cap, p.env
+        length, cap = len(s.args), cfg.instance_cap
         v, cells = cons_block(p, length, cap)
-        delta = {a: env.get(a, EMPTY) | images[a[2] - 1] for a in cells}
-        delta[s.var] = _block_heads(length, v, cap)
+        delta = {}
+        for a in cells:  # each cell joins its argument's image, as in join
+            image, old = images[a[2] - 1], env.get(a)
+            if old is None or not image <= old:
+                delta[a] = image if old is None else old | image
+        heads = _block_heads(length, v, cap)
+        if env.get(s.var) != heads:
+            delta[s.var] = heads
     elif tag is Lookup:
         targets = addr_part(abs_eval(s.addr, p))
-        delta = {s.var: EMPTY.union(*[p.env.get(a, EMPTY) for a in targets])}
+        image = EMPTY.union(*[env.get(a, EMPTY) for a in targets])
+        delta = {s.var: image} if env.get(s.var) != image else None
     elif tag is Mutate:
         targets = addr_part(abs_eval(s.target, p))
         stored = addr_part(abs_eval(s.value, p))
         only = next(iter(targets)) if len(targets) == 1 else None
         if only is not None and only.instance < cfg.instance_cap:
-            delta = {only: stored}  # strong update: unique, non-summary target
+            # strong update: unique, non-summary target
+            delta = {only: stored} if env.get(only) != stored else None
         else:
-            delta = {a: p.image(a) | stored for a in targets}
+            delta = {}
+            for a in targets:  # weak update: each target joins stored
+                old = env.get(a)
+                if old is None or not stored <= old:
+                    delta[a] = stored if old is None else old | stored
     elif tag is Skip or tag is Dispose:
         return p
     else:
         raise TypeError(f"not a leaf statement: {s!r}")
-    return tuple.__new__(PointsTo, (p.env | delta, PointsTo)) if delta else p
+    return tuple.__new__(PointsTo, (env | delta, PointsTo)) if delta else p
 
 
 def annotate(s: Stmt, p: PointsTo, cfg: WidenConfig,
@@ -291,7 +310,7 @@ def _annotate(s: Stmt, p: PointsTo, cfg: WidenConfig, seeds: dict,
         while True:
             body = _annotate(s.body, inv, cfg, seeds, starts)
             grown = join(inv, body.post)
-            if grown == inv:
+            if grown is inv:
                 return AnnStmt(s, p, grown, (body,))
             inv = grown
     return AnnStmt(s, p, transfer(s, p, cfg))

@@ -2,7 +2,9 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,6 +34,21 @@ def test_run_prints_final_state(prog, capsys):
                    "z = 8\n"
                    "addr(2,1,1) = 3\n"
                    "addr(2,1,2) = 4\n")
+
+
+def test_python_m_whilep_runs_the_command_line(prog):
+    """python -m whilep is the command line: same output and exit code,
+    and nothing on stderr."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = [sys.executable, "-m", "whilep", "run"]
+    done = subprocess.run(run + [prog(RUN_SRC)], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ("x = addr(2,1,1)\ny = 4\nz = 8\n"
+                           "addr(2,1,1) = 3\naddr(2,1,2) = 4\n")
+    done = subprocess.run(run + [prog("x := [0]")], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (1, "abort\n")
 
 
 def test_run_abort(prog, capsys, fig_src):

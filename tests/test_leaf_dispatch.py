@@ -1,7 +1,8 @@
 """The per-node hot paths dispatch on the class tag and build records with
 tuple.__new__ (lang.Record). These tests hold them to frozen isinstance
-versions of abs_eval, transfer and leaf_live_pre, to the constructors,
-and to a loud TypeError on a node of the wrong kind."""
+versions of abs_eval, transfer and leaf_live_pre, join to a frozen
+dict-copy version, the records to the constructors, and each to a loud
+TypeError on a node of the wrong kind."""
 
 import ast
 import pickle
@@ -21,7 +22,7 @@ from whilep.liveness import Derivation, Judgment, LiveType, leaf_live_pre
 from whilep.memory import Address
 from whilep.pointsto import (
     EMPTY, AnnStmt, PointsTo, WidenConfig, _block_heads, _shifts, _variants,
-    abs_eval, addr_part, bottom, cons_block, transfer,
+    abs_eval, addr_part, bottom, cons_block, join, transfer,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "whilep"
@@ -82,6 +83,14 @@ def ref_transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
     else:
         raise TypeError(f"not a leaf statement: {s!r}")
     return PointsTo(p.env | delta) if delta else p
+
+
+def ref_join(p: PointsTo, q: PointsTo) -> PointsTo:
+    env = dict(p.env)
+    for key, image in q.env.items():
+        old = env.get(key)
+        env[key] = image if old is None else old | image
+    return PointsTo(env)
 
 
 def ref_leaf_live_pre(s: Stmt, pre: PointsTo, post: frozenset, cfg: WidenConfig):
@@ -154,10 +163,17 @@ def _expressions(s: Stmt):
             todo += (e.lhs, e.rhs)
 
 
+def _assert_join_matches(p: PointsTo, q: PointsTo):
+    joined, ref = join(p, q), ref_join(p, q)
+    assert joined == ref and list(joined.env) == list(ref.env), (p, q)
+
+
 def test_leaf_steps_match_the_isinstance_reference():
     """transfer, leaf_live_pre and abs_eval agree with the frozen copies on
     every leaf of gen_program seeds 0-299, at caps 1-3, from three kinds
-    of entry type and random exit live sets that include cells."""
+    of entry type and random exit live sets that include cells; transfer
+    keeps the reference's key order, and join agrees with the frozen
+    copy, in value and key order, on each exit type and each entry."""
     kinds = set()
     for seed in range(300):
         prog = gen_program(GenConfig(seed=seed))
@@ -166,8 +182,11 @@ def test_leaf_steps_match_the_isinstance_reference():
         for cap in (1, 2, 3):
             cfg = WidenConfig(instance_cap=cap)
             rng = random.Random(f"leaf:{seed}:{cap}")
-            for entry in (bottom(variables), _synthetic_ptype(rng, variables, cap),
-                          _partial_ptype(rng, variables, cap)):
+            entries = (bottom(variables), _synthetic_ptype(rng, variables, cap),
+                       _partial_ptype(rng, variables, cap))
+            for entry in entries:
+                for other in entries:
+                    _assert_join_matches(entry, other)
                 for s in leaves:
                     kinds.add(type(s))
                     for e in _expressions(s):
@@ -175,6 +194,9 @@ def test_leaf_steps_match_the_isinstance_reference():
                     post_p = transfer(s, entry, cfg)
                     assert post_p == ref_transfer(s, entry, cfg), (seed, cap, s)
                     assert type(post_p) is PointsTo
+                    assert list(post_p.env) == list(ref_transfer(s, entry, cfg).env)
+                    for other in entries:
+                        _assert_join_matches(post_p, other)
                     keys = sorted(post_p.env.keys() | entry.env.keys(), key=repr)
                     post = frozenset(k for k in keys if rng.random() < 0.5)
                     assert leaf_live_pre(s, entry, post, cfg) == \

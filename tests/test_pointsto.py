@@ -4,8 +4,10 @@ import itertools
 import random
 
 import pytest
+from test_certificate import chain_src
 
 from whilep import GenConfig, gen_program
+from whilep.deadcode import annotate_from_bottom
 from whilep.harness import _gen_state, _synthetic_ptype
 from whilep.interp import Final, execute
 from whilep.lang import (
@@ -166,6 +168,67 @@ def test_no_strong_update_on_summary():
     p = pts({"p": [summary], "q": [A121], summary: [A111], A121: []})
     got = transfer(parse("[p] := q"), p, CFG)
     assert got.image(summary) == {A111, A121}  # summary cells only widen
+
+
+def test_no_op_leaves_share_their_entry_type():
+    """A leaf that changes no image returns its entry type itself: an
+    assign of an equal image, a lookup, a cons whose cells already hold
+    its arguments' images, a strong write and a weak write."""
+    a131 = Address(1, 3, 1)
+    cases = [
+        ("x := y", pts({"x": [A111], "y": [A111], A111: []})),
+        ("x := [y]", pts({"x": [A121], "y": [A111], A111: [A121], A121: []})),
+        ("x := cons(y)", pts({"x": [A111, A121, a131], "y": [a131],
+                              A111: [a131], A121: [a131], a131: [a131]})),
+        ("[p] := q", pts({"p": [A111], "q": [A121], A111: [A121], A121: []})),
+        ("[p] := q", pts({"p": [A111, A121], "q": [A121],
+                          A111: [A111, A121], A121: [A121]})),
+    ]
+    for src, p in cases:
+        assert transfer(parse(src), p, CFG) is p, src
+
+
+def test_weak_write_keeps_the_images_it_contains():
+    """A weak write rewrites only the cells whose image grows; a cell that
+    already holds the stored image keeps its image object."""
+    p = pts({"p": [A111, A121], "q": [A121], A111: [], A121: [A121]})
+    got = transfer(parse("[p] := q"), p, CFG)
+    assert got.image(A111) == {A121}
+    assert got.env[A121] is p.env[A121]
+    assert list(got.env) == list(p.env)
+
+
+def test_join_returns_its_first_type_when_the_second_adds_nothing():
+    """join(p, q) is p whenever leq(q, p), and a new type otherwise, on
+    pairs of synthetic types and their joins."""
+    rng = random.Random(41)
+    variables = ["x", "y", "z"]
+    shared = 0
+    for _ in range(300):
+        p = _synthetic_ptype(rng, variables, 3)
+        q = _synthetic_ptype(rng, variables, 3)
+        j = join(p, q)
+        assert (j is p) == leq(q, p)
+        shared += j is p
+        assert join(j, q) is j and join(j, p) is j and join(p, p) is p
+        assert join(p, bottom(variables)) is p
+    assert 0 < shared < 300
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+def test_chain_annotation_shares_its_exit_types(n):
+    """Once the chain's types stop growing, its leaves share one exit type:
+    the annotation holds at most 5 distinct exit-type objects, not one per
+    statement."""
+    ann = annotate_from_bottom(parse(chain_src(n)), CFG)
+    todo, posts, nodes = [ann], set(), 0
+    while todo:
+        node = todo.pop()
+        todo.extend(node.children)
+        posts.add(id(node.post))
+        nodes += 1
+    assert nodes == n + 1
+    assert len(posts) <= 5, len(posts)
 
 
 def test_annotate_sequence():
