@@ -35,8 +35,9 @@ before any loop-head live set. A coarser annotation that is still
 closed is reproduced: weakening is expressed through the loop
 annotations and the entry type. Serialization is deterministic, so
 equal derivations produce byte-identical documents.
-The analyze reports of the command line share the text form of
-points-to keys, types and live sets defined here.
+The analyze and test-soundness reports of the command line are written
+by the same JSON writer (to_json), and the analyze reports share the
+text form of points-to keys, types and live sets defined here.
 
 The check-cert verdict is that rerun and a comparison of the rebuilt
 program with the given one; check() is not on that path. The verdict
@@ -277,20 +278,27 @@ def serialize(d: Derivation) -> str:
                   for t in _loop_types(d)],
         "residual": pretty(j.residual),
     }
-    return _to_json(doc, "\n") + "\n"
+    return to_json(doc)
 
 
-def _to_json(value, newline: str) -> str:
-    """json.dumps(value, indent=2, sort_keys=True) of nested dicts, lists and
-    strings; json's indenting encoder is pure Python and leaves cycles."""
+def to_json(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) and a line end, for
+    nested dicts, lists, strings and ints: the text of certificates and
+    reports. json's indenting encoder is pure Python and leaves cycles."""
+    return _json(value, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
     if isinstance(value, str):
         return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
     inner = newline + "  "
     if isinstance(value, dict):
         body = ",".join(f"{inner}{encode_basestring_ascii(k)}: "
-                        f"{_to_json(value[k], inner)}" for k in sorted(value))
+                        f"{_json(value[k], inner)}" for k in sorted(value))
         return f"{{{body}{newline}}}" if body else "{}"
-    body = ",".join(inner + _to_json(v, inner) for v in value)
+    body = ",".join(inner + _json(v, inner) for v in value)
     return f"[{body}{newline}]" if body else "[]"
 
 

@@ -1,24 +1,26 @@
-"""Command-line front end.
+"""Command-line front end; the library makes every decision.
 
 Subcommands: run, analyze pts, analyze live, optimize, check-cert,
-test-soundness. Exit codes: 0 success/Accept, 1 parse error or runtime
-abort, 2 certificate Reject, 3 usage error. All output is deterministic
-for fixed inputs and flags.
+test-soundness. analyze and optimize read one deadcode.optimize
+derivation (analyze pts with an empty exit live set), whose ValueError
+is the only check of --live, and reports are written by
+certificate.to_json. Exit codes: 0 success/Accept, 1 parse error,
+runtime abort or unwritable output, 2 certificate Reject, 3 usage error.
+All output is deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
 from .certificate import (
-    FormatError, deserialize, live_to_list, pts_to_doc, serialize,
+    FormatError, deserialize, live_to_list, pts_to_doc, serialize, to_json,
 )
-from .deadcode import annotate_from_bottom, optimize, strip_dead_cons
+from .deadcode import optimize, strip_dead_cons
 from .interp import DEFAULT_FUEL, Aborted, OutOfFuel, execute, zero_state
-from .lang import ParseError, While, parse, pretty, stmt_vars, walk_paths
+from .lang import ParseError, parse, pretty, stmt_vars, walk_paths
 from .memory import format_value
 from .pointsto import MAX_INSTANCE_CAP, WidenConfig
 from .harness import ALL_CHECKS, SUITE_FUEL, GenConfig, run_soundness_suite
@@ -80,14 +82,14 @@ def _build_parser() -> _Parser:
     p_pts = an_sub.add_parser("pts", parents=[widen], help="points-to annotations")
     p_pts.add_argument("file")
     p_pts.add_argument("--out", help="write the JSON report to this path")
-    p_pts.set_defaults(func=_cmd_analyze_pts)
+    p_pts.set_defaults(func=_cmd_analyze, live="")
 
     p_live = an_sub.add_parser("live", parents=[widen], help="live-set annotations")
     p_live.add_argument("file")
     p_live.add_argument("--live", default="",
                         help="comma-separated variables live at exit")
     p_live.add_argument("--out", help="write the JSON report to this path")
-    p_live.set_defaults(func=_cmd_analyze_live)
+    p_live.set_defaults(func=_cmd_analyze)
 
     p_opt = sub.add_parser("optimize", parents=[widen],
                            help="dead-code-eliminate a program")
@@ -181,76 +183,72 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _emit_report(doc, out_path) -> int:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"whilep: cannot write {out_path}: {exc.strerror}",
-                  file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
+def _write(path: str, text: str) -> bool:
+    """Write text to path; False, having said why, if it cannot."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"whilep: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
+def _optimize(args):
+    """The optimize result of args.file with exit live set args.live, or
+    the exit code if the file does not load or --live names a variable
+    the program does not mention."""
+    program = _load_program(args.file)
+    if program is None:
+        return 1
+    try:
+        return optimize(program, {x.strip() for x in args.live.split(",") if x.strip()},
+                        args.widen)
+    except ValueError as exc:
+        print(f"whilep: --live names {exc}", file=sys.stderr)
+        return 3
+
+
+def _cmd_analyze(args) -> int:
+    """One row per derivation node: its types for pts, its live sets for
+    live. Each distinct type is converted once; the derivation keeps
+    every type alive, so their ids stay distinct during the walk."""
+    result = _optimize(args)
+    if isinstance(result, int):
+        return result
+    docs = {}
+
+    def doc(p):
+        if id(p) not in docs:
+            docs[id(p)] = pts_to_doc(p)
+        return docs[id(p)]
+
+    derivation = result.derivation
+    report = {"widen": args.widen.instance_cap, "nodes": []}
+    if args.analysis == "live":
+        report["live"] = live_to_list(derivation.judgment.post.live)
+    for path, node in walk_paths(derivation, lambda d: (d.judgment.stmt, d.premises)):
+        j = node.judgment
+        row = {"path": path, "stmt": pretty(j.stmt)}
+        if args.analysis == "pts":
+            row["pre"], row["post"] = doc(j.pre.pts), doc(j.post.pts)
+            if node.rule == "whl_d":
+                row["invariant"] = row["post"]
+        else:
+            row["live_pre"] = live_to_list(j.pre.live)
+            row["live_post"] = live_to_list(j.post.live)
+        report["nodes"].append(row)
+    text = to_json(report)
+    if args.out:
+        return 0 if _write(args.out, text) else 1
+    sys.stdout.write(text)
     return 0
 
 
-def _cmd_analyze_pts(args) -> int:
-    program = _load_program(args.file)
-    if program is None:
-        return 1
-    ann = annotate_from_bottom(program, args.widen)
-    nodes = []
-    for path, node in walk_paths(ann, lambda a: (a.stmt, a.children)):
-        row = {"path": path,
-               "stmt": pretty(node.stmt),
-               "pre": pts_to_doc(node.pre),
-               "post": pts_to_doc(node.post)}
-        if isinstance(node.stmt, While):
-            row["invariant"] = row["post"]
-        nodes.append(row)
-    return _emit_report({"widen": args.widen.instance_cap, "nodes": nodes}, args.out)
-
-
-def _parse_live(arg: str, program) -> frozenset | None:
-    names = [x.strip() for x in arg.split(",") if x.strip()] if arg else []
-    known = stmt_vars(program)
-    for name in names:
-        if name not in known:
-            print(f"whilep: --live names unknown variable: {name}",
-                  file=sys.stderr)
-            return None
-    return frozenset(names)
-
-
-def _cmd_analyze_live(args) -> int:
-    program = _load_program(args.file)
-    if program is None:
-        return 1
-    final_live = _parse_live(args.live, program)
-    if final_live is None:
-        return 3
-    derivation = optimize(program, final_live, args.widen).derivation
-    nodes = [{"path": path,
-              "stmt": pretty(node.judgment.stmt),
-              "live_pre": live_to_list(node.judgment.pre.live),
-              "live_post": live_to_list(node.judgment.post.live)}
-             for path, node in walk_paths(derivation,
-                                          lambda d: (d.judgment.stmt, d.premises))]
-    return _emit_report({"widen": args.widen.instance_cap,
-                         "live": live_to_list(final_live),
-                         "nodes": nodes}, args.out)
-
-
 def _cmd_optimize(args) -> int:
-    program = _load_program(args.file)
-    if program is None:
-        return 1
-    final_live = _parse_live(args.live, program)
-    if final_live is None:
-        return 3
-    result = optimize(program, final_live, args.widen)
+    result = _optimize(args)
+    if isinstance(result, int):
+        return result
     residual = result.optimized
     if args.strip_dead_cons:
         residual = strip_dead_cons(result.derivation)
@@ -259,15 +257,9 @@ def _cmd_optimize(args) -> int:
                   "before --strip-dead-cons", file=sys.stderr)
     text = pretty(residual)
     print(text)
-    try:
-        if args.emit:
-            with open(args.emit, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        if args.cert:
-            with open(args.cert, "w", encoding="utf-8") as handle:
-                handle.write(serialize(result.derivation))
-    except OSError as exc:
-        print(f"whilep: cannot write output: {exc.strerror}", file=sys.stderr)
+    if args.emit and not _write(args.emit, text + "\n"):
+        return 1
+    if args.cert and not _write(args.cert, serialize(result.derivation)):
         return 1
     return 0
 
@@ -308,7 +300,7 @@ def _cmd_test_soundness(args) -> int:
         return 3
     report = run_soundness_suite(args.trials, GenConfig(seed=args.seed),
                                  checks=names, widen=args.widen, fuel=args.fuel)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    sys.stdout.write(to_json(report))
     failures = sum(entry["fail"] for entry in report["checks"].values())
     return 0 if failures == 0 else 1
 

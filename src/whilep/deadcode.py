@@ -7,15 +7,16 @@ lookups into dead variables, and heap writes whose every possible
 target is dead, become skip; a cons keeps its allocation but the
 arguments of its dead cells are zeroed. dispose is never removed and
 guards are never rewritten. The derivation it returns, built only from
-the optimizer's rules, carries the residual; `whilep analyze live`
-reports it, and the certificate checker accepts it.
+the optimizer's rules, carries the residual and every node's points-to
+and live judgments; both `whilep analyze` reports are read from it, and
+the certificate checker accepts it.
 """
 
 from __future__ import annotations
 
 from .lang import If, Record, Seq, Skip, Stmt, While, stmt_vars
 from .liveness import Derivation, live_annotate
-from .pointsto import AnnStmt, WidenConfig, annotate, bottom
+from .pointsto import WidenConfig, annotate, bottom
 
 
 class OptResult(Record):
@@ -27,24 +28,19 @@ class OptResult(Record):
         return self.derivation.judgment.residual
 
 
-def annotate_from_bottom(s: Stmt, cfg: WidenConfig) -> AnnStmt:
-    """The points-to pass of optimize: s annotated from the bottom type
-    over its variables. `whilep analyze pts` reports it."""
-    return annotate(s, bottom(stmt_vars(s)), cfg)
-
-
 def optimize(s: Stmt, final_live, cfg: WidenConfig = WidenConfig()) -> OptResult:
     """Analyze from the bottom type, then eliminate dead code.
 
     final_live lists what the caller observes after the program ends;
-    it must only mention program variables.
+    ValueError("unknown variable: NAME"), naming the least one, if it
+    mentions a variable the program does not.
     """
-    ann = annotate_from_bottom(s, cfg)
+    variables = stmt_vars(s)
     final_live = frozenset(final_live)
-    # the bottom type's keys are the program's variables
-    stray = {x for x in final_live if isinstance(x, str)} - ann.pre.env.keys()
+    stray = {x for x in final_live if isinstance(x, str)} - variables
     if stray:
-        raise ValueError(f"final live set mentions unknown variables: {sorted(stray)}")
+        raise ValueError(f"unknown variable: {min(stray)}")
+    ann = annotate(s, bottom(variables), cfg)
     return OptResult(live_annotate(ann, final_live, cfg))
 
 

@@ -311,14 +311,13 @@ def _collect(root: Record, writes: bool) -> frozenset[str]:
     return frozenset(out)
 
 
-def free_vars(e: AExp | BExp) -> frozenset[str]:
-    return _collect(e, False)
+def free_vars(x: AExp | BExp | Stmt) -> frozenset[str]:
+    """Variables whose value x may consult: those an expression mentions,
+    or those some expression of a statement, guards included, mentions."""
+    return _collect(x, False)
 
 
-def read_vars(s: Stmt) -> frozenset[str]:
-    """Variables whose value some expression of s, guards included, may
-    consult."""
-    return _collect(s, False)
+read_vars = free_vars
 
 
 def stmt_vars(s: Stmt) -> frozenset[str]:

@@ -84,6 +84,24 @@ def test_serialize_matches_json_dumps_and_leaves_no_cycles():
         gc.enable()
 
 
+# report-shaped values: what certificates and the command line's reports hold
+REPORT_VALUES = st.recursive(
+    st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_VALUES)
+@example({"caf\u00e9": [-3, "\u2603 \U0001d11e", {}, []], "": {"n": [0, -10 ** 20]}})
+@example([])
+def test_to_json_matches_json_dumps(value):
+    """The one JSON writer is json.dumps with a two-space indent and
+    sorted keys, plus a line end."""
+    assert certificate.to_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 def test_round_trip(fig_src):
     for d in corpus() + [derivation_for(fig_src, {"y"})]:
         text = serialize(d)

@@ -11,8 +11,11 @@ from pathlib import Path
 import mutants
 import pytest
 
+from whilep import GenConfig, gen_program
+from whilep.certificate import pts_to_doc
 from whilep.cli import _build_parser, main
-from whilep.pointsto import MAX_INSTANCE_CAP
+from whilep.lang import While, pretty, stmt_vars, walk_paths
+from whilep.pointsto import MAX_INSTANCE_CAP, WidenConfig, annotate, bottom
 
 RUN_SRC = "x := cons(3, 4); y := [x + 1]; z := y * 2"
 
@@ -184,6 +187,46 @@ def test_analyze_reports_match_golden(capsys, argv, golden):
 def test_analyze_live_unknown_variable(prog, capsys):
     assert main(["analyze", "live", prog("x := 1"), "--live", "zz"]) == 3
     assert "unknown variable: zz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["optimize"], ["analyze", "live"]])
+def test_unknown_live_name_exits_3_naming_it(prog, capsys, command):
+    """optimize's check is the only one: the least unknown name is named."""
+    assert main([*command, prog("x := 1; y := x"), "--live", "y,zz,qq"]) == 3
+    assert capsys.readouterr() == ("", "whilep: --live names unknown variable: qq\n")
+
+
+@pytest.mark.parametrize("command, option", [
+    (["analyze", "pts"], "--out"), (["analyze", "live"], "--out"),
+    (["optimize"], "--emit"), (["optimize"], "--cert"),
+])
+def test_unwritable_output_exits_1_naming_the_path(prog, capsys, tmp_path,
+                                                   command, option):
+    target = tmp_path / "missing" / "file"
+    assert main([*command, prog("x := 1"), option, str(target)]) == 1
+    assert capsys.readouterr().err == \
+        f"whilep: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_analyze_pts_rows_are_the_points_to_annotation(prog, capsys, cap):
+    """On generated programs, every analyze pts row holds the types that
+    annotate gives its node from the bottom type, and a loop's row its
+    invariant."""
+    cfg = WidenConfig(cap)
+    for seed in range(12):
+        program = gen_program(GenConfig(seed, 12 if seed % 2 else 40))
+        assert main(["analyze", "pts", prog(pretty(program)), "--widen", str(cap)]) == 0
+        rows = json.loads(capsys.readouterr().out)["nodes"]
+        ann = annotate(program, bottom(stmt_vars(program)), cfg)
+        want = []
+        for path, node in walk_paths(ann, lambda a: (a.stmt, a.children)):
+            row = {"path": path, "stmt": pretty(node.stmt),
+                   "pre": pts_to_doc(node.pre), "post": pts_to_doc(node.post)}
+            if isinstance(node.stmt, While):
+                row["invariant"] = row["post"]
+            want.append(row)
+        assert rows == want, seed
 
 
 def test_analyze_out_writes_file(prog, capsys, tmp_path):

@@ -169,8 +169,8 @@ def test_strip_dead_cons():
 
 
 def test_stray_final_live_rejected():
-    with pytest.raises(ValueError):
-        optimize(parse("x := 1"), frozenset({"zz"}), CFG)
+    with pytest.raises(ValueError, match=r"^unknown variable: qq$"):
+        optimize(parse("x := 1"), frozenset({"x", "zz", "qq"}), CFG)
 
 
 def test_final_live_cells_allowed():

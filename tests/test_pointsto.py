@@ -7,7 +7,6 @@ import pytest
 from test_certificate import chain_src
 
 from whilep import GenConfig, gen_program
-from whilep.deadcode import annotate_from_bottom
 from whilep.harness import _gen_state, _synthetic_ptype
 from whilep.interp import Final, execute
 from whilep.lang import (
@@ -220,7 +219,8 @@ def test_chain_annotation_shares_its_exit_types(n):
     """Once the chain's types stop growing, its leaves share one exit type:
     the annotation holds at most 5 distinct exit-type objects, not one per
     statement."""
-    ann = annotate_from_bottom(parse(chain_src(n)), CFG)
+    prog = parse(chain_src(n))
+    ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
     todo, posts, nodes = [ann], set(), 0
     while todo:
         node = todo.pop()
