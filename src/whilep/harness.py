@@ -329,9 +329,13 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
     A trial draws its entry type, state and exit live set from the stream
     suite:{seed}, and lemma1, t3 and t4 draw their own inputs from
     suite:{seed}:{check}, so a check's counts and failing seeds do not
-    depend on which other checks run.
+    depend on which other checks run. A name outside ALL_CHECKS is a
+    ValueError, raised before any trial.
     """
     checks = tuple(checks)
+    for name in checks:
+        if name not in ALL_CHECKS:
+            raise ValueError(f"unknown check: {name}")
     report: dict = {"trials": n_trials, "fuel": fuel, "checks": {}}
     for name in checks:
         entry = {"pass": 0, "skip": 0, "fail": 0, "failing_seeds": []}

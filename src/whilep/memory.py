@@ -145,8 +145,8 @@ def addr_shift(a: Address, k: int) -> Address | None:
     """Move k cells within a's block; None when the result leaves 1..length."""
     n, u, i = a
     i += k
-    if 1 <= i <= n:
-        return Address(n, u, i)
+    if 1 <= i <= n:  # valid, so built without Address's checks
+        return tuple.__new__(Address, (n, u, i))
     return None
 
 
@@ -160,9 +160,16 @@ def _rank(v: Value) -> int:
     return 2
 
 
+# the rank of each value type; _rank decides any other type
+_RANK = {int: 0, NilValue: 1, Address: 2}
+
+
 def value_lt(v1: Value, v2: Value) -> bool:
     """Total strict order: integers < nil < addresses, addresses by triple."""
-    r1, r2 = _rank(v1), _rank(v2)
+    try:
+        r1, r2 = _RANK[type(v1)], _RANK[type(v2)]
+    except KeyError:
+        r1, r2 = _rank(v1), _rank(v2)
     if r1 != r2:
         return r1 < r2
     return r1 != 1 and v1 < v2

@@ -54,6 +54,15 @@ def test_python_m_whilep_runs_the_command_line(prog):
     assert (done.returncode, done.stdout) == (1, "abort\n")
 
 
+def test_run_flat_chains(prog, capsys):
+    """A 3,000-term sum and a guard of 2,000 conjuncts run to the end."""
+    assert main(["run", prog("x := " + " + ".join(["1"] * 3000))]) == 0
+    assert capsys.readouterr().out == "x = 3000\n"
+    guard = " and ".join(["0 < 1"] * 2000)
+    assert main(["run", prog(f"if {guard} then {{ x := 1 }} else {{ x := 2 }}")]) == 0
+    assert capsys.readouterr().out == "x = 1\n"
+
+
 def test_run_abort(prog, capsys, fig_src):
     assert main(["run", prog(fig_src)]) == 1
     assert capsys.readouterr().out == "abort\n"
@@ -358,8 +367,9 @@ def test_usage_errors_exit_3(capsys):
     assert main(["frobnicate"]) == 3
     assert main(["run"]) == 3
     assert main(["run", "x", "--fuel", "0"]) == 3
-    assert main(["test-soundness", "--checks", "t9"]) == 3
     capsys.readouterr()
+    assert main(["test-soundness", "--checks", "t1,t9,t8"]) == 3
+    assert capsys.readouterr() == ("", "whilep: unknown check: t9\n")
 
 
 # a loop whose invariant tracks every instance up to the cap

@@ -3,6 +3,9 @@
 import random
 
 import mutants
+import pytest
+
+from whilep import harness
 from whilep.harness import (
     GenConfig, _gen_state, _synthetic_ptype, gen_program, gen_state,
     make_similar_state, run_soundness_suite,
@@ -122,6 +125,20 @@ def test_junk_values_cover_all_kinds():
 def test_suite_deterministic():
     kw = dict(gen_cfg=GenConfig(seed=5), checks=("t1", "t4"), widen=CFG)
     assert run_soundness_suite(60, **kw) == run_soundness_suite(60, **kw)
+
+
+def test_suite_rejects_an_unknown_check(monkeypatch):
+    """An unknown name is a ValueError naming the first one, before any
+    trial runs."""
+    def trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "gen_program", trial)
+    monkeypatch.setattr(harness, "_lemma1_trial", trial)
+    for checks, name in ((("t9",), "t9"), (("t1", "t8", "t9"), "t8"), (["lemma1", "T1"], "T1")):
+        with pytest.raises(ValueError) as info:
+            run_soundness_suite(3, checks=checks)
+        assert str(info.value) == f"unknown check: {name}"
 
 
 def test_suite_accounting_and_structure():

@@ -81,6 +81,27 @@ def test_unknown_node_raises_only_when_reached():
     assert execute(Seq(Skip(), Dispose(stray)), ProgState({}, {}), 0) == OutOfFuel()
 
 
+def test_flat_chains_run():
+    """Left-deep chains of 2,000-3,000 terms, arithmetic and guards, run
+    without recursion and fold left: 1 + p + q is (1 + p) + q, so on an
+    address p it aborts exactly where 1 + p + q leaves p's block."""
+    chain = parse("x := " + " + ".join(["1"] * 3000))
+    assert execute(chain, zero_state({"x"})) == Final(ProgState({"x": 3000}, {}))
+    mixed = parse("x := 0 - " + " - ".join(["1"] * 2000) + " * 2")
+    assert execute(mixed, zero_state({"x"})) == Final(ProgState({"x": -2001}, {}))
+    guard = parse("if " + " and ".join(["0 < 1"] * 2000) + " then { x := 1 } else { x := 2 }")
+    assert execute(guard, zero_state({"x"})) == Final(ProgState({"x": 1}, {}))
+    either = parse("if " + " or ".join(["1 < 0"] * 2000) + " or x = 0 then { x := 1 } "
+                   "else { x := 2 }")
+    assert execute(either, zero_state({"x"})) == Final(ProgState({"x": 1}, {}))
+    p = Address(2, 1, 1)
+    assert eval_aexp(parse("x := 1 + p + q").expr, {"p": p, "q": 0}) == Address(2, 1, 2)
+    with pytest.raises(EvalError):  # (1 + p) + 1 leaves the block
+        eval_aexp(parse("x := 1 + p + q").expr, {"p": p, "q": 1})
+    with pytest.raises(EvalError):  # q - p: int - address
+        eval_aexp(parse("x := q - p + 1").expr, {"p": p, "q": 1})
+
+
 def test_execute_skip():
     out = run("skip")
     assert out == Final(ProgState({}, {}))

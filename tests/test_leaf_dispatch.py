@@ -1,25 +1,28 @@
 """The per-node hot paths dispatch on the class tag and build records with
 tuple.__new__ (lang.Record). These tests hold them to frozen isinstance
 versions of abs_eval, transfer and leaf_live_pre, join to a frozen
-dict-copy version, the records to the constructors, and each to a loud
-TypeError on a node of the wrong kind."""
+dict-copy version, the interpreter's specialized expression and guard
+closures to a frozen unspecialized version, the records to the
+constructors, and each to a loud TypeError on a node of the wrong kind."""
 
 import ast
 import pickle
 import random
+from operator import add, itemgetter, mul, sub
 from pathlib import Path
 
 import pytest
 
 from whilep import GenConfig, gen_program
 from whilep.harness import _synthetic_ptype
+from whilep.interp import EvalError, eval_aexp, eval_bexp, execute
 from whilep.lang import (
-    AExp, And, Assign, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit, Lookup,
-    Mutate, Nil, Seq, Skip, Stmt, Var, While, children, free_vars, parse,
-    pretty, pretty_aexp, pretty_bexp, stmt_vars, walk,
+    AExp, And, Assign, BExp, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit,
+    Lookup, Mutate, Nil, Not, Or, Seq, Skip, Stmt, Var, While, children,
+    free_vars, parse, pretty, pretty_aexp, pretty_bexp, stmt_vars, walk,
 )
 from whilep.liveness import Derivation, Judgment, LiveType, leaf_live_pre
-from whilep.memory import Address
+from whilep.memory import NIL, Address, NilValue, ProgState, addr_shift
 from whilep.pointsto import (
     EMPTY, AnnStmt, PointsTo, WidenConfig, _block_heads, _shifts, _variants,
     abs_eval, addr_part, bottom, cons_block, join, transfer,
@@ -127,6 +130,101 @@ def ref_leaf_live_pre(s: Stmt, pre: PointsTo, post: frozenset, cfg: WidenConfig)
     raise TypeError(f"not a leaf statement: {s!r}")
 
 
+# the interpreter's expression and guard closures before they were
+# specialized on operand shape
+
+def ref_aexp(e: AExp):
+    if isinstance(e, Var):
+        return itemgetter(e.name)
+    if isinstance(e, IntLit):
+        value = e.value
+        return lambda stack: value
+    if isinstance(e, BinOp):
+        return ref_binop(e.op, ref_aexp(e.lhs), ref_aexp(e.rhs))
+    if isinstance(e, Nil):
+        return lambda stack: NIL
+    raise TypeError(f"not an arithmetic expression: {e!r}")
+
+
+def ref_binop(op: str, f1, f2):
+    arith = {"+": add, "-": sub}.get(op, mul)
+
+    def binop(stack):
+        v1 = f1(stack)
+        v2 = f2(stack)
+        if isinstance(v1, int) and isinstance(v2, int):
+            return arith(v1, v2)
+        return ref_address_arith(op, v1, v2)
+    return binop
+
+
+def ref_address_arith(op: str, v1, v2) -> Address:
+    if op == "+" and isinstance(v1, Address) and isinstance(v2, int):
+        shifted = addr_shift(v1, v2)
+    elif op == "+" and isinstance(v1, int) and isinstance(v2, Address):
+        shifted = addr_shift(v2, v1)
+    elif op == "-" and isinstance(v1, Address) and isinstance(v2, int):
+        shifted = addr_shift(v1, -v2)
+    else:
+        raise EvalError(f"undefined operation {v1!r} {op} {v2!r}")
+    if shifted is None:
+        raise EvalError(f"address shift out of block: {v1!r} {op} {v2!r}")
+    return shifted
+
+
+def ref_rank(v) -> int:
+    if isinstance(v, bool):
+        raise TypeError("booleans are not values")
+    if isinstance(v, int):
+        return 0
+    if isinstance(v, NilValue):
+        return 1
+    return 2
+
+
+def ref_value_lt(v1, v2) -> bool:
+    r1, r2 = ref_rank(v1), ref_rank(v2)
+    if r1 != r2:
+        return r1 < r2
+    return r1 != 1 and v1 < v2
+
+
+def ref_bexp(b: BExp):
+    if isinstance(b, Cmp):
+        f1, f2 = ref_aexp(b.lhs), ref_aexp(b.rhs)
+        if b.op == "=":
+            return lambda stack: f1(stack) == f2(stack)
+        if b.op == "<":
+            def lt(stack):
+                v1 = f1(stack)
+                v2 = f2(stack)
+                if type(v1) is int and type(v2) is int:
+                    return v1 < v2
+                return ref_value_lt(v1, v2)
+            return lt
+
+        def le(stack):
+            v1 = f1(stack)
+            v2 = f2(stack)
+            if type(v1) is int and type(v2) is int:
+                return v1 <= v2
+            return ref_value_lt(v1, v2) or v1 == v2
+        return le
+    if isinstance(b, BoolLit):
+        value = b.value
+        return lambda stack: value
+    if isinstance(b, Not):
+        f = ref_bexp(b.arg)
+        return lambda stack: not f(stack)
+    if isinstance(b, And):
+        f1, f2 = ref_bexp(b.lhs), ref_bexp(b.rhs)
+        return lambda stack: f1(stack) & f2(stack)
+    if isinstance(b, Or):
+        f1, f2 = ref_bexp(b.lhs), ref_bexp(b.rhs)
+        return lambda stack: f1(stack) | f2(stack)
+    raise TypeError(f"not a guard: {b!r}")
+
+
 # --- differential ---
 
 def _partial_ptype(rng: random.Random, variables, cap: int) -> PointsTo:
@@ -202,6 +300,95 @@ def test_leaf_steps_match_the_isinstance_reference():
                     assert leaf_live_pre(s, entry, post, cfg) == \
                         ref_leaf_live_pre(s, entry, post, cfg), (seed, cap, s, post)
     assert kinds == {Skip, Assign, Cons, Lookup, Mutate, Dispose}
+
+
+_NAMES = ("a", "b", "c")
+
+
+def _operand(rng: random.Random) -> AExp:
+    """Mostly the shapes the interpreter specializes: variables and
+    constants, negative and zero among them."""
+    roll = rng.random()
+    if roll < 0.45:
+        return Var(rng.choice(_NAMES))
+    if roll < 0.9:
+        return IntLit(rng.randint(-3, 3))
+    return Nil()
+
+
+def _gen_aexp(rng: random.Random, depth: int) -> AExp:
+    if depth <= 0 or rng.random() < 0.3:
+        return _operand(rng)
+    if rng.random() < 0.2:  # a left-deep chain, as a long sum parses
+        e = _gen_aexp(rng, depth - 1)
+        for _ in range(rng.randint(1, 4)):
+            e = BinOp(rng.choice("+-*"), e, _gen_aexp(rng, depth - 2))
+        return e
+    return BinOp(rng.choice(("+", "+", "-", "-", "*")),
+                 _gen_aexp(rng, depth - 1), _gen_aexp(rng, depth - 1))
+
+
+def _gen_bexp(rng: random.Random, depth: int) -> BExp:
+    roll = rng.random()
+    if depth <= 0 or roll < 0.55:
+        return Cmp(rng.choice(("=", "<", "<=")), _gen_aexp(rng, 1), _gen_aexp(rng, 1))
+    if roll < 0.6:
+        return BoolLit(rng.random() < 0.5)
+    if roll < 0.7:
+        return Not(_gen_bexp(rng, depth - 1))
+    b = _gen_bexp(rng, depth - 1)
+    for _ in range(rng.randint(1, 3)):
+        b = (And if rng.random() < 0.5 else Or)(b, _gen_bexp(rng, depth - 1))
+    return b
+
+
+def _gen_value(rng: random.Random):
+    roll = rng.random()
+    if roll < 0.5:
+        return rng.randint(-3, 4)
+    if roll < 0.65:
+        return NIL
+    n = rng.randint(1, 3)
+    return Address(n, rng.randint(1, 2), rng.randint(1, n))
+
+
+def _outcome(f, *args):
+    """f's value on args, or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except (EvalError, TypeError) as exc:
+        return type(exc)
+
+
+def test_closures_match_the_unspecialized_reference():
+    """eval_aexp and eval_bexp agree with the frozen unspecialized closures
+    on 4,000 generated expressions and guards, each over six stacks of
+    ints, nil and addresses: the same value, of the same type, or the same
+    exception. Every specialized shape, an out-of-block shift and every
+    comparison between kinds of value occur."""
+    rng = random.Random("closures")
+    errors = 0
+    for _ in range(2000):
+        e, b = _gen_aexp(rng, 3), _gen_bexp(rng, 2)
+        stacks = [{x: _gen_value(rng) for x in _NAMES} for _ in range(6)]
+        for stack in stacks:
+            for got, ref in ((_outcome(eval_aexp, e, stack), _outcome(ref_aexp(e), stack)),
+                             (_outcome(eval_bexp, b, stack), _outcome(ref_bexp(b), stack))):
+                assert got == ref and type(got) is type(ref), (e, b, stack)
+                errors += ref is EvalError
+    assert errors > 1000
+    # the shapes, each once, from a stack that takes the slow path
+    stack = {"a": Address(2, 1, 1), "b": NIL, "c": 0}
+    for e in (BinOp("+", Var("a"), IntLit(1)), BinOp("-", Var("a"), IntLit(0)),
+              BinOp("+", Var("a"), IntLit(2)), BinOp("-", Var("a"), IntLit(-1)),
+              BinOp("+", IntLit(1), Var("a")), BinOp("-", IntLit(1), Var("a")),
+              BinOp("+", Var("b"), IntLit(0)), BinOp("*", Var("a"), IntLit(1))):
+        assert _outcome(eval_aexp, e, stack) == _outcome(ref_aexp(e), stack), e
+    for op in ("=", "<", "<="):
+        for x in _NAMES:
+            for lhs, rhs in ((Var(x), IntLit(0)), (IntLit(0), Var(x)), (Var(x), Var("a"))):
+                b = Cmp(op, lhs, rhs)
+                assert eval_bexp(b, stack) is ref_bexp(b)(stack), b
 
 
 # --- direct construction ---
@@ -288,6 +475,9 @@ _CALLS = {
     "pretty": pretty,
     "pretty_aexp": pretty_aexp,
     "pretty_bexp": pretty_bexp,
+    "eval_aexp": lambda n: eval_aexp(n, {"x": 0}),
+    "eval_bexp": lambda n: eval_bexp(n, {"x": 0}),
+    "execute": lambda n: execute(n, ProgState({"x": 0}, {})),
 }
 _WRONG_KINDS = [
     ("abs_eval", Skip(), "not an arithmetic expression"),
@@ -305,6 +495,15 @@ _WRONG_KINDS = [
     ("pretty_aexp", Cmp("=", Nil(), Nil()), "not an arithmetic expression"),
     ("pretty_bexp", Var("x"), "not a guard"),
     ("pretty_bexp", Skip(), "not a guard"),
+    ("eval_aexp", Skip(), "not an arithmetic expression"),
+    ("eval_aexp", Cmp("<", Var("x"), IntLit(1)), "not an arithmetic expression"),
+    ("eval_aexp", BoolLit(True), "not an arithmetic expression"),
+    ("eval_bexp", Var("x"), "not a guard"),
+    ("eval_bexp", Skip(), "not a guard"),
+    ("eval_bexp", IntLit(1), "not a guard"),
+    ("execute", Var("x"), "not a statement"),
+    ("execute", BoolLit(True), "not a statement"),
+    ("execute", Cmp("<", Var("x"), IntLit(1)), "not a statement"),
 ]
 
 

@@ -282,6 +282,12 @@ def test_value_lt_examples():
     assert value_lt(NIL, Address(2, 1, 1))
 
 
+def test_value_lt_rejects_booleans():
+    for v1, v2 in ((True, 0), (0, False), (NIL, True), (False, Address(1, 1, 1))):
+        with pytest.raises(TypeError, match="booleans are not values"):
+            value_lt(v1, v2)
+
+
 def test_value_lt_strict_total_order():
     sample = [-3, 0, 5, NIL, Address(1, 1, 1), Address(1, 2, 1),
               Address(2, 1, 1), Address(2, 1, 2), Address(3, 1, 1)]
