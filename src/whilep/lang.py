@@ -19,7 +19,15 @@ LF ends a line.
 Trees are immutable Records, class-tagged tuples with structural
 equality, so one parse shares a single IntLit, Nil or Var node among all
 occurrences of the same token text. Sharing holds within one parse call
-only: two calls never return a common node.
+only: two calls never return a common node. The parser builds leaf
+statements and statement lists directly (see Record); an expression that
+is an atom seen before, alone or with one operator over another, is read
+without descending through the precedence levels.
+
+free_vars answers an atom, or one operator or comparison over two atoms,
+in place, and walks anything larger once. A long sum or conjunction nests
+on the left, and the printers follow that left spine in a loop, so its
+length is no limit.
 """
 
 from __future__ import annotations
@@ -280,6 +288,8 @@ def _collect(root: Record, writes: bool) -> frozenset[str]:
         tag = node[-1]
         if tag is Var:
             out.add(node.name)
+        elif tag is IntLit:
+            continue
         elif tag is BinOp or tag is Cmp or tag is And or tag is Or:
             todo += (node.lhs, node.rhs)
         elif tag is Assign:
@@ -311,9 +321,32 @@ def _collect(root: Record, writes: bool) -> frozenset[str]:
     return frozenset(out)
 
 
+_NONE: frozenset = frozenset()
+
+
 def free_vars(x: AExp | BExp | Stmt) -> frozenset[str]:
     """Variables whose value x may consult: those an expression mentions,
-    or those some expression of a statement, guards included, mentions."""
+    or those some expression of a statement, guards included, mentions.
+    An atom, or one operator or comparison over two, is answered in
+    place; anything larger takes one walk."""
+    tag = x[-1]
+    if tag is Var:
+        return frozenset((x[0],))
+    if tag is IntLit or tag is Nil:
+        return _NONE
+    if tag is BinOp or tag is Cmp:
+        lhs, rhs = x[1], x[2]
+        left, right = lhs[-1], rhs[-1]
+        if left is Var:
+            if right is Var:
+                return frozenset((lhs[0], rhs[0]))
+            if right is IntLit or right is Nil:
+                return frozenset((lhs[0],))
+        elif left is IntLit or left is Nil:
+            if right is Var:
+                return frozenset((rhs[0],))
+            if right is IntLit or right is Nil:
+                return _NONE
     return _collect(x, False)
 
 
@@ -351,10 +384,7 @@ _LEX_RE = re.compile(rf"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*({_LEXEME}|.|\Z)")
 
 
 _STMT_KEYWORDS = frozenset({"skip", "dispose", "if", "while"})
-
-
-def _is_ident(text: str) -> bool:
-    return text.isidentifier() and text not in KEYWORDS
+_ARITH = frozenset({"+", "-", "*"})
 
 
 # --- parser (recursive descent with backtracking for '(' in guards) ---
@@ -392,7 +422,8 @@ class _Parser:
         while tokens[self.pos] == ";":
             self.pos += 1
             items.append(self.simple_stmt())
-        return seq_of(items)
+        # a simple statement is never a Seq, so nothing needs splicing
+        return items[0] if len(items) == 1 else tuple.__new__(Seq, (tuple(items), Seq))
 
     def braced(self) -> Stmt:
         self.expect("{")
@@ -406,7 +437,7 @@ class _Parser:
         tok = tokens[pos]
         # most statements are x := ...; neither an identifier nor ':=' is
         # the final "", so the two tokens after tok exist
-        if _is_ident(tok):
+        if tok.isidentifier() and tok not in KEYWORDS:
             if tokens[pos + 1] != ":=":
                 self.pos = pos + 1
                 self.fail("':='")
@@ -419,30 +450,30 @@ class _Parser:
                     self.pos += 1
                     args.append(self.aexp())
                 self.expect(")")
-                return Cons(tok, tuple(args))
+                return tuple.__new__(Cons, (tok, tuple(args), Cons))
             if rhs == "[":
                 self.pos = pos + 3
                 e = self.aexp()
                 self.expect("]")
-                return Lookup(tok, e)
+                return tuple.__new__(Lookup, (tok, e, Lookup))
             self.pos = pos + 2
-            return Assign(tok, self.aexp())
+            return tuple.__new__(Assign, (tok, self.aexp(), Assign))
         if tok == "[":
             self.pos = pos + 1
             target = self.aexp()
             self.expect("]")
             self.expect(":=")
-            return Mutate(target, self.aexp())
+            return tuple.__new__(Mutate, (target, self.aexp(), Mutate))
         if tok not in _STMT_KEYWORDS:
             self.fail("a statement")
         self.pos = pos + 1
         if tok == "skip":
-            return Skip()
+            return tuple.__new__(Skip, (Skip,))
         if tok == "dispose":
             self.expect("(")
             e = self.aexp()
             self.expect(")")
-            return Dispose(e)
+            return tuple.__new__(Dispose, (e, Dispose))
         cond = self.bexp()
         if tok == "if":
             self.expect("then")
@@ -455,7 +486,20 @@ class _Parser:
     # arithmetic expressions: * binds tighter than + and -, all left-associative
 
     def aexp(self) -> AExp:
-        tokens = self.tokens
+        tokens, pos = self.tokens, self.pos
+        atom = self.atoms.get(tokens[pos])
+        if atom is not None:
+            # an atom seen before, with no operator after it or one
+            # operator over another such atom, needs no descent; an atom
+            # is a nonempty token, so the final "" comes after it
+            op = tokens[pos + 1]
+            if op not in _ARITH:
+                self.pos = pos + 1
+                return atom
+            rhs = self.atoms.get(tokens[pos + 2])
+            if rhs is not None and tokens[pos + 3] not in _ARITH:
+                self.pos = pos + 3
+                return tuple.__new__(BinOp, (op, atom, rhs, BinOp))
         e = self.term()
         while (op := tokens[self.pos]) == "+" or op == "-":
             self.pos += 1
@@ -478,7 +522,7 @@ class _Parser:
         if atom is None:
             if tok.isdecimal():
                 atom = IntLit(int(tok))
-            elif _is_ident(tok):
+            elif tok.isidentifier() and tok not in KEYWORDS:
                 atom = Var(tok)
             elif tok == "nil":
                 atom = Nil()
@@ -587,10 +631,24 @@ def pretty_aexp(e: AExp, prec: int = 0) -> str:
     if tag is IntLit:
         return str(e.value)
     if tag is BinOp:
-        mine = _APREC[e.op]
-        # left-associative: right operand at equal precedence needs parens
-        text = f"{pretty_aexp(e.lhs, mine)} {e.op} {pretty_aexp(e.rhs, mine + 1)}"
-        return f"({text})" if mine < prec else text
+        if e[1][-1] is not BinOp:
+            mine = _APREC[e.op]
+            # left-associative: right operand at equal precedence needs parens
+            text = f"{pretty_aexp(e.lhs)} {e.op} {pretty_aexp(e.rhs, mine + 1)}"
+            return f"({text})" if mine < prec else text
+        # a long sum nests on the left: its left spine is followed in a
+        # loop and printed back up, so its length is no limit
+        spine = []
+        while e[-1] is BinOp:
+            spine.append((e, _APREC[e[0]]))
+            e = e[1]
+        text = pretty_aexp(e)
+        for i in range(len(spine) - 1, -1, -1):
+            node, mine = spine[i]
+            text = f"{text} {node[0]} {pretty_aexp(node[2], mine + 1)}"
+            if mine < (spine[i - 1][1] if i else prec):
+                text = f"({text})"
+        return text
     if tag is Nil:
         return "nil"
     raise TypeError(f"not an arithmetic expression: {e!r}")
@@ -605,12 +663,19 @@ def pretty_bexp(b: BExp, prec: int = 0) -> str:
         return f"{pretty_aexp(b.lhs)} {b.op} {pretty_aexp(b.rhs)}"
     if tag is Not:
         return f"not {pretty_bexp(b.arg, _BPREC_NOT)}"
-    if tag is And:
-        text = f"{pretty_bexp(b.lhs, _BPREC_AND)} and {pretty_bexp(b.rhs, _BPREC_AND + 1)}"
-        return f"({text})" if _BPREC_AND < prec else text
-    if tag is Or:
-        text = f"{pretty_bexp(b.lhs, _BPREC_OR)} or {pretty_bexp(b.rhs, _BPREC_OR + 1)}"
-        return f"({text})" if _BPREC_OR < prec else text
+    if tag is And or tag is Or:
+        # a long conjunction nests on the left, printed as pretty_aexp's sums
+        spine = []
+        while (tag := b[-1]) is And or tag is Or:
+            spine.append((b, "and", _BPREC_AND) if tag is And else (b, "or", _BPREC_OR))
+            b = b[0]
+        text = pretty_bexp(b)
+        for i in range(len(spine) - 1, -1, -1):
+            node, word, mine = spine[i]
+            text = f"{text} {word} {pretty_bexp(node[1], mine + 1)}"
+            if mine < (spine[i - 1][2] if i else prec):
+                text = f"({text})"
+        return text
     if tag is BoolLit:
         return "true" if b.value else "false"
     raise TypeError(f"not a guard: {b!r}")

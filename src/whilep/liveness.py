@@ -12,7 +12,11 @@ The same pass builds the optimization derivation: every node's live
 judgment also carries the rule whose side condition holds there and the
 residual that rule emits, so a live judgment plus its residual is the
 judgment the certificate checker revalidates. At a leaf, one function,
-leaf_live_pre, decides all three from the node's entry type.
+leaf_live_pre, decides all three from the node's entry and exit types:
+the live rule enriches the points-to judgment, so a cons reads the
+cells of its block from the exit image of its variable, which transfer
+has set to the block's index-1 cells, and does not scan the entry type
+for the block again.
 leaf_live_pre and live_annotate dispatch on the class tag node[-1], and
 _node and the rewrites build their records with tuple.__new__ (see
 lang.Record).
@@ -26,8 +30,8 @@ from .lang import (
 )
 from .memory import Address, ProgState
 from .pointsto import (
-    AnnStmt, PointsTo, WidenConfig, abs_eval, addr_part, cap_address,
-    cons_block,
+    AnnStmt, PointsTo, WidenConfig, abs_eval, addr_part, block_cells,
+    cap_address,
 )
 
 
@@ -60,10 +64,11 @@ _ZERO = IntLit(0)
 _SKIP = Skip()
 
 
-def leaf_live_pre(s: Stmt, pre: PointsTo, post: frozenset,
+def leaf_live_pre(s: Stmt, pre: PointsTo, post_p: PointsTo, post: frozenset,
                   cfg: WidenConfig) -> tuple[frozenset, str, Stmt]:
     """The leaf rule for s between entry type pre and exit live set post:
     (entry live set, the rule whose side condition holds, its residual).
+    post_p is the exit type, transfer(s, pre, cfg).
 
     Writes to dead variables and heap writes that reach no live cell
     become skip; a cons keeps its allocation, so that the heap domain
@@ -76,7 +81,9 @@ def leaf_live_pre(s: Stmt, pre: PointsTo, post: frozenset,
             return post, "ass_d1", _SKIP
         return (post - {s.var}) | free_vars(s.expr), "ass_d2", s
     if tag is Cons:
-        _, cells = cons_block(pre, len(s.args), cfg.instance_cap)
+        # the variable's exit image is the index-1 cells of the block,
+        # one per instance, so its size gives the block's cells
+        cells = block_cells(len(s.args), len(post_p.env[s.var]), cfg.instance_cap)
         live_args = {a[2] for a in cells & post}
         entry = post - {s.var}
         for j in live_args:
@@ -128,7 +135,8 @@ def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
             if tag is If or tag is While:
                 d = live_annotate(child, live, cfg, seeds)
             else:
-                pre, rule, residual = leaf_live_pre(item, child.pre, live, cfg)
+                pre, rule, residual = leaf_live_pre(item, child.pre, child.post,
+                                                    live, cfg)
                 d = _node(child, rule, pre, live, residual)
             premises.append(d)
             live = d.judgment.pre.live
@@ -154,7 +162,7 @@ def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
                 return _node(ann, "whl_d", grown, post,
                              While(s.cond, body.judgment.residual), (body,))
             head = grown
-    pre, rule, residual = leaf_live_pre(s, ann.pre, post, cfg)
+    pre, rule, residual = leaf_live_pre(s, ann.pre, ann.post, post, cfg)
     return _node(ann, rule, pre, post, residual)
 
 

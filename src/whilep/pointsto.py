@@ -9,7 +9,10 @@ concrete instance at or above it (a summary). Strong updates are only
 allowed through a singleton target below the cap.
 
 abs_eval gives an expression's abstract value as a plain int when it is
-that exact integer and as a frozenset of addresses otherwise. An
+that exact integer and as a frozenset of addresses otherwise. It folds
+the left spine of a long sum in a loop, and reads a variable or literal
+operand in place, as transfer does with a leaf's operands; _shifts and
+_variants are looked up as module globals at each use. An
 address plus or minus a known offset is shifted within its block, and
 a shift that leaves the block is dropped; the shifts that stay are
 valid addresses by construction, so they are built without Address's
@@ -39,6 +42,10 @@ No type holds an address above the cap. bottom, join and every transfer
 preserve that: the cons transfer writes only the capped cells that
 cons_block returns, so no pass folds a whole type afterwards. A type
 read from a certificate is checked against the cap when it is loaded.
+The cons transfer points the variable at the index-1 cells of the
+block, one per instance, so block_cells of that image's size is the
+block again: the live rule reads it from the exit type and does not
+scan the entry type a second time.
 
 The model relation compares runtime addresses against the analysis
 through cap_address, which is the identity until the cap is reached.
@@ -149,35 +156,62 @@ def abs_eval(e: AExp, p: PointsTo) -> int | frozenset:
 
     A set V promises only that an address result lies in V; the
     concrete value may always be some integer or nil instead.
+
+    A long sum nests on the left, so the left spine of operators is
+    followed in a loop and folded back up, and its length is no limit;
+    a variable or literal operand is read in place.
     """
     tag = e[-1]
     if tag is Var:
-        return p.env.get(e.name, EMPTY)
+        return p.env.get(e[0], EMPTY)
     if tag is IntLit:
-        return e.value
+        return e[0]
     if tag is BinOp:
-        v1 = abs_eval(e.lhs, p)
-        v2 = abs_eval(e.rhs, p)
-        if isinstance(v1, int) and isinstance(v2, int):
-            if e.op == "+":
-                return v1 + v2
-            if e.op == "-":
-                return v1 - v2
-            return v1 * v2
-        if e.op == "*":
-            return EMPTY  # multiplication never yields an address
-        if isinstance(v2, int):  # addrs (+|-) known offset
-            return _shifts(v1, v2 if e.op == "+" else -v2)
-        if isinstance(v1, int):  # known int + addrs; int - addrs is undefined
-            return _shifts(v2, v1) if e.op == "+" else EMPTY
-        # both sides may be addresses or unknown integers: any in-block
-        # shift of the left side, plus of the right side under +
-        if e.op == "+":
-            return _variants(v1) | _variants(v2)
-        return _variants(v1)
+        env, lhs = p.env, e[1]
+        if lhs[-1] is BinOp:
+            spine = [e]
+            while lhs[-1] is BinOp:
+                spine.append(lhs)
+                lhs = lhs[1]
+            nodes = reversed(spine)
+        else:
+            nodes = (e,)
+        tag = lhs[-1]
+        v1 = env.get(lhs[0], EMPTY) if tag is Var else lhs[0] if tag is IntLit \
+            else abs_eval(lhs, p)
+        for op, _, rhs, _ in nodes:
+            tag = rhs[-1]
+            v2 = env.get(rhs[0], EMPTY) if tag is Var else rhs[0] if tag is IntLit \
+                else abs_eval(rhs, p)
+            if isinstance(v1, int) and isinstance(v2, int):
+                v1 = v1 + v2 if op == "+" else v1 - v2 if op == "-" else v1 * v2
+            elif op == "*":
+                v1 = EMPTY  # multiplication never yields an address
+            elif isinstance(v2, int):  # addrs (+|-) known offset
+                v1 = _shifts(v1, v2 if op == "+" else -v2)
+            elif isinstance(v1, int):  # known int + addrs; int - addrs is undefined
+                v1 = _shifts(v2, v1) if op == "+" else EMPTY
+            # both sides may be addresses or unknown integers: any in-block
+            # shift of the left side, plus of the right side under +
+            elif op == "+":
+                v1 = _variants(v1) | _variants(v2)
+            else:
+                v1 = _variants(v1)
+        return v1
     if tag is Nil:
         return EMPTY
     raise TypeError(f"not an arithmetic expression: {e!r}")
+
+
+def _addrs(e: AExp, p: PointsTo) -> frozenset:
+    """addr_part(abs_eval(e, p)), with a variable or literal read in place."""
+    tag = e[-1]
+    if tag is Var:
+        return p.env.get(e[0], EMPTY)
+    if tag is IntLit:
+        return EMPTY
+    v = abs_eval(e, p)
+    return EMPTY if isinstance(v, int) else v
 
 
 # --- transfer functions and annotation ---
@@ -208,11 +242,13 @@ def cons_block(p: PointsTo, length: int, cap: int) -> tuple[int, frozenset]:
     v = 1
     while v in used:
         v += 1
-    return v, _block_cells(length, v, cap)
+    return v, block_cells(length, v, cap)
 
 
 @lru_cache(maxsize=1024)
-def _block_cells(length: int, v: int, cap: int) -> frozenset:
+def block_cells(length: int, v: int, cap: int) -> frozenset:
+    """The cells cons_block returns when v is the least untracked
+    instance: every cell of instances 1..v, folded at the cap."""
     return frozenset(
         Address(length, min(i, cap), j)
         for i in range(1, v + 1)
@@ -221,8 +257,8 @@ def _block_cells(length: int, v: int, cap: int) -> frozenset:
 
 @lru_cache(maxsize=1024)
 def _block_heads(length: int, v: int, cap: int) -> frozenset:
-    """The index-1 cells of _block_cells: where the cons's variable points."""
-    return frozenset(a for a in _block_cells(length, v, cap) if a[2] == 1)
+    """The index-1 cells of block_cells: where the cons's variable points."""
+    return frozenset(a for a in block_cells(length, v, cap) if a[2] == 1)
 
 
 def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
@@ -231,11 +267,11 @@ def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
     other key keeps its image. Returns p itself when s writes no key."""
     tag, env = s[-1], p.env
     if tag is Assign:
-        image = addr_part(abs_eval(s.expr, p))
+        image = _addrs(s.expr, p)
         delta = {s.var: image} if env.get(s.var) != image else None
     elif tag is Cons:
-        images = [addr_part(abs_eval(a, p)) for a in s.args]
-        length, cap = len(s.args), cfg.instance_cap
+        images = [_addrs(a, p) for a in s.args]
+        length, cap = len(images), cfg.instance_cap
         v, cells = cons_block(p, length, cap)
         delta = {}
         for a in cells:  # each cell joins its argument's image, as in join
@@ -246,12 +282,12 @@ def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
         if env.get(s.var) != heads:
             delta[s.var] = heads
     elif tag is Lookup:
-        targets = addr_part(abs_eval(s.addr, p))
+        targets = _addrs(s.addr, p)
         image = EMPTY.union(*[env.get(a, EMPTY) for a in targets])
         delta = {s.var: image} if env.get(s.var) != image else None
     elif tag is Mutate:
-        targets = addr_part(abs_eval(s.target, p))
-        stored = addr_part(abs_eval(s.value, p))
+        targets = _addrs(s.target, p)
+        stored = _addrs(s.value, p)
         only = next(iter(targets)) if len(targets) == 1 else None
         if only is not None and only.instance < cfg.instance_cap:
             # strong update: unique, non-summary target
@@ -304,7 +340,7 @@ def _annotate(s: Stmt, p: PointsTo, cfg: WidenConfig, seeds: dict,
         if id(s) not in starts:  # the body's allocations at empty images, and the seed
             cap = cfg.instance_cap
             starts[id(s)] = PointsTo({a: EMPTY for n in walk(s.body) if isinstance(n, Cons)
-                                      for a in _block_cells(len(n.args), cap, cap)}
+                                      for a in block_cells(len(n.args), cap, cap)}
                                      | seeds.get(id(s), bottom(())).env)
         inv = join(p, starts[id(s)])
         while True:

@@ -13,7 +13,7 @@ import pytest
 import tamper_ops
 from hypothesis import example, given, settings, strategies as st
 
-from whilep import GenConfig, certificate, gen_program, liveness, pointsto
+from whilep import GenConfig, certificate, gen_program, lang, liveness, pointsto
 from whilep.certificate import (
     ACCEPT, CheckResult, FormatError, check, deserialize, serialize,
 )
@@ -152,17 +152,19 @@ def test_pipeline_time_is_linear():
     assert min(runs) < bound, (bound, runs)
 
 
-def test_each_pass_computes_a_cons_block_twice(monkeypatch):
-    """optimize, deserialize and check each compute a cons's block once in
-    its transfer and once in its leaf rule, and nowhere else."""
+def test_each_pass_computes_a_cons_block_once(monkeypatch):
+    """optimize, deserialize and check each compute a cons's block once,
+    in its transfer; the leaf rule reads the block from the exit type.
+    Every module of the package that binds the name is counted."""
     calls, cons_block = [], pointsto.cons_block
 
     def counted(*args):
         calls.append(args)
         return cons_block(*args)
 
-    monkeypatch.setattr(pointsto, "cons_block", counted)
-    monkeypatch.setattr(liveness, "cons_block", counted)
+    for module in (pointsto, liveness, certificate):
+        if hasattr(module, "cons_block"):
+            monkeypatch.setattr(module, "cons_block", counted)
     src = chain_src(200)
     assert src.count("cons(") == 100
     per_pass = []
@@ -177,7 +179,37 @@ def test_each_pass_computes_a_cons_block_twice(monkeypatch):
     text = serialize(d)
     again = blocks_in(lambda: deserialize(text, CFG))
     assert blocks_in(lambda: check(again, CFG)) == ACCEPT
-    assert per_pass == [200, 200, 200]
+    assert per_pass == [100, 100, 100]
+
+
+def test_each_pass_walks_the_program_once(monkeypatch):
+    """The variable walk (lang._collect) runs once per optimize, for
+    stmt_vars, once per deserialize, for the scope, and never in check:
+    an atom or one operator over two atoms is no walk. Every variable is
+    live, so every leaf keeps its statement and reads its operands."""
+    calls, collect = [], lang._collect
+
+    def counted(*args):
+        calls.append(args)
+        return collect(*args)
+
+    monkeypatch.setattr(lang, "_collect", counted)
+    src = chain_src(200)
+    per_pass = []
+
+    def walks_in(run):
+        calls.clear()
+        out = run()
+        per_pass.append([writes for _, writes in calls])
+        return out
+
+    live = frozenset({"p0", "p1", "p2", "p3"})
+    d = walks_in(lambda: optimize(parse(src), live, CFG).derivation)
+    assert {premise.rule for premise in d.premises} == {"con_d2", "lok_d2"}
+    text = serialize(d)
+    again = walks_in(lambda: deserialize(text, CFG))
+    assert walks_in(lambda: check(again, CFG)) == ACCEPT
+    assert per_pass == [[True], [True], []]
 
 
 PROBE = "p := 0; i := 0; while i < 5 do { p := cons(p); i := i + 1 }"
@@ -449,6 +481,31 @@ def test_deserialize_rejects_bad_documents():
             reject(nest(i, "live", [k for k in t["live"] if k != key]), f"{where}.live")
         reject(nest(i, "pts", dict(t["pts"], ghost=[])), f"{where}.pts")
         reject(nest(i, "live", t["live"] + ["addr(7,1,1)"]), f"{where}.live")
+
+
+def test_out_of_scope_address_only_in_a_loop_image():
+    """An address out of scope that only a loop image holds, after images
+    and members in scope, is found, and the least offender of the first
+    image that holds one is named, whatever the order of its members."""
+    src = "p := cons(0); i := 0; while i < 2 do { q := [p]; p := cons(p); i := i + 1 }"
+    good = json.loads(serialize(derivation_for(src, {"q"})))
+    pts = good["loops"][0]["pts"]
+    assert list(pts)[-2:] == ["p", "q"] and "addr(1,1,1)" in pts["p"]
+
+    def message(**images):
+        doc = dict(good, loops=[dict(good["loops"][0], pts=dict(pts, **images))])
+        with pytest.raises(FormatError) as err:
+            deserialize(json.dumps(doc), CFG)
+        return str(err.value)
+
+    assert message(q=["addr(1,1,1)", "addr(2,1,1)", "addr(1,4,1)"]) == (
+        "root.loops[0].pts: addr(1,4,1): instance 4 is above the instance cap 3")
+    assert message(q=["addr(1,1,1)", "addr(2,1,1)"]) == (
+        "root.loops[0].pts: addr(2,1,1): no cons of the program allocates "
+        "blocks of length 2")
+    assert message(p=["addr(1,1,1)", "addr(2,1,1)"], q=["addr(1,4,1)"]) == (
+        "root.loops[0].pts: addr(2,1,1): no cons of the program allocates "
+        "blocks of length 2")
 
 
 NESTED_SRC = ("p := cons(0); i := 0; z := 0; while i < 2 do { j := 0; "

@@ -63,6 +63,24 @@ def test_run_flat_chains(prog, capsys):
     assert capsys.readouterr().out == "x = 1\n"
 
 
+def test_optimize_cert_flat_chains(prog, tmp_path):
+    """python -m whilep optimize --cert takes a 3,000-term sum and a guard
+    of 2,000 conjuncts to a residual and a certificate, exit 0."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    guard = " and ".join(["0 < 1"] * 2000)
+    for text in ("x := " + " + ".join(["1"] * 3000),
+                 f"if {guard} then {{ x := 1 }} else {{ x := 2 }}"):
+        cert = tmp_path / "chain.cert"
+        done = subprocess.run([sys.executable, "-m", "whilep", "optimize", prog(text),
+                               "--live", "x", "--cert", str(cert)],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (0, text + "\n", "")
+        doc = json.loads(cert.read_text(encoding="utf-8"))
+        assert doc["program"] == doc["residual"] == text
+
+
 def test_run_abort(prog, capsys, fig_src):
     assert main(["run", prog(fig_src)]) == 1
     assert capsys.readouterr().out == "abort\n"
@@ -231,7 +249,7 @@ def test_analyze_pts_rows_are_the_points_to_annotation(prog, capsys, cap):
         want = []
         for path, node in walk_paths(ann, lambda a: (a.stmt, a.children)):
             row = {"path": path, "stmt": pretty(node.stmt),
-                   "pre": pts_to_doc(node.pre), "post": pts_to_doc(node.post)}
+                   "pre": pts_to_doc(node.pre, {}), "post": pts_to_doc(node.post, {})}
             if isinstance(node.stmt, While):
                 row["invariant"] = row["post"]
             want.append(row)

@@ -1,18 +1,22 @@
 """Parser, pretty-printer, and syntax helper tests."""
 
 import hashlib
+import itertools
 import random
 import re
 import time
+from collections import Counter
 
 import pytest
 
 from whilep import GenConfig, gen_program
 from whilep import lang
+from whilep.harness import gen_aexp, gen_bexp
 from whilep.lang import (
     And, Assign, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit, Lookup,
     Mutate, Not, Or, ParseError, Record, Seq, Skip, Var, While, children,
-    free_vars, parse, pretty, read_vars, seq_of, stmt_vars, walk, walk_paths,
+    free_vars, parse, pretty, pretty_aexp, pretty_bexp, read_vars, seq_of,
+    stmt_vars, walk, walk_paths,
 )
 
 
@@ -421,6 +425,26 @@ def test_variable_sets_match_the_recursive_folds():
             assert free_vars(e) == _ref_free_vars(e), seed
 
 
+def test_free_vars_answers_small_expressions_as_the_walk_does():
+    """free_vars answers an atom and one operator or comparison over two
+    atoms in place; on those, on larger expressions and guards, and on
+    statements, it equals the one walk it skips."""
+    atoms = (Var("x"), Var("y"), IntLit(0), IntLit(-3), lang.Nil(), BoolLit(True))
+    samples = list(atoms)
+    for lhs, rhs in itertools.product(atoms, atoms):
+        samples += [BinOp("+", lhs, rhs), BinOp("*", lhs, rhs), Cmp("<", lhs, rhs),
+                    And(Cmp("=", lhs, rhs), BoolLit(False))]
+    rng = random.Random("free-vars")
+    for _ in range(2_000):
+        samples += [gen_aexp(rng, ("x", "y", "z"), rng.randint(0, 4)), gen_bexp(rng)]
+    for seed in range(100):
+        prog = gen_program(GenConfig(seed=seed))
+        samples += [prog, *walk(prog), *_exprs(prog)]
+    for x in samples:
+        assert free_vars(x) == lang._collect(x, False), x
+    assert free_vars(BinOp("-", Var("x"), Var("x"))) == {"x"}
+
+
 def test_variable_sets_reject_an_unknown_node():
     """A node kind the walk does not know raises instead of adding
     nothing to the set."""
@@ -462,6 +486,299 @@ def test_lexer_matches_the_two_step_lexer(src):
     end = tokens.index("") + 1
     assert tokens[:end] == _ref_tokens(src)
     assert tokens[end:] in ([], [""])
+
+
+# the parser before atoms and one-operator expressions skipped the
+# descent and leaves were built directly, kept as the reference
+
+class _RefParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.atoms = {}
+
+    def fail(self, expected):
+        found = self.tokens[self.pos] or "end of input"
+        raise lang._Failure(self.pos, f"expected {expected}, found {found!r}")
+
+    def expect(self, text):
+        if self.tokens[self.pos] != text:
+            self.fail(repr(text))
+        self.pos += 1
+
+    def stmt(self):
+        items = [self.simple_stmt()]
+        while self.tokens[self.pos] == ";":
+            self.pos += 1
+            items.append(self.simple_stmt())
+        return seq_of(items)
+
+    def braced(self):
+        self.expect("{")
+        body = self.stmt()
+        self.expect("}")
+        return body
+
+    def simple_stmt(self):
+        tokens, pos = self.tokens, self.pos
+        tok = tokens[pos]
+        if tok.isidentifier() and tok not in lang.KEYWORDS:
+            if tokens[pos + 1] != ":=":
+                self.pos = pos + 1
+                self.fail("':='")
+            rhs = tokens[pos + 2]
+            if rhs == "cons":
+                self.pos = pos + 3
+                self.expect("(")
+                args = [self.aexp()]
+                while tokens[self.pos] == ",":
+                    self.pos += 1
+                    args.append(self.aexp())
+                self.expect(")")
+                return Cons(tok, tuple(args))
+            if rhs == "[":
+                self.pos = pos + 3
+                e = self.aexp()
+                self.expect("]")
+                return Lookup(tok, e)
+            self.pos = pos + 2
+            return Assign(tok, self.aexp())
+        if tok == "[":
+            self.pos = pos + 1
+            target = self.aexp()
+            self.expect("]")
+            self.expect(":=")
+            return Mutate(target, self.aexp())
+        if tok not in ("skip", "dispose", "if", "while"):
+            self.fail("a statement")
+        self.pos = pos + 1
+        if tok == "skip":
+            return Skip()
+        if tok == "dispose":
+            self.expect("(")
+            e = self.aexp()
+            self.expect(")")
+            return Dispose(e)
+        cond = self.bexp()
+        if tok == "if":
+            self.expect("then")
+            then_body = self.braced()
+            self.expect("else")
+            return If(cond, then_body, self.braced())
+        self.expect("do")
+        return While(cond, self.braced())
+
+    def aexp(self):
+        e = self.term()
+        while (op := self.tokens[self.pos]) == "+" or op == "-":
+            self.pos += 1
+            e = BinOp(op, e, self.term())
+        return e
+
+    def term(self):
+        e = self.factor()
+        while self.tokens[self.pos] == "*":
+            self.pos += 1
+            e = BinOp("*", e, self.factor())
+        return e
+
+    def factor(self):
+        tokens, pos = self.tokens, self.pos
+        tok = tokens[pos]
+        atom = self.atoms.get(tok)
+        if atom is None:
+            if tok.isdecimal():
+                atom = IntLit(int(tok))
+            elif tok.isidentifier() and tok not in lang.KEYWORDS:
+                atom = Var(tok)
+            elif tok == "nil":
+                atom = lang.Nil()
+            elif tok == "-" and tokens[pos + 1].isdecimal():
+                pos += 1
+                tok = "-" + tokens[pos]
+                atom = self.atoms.get(tok) or IntLit(int(tok))
+            elif tok == "(":
+                self.pos = pos + 1
+                e = self.aexp()
+                self.expect(")")
+                return e
+            else:
+                self.fail("an expression")
+            self.atoms[tok] = atom
+        self.pos = pos + 1
+        return atom
+
+    def bexp(self):
+        e = self.band()
+        while self.tokens[self.pos] == "or":
+            self.pos += 1
+            e = Or(e, self.band())
+        return e
+
+    def band(self):
+        e = self.bnot()
+        while self.tokens[self.pos] == "and":
+            self.pos += 1
+            e = And(e, self.bnot())
+        return e
+
+    def bnot(self):
+        if self.tokens[self.pos] == "not":
+            self.pos += 1
+            return Not(self.bnot())
+        return self.batom()
+
+    def batom(self):
+        pos = self.pos
+        tok = self.tokens[pos]
+        if tok == "true" or tok == "false":
+            self.pos = pos + 1
+            return BoolLit(tok == "true")
+        if tok == "(":
+            try:
+                return self.cmp()
+            except lang._Failure:
+                self.pos = pos + 1
+            e = self.bexp()
+            self.expect(")")
+            return e
+        return self.cmp()
+
+    def cmp(self):
+        lhs = self.aexp()
+        op = self.tokens[self.pos]
+        if op not in ("=", "<", "<="):
+            self.fail("'=', '<' or '<='")
+        self.pos += 1
+        return Cmp(op, lhs, self.aexp())
+
+
+def _ref_parse(src):
+    """parse, with the reference parser; the lexer and the error location
+    are parse's own."""
+    tokens = lang._LEX_RE.findall(src)
+    try:
+        stray = [tok for tok in set(tokens) if tok and not lang._LEXEME_RE.fullmatch(tok)]
+        if stray:
+            at = min(map(tokens.index, stray))
+            raise lang._Failure(at, f"unexpected character {tokens[at]!r}")
+        parser = _RefParser(tokens)
+        s = parser.stmt()
+        if tokens[parser.pos]:
+            raise lang._Failure(parser.pos, f"unexpected trailing input {tokens[parser.pos]!r}")
+        return s
+    except lang._Failure as failure:
+        starts = (m.start(1) for m in lang._LEX_RE.finditer(src))
+        offset = next(itertools.islice(starts, failure.at, None), len(src))
+        line = src.count("\n", 0, offset) + 1
+        col = offset - src.rfind("\n", 0, offset)
+        raise ParseError(failure.message, line, col) from None
+
+
+def _parse_outcome(parse_fn, src):
+    """The tree's repr and the shape of its atom sharing, or the error."""
+    try:
+        tree = parse_fn(src)
+    except ParseError as err:
+        return "error", str(err), err.line, err.col
+    nodes = _nodes(tree)
+    first = {}
+    sharing = [first.setdefault(id(n), i) for i, n in enumerate(nodes)]
+    return "tree", repr(tree), sharing
+
+
+_TOKENS = ("x", "y", "p0", "0", "7", "12", "nil", "skip", "cons", "dispose",
+           "if", "then", "else", "while", "do", "not", "and", "or", "true",
+           "false", ":=", "<=", "=", "<", ";", ",", "(", ")", "[", "]", "{",
+           "}", "+", "-", "*", "-", "@")
+
+
+def test_parser_matches_the_reference():
+    """Trees, with which nodes they share, and the exact error text agree
+    with the reference on generated programs, on generated expressions
+    and guards, on atoms and one-operator expressions in every position,
+    and on random token strings."""
+    rng = random.Random("parser-reference")
+    texts = [pretty(gen_program(GenConfig(seed=seed, max_stmts=(12, 40)[seed % 2])))
+             for seed in range(300)]
+    names = ("x", "y", "p0")
+    for _ in range(500):
+        e = pretty_aexp(gen_aexp(rng, names, rng.randint(0, 4)))
+        texts += [f"x := {e}", f"x := cons({e}, {e}, 1)", f"x := [{e}]; [{e}] := {e}",
+                  f"dispose({e}); if {pretty_bexp(gen_bexp(rng))} then {{ skip }} "
+                  f"else {{ x := {e} }}"]
+    atoms = ("x", "3", "nil", "-2", "(y)", "x + 1", "")
+    for a, op, b, after in itertools.product(atoms, ("+", "-", "*", ""), atoms,
+                                             ("", " + 1", " * 2", " - -1", ")", ";")):
+        texts.append(f"z := {a} {op} {b}{after}; y := {a}")
+    for _ in range(3_000):
+        texts.append(" ".join(rng.choice(_TOKENS) for _ in range(rng.randint(1, 14))))
+    kinds = Counter()
+    for text in texts:
+        got, want = _parse_outcome(parse, text), _parse_outcome(_ref_parse, text)
+        assert got == want, text
+        kinds[got[0]] += 1
+    assert kinds["tree"] > 2_500 and kinds["error"] > 2_500, kinds
+
+
+# the recursive printers that the left-spine loops replaced, kept as
+# the reference
+
+def _ref_pretty_aexp(e, prec=0):
+    if isinstance(e, BinOp):
+        mine = {"+": 1, "-": 1, "*": 2}[e.op]
+        text = f"{_ref_pretty_aexp(e.lhs, mine)} {e.op} {_ref_pretty_aexp(e.rhs, mine + 1)}"
+        return f"({text})" if mine < prec else text
+    return pretty_aexp(e)
+
+
+def _ref_pretty_bexp(b, prec=0):
+    if isinstance(b, Cmp):
+        return f"{_ref_pretty_aexp(b.lhs)} {b.op} {_ref_pretty_aexp(b.rhs)}"
+    if isinstance(b, Not):
+        return f"not {_ref_pretty_bexp(b.arg, 3)}"
+    if isinstance(b, (And, Or)):
+        mine, word = (2, "and") if isinstance(b, And) else (1, "or")
+        text = f"{_ref_pretty_bexp(b.lhs, mine)} {word} {_ref_pretty_bexp(b.rhs, mine + 1)}"
+        return f"({text})" if mine < prec else text
+    return pretty_bexp(b)
+
+
+def _left_chain(rng, n, ops, operand):
+    e = operand()
+    for _ in range(n - 1):
+        e = BinOp(rng.choice(ops), e, operand())
+    return e
+
+
+def test_printers_match_the_recursive_reference():
+    """pretty_aexp and pretty_bexp agree with the recursive printers on
+    generated expressions and guards, on left-deep chains that mix
+    precedences, at every context precedence; a 3,000-term sum and a
+    guard of 2,000 conjuncts print without the recursion limit."""
+    rng = random.Random("printers")
+    names = ("x", "y")
+    for _ in range(3_000):
+        e = gen_aexp(rng, names, rng.randint(0, 5))
+        if rng.random() < 0.3:
+            e = _left_chain(rng, rng.randint(2, 30), "+-*",
+                            lambda: gen_aexp(rng, names, rng.randint(0, 2)))
+        prec = rng.randint(0, 3)
+        assert pretty_aexp(e, prec) == _ref_pretty_aexp(e, prec), e
+        b = gen_bexp(rng)
+        for _ in range(rng.choice((0, 0, 1, 5))):
+            b = (And if rng.random() < 0.5 else Or)(
+                b, gen_bexp(rng) if rng.random() < 0.8 else Not(b))
+        prec = rng.randint(0, 4)
+        assert pretty_bexp(b, prec) == _ref_pretty_bexp(b, prec), b
+    total, guard = IntLit(1), Cmp("<", IntLit(0), IntLit(1))
+    conj = guard
+    for _ in range(2_999):
+        total = BinOp("+", total, IntLit(1))
+    for _ in range(1_999):
+        conj = And(conj, guard)
+    assert pretty_aexp(total) == " + ".join(["1"] * 3_000)
+    assert pretty_bexp(conj) == " and ".join(["0 < 1"] * 2_000)
 
 
 def test_seq_of_keeps_items():

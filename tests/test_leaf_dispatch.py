@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from whilep import GenConfig, gen_program
-from whilep.harness import _synthetic_ptype
+from whilep.harness import _synthetic_ptype, gen_aexp
 from whilep.interp import EvalError, eval_aexp, eval_bexp, execute
 from whilep.lang import (
     AExp, And, Assign, BExp, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit,
@@ -271,7 +271,9 @@ def test_leaf_steps_match_the_isinstance_reference():
     every leaf of gen_program seeds 0-299, at caps 1-3, from three kinds
     of entry type and random exit live sets that include cells; transfer
     keeps the reference's key order, and join agrees with the frozen
-    copy, in value and key order, on each exit type and each entry."""
+    copy, in value and key order, on each exit type and each entry.
+    leaf_live_pre is given transfer's exit type, from which it reads a
+    cons's block; the reference scans the entry type for it."""
     kinds = set()
     for seed in range(300):
         prog = gen_program(GenConfig(seed=seed))
@@ -297,9 +299,46 @@ def test_leaf_steps_match_the_isinstance_reference():
                         _assert_join_matches(post_p, other)
                     keys = sorted(post_p.env.keys() | entry.env.keys(), key=repr)
                     post = frozenset(k for k in keys if rng.random() < 0.5)
-                    assert leaf_live_pre(s, entry, post, cfg) == \
+                    assert leaf_live_pre(s, entry, post_p, post, cfg) == \
                         ref_leaf_live_pre(s, entry, post, cfg), (seed, cap, s, post)
     assert kinds == {Skip, Assign, Cons, Lookup, Mutate, Dispose}
+
+
+def _chain(rng: random.Random, n: int, operand) -> AExp:
+    """A left-deep chain of n operands, as a long sum parses."""
+    e = operand(rng)
+    for _ in range(n - 1):
+        e = BinOp(rng.choice("++-*" if rng.random() < 0.1 else "+-"), e, operand(rng))
+    return e
+
+
+def test_abs_eval_matches_the_recursive_reference():
+    """abs_eval, which folds a left spine in a loop and reads variable and
+    literal operands in place, agrees with the recursive reference on
+    gen_aexp output and on long left-deep chains over types that track
+    addresses, and folds a chain past the recursion limit."""
+    rng = random.Random("abs-eval")
+    names = ("x", "y", "z")
+    shapes = set()
+    for _ in range(600):
+        p = _synthetic_ptype(rng, names, rng.randint(1, 3))
+        exprs = [gen_aexp(rng, names, rng.randint(0, 5)) for _ in range(5)]
+        exprs.append(_chain(rng, rng.randint(2, 300), lambda r: (
+            Var(r.choice(names)) if r.random() < 0.4 else
+            IntLit(r.randint(-2, 3)) if r.random() < 0.8 else
+            Nil() if r.random() < 0.5 else gen_aexp(r, names, 2))))
+        for e in exprs:
+            got, want = abs_eval(e, p), ref_abs_eval(e, p)
+            assert got == want and type(got) is type(want), e
+            shapes.add(type(got))
+    assert shapes == {int, frozenset}
+    p = PointsTo({"x": frozenset({Address(3, 1, 1)})})
+    long_sum, walk_x = IntLit(1), BinOp("+", Var("x"), IntLit(1))
+    for _ in range(2_999):
+        long_sum = BinOp("+", long_sum, IntLit(1))
+        walk_x = BinOp("-", BinOp("+", walk_x, IntLit(1)), IntLit(1))
+    assert abs_eval(long_sum, p) == 3_000
+    assert abs_eval(walk_x, p) == {Address(3, 1, 2)}
 
 
 _NAMES = ("a", "b", "c")
@@ -402,6 +441,13 @@ _DIRECT = {
     AnnStmt: (_LEAF, _P, _P, ()),
     Cons: ("x", (IntLit(0), Var("p"))),
     Seq: ((_LEAF, Skip()),),
+    # the parser's leaves and its one-operator shortcut
+    BinOp: ("+", Var("p"), IntLit(1)),
+    Assign: ("x", Var("p")),
+    Lookup: ("x", BinOp("+", Var("p"), IntLit(1))),
+    Mutate: (Var("p"), IntLit(2)),
+    Dispose: (Var("p"),),
+    Skip: (),
     LiveType: (_P, frozenset({"p"})),
     Judgment: (_LEAF, _T, _T, Skip()),
     Derivation: ("con_d2", _J, (Derivation("skip", _J),)),
@@ -471,7 +517,7 @@ _LOOP = While(Cmp("<", Var("x"), IntLit(1)), Skip())
 _CALLS = {
     "abs_eval": lambda n: abs_eval(n, _P0),
     "transfer": lambda n: transfer(n, _P0, _CFG),
-    "leaf_live_pre": lambda n: leaf_live_pre(n, _P0, EMPTY, _CFG),
+    "leaf_live_pre": lambda n: leaf_live_pre(n, _P0, _P0, EMPTY, _CFG),
     "pretty": pretty,
     "pretty_aexp": pretty_aexp,
     "pretty_bexp": pretty_bexp,

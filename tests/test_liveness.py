@@ -13,7 +13,7 @@ from whilep.liveness import (
 )
 from whilep.memory import NIL, Address, ProgState
 from whilep.pointsto import (
-    PointsTo, WidenConfig, annotate, bottom, models,
+    PointsTo, WidenConfig, annotate, bottom, models, transfer,
 )
 
 CFG = WidenConfig()
@@ -32,10 +32,12 @@ def lv(*keys):
 
 
 def leaf_of(src, post, p=None):
-    """(entry live set, rule, residual text) of a leaf from exit set post."""
+    """(entry live set, rule, residual text) of a leaf from exit set post,
+    with the exit type the transfer gives."""
     prog = parse(src)
     p = p if p is not None else bottom(stmt_vars(prog))
-    live, rule, residual = leaf_live_pre(prog, p, frozenset(post), CFG)
+    live, rule, residual = leaf_live_pre(prog, p, transfer(prog, p, CFG),
+                                         frozenset(post), CFG)
     return live, rule, pretty(residual)
 
 
@@ -77,10 +79,10 @@ def test_cons_rules():
 def test_cons_residual_is_the_statement_when_every_cell_is_live():
     s = parse("x := cons(y, z)")
     p = bottom(stmt_vars(s))
-    live, rule, residual = leaf_live_pre(s, p, lv("x", A211, A212), CFG)
+    live, rule, residual = leaf_live_pre(s, p, transfer(s, p, CFG), lv("x", A211, A212), CFG)
     assert residual is s and rule == "con_d2"
     # a dead cell zeroes its argument in a new statement
-    live, rule, residual = leaf_live_pre(s, p, lv("x", A212), CFG)
+    live, rule, residual = leaf_live_pre(s, p, transfer(s, p, CFG), lv("x", A212), CFG)
     assert residual is not s and residual == parse("x := cons(0, z)")
     assert residual.args[1] is s.args[1]
 
