@@ -29,20 +29,14 @@ their repr spelling, every fact has exactly one key. It rejects, in the
 entry type, the exit live set and the loop annotations, a variable the
 program does not mention, an address whose block length no cons of the
 program allocates and an address whose instance is above the instance
-cap. One reader per document parses each distinct address spelling
-once and checks it against that scope once; only after a spelling fails
-are the keys and images searched for the least offender, which is the
-one named. A key among the program's variables is a variable without
-trying the address pattern. It reruns the analyses from entry and exit,
-each loop starting from its annotation joined with its entry (and, in
-points-to, with its allocations) and iterating to closure, and rejects
-an annotation or residual that the rerun does not reproduce, every loop
-invariant before any loop-head live set. A coarser annotation that is still
+cap. It reruns the analyses from entry and exit, each loop starting
+from its annotation joined with its entry (and, in points-to, with its
+allocations) and iterating to closure, and rejects an annotation or
+residual that the rerun does not reproduce, every loop invariant
+before any loop-head live set. A coarser annotation that is still
 closed is reproduced: weakening is expressed through the loop
 annotations and the entry type. Serialization is deterministic, so
-equal derivations produce byte-identical documents; it spells each
-distinct image once per document, and writes a list of strings with
-one join.
+equal derivations produce byte-identical documents.
 The analyze and test-soundness reports of the command line are written
 by the same JSON writer (to_json), and the analyze reports share the
 text form of points-to keys, types and live sets defined here.
@@ -207,12 +201,9 @@ def _key_to_str(key) -> str:
     return key if isinstance(key, str) else repr(key)
 
 
-def _key_from_str(text: str, variables, addr):
+def _key_from_str(text: str, addr):
     """Inverse of _key_to_str, reading addresses with addr; None when
-    text is neither shape. A name among variables is a variable without
-    trying the address pattern."""
-    if text in variables:
-        return text
+    text is neither shape."""
     return addr(text) or (text if text.isidentifier() else None)
 
 
@@ -223,17 +214,9 @@ def _key_sort_key(key):
     return (1, "", key.length, key.instance, key.index)
 
 
-def pts_to_doc(p: PointsTo, texts: dict) -> dict:
-    """The object form of p. texts maps each image already spelled to its
-    list of address texts; a writer passes one dict per document, so an
-    image that many types share is sorted and spelled once."""
-    out = {}
-    for key, image in p.env.items():
-        spelled = texts.get(image)
-        if spelled is None:
-            spelled = texts[image] = [repr(a) for a in sorted(image)]
-        out[_key_to_str(key)] = spelled
-    return out
+def pts_to_doc(p: PointsTo) -> dict:
+    return {_key_to_str(key): [repr(a) for a in sorted(image)]
+            for key, image in p.env.items()}
 
 
 def live_to_list(live: frozenset) -> list:
@@ -293,12 +276,11 @@ def _loop_types(d: Derivation) -> list:
 def serialize(d: Derivation) -> str:
     """The certificate document of d."""
     j = d.judgment
-    texts = {}
     doc = {
         "program": pretty(j.stmt),
-        "entry": pts_to_doc(j.pre.pts, texts),
+        "entry": pts_to_doc(j.pre.pts),
         "exit_live": live_to_list(j.post.live),
-        "loops": [{"pts": pts_to_doc(t.pts, texts), "live": live_to_list(t.live)}
+        "loops": [{"pts": pts_to_doc(t.pts), "live": live_to_list(t.live)}
                   for t in _loop_types(d)],
         "residual": pretty(j.residual),
     }
@@ -322,76 +304,47 @@ def _json(value, newline: str) -> str:
         body = ",".join(f"{inner}{encode_basestring_ascii(k)}: "
                         f"{_json(value[k], inner)}" for k in sorted(value))
         return f"{{{body}{newline}}}" if body else "{}"
-    if not value:
-        return "[]"
-    if all(isinstance(v, str) for v in value):  # an image or a live set
-        body = f",{inner}".join(map(encode_basestring_ascii, value))
-        return f"[{inner}{body}{newline}]"
     body = ",".join(inner + _json(v, inner) for v in value)
-    return f"[{body}{newline}]"
+    return f"[{body}{newline}]" if body else "[]"
 
 
-def _reader(scope: tuple) -> tuple:
-    """One document's address readers: addr(text), the Address text
-    spells or None, and fits(text), whether the address that text spells
-    lies in scope. Each distinct spelling is parsed once and checked
-    once; the memos die with the document, so a rejected document's
-    strings are not kept."""
-    _, lengths, cap = scope
-    addr = functools.cache(parse_addr)
-
-    @functools.cache
-    def fits(text: str) -> bool:
-        a = addr(text)
-        return a[0] in lengths and a[1] <= cap
-    return addr, fits
-
-
-def _pts_from_doc(doc, path: str, scope: tuple, read: tuple) -> PointsTo:
+def _pts_from_doc(doc, path: str, scope: tuple, addr) -> PointsTo:
     if not isinstance(doc, dict) or not all(
             isinstance(v, list) and all(isinstance(a, str) for a in v)
             for v in doc.values()):
         raise FormatError(path, "expected an object of string lists")
-    variables, (addr, fits) = scope[0], read
-    env, keys_fit, images_fit = {}, True, True
+    env = {}
     for text, items in doc.items():
-        key = _key_from_str(text, variables, addr)
+        key = _key_from_str(text, addr)
         if key is None:
             raise FormatError(path, f"bad points-to key: {text!r}")
-        keys_fit = keys_fit and (text in variables if key is text else fits(text))
         image = frozenset(map(addr, items))
         if None in image:
             item = next(item for item in items if addr(item) is None)
             raise FormatError(path, f"bad address in image of {text!r}: {item!r}")
-        images_fit = images_fit and all(map(fits, items))
         env[key] = image
-    # only once a spelling is out of scope is the least offender sought:
-    # among the keys first, then in the first image that has one
-    if not keys_fit:
-        _in_scope(env, path, scope)
-    if not images_fit:
-        for image in env.values():
-            _in_scope(image, path, scope)
+    _in_scope(env, path, scope)
+    for image in env.values():
+        _in_scope(image, path, scope)
     return PointsTo(env)
 
 
-def _live_from_doc(doc, path: str, scope: tuple, read: tuple) -> frozenset:
+def _live_from_doc(doc, path: str, scope: tuple, addr) -> frozenset:
     if not isinstance(doc, list) or not all(isinstance(k, str) for k in doc):
         raise FormatError(path, "expected a list of strings")
-    variables, addr = scope[0], read[0]
-    live = frozenset(_key_from_str(text, variables, addr) for text in doc)
+    live = frozenset(_key_from_str(text, addr) for text in doc)
     if None in live:
-        text = next(text for text in doc if _key_from_str(text, variables, addr) is None)
+        text = next(text for text in doc if _key_from_str(text, addr) is None)
         raise FormatError(path, f"bad live-set entry: {text!r}")
     _in_scope(live, path, scope)
     return live
 
 
-def _loop_from_doc(doc, path: str, scope: tuple, read: tuple) -> LiveType:
+def _loop_from_doc(doc, path: str, scope: tuple, addr) -> LiveType:
     if not isinstance(doc, dict) or set(doc) != {"pts", "live"}:
         raise FormatError(path, "expected an object with 'pts' and 'live'")
-    return LiveType(_pts_from_doc(doc["pts"], f"{path}.pts", scope, read),
-                    _live_from_doc(doc["live"], f"{path}.live", scope, read))
+    return LiveType(_pts_from_doc(doc["pts"], f"{path}.pts", scope, addr),
+                    _live_from_doc(doc["live"], f"{path}.live", scope, addr))
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -429,12 +382,14 @@ def deserialize(text: str, cfg: WidenConfig = WidenConfig()) -> Derivation:
     except ParseError as err:
         raise FormatError("root.program", f"unparsable program: {err}") from None
     stmts, scope = _loops_and_scope(program, cfg.instance_cap)
-    read = _reader(scope)
-    entry = _pts_from_doc(doc["entry"], "root.entry", scope, read)
-    exit_live = _live_from_doc(doc["exit_live"], "root.exit_live", scope, read)
+    # each distinct address spelling is read once; the memo dies with
+    # the call, so a rejected document's strings are not kept
+    addr = functools.cache(parse_addr)
+    entry = _pts_from_doc(doc["entry"], "root.entry", scope, addr)
+    exit_live = _live_from_doc(doc["exit_live"], "root.exit_live", scope, addr)
     if not isinstance(doc["loops"], list):
         raise FormatError("root.loops", "expected a list")
-    loops = [_loop_from_doc(t, f"root.loops[{i}]", scope, read)
+    loops = [_loop_from_doc(t, f"root.loops[{i}]", scope, addr)
              for i, t in enumerate(doc["loops"])]
     if not isinstance(doc["residual"], str):
         raise FormatError("root.residual", "expected program source text")

@@ -211,17 +211,16 @@ def _optimize(args):
 
 def _cmd_analyze(args) -> int:
     """One row per derivation node: its types for pts, its live sets for
-    live. Each distinct type, and each distinct image, is converted
-    once; the derivation keeps every type alive, so their ids stay
-    distinct during the walk."""
+    live. Each distinct type is converted once; the derivation keeps
+    every type alive, so their ids stay distinct during the walk."""
     result = _optimize(args)
     if isinstance(result, int):
         return result
-    docs, texts = {}, {}
+    docs = {}
 
     def doc(p):
         if id(p) not in docs:
-            docs[id(p)] = pts_to_doc(p, texts)
+            docs[id(p)] = pts_to_doc(p)
         return docs[id(p)]
 
     derivation = result.derivation

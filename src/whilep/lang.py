@@ -316,7 +316,7 @@ def _collect(root: Record, writes: bool) -> frozenset[str]:
             todo += (node.cond, node.then_body, node.else_body)
         elif tag is While:
             todo += (node.cond, node.body)
-        elif not (tag is IntLit or tag is Nil or tag is BoolLit or tag is Skip):
+        elif not (tag is Nil or tag is BoolLit or tag is Skip):
             raise TypeError(f"not an expression or statement: {node!r}")
     return frozenset(out)
 
@@ -631,13 +631,10 @@ def pretty_aexp(e: AExp, prec: int = 0) -> str:
     if tag is IntLit:
         return str(e.value)
     if tag is BinOp:
-        if e[1][-1] is not BinOp:
-            mine = _APREC[e.op]
-            # left-associative: right operand at equal precedence needs parens
-            text = f"{pretty_aexp(e.lhs)} {e.op} {pretty_aexp(e.rhs, mine + 1)}"
-            return f"({text})" if mine < prec else text
         # a long sum nests on the left: its left spine is followed in a
-        # loop and printed back up, so its length is no limit
+        # loop and printed back up, so its length is no limit;
+        # left-associative, so a right operand at equal precedence needs
+        # parens
         spine = []
         while e[-1] is BinOp:
             spine.append((e, _APREC[e[0]]))

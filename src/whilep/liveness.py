@@ -68,7 +68,10 @@ def leaf_live_pre(s: Stmt, pre: PointsTo, post_p: PointsTo, post: frozenset,
                   cfg: WidenConfig) -> tuple[frozenset, str, Stmt]:
     """The leaf rule for s between entry type pre and exit live set post:
     (entry live set, the rule whose side condition holds, its residual).
-    post_p is the exit type, transfer(s, pre, cfg).
+    post_p must be the exit type, transfer(s, pre, cfg): a cons reads its
+    block from post_p, and another type gives a wrong cell set or a
+    KeyError, not a reported mismatch. check compares post_p with the
+    transfer before it calls this.
 
     Writes to dead variables and heap writes that reach no live cell
     become skip; a cons keeps its allocation, so that the heap domain

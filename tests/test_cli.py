@@ -249,7 +249,7 @@ def test_analyze_pts_rows_are_the_points_to_annotation(prog, capsys, cap):
         want = []
         for path, node in walk_paths(ann, lambda a: (a.stmt, a.children)):
             row = {"path": path, "stmt": pretty(node.stmt),
-                   "pre": pts_to_doc(node.pre, {}), "post": pts_to_doc(node.post, {})}
+                   "pre": pts_to_doc(node.pre), "post": pts_to_doc(node.post)}
             if isinstance(node.stmt, While):
                 row["invariant"] = row["post"]
             want.append(row)
