@@ -3,7 +3,8 @@
 Parse and pretty-print programs, execute them under abort-aware big-step
 semantics, run flow-sensitive points-to and backward liveness analyses,
 emit certified dead-code-eliminated residuals, and stress the whole
-stack with differential random testing.
+stack with differential random testing. The command line is whilep.cli
+(`python -m whilep`), which importing the package does not load.
 """
 
 from .lang import (
@@ -29,7 +30,6 @@ from .certificate import (
     ACCEPT, CheckResult, FormatError, check, deserialize, serialize,
 )
 from .harness import GenConfig, gen_program, gen_state, make_similar_state, run_soundness_suite
-from .cli import main
 
 __version__ = "0.1.0"
 
@@ -51,6 +51,5 @@ __all__ = [
     "serialize",
     "GenConfig", "gen_program", "gen_state", "make_similar_state",
     "run_soundness_suite",
-    "main",
     "__version__",
 ]

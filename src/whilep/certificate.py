@@ -42,7 +42,7 @@ by the same JSON writer (to_json), and the analyze reports share the
 text form of points-to keys, types and live sets defined here.
 
 The check-cert verdict is that rerun and a comparison of the rebuilt
-program with the given one; check() is not on that path. The verdict
+program's text with the given one's; check() is not on that path. The verdict
 trusts parse and pretty, annotate with transfer and join, live_annotate
 with leaf_live_pre, and the loop-annotation and residual comparisons.
 test_document_tamper_corpus_rejected, test_perturbed_seeds_still_reach_closure

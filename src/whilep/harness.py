@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 
 from .deadcode import optimize
-from .interp import Aborted, EvalError, Final, eval_aexp, execute
+from .interp import EvalError, Final, OutOfFuel, eval_aexp, execute
 from .lang import (
     AExp, And, Assign, BExp, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit,
     Lookup, Mutate, Nil, Not, Or, Record, Skip, Stmt, Var, While, free_vars,
@@ -404,15 +404,19 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
                 report["checks"]["t3"]["skip"] += 1
 
         if "t4" in checks:
-            rng4 = random.Random(f"suite:{seed}:t4")
             # from the bottom type the trial's derivation is optimize's
             if entry_p is base:
-                j, st4, orig4 = live.judgment, st, outcome
+                rng4, j, st4, orig4 = None, live.judgment, st, outcome
             else:
+                rng4 = random.Random(f"suite:{seed}:t4")
                 j = optimize(program, final_live, widen).derivation.judgment
                 st4 = _gen_state(rng4, base)
                 orig4 = execute(program, st4, fuel)
-            twin = _similar_state(rng4, st4, reads, has_lookup, j.pre.live, widen)
+            if isinstance(orig4, OutOfFuel):  # no twin or residual run is read
+                report["checks"]["t4"]["skip"] += 1
+                continue
+            twin = _similar_state(rng4 or random.Random(f"suite:{seed}:t4"), st4,
+                                  reads, has_lookup, j.pre.live, widen)
             opt_outcome = execute(j.residual, twin, fuel)
             if isinstance(orig4, Final):
                 ok = similar_states(st4, twin, base, j.pre.live, widen) \
@@ -420,13 +424,11 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
                     and similar_states(orig4.state, opt_outcome.state,
                                        j.post.pts, j.post.live, widen)
                 record("t4", ok, seed)
-            elif isinstance(orig4, Aborted):
+            else:
                 # nothing to compare, but an optimized run that now finishes
                 # is the abort-removal effect worth counting
                 report["checks"]["t4"]["skip"] += 1
                 if isinstance(opt_outcome, Final):
                     report["checks"]["t4"]["corrected"] += 1
-            else:
-                report["checks"]["t4"]["skip"] += 1
 
     return report

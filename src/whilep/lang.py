@@ -16,13 +16,13 @@ ParseError whose str is `line:col: message` (the CLI prefixes the file
 name): line and column are 1-based, a tab counts as one column, and only
 LF ends a line.
 
-Trees are immutable Records, class-tagged tuples with structural
-equality, so one parse shares a single IntLit, Nil or Var node among all
-occurrences of the same token text. Sharing holds within one parse call
-only: two calls never return a common node. The parser builds leaf
-statements and statement lists directly (see Record); an expression that
-is an atom seen before, alone or with one operator over another, is read
-without descending through the precedence levels.
+Trees are immutable Records (class-tagged tuples, equal by structure,
+read through shared C field accessors), so one parse shares one IntLit,
+Nil or Var node among all occurrences of a token text. Sharing holds
+within one parse call only: two calls never return a common node. The
+parser builds leaf statements and statement lists directly (see Record);
+an expression that is an atom seen before, alone or with one operator
+over another, is read without descending through the precedence levels.
 
 free_vars answers an atom, or one operator or comparison over two atoms,
 in place, and walks anything larger once. A long sum or conjunction nests
@@ -36,14 +36,16 @@ import re
 from collections import namedtuple
 from itertools import islice
 
+_FIELDS = namedtuple("Fields", [f"f{i}" for i in range(8)])
+
 
 class Record(tuple):
     """The immutable base of nodes and results. A subclass declares
-    __slots__ = () and annotated fields, defaults last. A record is the
-    tuple of its fields and then its class as a tag, so records of
+    __slots__ = () and at most 8 annotated fields, defaults last. A record
+    is the tuple of its fields and then its class as a tag, so records of
     different classes are never equal. The constructor takes the fields
-    only, as namedtuple's does, and the C field accessors are a
-    namedtuple's; copy and pickle rebuild through the constructor.
+    only, as namedtuple's does; copy and pickle rebuild through it. Field
+    i is read by _FIELDS.fi, namedtuple's C accessor, which classes share.
 
     Node classes are not subclassed, so the per-node hot paths use two
     idioms: they dispatch on the tag, `node[-1] is Cls`, instead of a
@@ -56,13 +58,12 @@ class Record(tuple):
     def __init_subclass__(cls):
         names = tuple(cls.__dict__.get("__annotations__", ()))
         defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
-        base = namedtuple(cls.__name__, names)
-        for name in names:
-            setattr(cls, name, vars(base)[name])
+        if any(name[0] == "_" for name in names):  # none shadows _cls, _new or _tag
+            raise TypeError(f"{cls.__name__}: a field name starts with '_'")
+        for i, name in enumerate(names):
+            setattr(cls, name, vars(_FIELDS)[f"f{i}"])
         if "__new__" not in cls.__dict__:
-            # namedtuple's own constructor is such a lambda; namedtuple
-            # rejects field names that start with "_", so no field
-            # shadows _cls, _new or _tag
+            # namedtuple's own constructor is such a lambda
             fields = "".join(f"{name}, " for name in names)
             new = eval(f"lambda _cls, {fields}: _new(_cls, ({fields}_tag,))",
                        {"__builtins__": {}, "_new": tuple.__new__, "_tag": cls})

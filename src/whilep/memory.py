@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import re
 from collections import namedtuple
-from typing import Union
 
 from .lang import Record
 
@@ -55,7 +54,7 @@ class NilValue:
 
 NIL = NilValue()
 
-Value = Union[int, NilValue, Address]
+Value = int | NilValue | Address
 
 Stack = dict  # str -> Value, total on the program's variables
 Heap = dict   # Address -> Value, finite
@@ -176,9 +175,7 @@ def value_lt(v1: Value, v2: Value) -> bool:
 
 
 def format_value(v: Value) -> str:
-    if isinstance(v, NilValue):
-        return "nil"
-    return repr(v) if isinstance(v, Address) else str(v)
+    return repr(v)  # an int's digits, nil or addr(n,u,i)
 
 
 # numerals without leading zeros: every address has one spelling, its repr

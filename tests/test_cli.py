@@ -65,20 +65,26 @@ def test_run_flat_chains(prog, capsys):
 
 def test_optimize_cert_flat_chains(prog, tmp_path):
     """python -m whilep optimize --cert takes a 3,000-term sum and a guard
-    of 2,000 conjuncts to a residual and a certificate, exit 0."""
+    of 2,000 conjuncts to a residual and a certificate, exit 0, and
+    check-cert accepts that certificate."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def whilep(*args):
+        done = subprocess.run([sys.executable, "-m", "whilep", *args],
+                              capture_output=True, text=True, env=env)
+        return done.returncode, done.stdout, done.stderr
+
     guard = " and ".join(["0 < 1"] * 2000)
     for text in ("x := " + " + ".join(["1"] * 3000),
                  f"if {guard} then {{ x := 1 }} else {{ x := 2 }}"):
-        cert = tmp_path / "chain.cert"
-        done = subprocess.run([sys.executable, "-m", "whilep", "optimize", prog(text),
-                               "--live", "x", "--cert", str(cert)],
-                              capture_output=True, text=True, env=env)
-        assert (done.returncode, done.stdout, done.stderr) == (0, text + "\n", "")
+        path, cert = prog(text), tmp_path / "chain.cert"
+        assert whilep("optimize", path, "--live", "x", "--cert", str(cert)) \
+            == (0, text + "\n", "")
         doc = json.loads(cert.read_text(encoding="utf-8"))
         assert doc["program"] == doc["residual"] == text
+        assert whilep("check-cert", path, str(cert)) == (0, "Accept\n", "")
 
 
 def test_run_abort(prog, capsys, fig_src):

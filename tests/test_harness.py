@@ -14,6 +14,7 @@ from whilep.lang import (
     Assign, Cons, Dispose, If, Lookup, Mutate, Seq, Skip, While, parse,
     pretty, read_vars, stmt_vars, walk,
 )
+from whilep.interp import OutOfFuel, execute
 from whilep.liveness import live_annotate, similar_states
 from whilep.memory import Address, NilValue
 from whilep.pointsto import WidenConfig, annotate, bottom, models
@@ -125,6 +126,22 @@ def test_junk_values_cover_all_kinds():
 def test_suite_deterministic():
     kw = dict(gen_cfg=GenConfig(seed=5), checks=("t1", "t4"), widen=CFG)
     assert run_soundness_suite(60, **kw) == run_soundness_suite(60, **kw)
+
+
+def test_t4_executes_no_twin_after_an_original_out_of_fuel(monkeypatch):
+    """Trial 57 starts from the bottom type, and its program runs out of
+    fuel, so t4 has nothing to compare: the original is the only run."""
+    assert random.Random("suite:57").random() >= 0.35  # no synthetic entry type
+    outcomes = []
+
+    def spy(*args):
+        outcomes.append(execute(*args))
+        return outcomes[-1]
+    monkeypatch.setattr(harness, "execute", spy)
+    report = run_soundness_suite(1, GenConfig(57), checks=("t4",))
+    assert report["checks"]["t4"] == {"pass": 0, "skip": 1, "fail": 0,
+                                      "failing_seeds": [], "corrected": 0}
+    assert outcomes == [OutOfFuel()]
 
 
 def test_suite_rejects_an_unknown_check(monkeypatch):

@@ -1,7 +1,8 @@
 """Import checks: no module of the package or its tests imports a name it
 never uses, no module of the package imports another's private name or
 dataclasses, importing the package loads neither dataclasses nor
-inspect, and no string of the package holds the Unicode digit class \\d."""
+inspect nor the command line, and no string of the package holds the
+Unicode digit class \\d."""
 
 import ast
 import subprocess
@@ -135,6 +136,19 @@ def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, cwd=PACKAGE.parent)
     assert proc.stdout == "[]\n"
+
+
+def test_importing_the_package_leaves_out_the_command_line():
+    """The library never loads cli or argparse, so runpy finds whilep.cli
+    unloaded and runs it without a RuntimeWarning."""
+    code = ("import sys, whilep; "
+            "print(sorted({'whilep.cli', 'argparse'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, cwd=PACKAGE.parent)
+    assert proc.stdout == "[]\n"
+    proc = subprocess.run([sys.executable, "-m", "whilep.cli"], capture_output=True,
+                          text=True, cwd=PACKAGE.parent)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 def test_package_reads_only_ascii_digits():

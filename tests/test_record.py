@@ -4,6 +4,7 @@ classes, and records must not change once built."""
 
 import copy
 import pickle
+from collections import namedtuple
 
 import pytest
 
@@ -89,6 +90,25 @@ def test_every_record_class_is_sampled():
     sampled = {type(record) for record, _ in SAMPLES}
     abstract = {"AExp", "BExp", "Stmt"}
     assert {cls for cls in classes(Record) if cls.__name__ not in abstract} == sampled
+
+
+@pytest.mark.parametrize("record, text", SAMPLES, ids=NAMES)
+def test_fields_are_read_by_namedtuples_c_accessors(record, text):
+    """Field i of every class is read by namedtuple's C accessor for
+    position i, never by a Python property."""
+    accessor = type(namedtuple("Pair", "a b").a)
+    cls = type(record)
+    probe = tuple(range(len(cls._fields) + 1))
+    for i, name in enumerate(cls._fields):
+        assert type(vars(cls)[name]) is accessor
+        assert vars(cls)[name].__get__(probe) == i
+        assert getattr(record, name) is record[i]
+
+
+def test_a_field_may_not_start_with_an_underscore():
+    """The constructor's own names start with one, as in namedtuple."""
+    with pytest.raises(TypeError, match="Tagged: a field name starts with '_'"):
+        type("Tagged", (Record,), {"__slots__": (), "__annotations__": {"_tag": "int"}})
 
 
 @pytest.mark.parametrize("record, text", SAMPLES, ids=NAMES)
