@@ -25,7 +25,7 @@ from .liveness import (
     Derivation, Judgment, LiveType, leaf_live_pre, live_annotate, models_live,
     similar_states,
 )
-from .deadcode import OptResult, optimize, strip_dead_cons
+from .deadcode import OptResult, optimize
 from .certificate import (
     ACCEPT, CheckResult, FormatError, check, deserialize, serialize,
 )
@@ -46,7 +46,7 @@ __all__ = [
     "cap_address", "join", "leq", "models", "transfer",
     "Derivation", "Judgment", "LiveType", "leaf_live_pre", "live_annotate",
     "models_live", "similar_states",
-    "OptResult", "optimize", "strip_dead_cons",
+    "OptResult", "optimize",
     "ACCEPT", "CheckResult", "FormatError", "check", "deserialize",
     "serialize",
     "GenConfig", "gen_program", "gen_state", "make_similar_state",

@@ -10,33 +10,38 @@ exit type, once it is confirmed to be the transfer's), the rewrite
 itself, and how premises compose. It names a bad node by its `analyze
 live` row path.
 
-The rules are compositional: given the program, its entry type and its
-exit live set, every judgment is forced except the loop invariants and
-the loop-head live sets. A certificate document therefore stores each
-fact once, as one JSON object:
+The rules are compositional: given the program, its entry type, its
+exit live set and the instance cap, every judgment is forced except the
+loop invariants and the loop-head live sets. A certificate document
+therefore stores the cap and each fact once, as one JSON object:
 
-  program    the canonical program text
-  entry      the entry points-to type
-  exit_live  the exit live set
-  loops      {pts, live} per loop in source preorder (then-branch before
-             else-branch, outer loop before inner): the whl_d invariant
-             and the loop-head live set
-  residual   the canonical residual text
+  instance_cap  the instance cap K the analyses ran at: a derivation is
+                a proof at one K
+  program       the canonical program text
+  entry         the entry points-to type
+  exit_live     the exit live set
+  loops         {pts, live} per loop in source preorder (then-branch
+                before else-branch, outer loop before inner): the whl_d
+                invariant and the loop-head live set
+  residual      the canonical residual text
 
-deserialize() rejects a document that repeats an object key, which JSON
-would resolve by keeping the last value; with addresses read only in
-their repr spelling, every fact has exactly one key. It rejects, in the
-entry type, the exit live set and the loop annotations, a variable the
-program does not mention, an address whose block length no cons of the
-program allocates and an address whose instance is above the instance
-cap. It reruns the analyses from entry and exit, each loop starting
-from its annotation joined with its entry (and, in points-to, with its
-allocations) and iterating to closure, and rejects an annotation or
-residual that the rerun does not reproduce, every loop invariant
-before any loop-head live set. A coarser annotation that is still
-closed is reproduced: weakening is expressed through the loop
-annotations and the entry type. Serialization is deterministic, so
-equal derivations produce byte-identical documents.
+deserialize() reads the cap before any other field's value, and rejects
+one that is missing or not an integer from 1 to MAX_INSTANCE_CAP, so a
+document cannot make the rerun unbounded. It rejects a document that
+repeats an object key, which JSON would resolve by keeping the last
+value; with addresses read only in their repr spelling, every fact has
+exactly one key. It rejects, in the entry type, the exit live set and
+the loop annotations, a variable the program does not mention, an
+address whose block length no cons of the program allocates and an
+address whose instance is above the cap. It reruns the analyses at the
+cap from entry and exit, each loop starting from its annotation joined
+with its entry (and, in points-to, with its allocations) and iterating
+to closure, and rejects an annotation or residual that the rerun does
+not reproduce, every loop invariant before any loop-head live set. A
+coarser annotation that is still closed is reproduced: weakening is
+expressed through the loop annotations and the entry type.
+Serialization is deterministic, so equal derivations at one cap produce
+byte-identical documents.
 The analyze and test-soundness reports of the command line are written
 by the same JSON writer (to_json), and the analyze reports share the
 text form of points-to keys, types and live sets defined here.
@@ -62,7 +67,9 @@ from .lang import (
 )
 from .memory import Address, parse_addr
 from .liveness import Derivation, LiveType, leaf_live_pre, live_annotate
-from .pointsto import PointsTo, WidenConfig, annotate, join, leq, transfer
+from .pointsto import (
+    MAX_INSTANCE_CAP, PointsTo, WidenConfig, annotate, join, leq, transfer,
+)
 
 
 _RULE_FORM = {
@@ -193,7 +200,7 @@ class FormatError(Exception):
         self.message = message
 
 
-_FIELDS = {"program", "entry", "exit_live", "loops", "residual"}
+_FIELDS = {"instance_cap", "program", "entry", "exit_live", "loops", "residual"}
 
 
 def _key_to_str(key) -> str:
@@ -273,10 +280,11 @@ def _loop_types(d: Derivation) -> list:
     return out
 
 
-def serialize(d: Derivation) -> str:
-    """The certificate document of d."""
+def serialize(d: Derivation, cfg: WidenConfig = WidenConfig()) -> str:
+    """The certificate document of d, built at cfg's instance cap."""
     j = d.judgment
     doc = {
+        "instance_cap": cfg.instance_cap,
         "program": pretty(j.stmt),
         "entry": pts_to_doc(j.pre.pts),
         "exit_live": live_to_list(j.post.live),
@@ -360,11 +368,12 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def deserialize(text: str, cfg: WidenConfig = WidenConfig()) -> Derivation:
+def deserialize(text: str) -> Derivation:
     """The derivation a certificate document describes, rebuilt by the
-    seeded rerun of the module docstring; FormatError if the rerun does
-    not reproduce the document. check() accepts what it returns; whether
-    that describes a given program is for the caller to compare."""
+    seeded rerun of the module docstring at the document's instance cap;
+    FormatError if the rerun does not reproduce the document. check()
+    accepts what it returns at that cap; whether that describes a given
+    program is for the caller to compare."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as err:
@@ -372,16 +381,21 @@ def deserialize(text: str, cfg: WidenConfig = WidenConfig()) -> Derivation:
         raise FormatError("root", f"not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise FormatError("root", "expected an object")
-    if set(doc) != _FIELDS:
-        extra = set(doc) ^ _FIELDS
+    if set(doc) | {"instance_cap"} != _FIELDS:
+        extra = (set(doc) ^ _FIELDS) - {"instance_cap"}
         raise FormatError("root", f"wrong field set (difference: {sorted(extra)})")
+    cap = doc.get("instance_cap")
+    if type(cap) is not int or not 1 <= cap <= MAX_INSTANCE_CAP:
+        raise FormatError("root.instance_cap", "expected the cap the certificate "
+                          f"was written at, an integer from 1 to {MAX_INSTANCE_CAP}")
+    cfg = WidenConfig(cap)
     if not isinstance(doc["program"], str):
         raise FormatError("root.program", "expected program source text")
     try:
         program = parse(doc["program"])
     except ParseError as err:
         raise FormatError("root.program", f"unparsable program: {err}") from None
-    stmts, scope = _loops_and_scope(program, cfg.instance_cap)
+    stmts, scope = _loops_and_scope(program, cap)
     # each distinct address spelling is read once; the memo dies with
     # the call, so a rejected document's strings are not kept
     addr = functools.cache(parse_addr)

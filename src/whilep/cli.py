@@ -4,8 +4,10 @@ Subcommands: run, analyze pts, analyze live, optimize, check-cert,
 test-soundness. analyze and optimize read one deadcode.optimize
 derivation (analyze pts with an empty exit live set), whose ValueError
 is the only check of --live, and reports are written by
-certificate.to_json. Exit codes: 0 success/Accept, 1 parse error,
-runtime abort or unwritable output, 2 certificate Reject, 3 usage error.
+certificate.to_json. check-cert takes no --widen: it reruns the
+analyses at the instance cap the certificate states. Exit codes: 0
+success/Accept, 1 parse error, runtime abort or unwritable output, 2
+certificate Reject, 3 usage error.
 All output is deterministic for fixed inputs and flags.
 """
 
@@ -18,7 +20,7 @@ import sys
 from .certificate import (
     FormatError, deserialize, live_to_list, pts_to_doc, serialize, to_json,
 )
-from .deadcode import optimize, strip_dead_cons
+from .deadcode import optimize
 from .interp import DEFAULT_FUEL, Aborted, OutOfFuel, execute, zero_state
 from .lang import ParseError, parse, pretty, stmt_vars, walk_paths
 from .memory import format_value
@@ -98,14 +100,10 @@ def _build_parser() -> _Parser:
                        help="comma-separated variables live at exit")
     p_opt.add_argument("--emit", help="write the residual program to this path")
     p_opt.add_argument("--cert", help="write the derivation certificate here")
-    p_opt.add_argument("--strip-dead-cons", action="store_true",
-                       help="also drop allocations whose variable and cells "
-                            "are all dead (the emitted certificate covers "
-                            "the unstripped residual)")
     p_opt.set_defaults(func=_cmd_optimize)
 
-    p_chk = sub.add_parser("check-cert", parents=[widen],
-                           help="validate a certificate")
+    p_chk = sub.add_parser("check-cert", help="validate a certificate at the "
+                                              "instance cap it states")
     p_chk.add_argument("file", help="program the certificate must describe")
     p_chk.add_argument("cert")
     p_chk.set_defaults(func=_cmd_check_cert)
@@ -249,17 +247,11 @@ def _cmd_optimize(args) -> int:
     result = _optimize(args)
     if isinstance(result, int):
         return result
-    residual = result.optimized
-    if args.strip_dead_cons:
-        residual = strip_dead_cons(result.derivation)
-        if args.cert:
-            print("whilep: warning: the certificate covers the residual "
-                  "before --strip-dead-cons", file=sys.stderr)
-    text = pretty(residual)
+    text = pretty(result.optimized)
     print(text)
     if args.emit and not _write(args.emit, text + "\n"):
         return 1
-    if args.cert and not _write(args.cert, serialize(result.derivation)):
+    if args.cert and not _write(args.cert, serialize(result.derivation, args.widen)):
         return 1
     return 0
 
@@ -278,7 +270,7 @@ def _cmd_check_cert(args) -> int:
         print(f"Reject: root: {exc}")
         return 2
     try:
-        derivation = deserialize(text, args.widen)
+        derivation = deserialize(text)
     except FormatError as exc:
         print(f"Reject: {exc.path}: {exc.message}")
         return 2
@@ -292,9 +284,6 @@ def _cmd_check_cert(args) -> int:
 
 def _cmd_test_soundness(args) -> int:
     names = tuple(x.strip() for x in args.checks.split(",") if x.strip())
-    if not names:
-        print("whilep: --checks selected nothing", file=sys.stderr)
-        return 3
     try:
         report = run_soundness_suite(args.trials, GenConfig(seed=args.seed),
                                      checks=names, widen=args.widen, fuel=args.fuel)
@@ -315,3 +304,6 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 0
     return args.func(args)
 
+
+if __name__ == "__main__":
+    raise SystemExit(main())

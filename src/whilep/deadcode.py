@@ -4,17 +4,19 @@ optimize() annotates a program with points-to types from the bottom type,
 then runs liveness backwards from the caller's final live set; that one
 pass (liveness.live_annotate) also rewrites every node: assignments and
 lookups into dead variables, and heap writes whose every possible
-target is dead, become skip; a cons keeps its allocation but the
-arguments of its dead cells are zeroed. dispose is never removed and
-guards are never rewritten. The derivation it returns, built only from
-the optimizer's rules, carries the residual and every node's points-to
-and live judgments; both `whilep analyze` reports are read from it, and
-the certificate checker accepts it.
+target is dead, become skip; a cons keeps its allocation, so the
+residual allocates every block the original does, but the arguments of
+its dead cells are zeroed. dispose is never removed and guards are never
+rewritten. The derivation it returns, built only from the optimizer's
+rules, carries the residual and every node's points-to and live
+judgments; both `whilep analyze` reports are read from it, and the
+certificate checker accepts it. Its residual is the only one the
+package emits, so a certificate covers every residual.
 """
 
 from __future__ import annotations
 
-from .lang import If, Record, Seq, Skip, Stmt, While, stmt_vars
+from .lang import Record, Stmt, stmt_vars
 from .liveness import Derivation, live_annotate
 from .pointsto import WidenConfig, annotate, bottom
 
@@ -42,22 +44,3 @@ def optimize(s: Stmt, final_live, cfg: WidenConfig = WidenConfig()) -> OptResult
         raise ValueError(f"unknown variable: {min(stray)}")
     ann = annotate(s, bottom(variables), cfg)
     return OptResult(live_annotate(ann, final_live, cfg))
-
-
-def strip_dead_cons(d: Derivation) -> Stmt:
-    """The residual of d with every allocation that con_d1 rewrote (its
-    variable and all its cells dead) replaced by skip.
-
-    After this the residual's heap domain may differ from the original's,
-    so the similarity guarantee on heap domains no longer holds.
-    """
-    s = d.judgment.stmt
-    if d.rule == "con_d1":
-        return Skip()
-    if d.rule == "seq_d":
-        return Seq(*map(strip_dead_cons, d.premises))
-    if d.rule == "if_d":
-        return If(s.cond, strip_dead_cons(d.premises[0]), strip_dead_cons(d.premises[1]))
-    if d.rule == "whl_d":
-        return While(s.cond, strip_dead_cons(d.premises[0]))
-    return d.judgment.residual

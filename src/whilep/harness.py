@@ -329,10 +329,12 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
     A trial draws its entry type, state and exit live set from the stream
     suite:{seed}, and lemma1, t3 and t4 draw their own inputs from
     suite:{seed}:{check}, so a check's counts and failing seeds do not
-    depend on which other checks run. A name outside ALL_CHECKS is a
-    ValueError, raised before any trial.
+    depend on which other checks run. An empty selection or a name
+    outside ALL_CHECKS is a ValueError, raised before any trial.
     """
     checks = tuple(checks)
+    if not checks:
+        raise ValueError("no check selected")
     for name in checks:
         if name not in ALL_CHECKS:
             raise ValueError(f"unknown check: {name}")

@@ -24,10 +24,9 @@ parser builds leaf statements and statement lists directly (see Record);
 an expression that is an atom seen before, alone or with one operator
 over another, is read without descending through the precedence levels.
 
-free_vars answers an atom, or one operator or comparison over two atoms,
-in place, and walks anything larger once. A long sum or conjunction nests
-on the left, and the printers follow that left spine in a loop, so its
-length is no limit.
+free_vars and stmt_vars take one walk with an explicit stack. A long sum
+or conjunction nests on the left, and the printers follow that left
+spine in a loop, so its length is no limit.
 """
 
 from __future__ import annotations
@@ -322,32 +321,9 @@ def _collect(root: Record, writes: bool) -> frozenset[str]:
     return frozenset(out)
 
 
-_NONE: frozenset = frozenset()
-
-
 def free_vars(x: AExp | BExp | Stmt) -> frozenset[str]:
     """Variables whose value x may consult: those an expression mentions,
-    or those some expression of a statement, guards included, mentions.
-    An atom, or one operator or comparison over two, is answered in
-    place; anything larger takes one walk."""
-    tag = x[-1]
-    if tag is Var:
-        return frozenset((x[0],))
-    if tag is IntLit or tag is Nil:
-        return _NONE
-    if tag is BinOp or tag is Cmp:
-        lhs, rhs = x[1], x[2]
-        left, right = lhs[-1], rhs[-1]
-        if left is Var:
-            if right is Var:
-                return frozenset((lhs[0], rhs[0]))
-            if right is IntLit or right is Nil:
-                return frozenset((lhs[0],))
-        elif left is IntLit or left is Nil:
-            if right is Var:
-                return frozenset((rhs[0],))
-            if right is IntLit or right is Nil:
-                return _NONE
+    or those some expression of a statement, guards included, mentions."""
     return _collect(x, False)
 
 

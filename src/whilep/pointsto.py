@@ -11,14 +11,15 @@ allowed through a singleton target below the cap.
 abs_eval gives an expression's abstract value as a plain int when it is
 that exact integer and as a frozenset of addresses otherwise. It folds
 the left spine of a long sum in a loop, and reads a variable or literal
-operand in place, as transfer does with a leaf's operands; _shifts and
-_variants are looked up as module globals at each use. An
-address plus or minus a known offset is shifted within its block, and
-a shift that leaves the block is dropped; the shifts that stay are
-valid addresses by construction, so they are built without Address's
-checks. The shifts of a set by an offset, its closure under unknown
-offsets and the cells of a cons are each kept in a bounded cache keyed
-by value, since every pass over a program asks for the same ones.
+operand in place; _shifts and _variants are looked up as module globals
+at each use. transfer, like leaf_live_pre, reads each operand of a leaf
+as addr_part(abs_eval(e, p)). An address plus or minus a known offset
+is shifted within its block, and a shift that leaves the block is
+dropped; the shifts that stay are valid addresses by construction, so
+they are built without Address's checks. The shifts of a set by an
+offset, its closure under unknown offsets and the cells of a cons are
+each kept in a bounded cache keyed by value, since every pass over a
+program asks for the same ones.
 
 transfer is the step of one leaf statement: of the keys the leaf may
 change (its variable, a cons's block cells, a heap write's targets) it
@@ -203,17 +204,6 @@ def abs_eval(e: AExp, p: PointsTo) -> int | frozenset:
     raise TypeError(f"not an arithmetic expression: {e!r}")
 
 
-def _addrs(e: AExp, p: PointsTo) -> frozenset:
-    """addr_part(abs_eval(e, p)), with a variable or literal read in place."""
-    tag = e[-1]
-    if tag is Var:
-        return p.env.get(e[0], EMPTY)
-    if tag is IntLit:
-        return EMPTY
-    v = abs_eval(e, p)
-    return EMPTY if isinstance(v, int) else v
-
-
 # --- transfer functions and annotation ---
 
 class AnnStmt(Record):
@@ -267,10 +257,10 @@ def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
     other key keeps its image. Returns p itself when s writes no key."""
     tag, env = s[-1], p.env
     if tag is Assign:
-        image = _addrs(s.expr, p)
+        image = addr_part(abs_eval(s.expr, p))
         delta = {s.var: image} if env.get(s.var) != image else None
     elif tag is Cons:
-        images = [_addrs(a, p) for a in s.args]
+        images = [addr_part(abs_eval(a, p)) for a in s.args]
         length, cap = len(images), cfg.instance_cap
         v, cells = cons_block(p, length, cap)
         delta = {}
@@ -282,12 +272,12 @@ def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
         if env.get(s.var) != heads:
             delta[s.var] = heads
     elif tag is Lookup:
-        targets = _addrs(s.addr, p)
+        targets = addr_part(abs_eval(s.addr, p))
         image = EMPTY.union(*[env.get(a, EMPTY) for a in targets])
         delta = {s.var: image} if env.get(s.var) != image else None
     elif tag is Mutate:
-        targets = _addrs(s.target, p)
-        stored = _addrs(s.value, p)
+        targets = addr_part(abs_eval(s.target, p))
+        stored = addr_part(abs_eval(s.value, p))
         only = next(iter(targets)) if len(targets) == 1 else None
         if only is not None and only.instance < cfg.instance_cap:
             # strong update: unique, non-summary target

@@ -1,5 +1,6 @@
 """Derivation checking and the on-disk certificate format."""
 
+import functools
 import gc
 import hashlib
 import itertools
@@ -25,7 +26,7 @@ from whilep.lang import (
     walk_paths,
 )
 from whilep.liveness import Derivation, LiveType
-from whilep.pointsto import PointsTo, WidenConfig, bottom
+from whilep.pointsto import MAX_INSTANCE_CAP, PointsTo, WidenConfig, bottom
 
 CFG = WidenConfig()
 
@@ -47,8 +48,8 @@ def corpus():
 
 def test_serialize_shape():
     doc = json.loads(serialize(derivation_for("skip", set())))
-    assert doc == {"program": "skip", "entry": {}, "exit_live": [],
-                   "loops": [], "residual": "skip"}
+    assert doc == {"instance_cap": 3, "program": "skip", "entry": {},
+                   "exit_live": [], "loops": [], "residual": "skip"}
 
 
 def test_serialize_addresses_and_nesting():
@@ -137,7 +138,7 @@ def _pipeline_seconds(n):
     out = execute(prog, zero_state(stmt_vars(prog)), n)
     assert isinstance(out, Final)
     result = optimize(prog, frozenset({"p0"}), CFG)
-    d = deserialize(serialize(result.derivation), CFG)
+    d = deserialize(serialize(result.derivation))
     assert d == result.derivation and check(d, CFG) == ACCEPT
     return time.perf_counter() - start
 
@@ -177,21 +178,22 @@ def test_each_pass_computes_a_cons_block_once(monkeypatch):
 
     d = blocks_in(lambda: optimize(parse(src), frozenset({"p0"}), CFG).derivation)
     text = serialize(d)
-    again = blocks_in(lambda: deserialize(text, CFG))
+    again = blocks_in(lambda: deserialize(text))
     assert blocks_in(lambda: check(again, CFG)) == ACCEPT
     assert per_pass == [100, 100, 100]
 
 
 def test_each_pass_walks_the_program_once(monkeypatch):
-    """The variable walk (lang._collect) runs once per optimize, for
-    stmt_vars, once per deserialize, for the scope, and never in check:
-    an atom or one operator over two atoms is no walk. Every variable is
+    """The program walk (lang._collect for stmt_vars) runs once per
+    optimize, once per deserialize, for the scope, and never in check;
+    free_vars walks only a leaf's operands and a guard. Every variable is
     live, so every leaf keeps its statement and reads its operands."""
     calls, collect = [], lang._collect
 
-    def counted(*args):
-        calls.append(args)
-        return collect(*args)
+    def counted(root, writes):
+        if writes:
+            calls.append(root)
+        return collect(root, writes)
 
     monkeypatch.setattr(lang, "_collect", counted)
     src = chain_src(200)
@@ -200,16 +202,16 @@ def test_each_pass_walks_the_program_once(monkeypatch):
     def walks_in(run):
         calls.clear()
         out = run()
-        per_pass.append([writes for _, writes in calls])
+        per_pass.append(len(calls))
         return out
 
     live = frozenset({"p0", "p1", "p2", "p3"})
     d = walks_in(lambda: optimize(parse(src), live, CFG).derivation)
     assert {premise.rule for premise in d.premises} == {"con_d2", "lok_d2"}
     text = serialize(d)
-    again = walks_in(lambda: deserialize(text, CFG))
+    again = walks_in(lambda: deserialize(text))
     assert walks_in(lambda: check(again, CFG)) == ACCEPT
-    assert per_pass == [[True], [True], []]
+    assert per_pass == [1, 1, 0]
 
 
 PROBE = "p := 0; i := 0; while i < 5 do { p := cons(p); i := i + 1 }"
@@ -249,14 +251,14 @@ def test_thinned_invariant_rejected_in_rounds_independent_of_the_cap(monkeypatch
     steps = []
     for k in CAPS:
         cfg = WidenConfig(instance_cap=k)
-        doc = json.loads(serialize(optimize(parse(PROBE), {"p"}, cfg).derivation))
+        doc = json.loads(serialize(optimize(parse(PROBE), {"p"}, cfg).derivation, cfg))
         inv = doc["loops"][0]["pts"]
         doc["loops"][0]["pts"] = {key: inv[key] for key in ("i", "p")}
         text = json.dumps(doc)
 
         def rerun():
             with pytest.raises(FormatError) as err:
-                deserialize(text, cfg)
+                deserialize(text)
             assert err.value.path == "root.loops[0].pts"
 
         steps.append(_transfer_steps(monkeypatch, rerun))
@@ -322,7 +324,7 @@ def test_deserialize_steps_each_leaf_once(src, leaf_steps):
     text = serialize(optimize(prog, stmt_vars(prog), CFG).derivation)
     for seen in leaf_steps.values():
         seen.clear()
-    d = deserialize(text, CFG)
+    d = deserialize(text)
     assert sorted(leaf_steps["transfer"]) == _leaf_ids(d.judgment.stmt)
     assert sorted(leaf_steps["leaf_live_pre"]) == _leaf_ids(d.judgment.stmt)
 
@@ -350,28 +352,58 @@ def test_check_cert_steps_each_leaf_once(src, leaf_steps, tmp_path, capsys):
 
 # sha256 per instance cap over the certificates of a seeded corpus
 CORPUS_DIGESTS = {
+    1: "9a047095ccc72d68f9f962b5dd47d8d067970b38a7371186e1a6488a9d564709",
+    2: "d0dc43b7057f9a587198804c569bab8332e0a25ddf29fd56469b56cf8ddceb18",
+    3: "bac9125c3db6934d3cbab03cc056cbf3dc987e7c38a5d7b48fbae4cdcc74ecd4",
+}
+
+# the same digests over certificates written without the instance_cap field
+CAPLESS_DIGESTS = {
     1: "6e1ea380bb7e8fccc166dcbc7cc87817fe9e225be25030c761ba77187412d8d7",
     2: "08bbad6c68d1b5a53040b1255fdefcb77a6f75debfdb2e4d14fb7fb7482a6720",
     3: "50b39ee4c0b728c956fb538d03aea31162d8badf8ed2b53f143fa719227eaf32",
 }
 
 
-def test_corpus_certificates_pinned():
-    """The certificates of 600 generated programs stay byte-identical."""
+@functools.cache
+def _corpus_certificates() -> dict:
+    """The certificates of 600 generated programs, per instance cap."""
     corpus = []
     for seed in range(600):
         prog = gen_program(GenConfig(seed=seed, max_stmts=(12, 40)[seed % 2]))
         rng = random.Random(f"live:{seed}")
         live = frozenset(v for v in sorted(stmt_vars(prog)) if rng.random() < 0.5)
         corpus.append((prog, live))
-    digests = {}
+    texts = {}
     for cap in CORPUS_DIGESTS:
-        h = hashlib.sha256()
-        for prog, live in corpus:
-            cfg = WidenConfig(instance_cap=cap)
-            h.update(serialize(optimize(prog, live, cfg).derivation).encode())
-        digests[cap] = h.hexdigest()
-    assert digests == CORPUS_DIGESTS
+        cfg = WidenConfig(instance_cap=cap)
+        texts[cap] = [serialize(optimize(prog, live, cfg).derivation, cfg)
+                      for prog, live in corpus]
+    return texts
+
+
+def _digest(texts) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+    return h.hexdigest()
+
+
+def test_corpus_certificates_pinned():
+    """The certificates of 600 generated programs stay byte-identical."""
+    assert {cap: _digest(texts) for cap, texts in _corpus_certificates().items()} \
+        == CORPUS_DIGESTS
+
+
+def test_corpus_certificates_differ_only_by_the_cap():
+    """Each certificate states the cap it was written at, and without that
+    field it is byte-identical to the one written before the field was."""
+    digests = {}
+    for cap, texts in _corpus_certificates().items():
+        docs = [json.loads(text) for text in texts]
+        assert {doc.pop("instance_cap") for doc in docs} == {cap}
+        digests[cap] = _digest(map(certificate.to_json, docs))
+    assert digests == CAPLESS_DIGESTS
 
 
 LOOP_SRC = "p := cons(0); i := 0; while i < 3 do { q := [p]; i := i + 1 }"
@@ -392,6 +424,17 @@ def test_deserialize_rejects_bad_documents():
     bad = dict(good)
     del bad["program"]
     reject(bad, "root")
+    # the cap is read before any other field's value, and bounds the rerun
+    bad = dict(good)
+    del bad["instance_cap"]
+    reject(bad, "root.instance_cap")
+    for cap in (True, "3", 0, MAX_INSTANCE_CAP + 1):
+        reject(dict(good, instance_cap=cap), "root.instance_cap")
+    capless = {k: v for k, v in good.items() if k != "instance_cap"}
+    for doc in (dict(good, comment="hello"), dict(capless, comment="hello")):
+        with pytest.raises(FormatError, match=r"^root: wrong field set "
+                                              r"\(difference: \['comment'\]\)$"):
+            deserialize(json.dumps(doc))
     reject(dict(good, comment="hello"), "root")
     reject(dict(good, program=7), "root.program")
     reject(dict(good, program="x :="), "root.program")
@@ -495,7 +538,7 @@ def test_out_of_scope_address_only_in_a_loop_image():
     def message(**images):
         doc = dict(good, loops=[dict(good["loops"][0], pts=dict(pts, **images))])
         with pytest.raises(FormatError) as err:
-            deserialize(json.dumps(doc), CFG)
+            deserialize(json.dumps(doc))
         return str(err.value)
 
     assert message(q=["addr(1,1,1)", "addr(2,1,1)", "addr(1,4,1)"]) == (
@@ -555,8 +598,8 @@ def test_deserialize_parses_each_address_spelling_once(monkeypatch):
 
     monkeypatch.setattr(certificate, "parse_addr", counted)
     cfg = WidenConfig(instance_cap=20)
-    text = serialize(optimize(parse(PROBE), {"p"}, cfg).derivation)
-    assert deserialize(text, cfg).judgment.stmt == parse(PROBE)
+    text = serialize(optimize(parse(PROBE), {"p"}, cfg).derivation, cfg)
+    assert deserialize(text).judgment.stmt == parse(PROBE)
     assert len(calls) == len(set(calls)) < text.count('"addr(') / 10
 
 
@@ -567,12 +610,12 @@ def test_invariant_faults_named_before_live_faults():
     prog = gen_program(GenConfig(seed=174, max_stmts=14))
     for cap in (1, 2, 3):
         cfg = WidenConfig(instance_cap=cap)
-        doc = json.loads(serialize(optimize(prog, {"v2", "v3", "v4"}, cfg).derivation))
+        doc = json.loads(serialize(optimize(prog, {"v2", "v3", "v4"}, cfg).derivation, cfg))
         image = doc["loops"][1]["pts"]["addr(2,1,1)"]
         assert "addr(1,1,1)" not in image
         image.append("addr(1,1,1)")
         with pytest.raises(FormatError) as err:
-            deserialize(json.dumps(doc), cfg)
+            deserialize(json.dumps(doc))
         assert err.value.path == "root.loops[1].pts", cap
 
 
@@ -683,7 +726,7 @@ def test_document_tamper_corpus_rejected():
         for kind, mutant in _document_mutants(doc):
             counts[kind] += 1
             try:
-                d = deserialize(json.dumps(mutant), CFG)
+                d = deserialize(json.dumps(mutant))
             except FormatError:
                 continue
             # a derivation deserialize returns is valid by construction,
@@ -700,7 +743,7 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=8)
 
-FIELD_PATHS = (("program",), ("entry",), ("entry", "p"), ("exit_live",),
+FIELD_PATHS = (("instance_cap",), ("program",), ("entry",), ("entry", "p"), ("exit_live",),
                ("loops",), ("loops", 0), ("loops", 0, "pts"),
                ("loops", 0, "pts", "p"), ("loops", 0, "live"), ("residual",))
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import mutants
 import pytest
 
-from whilep import GenConfig, gen_program
+from whilep import GenConfig, certificate, gen_program
 from whilep.certificate import pts_to_doc
 from whilep.cli import _build_parser, main
 from whilep.lang import While, pretty, stmt_vars, walk_paths
@@ -39,9 +39,10 @@ def test_run_prints_final_state(prog, capsys):
                    "addr(2,1,2) = 4\n")
 
 
-def test_python_m_whilep_runs_the_command_line(prog):
+def test_python_m_whilep_runs_the_command_line(prog, tmp_path):
     """python -m whilep is the command line: same output and exit code,
-    and nothing on stderr."""
+    and nothing on stderr. So is python -m whilep.cli, which runpy finds
+    unloaded, so it warns of nothing."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -52,6 +53,14 @@ def test_python_m_whilep_runs_the_command_line(prog):
                            "addr(2,1,1) = 3\naddr(2,1,2) = 4\n")
     done = subprocess.run(run + [prog("x := [0]")], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stdout) == (1, "abort\n")
+    cert = tmp_path / "bad.cert"
+    cert.write_text("garbage\n", encoding="utf-8")
+    done = subprocess.run([sys.executable, "-m", "whilep.cli", "check-cert",
+                           prog("x := 1"), str(cert)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 2
+    assert done.stdout.startswith("Reject: root: not valid JSON: ")
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_run_flat_chains(prog, capsys):
@@ -339,40 +348,67 @@ def test_check_cert_rejects_wrong_program(prog, capsys, tmp_path):
         "Reject: root: certificate does not describe this program\n"
 
 
+PROBE_SRC = "p := 0; i := 0; while i < 5 do { p := cons(p); i := i + 1 }"
+
+
+def test_check_cert_reruns_at_the_cap_the_certificate_states(prog, capsys, tmp_path):
+    """A certificate written at any cap is accepted with no cap flag."""
+    src, cert = prog(PROBE_SRC), tmp_path / "cert.json"
+    for cap in (1, 2, 3, 5):
+        assert main(["optimize", src, "--live", "p", "--widen", str(cap),
+                     "--cert", str(cert)]) == 0
+        capsys.readouterr()
+        assert main(["check-cert", src, str(cert)]) == 0
+        assert capsys.readouterr().out == "Accept\n"
+
+
 def test_check_cert_rejects_a_larger_cap(prog, capsys, tmp_path):
-    src = prog("p := 0; i := 0; while i < 5 do { p := cons(p); i := i + 1 }")
-    cert = tmp_path / "cert.json"
+    """A certificate whose cap was edited below the one it was written at
+    is rejected at the first instance above the stated cap."""
+    src, cert = prog(PROBE_SRC), tmp_path / "cert.json"
     assert main(["optimize", src, "--live", "p", "--widen", "3",
                  "--cert", str(cert)]) == 0
     capsys.readouterr()
-    assert main(["check-cert", src, str(cert), "--widen", "3"]) == 0
-    capsys.readouterr()
-    assert main(["check-cert", src, str(cert), "--widen", "2"]) == 2
+    doc = json.loads(cert.read_text(encoding="utf-8"))
+    cert.write_text(json.dumps(dict(doc, instance_cap=2)), encoding="utf-8")
+    assert main(["check-cert", src, str(cert)]) == 2
     assert capsys.readouterr().out == ("Reject: root.loops[0].pts: addr(1,3,1): "
                                        "instance 3 is above the instance cap 2\n")
 
 
-def test_optimize_strip_dead_cons_warns(prog, capsys, tmp_path):
-    src = prog("x := cons(y, z)")
-    cert = tmp_path / "cert.json"
-    assert main(["optimize", src, "--strip-dead-cons",
-                 "--cert", str(cert)]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == "skip\n"
-    assert "before --strip-dead-cons" in captured.err
-    # without --cert there is nothing to warn about
-    assert main(["optimize", src, "--strip-dead-cons"]) == 0
-    assert capsys.readouterr().err == ""
+def test_check_cert_rejects_a_bad_cap_before_any_analysis(prog, capsys, tmp_path,
+                                                         monkeypatch):
+    """A missing, malformed or out-of-range cap is a Reject of that field,
+    given before the certificate's program is analysed."""
+    src, cert = prog(PROBE_SRC), tmp_path / "cert.json"
+    assert main(["optimize", src, "--live", "p", "--cert", str(cert)]) == 0
+    capsys.readouterr()
+    doc = json.loads(cert.read_text(encoding="utf-8"))
+
+    def ran(*args):
+        raise AssertionError("an analysis ran")
+
+    monkeypatch.setattr(certificate, "annotate", ran)
+    capless = {k: v for k, v in doc.items() if k != "instance_cap"}
+    for bad in [capless] + [dict(doc, instance_cap=cap)
+                            for cap in (True, "3", 0, 2.0, MAX_INSTANCE_CAP + 1)]:
+        cert.write_text(json.dumps(bad), encoding="utf-8")
+        assert main(["check-cert", src, str(cert)]) == 2
+        assert capsys.readouterr() == (
+            "Reject: root.instance_cap: expected the cap the certificate was "
+            f"written at, an integer from 1 to {MAX_INSTANCE_CAP}\n", "")
 
 
-def test_optimize_strip_dead_cons_keeps_live_allocations(prog, capsys, tmp_path):
-    # the allocation's arguments are all zero, but x and its cell are live
-    emit = tmp_path / "residual.whl"
-    assert main(["optimize", prog("x := cons(0); y := [x]"), "--live", "y",
-                 "--strip-dead-cons", "--emit", str(emit)]) == 0
-    assert capsys.readouterr().out == "x := cons(0); y := [x]\n"
-    assert main(["run", str(emit)]) == 0
-    assert "y = 0\n" in capsys.readouterr().out
+def test_removed_options_are_usage_errors(prog, capsys, tmp_path):
+    """check-cert takes its cap from the certificate, and optimize emits
+    only the residual a certificate covers."""
+    src, cert = prog(PROBE_SRC), str(tmp_path / "cert.json")
+    assert main(["optimize", src, "--cert", cert]) == 0
+    capsys.readouterr()
+    assert main(["check-cert", src, cert, "--widen", "3"]) == 3
+    assert "unrecognized arguments: --widen 3" in capsys.readouterr().err
+    assert main(["optimize", src, "--strip-dead-cons"]) == 3
+    assert "unrecognized arguments: --strip-dead-cons" in capsys.readouterr().err
 
 
 def test_byte_determinism(prog, capsys, fig_src):
@@ -394,6 +430,8 @@ def test_usage_errors_exit_3(capsys):
     capsys.readouterr()
     assert main(["test-soundness", "--checks", "t1,t9,t8"]) == 3
     assert capsys.readouterr() == ("", "whilep: unknown check: t9\n")
+    assert main(["test-soundness", "--checks", " , "]) == 3
+    assert capsys.readouterr() == ("", "whilep: no check selected\n")
 
 
 # a loop whose invariant tracks every instance up to the cap
@@ -406,17 +444,26 @@ ALLOC_LOOP_SRC = "i := 0; while i < 2 do { p := cons(0); i := i + 1 }"
     ["test-soundness", "--trials", "1"],
 ], ids=["analyze-pts", "analyze-live", "optimize", "check-cert", "test-soundness"])
 def test_widen_takes_at_most_the_maximum(command, prog, capsys, tmp_path):
-    """Every --widen accepts MAX_INSTANCE_CAP and rejects one more as a
-    usage error that names the maximum."""
+    """Every cap accepts MAX_INSTANCE_CAP and rejects one more: --widen as
+    a usage error that names the maximum, and check-cert, which reads the
+    cap from the certificate, as a Reject of that field."""
     path, cert = prog(ALLOC_LOOP_SRC), str(tmp_path / "cert.json")
     top = str(MAX_INSTANCE_CAP)
     assert main(["optimize", path, "--live", "p", "--widen", top, "--cert", cert]) == 0
     argv = [arg.format(prog=path, cert=cert) for arg in command]
     capsys.readouterr()
+    if command[0] == "check-cert":
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "Accept\n"
+        doc = json.loads(Path(cert).read_text(encoding="utf-8"))
+        assert doc["instance_cap"] == MAX_INSTANCE_CAP
+        Path(cert).write_text(json.dumps(dict(doc, instance_cap=MAX_INSTANCE_CAP + 1)),
+                              encoding="utf-8")
+        assert main(argv) == 2
+        assert capsys.readouterr().out.startswith("Reject: root.instance_cap: ")
+        return
     assert main(argv + ["--widen", top]) == 0
     out = capsys.readouterr().out
-    if command[0] == "check-cert":
-        assert out == "Accept\n"
     if command[0] == "analyze":
         assert json.loads(out)["widen"] == MAX_INSTANCE_CAP
     assert main(argv + ["--widen", str(MAX_INSTANCE_CAP + 1)]) == 3

@@ -6,9 +6,9 @@ import pytest
 
 from whilep import GenConfig, gen_program
 from whilep.certificate import check
-from whilep.deadcode import OptResult, optimize, strip_dead_cons
+from whilep.deadcode import OptResult, optimize
 from whilep.harness import _gen_state
-from whilep.interp import Aborted, Final, execute, zero_state
+from whilep.interp import Aborted, Final, execute
 from whilep.lang import (
     Assign, Cons, If, IntLit, Seq, Skip, While, parse, pretty, stmt_vars,
 )
@@ -148,24 +148,6 @@ def test_optimize_deterministic():
     r2 = optimize(prog, frozenset({"y"}), CFG)
     assert r1.optimized == r2.optimized
     assert r1.derivation == r2.derivation
-
-
-def test_strip_dead_cons():
-    def stripped(src, live):
-        return strip_dead_cons(optimize(parse(src), frozenset(live), CFG).derivation)
-
-    assert stripped("x := cons(y, z); w := 1", set()) == Seq(Skip(), Skip())
-    # one residual item per item of the sequence
-    assert stripped("x := cons(y); w := 1; z := cons(2)", {"w"}) == \
-        Seq(Skip(), Assign("w", IntLit(1)), Skip())
-    assert stripped("x := cons(y); dispose(x)", set()) == \
-        parse("x := cons(0); dispose(x)")
-    # a live allocation whose arguments are all zero is not dropped: the
-    # stripped residual must still finish where the original does
-    src = "x := cons(0); y := [x]"
-    assert stripped(src, {"y"}) == parse(src)
-    out = execute(stripped(src, {"y"}), zero_state({"x", "y"}), 100)
-    assert isinstance(out, Final) and out.state.stack["y"] == 0
 
 
 def test_stray_final_live_rejected():

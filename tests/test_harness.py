@@ -145,8 +145,8 @@ def test_t4_executes_no_twin_after_an_original_out_of_fuel(monkeypatch):
 
 
 def test_suite_rejects_an_unknown_check(monkeypatch):
-    """An unknown name is a ValueError naming the first one, before any
-    trial runs."""
+    """An unknown name is a ValueError naming the first one, and an empty
+    selection one of its own, before any trial runs."""
     def trial(*args):
         raise AssertionError("a trial ran")
 
@@ -156,6 +156,9 @@ def test_suite_rejects_an_unknown_check(monkeypatch):
         with pytest.raises(ValueError) as info:
             run_soundness_suite(3, checks=checks)
         assert str(info.value) == f"unknown check: {name}"
+    for checks in ((), []):
+        with pytest.raises(ValueError, match="^no check selected$"):
+            run_soundness_suite(3, checks=checks)
 
 
 def test_suite_accounting_and_structure():

@@ -1,8 +1,9 @@
 """Import checks: no module of the package or its tests imports a name it
 never uses, no module of the package imports another's private name or
-dataclasses, importing the package loads neither dataclasses nor
-inspect nor the command line, and no string of the package holds the
-Unicode digit class \\d."""
+dataclasses, every top-level definition of the package is read
+somewhere, importing the package loads neither dataclasses nor inspect
+nor the command line, and no string of the package holds the Unicode
+digit class \\d."""
 
 import ast
 import subprocess
@@ -13,6 +14,7 @@ import whilep
 
 PACKAGE = Path(whilep.__file__).parent
 TESTS = Path(__file__).parent
+BENCH = TESTS.parent / "bench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -107,6 +109,81 @@ def test_checker_finds_digit_classes():
         "-?\\d (line 3)", "x(\\d+) (line 2)", "|\\d) (line 5)"]
 
 
+def _reads(tree: ast.AST) -> set[str]:
+    """The names tree reads: as a name, an attribute, an imported name or
+    an entry of __all__."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            out.update(n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant))
+    return out
+
+
+def _defines(stmt: ast.stmt) -> set[str]:
+    """The names a top-level statement defines: a function, a class or a
+    constant; dunders such as __all__ are left out."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = {stmt.name}
+    elif isinstance(stmt, ast.Assign):
+        names = {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = {stmt.target.id}
+    else:
+        names = set()
+    return {name for name in names if not name.startswith("__")}
+
+
+def unreferenced(source: str, elsewhere: set[str]) -> list[str]:
+    """Top-level functions, classes and constants of source that no other
+    statement of source reads and that are not among elsewhere, the names
+    other files read, as 'name (line n)'; a definition that reads only
+    itself, as a recursion does, is not read."""
+    tree = ast.parse(source)
+    reads = [(stmt, _reads(stmt)) for stmt in tree.body]
+    return sorted(f"{name} (line {stmt.lineno})" for stmt in tree.body
+                  for name in _defines(stmt)
+                  if name not in elsewhere
+                  and not any(name in r and name not in _defines(s) for s, r in reads))
+
+
+def test_checker_finds_unreferenced_definitions():
+    source = ("_NONE: frozenset = frozenset()\n"
+              "LIMIT = 3\n"
+              "def walk(x):\n"
+              "    return walk(x - 1) if x else LIMIT\n"
+              "def _helper(x):\n"
+              "    return _helper(x)\n"
+              "class Node:\n"
+              "    pass\n"
+              "def exported():\n"
+              "    pass\n"
+              "__all__ = ['exported']\n")
+    elsewhere = _reads(ast.parse("from m import walk\nimport m\nm.Node()\n"))
+    assert unreferenced(source, elsewhere) == ["_NONE (line 1)", "_helper (line 5)"]
+    assert unreferenced(source, set()) == [
+        "Node (line 7)", "_NONE (line 1)", "_helper (line 5)", "walk (line 3)"]
+
+
+def test_package_defines_nothing_unreferenced():
+    """Every top-level function, class and constant of the package is read
+    outside its own definition: in the package, its tests or the
+    benchmark, or by __all__."""
+    sources = {path: path.read_text(encoding="utf-8") for path in sorted(
+        [*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *BENCH.glob("*.py")])}
+    reads = {path: _reads(ast.parse(text)) for path, text in sources.items()}
+    found = {path.name: unreferenced(sources[path], set().union(
+                 *(names for other, names in reads.items() if other != path)))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def _by_file(check, paths) -> dict:
     found = {path.name: check(path.read_text(encoding="utf-8")) for path in paths}
     return {name: names for name, names in found.items() if names}
@@ -148,7 +225,8 @@ def test_importing_the_package_leaves_out_the_command_line():
     assert proc.stdout == "[]\n"
     proc = subprocess.run([sys.executable, "-m", "whilep.cli"], capture_output=True,
                           text=True, cwd=PACKAGE.parent)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert (proc.returncode, proc.stdout) == (3, "")  # no command: a usage error
+    assert proc.stderr.startswith("usage: whilep ")
 
 
 def test_package_reads_only_ascii_digits():

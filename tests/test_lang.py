@@ -426,9 +426,8 @@ def test_variable_sets_match_the_recursive_folds():
 
 
 def test_free_vars_answers_small_expressions_as_the_walk_does():
-    """free_vars answers an atom and one operator or comparison over two
-    atoms in place; on those, on larger expressions and guards, and on
-    statements, it equals the one walk it skips."""
+    """On an atom, one operator or comparison over two atoms, larger
+    expressions and guards, and statements, free_vars is the one walk."""
     atoms = (Var("x"), Var("y"), IntLit(0), IntLit(-3), lang.Nil(), BoolLit(True))
     samples = list(atoms)
     for lhs, rhs in itertools.product(atoms, atoms):
