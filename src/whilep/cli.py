@@ -222,7 +222,7 @@ def _cmd_analyze(args) -> int:
         return docs[id(p)]
 
     derivation = result.derivation
-    report = {"widen": args.widen.instance_cap, "nodes": []}
+    report = {"instance_cap": args.widen.instance_cap, "nodes": []}
     if args.analysis == "live":
         report["live"] = live_to_list(derivation.judgment.post.live)
     for path, node in walk_paths(derivation, lambda d: (d.judgment.stmt, d.premises)):

@@ -17,9 +17,14 @@ the live rule enriches the points-to judgment, so a cons reads the
 cells of its block from the exit image of its variable, which transfer
 has set to the block's index-1 cells, and does not scan the entry type
 for the block again.
+Adjacent judgments share one boundary: an item of a sequence ends at
+the very LiveType the next item starts at, and the sequence starts at
+its first item's entry and ends at its last item's exit, so a leaf item
+costs three records (its derivation, judgment and entry LiveType) and
+check's chain comparisons meet one object.
 leaf_live_pre and live_annotate dispatch on the class tag node[-1], and
-_node and the rewrites build their records with tuple.__new__ (see
-lang.Record).
+the leaf items of a sequence, _node and the rewrites build their records
+with tuple.__new__ (see lang.Record).
 """
 
 from __future__ import annotations
@@ -125,59 +130,73 @@ def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
     when the seed holds guard and exit and is closed under the body. It
     ends: head sets only grow, over the program's variables and cells <= K.
     """
+    return _derive(ann, tuple.__new__(LiveType, (ann.post, post, LiveType)),
+                   cfg, seeds or {})
+
+
+def _derive(ann: AnnStmt, out: LiveType, cfg: WidenConfig,
+            seeds: dict) -> Derivation:
+    """live_annotate, ending at the exit judgment side out. Adjacent
+    judgments share one boundary: a sequence item ends at the next item's
+    entry LiveType, the last at the sequence's exit, and the sequence
+    starts at its first item's entry."""
     s = ann.stmt
     tag = s[-1]
     if tag is Seq:
-        # a leaf item is stepped here, not through a call of
-        # live_annotate; leaf_live_pre is looked up at each call, so a
-        # patched one sees it
-        premises, live = [], post
+        # a leaf item is stepped and built here, not through a call;
+        # leaf_live_pre is looked up at each call, so a patched one sees it
+        new, premises, nxt = tuple.__new__, [], out
         for child in reversed(ann.children):
             item = child.stmt
             tag = item[-1]
             if tag is If or tag is While:
-                d = live_annotate(child, live, cfg, seeds)
+                d = _derive(child, nxt, cfg, seeds)
             else:
                 pre, rule, residual = leaf_live_pre(item, child.pre, child.post,
-                                                    live, cfg)
-                d = _node(child, rule, pre, live, residual)
+                                                    nxt.live, cfg)
+                d = new(Derivation, (rule, new(Judgment, (
+                    item, new(LiveType, (child.pre, pre, LiveType)), nxt, residual,
+                    Judgment)), (), Derivation))
             premises.append(d)
-            live = d.judgment.pre.live
+            nxt = d.judgment.pre
         premises.reverse()
         # no residual item is a Seq, so the items are not re-spliced
-        residual = tuple.__new__(Seq, (tuple([d.judgment.residual for d in premises]), Seq))
-        return _node(ann, "seq_d", live, post, residual, tuple(premises))
+        residual = new(Seq, (tuple([d.judgment.residual for d in premises]), Seq))
+        return new(Derivation, ("seq_d", new(Judgment, (s, nxt, out, residual, Judgment)),
+                                tuple(premises), Derivation))
+    post = out.live
     if tag is If:
-        then_d = live_annotate(ann.children[0], post, cfg, seeds)
-        else_d = live_annotate(ann.children[1], post, cfg, seeds)
+        then_ann, else_ann = ann.children
+        then_d = _derive(then_ann, LiveType(then_ann.post, post), cfg, seeds)
+        else_d = _derive(else_ann, LiveType(else_ann.post, post), cfg, seeds)
         pre = free_vars(s.cond) | then_d.judgment.pre.live | else_d.judgment.pre.live
-        return _node(ann, "if_d", pre, post, If(s.cond, then_d.judgment.residual,
-                                                 else_d.judgment.residual),
+        return _node(ann, "if_d", pre, out, If(s.cond, then_d.judgment.residual,
+                                                else_d.judgment.residual),
                      (then_d, else_d))
     if tag is While:
         # least fixpoint above the exit set plus the guard: the body is
         # re-analyzed with the loop head as its exit until nothing grows
-        head = post | free_vars(s.cond) | (seeds or {}).get(id(s), frozenset())
+        body_ann = ann.children[0]
+        head = post | free_vars(s.cond) | seeds.get(id(s), frozenset())
         while True:
-            body = live_annotate(ann.children[0], head, cfg, seeds)
+            body = _derive(body_ann, LiveType(body_ann.post, head), cfg, seeds)
             grown = head | body.judgment.pre.live
             if grown == head:
-                return _node(ann, "whl_d", grown, post,
+                return _node(ann, "whl_d", grown, out,
                              While(s.cond, body.judgment.residual), (body,))
             head = grown
     pre, rule, residual = leaf_live_pre(s, ann.pre, ann.post, post, cfg)
-    return _node(ann, rule, pre, post, residual)
+    return _node(ann, rule, pre, out, residual)
 
 
-def _node(ann: AnnStmt, rule: str, pre: frozenset, post: frozenset,
+def _node(ann: AnnStmt, rule: str, pre: frozenset, out: LiveType,
           residual: Stmt, premises: tuple = ()) -> Derivation:
-    """The derivation node of ann's statement between live sets pre and
-    post."""
+    """The derivation node of ann's statement from live set pre to the
+    exit judgment side out."""
     new = tuple.__new__
     return new(Derivation, (rule, new(Judgment, (
-        ann.stmt, new(LiveType, (ann.pre, pre, LiveType)),
-        new(LiveType, (ann.post, post, LiveType)), residual, Judgment)),
-        premises, Derivation))
+        ann.stmt, new(LiveType, (ann.pre, pre, LiveType)), out, residual,
+        Judgment)), premises, Derivation))
 
 
 def models_live(st: ProgState, p: PointsTo, live: frozenset,

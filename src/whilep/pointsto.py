@@ -48,6 +48,13 @@ block, one per instance, so block_cells of that image's size is the
 block again: the live rule reads it from the exit type and does not
 scan the entry type a second time.
 
+No code writes into a type's env once the type is built, so a type is
+a value that its identity names. cons_block keeps its last call, the
+type object, length and cap with their answer, and returns that answer
+to a call under the same type object without scanning it again: along
+a straight line of leaves that change nothing, the type is one object,
+so a run of conses there scans it once.
+
 The model relation compares runtime addresses against the analysis
 through cap_address, which is the identity until the cap is reached.
 """
@@ -79,6 +86,11 @@ EMPTY: frozenset = frozenset()
 
 
 class PointsTo(Record):
+    """A points-to type. Its env is never written once the type is built:
+    a step that changes an image builds a new dict (env | delta), so a
+    type is a value and may be recognised by identity, as cons_block's
+    memo does. test_imports pins that no package code writes into an env."""
+
     __slots__ = ()
     env: dict  # Key -> frozenset[Address]
 
@@ -218,13 +230,25 @@ class AnnStmt(Record):
     children: tuple = ()
 
 
+# the type, length and cap cons_block scanned last, and its answer
+_last_block = (None, 0, 0, None)
+
+
 def cons_block(p: PointsTo, length: int, cap: int) -> tuple[int, frozenset]:
     """Abstract allocation at a cons of the given arity.
 
     Returns (v, cells): v is the least instance whose block is untracked
     by p, and cells are the capped addresses of every block instance the
     allocation may occupy (instances 1..v, folded at the cap).
+
+    A call with the very type object, length and cap of the previous call
+    returns the previous answer without scanning p: no code writes into a
+    type's env, and the memo holds p, so its id is not reused.
     """
+    global _last_block
+    last, last_length, last_cap, block = _last_block
+    if last is p and last_length == length and last_cap == cap:
+        return block
     used = set()  # a plain loop: a comprehension costs more on small types
     for k in p.env:
         if type(k) is Address and k[0] == length:
@@ -232,7 +256,9 @@ def cons_block(p: PointsTo, length: int, cap: int) -> tuple[int, frozenset]:
     v = 1
     while v in used:
         v += 1
-    return v, block_cells(length, v, cap)
+    block = v, block_cells(length, v, cap)
+    _last_block = (p, length, cap, block)
+    return block
 
 
 @lru_cache(maxsize=1024)

@@ -183,6 +183,47 @@ def test_each_pass_computes_a_cons_block_once(monkeypatch):
     assert per_pass == [100, 100, 100]
 
 
+def _unshared_boundaries(d):
+    """The seq_d boundaries of d that are two objects: (statement, i)
+    where premise i's exit is not premise i + 1's entry, or (statement,
+    "entry"/"exit") where the sequence's own side is not its first
+    premise's entry or its last premise's exit."""
+    out, todo = [], [d]
+    while todo:
+        node = todo.pop()
+        todo += node.premises
+        if node.rule != "seq_d":
+            continue
+        j, js = node.judgment, [premise.judgment for premise in node.premises]
+        out += [(pretty(j.stmt), i) for i in range(len(js) - 1)
+                if js[i].post is not js[i + 1].pre]
+        if js[0].pre is not j.pre:
+            out.append((pretty(j.stmt), "entry"))
+        if js[-1].post is not j.post:
+            out.append((pretty(j.stmt), "exit"))
+    return out
+
+
+def test_adjacent_judgments_share_one_boundary():
+    """In the derivations optimize and deserialize build, each item of a
+    sequence ends at the very LiveType the next item starts at."""
+    rng = random.Random(25)
+    runs = [(parse(chain_src(200)), CFG)]
+    for seed, cap in itertools.product(range(100), (1, 2, 3)):
+        runs.append((gen_program(GenConfig(seed=seed, max_stmts=(12, 40)[seed % 2])),
+                     WidenConfig(instance_cap=cap)))
+    boundaries = 0
+    for prog, cfg in runs:
+        live = frozenset(v for v in sorted(stmt_vars(prog)) if rng.random() < 0.5)
+        d = optimize(prog, live, cfg).derivation
+        again = deserialize(serialize(d, cfg))
+        for built in (d, again):
+            assert _unshared_boundaries(built) == [], (pretty(prog), cfg)
+            boundaries += sum(len(n.premises) - 1 for _, n in walk_paths(
+                built, lambda x: (x.judgment.stmt, x.premises)) if n.rule == "seq_d")
+    assert boundaries > 10_000, boundaries
+
+
 def test_each_pass_walks_the_program_once(monkeypatch):
     """The program walk (lang._collect for stmt_vars) runs once per
     optimize, once per deserialize, for the scope, and never in check;

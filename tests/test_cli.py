@@ -181,7 +181,7 @@ def test_check_cert_accepts_crlf_files(prog, capsys, tmp_path, fig_src):
 def test_analyze_pts(prog, capsys):
     assert main(["analyze", "pts", prog("x := cons(5); dispose(x)")]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["widen"] == 3
+    assert doc["instance_cap"] == 3
     paths = [n["path"] for n in doc["nodes"]]
     assert paths == ["root", "root.items[0]", "root.items[1]"]
     cons = doc["nodes"][1]
@@ -465,7 +465,7 @@ def test_widen_takes_at_most_the_maximum(command, prog, capsys, tmp_path):
     assert main(argv + ["--widen", top]) == 0
     out = capsys.readouterr().out
     if command[0] == "analyze":
-        assert json.loads(out)["widen"] == MAX_INSTANCE_CAP
+        assert json.loads(out)["instance_cap"] == MAX_INSTANCE_CAP
     assert main(argv + ["--widen", str(MAX_INSTANCE_CAP + 1)]) == 3
     assert f"must be <= {MAX_INSTANCE_CAP}: " in capsys.readouterr().err
 

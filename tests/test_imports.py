@@ -2,8 +2,9 @@
 never uses, no module of the package imports another's private name or
 dataclasses, every top-level definition of the package is read
 somewhere, importing the package loads neither dataclasses nor inspect
-nor the command line, and no string of the package holds the Unicode
-digit class \\d."""
+nor the command line, no string of the package holds the Unicode
+digit class \\d, and no code of the package writes into a points-to
+environment."""
 
 import ast
 import subprocess
@@ -107,6 +108,67 @@ def test_checker_finds_digit_classes():
               "D = rf'({A}|\\d)'\n")
     assert digit_classes(source) == [
         "-?\\d (line 3)", "x(\\d+) (line 2)", "|\\d) (line 5)"]
+
+
+_DICT_WRITES = {"update", "pop", "setdefault", "clear", "popitem"}
+
+
+def _env_aliases(scope: ast.AST) -> set[str]:
+    """The names scope binds to an expression ending in .env."""
+    out = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                out.update(t.id for t, v in pairs if isinstance(t, ast.Name)
+                           and isinstance(v, ast.Attribute) and v.attr == "env")
+    return out
+
+
+def env_writes(source: str) -> list[str]:
+    """Writes into a points-to environment in source, as 'line n': a store,
+    a delete or an augmented assignment through an expression ending in
+    .env, or a call of a dict method that changes it. Within a function,
+    a name it binds to such an expression, as `env = p.env` does, counts
+    as one."""
+    tree = ast.parse(source)
+    lines = set()
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
+        aliases = set() if scope is tree else _env_aliases(scope)
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.AugAssign):
+                target = node.target
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _DICT_WRITES):
+                target = node.func.value
+            else:
+                continue
+            if (isinstance(target, ast.Attribute) and target.attr == "env"
+                    or isinstance(target, ast.Name) and target.id in aliases):
+                lines.add(node.lineno)
+    return [f"line {n}" for n in sorted(lines)]
+
+
+def test_checker_finds_env_writes():
+    source = ("def f(p, q, d):\n"
+              "    p.env[1] = 2\n"
+              "    del q.pts.env['x']\n"
+              "    p.env |= d\n"
+              "    p.env.update(d)\n"
+              "    q.env.setdefault('x', 0)\n"
+              "    env, other = p.env, {}\n"
+              "    env.pop('x')\n"
+              "    other['x'] = 1\n"
+              "    return p.env.get('x'), p.env | d, dict(p.env), d.clear()\n"
+              "def g(env):\n"
+              "    env['x'] = 1\n"
+              "    x.env.clear()\n"
+              "p.env.popitem()\n")
+    assert env_writes(source) == [f"line {n}" for n in (2, 3, 4, 5, 6, 8, 13, 14)]
 
 
 def _reads(tree: ast.AST) -> set[str]:
@@ -233,6 +295,12 @@ def test_package_reads_only_ascii_digits():
     """Every regex of the package reads program, certificate or command
     line text, where a digit is 0-9."""
     assert _by_file(digit_classes, sorted(PACKAGE.glob("*.py"))) == {}
+
+
+def test_package_never_writes_into_a_points_to_env():
+    """A points-to type's env is never changed once built (a step builds
+    env | delta), so cons_block may recognise a type it saw by identity."""
+    assert _by_file(env_writes, sorted(PACKAGE.glob("*.py"))) == {}
 
 
 def test_tests_have_no_unused_imports():

@@ -2,11 +2,12 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 from test_certificate import chain_src
 
-from whilep import GenConfig, gen_program
+from whilep import GenConfig, gen_program, pointsto
 from whilep.harness import _gen_state, _synthetic_ptype
 from whilep.interp import Final, execute
 from whilep.lang import (
@@ -472,3 +473,77 @@ def test_executions_land_inside_exit_type():
                 f"seed {seed}"
             passed += 1
     assert passed >= 50
+
+
+def _scan_cons_block(p, length, cap):
+    """cons_block before its memo: every call scans p for the used
+    instances of the length."""
+    used = set()
+    for k in p.env:
+        if type(k) is Address and k[0] == length:
+            used.add(k[1])
+    v = 1
+    while v in used:
+        v += 1
+    return v, frozenset(Address(length, min(i, cap), j)
+                        for i in range(1, v + 1) for j in range(1, length + 1))
+
+
+def _partial_blocks(rng):
+    """An entry type that tracks some cells of some blocks, as a
+    certificate's entry may: a block whose head cell is untracked can
+    still be in use."""
+    cells = [Address(n, u, i) for n in (1, 2, 3) for u in (1, 2, 3, 4)
+             for i in range(1, n + 1)]
+    tracked = rng.sample(cells, rng.randint(0, len(cells)))
+    return PointsTo({"x": frozenset(tracked[:1]), **{a: frozenset() for a in tracked}})
+
+
+def test_cons_block_memo_answers_as_the_scan():
+    """On calls that alternate types, lengths and caps, each repeated,
+    cons_block returns what a scan of the type returns."""
+    rng = random.Random(25)
+    types = [_partial_blocks(rng) for _ in range(200)]
+    for seed, size, cap in itertools.product(range(200), (12, 40), (1, 2, 3)):
+        prog = gen_program(GenConfig(seed=seed, max_stmts=size))
+        ann = annotate(prog, bottom(stmt_vars(prog)), WidenConfig(instance_cap=cap))
+        todo = [ann]
+        while todo:
+            node = todo.pop()
+            types.append(node.pre)
+            todo += node.children
+    calls = 0
+    for i, p in enumerate(types):
+        q = types[rng.randrange(i + 1)]
+        for t, length, cap in ((p, 2, 3), (p, 1, 3), (p, 1, 1), (q, 1, 1), (p, 1, 1),
+                               (p, rng.randint(1, 3), rng.randint(1, 3))):
+            want = _scan_cons_block(t, length, cap)
+            assert cons_block(t, length, cap) == want, (i, length, cap)
+            assert cons_block(t, length, cap) == want, (i, length, cap)
+            calls += 2
+    assert len(types) > 20_000 and calls > 10 * len(types)
+
+
+def test_cons_block_repeats_its_answer():
+    """A repeated call returns the identical (v, cells) tuple."""
+    p = pts({"x": [Address(2, 1, 1)], Address(2, 1, 1): [], Address(2, 1, 2): []})
+    first = cons_block(p, 2, 3)
+    assert first == (2, frozenset(Address(2, u, i) for u in (1, 2) for i in (1, 2)))
+    assert cons_block(p, 2, 3) is first
+
+
+def test_annotate_scans_a_chain_a_few_times(monkeypatch):
+    """Along a straight chain the type saturates into one object, so a
+    cons under the previous cons's type reuses its block: one annotate of
+    100 conses scans the type (and builds its block) at most 10 times."""
+    scans, block_cells = [], pointsto.block_cells
+
+    def counted(*args):
+        if sys._getframe(1).f_code is pointsto.cons_block.__code__:
+            scans.append(args)
+        return block_cells(*args)
+
+    monkeypatch.setattr(pointsto, "block_cells", counted)
+    prog = parse(chain_src(200))
+    annotate(prog, bottom(stmt_vars(prog)), CFG)
+    assert 1 <= len(scans) <= 10, len(scans)
