@@ -10,7 +10,7 @@ stack with differential random testing. The command line is whilep.cli
 from .lang import (
     AExp, And, Assign, BExp, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit,
     Lookup, Mutate, Nil, Not, Or, ParseError, Seq, Skip, Stmt, Var, While,
-    free_vars, parse, pretty, read_vars, seq_of, stmt_vars,
+    free_vars, parse, pretty, seq_of, stmt_vars,
 )
 from .memory import NIL, Address, NilValue, ProgState, format_value, parse_addr, value_lt
 from .interp import (
@@ -37,7 +37,7 @@ __all__ = [
     "AExp", "And", "Assign", "BExp", "BinOp", "BoolLit", "Cmp", "Cons",
     "Dispose", "If", "IntLit", "Lookup", "Mutate", "Nil", "Not", "Or",
     "ParseError", "Seq", "Skip", "Stmt", "Var", "While", "free_vars",
-    "parse", "pretty", "read_vars", "seq_of", "stmt_vars",
+    "parse", "pretty", "seq_of", "stmt_vars",
     "NIL", "Address", "NilValue", "ProgState", "format_value", "parse_addr",
     "value_lt",
     "DEFAULT_FUEL", "Aborted", "EvalError", "ExecOutcome", "Final",

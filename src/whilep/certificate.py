@@ -130,7 +130,7 @@ def _invalid(d: Derivation, cfg: WidenConfig) -> str | None:
         # live rule reads the exit type only once it is the transfer's
         if post_p != transfer(s, pre_p, cfg):
             return "exit points-to type does not match the transfer"
-        live, rule, residual = leaf_live_pre(s, pre_p, post_p, post_l, cfg)
+        live, rule, residual = leaf_live_pre(s, pre_p, post_p, post_l)
         if pre_l != live:
             return "entry live set does not match the live rule"
         if d.rule != rule:
@@ -412,8 +412,7 @@ def deserialize(text: str) -> Derivation:
                                         f"got {len(loops)} annotations")
 
     ann = annotate(program, entry, cfg, {id(w): t.pts for w, t in zip(stmts, loops)})
-    d = live_annotate(ann, exit_live, cfg,
-                      {id(w): t.live for w, t in zip(stmts, loops)})
+    d = live_annotate(ann, exit_live, {id(w): t.live for w, t in zip(stmts, loops)})
     # the live pass reads the invariants: a points-to fault can also
     # change an earlier loop's live set, so every invariant comes first
     types = list(zip(_loop_types(d), loops))

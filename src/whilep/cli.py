@@ -3,11 +3,11 @@
 Subcommands: run, analyze pts, analyze live, optimize, check-cert,
 test-soundness. analyze and optimize read one deadcode.optimize
 derivation (analyze pts with an empty exit live set), whose ValueError
-is the only check of --live, and reports are written by
-certificate.to_json. check-cert takes no --widen: it reruns the
-analyses at the instance cap the certificate states. Exit codes: 0
-success/Accept, 1 parse error, runtime abort or unwritable output, 2
-certificate Reject, 3 usage error.
+is the only check of --live; each result goes to stdout once (a report
+by certificate.to_json), and only optimize --cert writes a file.
+check-cert takes no --widen: it reruns the analyses at the cap the
+certificate states. Exit codes: 0 success/Accept, 1 parse error,
+runtime abort or unwritable certificate, 2 Reject, 3 usage error.
 All output is deterministic for fixed inputs and flags.
 """
 
@@ -83,14 +83,12 @@ def _build_parser() -> _Parser:
 
     p_pts = an_sub.add_parser("pts", parents=[widen], help="points-to annotations")
     p_pts.add_argument("file")
-    p_pts.add_argument("--out", help="write the JSON report to this path")
     p_pts.set_defaults(func=_cmd_analyze, live="")
 
     p_live = an_sub.add_parser("live", parents=[widen], help="live-set annotations")
     p_live.add_argument("file")
     p_live.add_argument("--live", default="",
                         help="comma-separated variables live at exit")
-    p_live.add_argument("--out", help="write the JSON report to this path")
     p_live.set_defaults(func=_cmd_analyze)
 
     p_opt = sub.add_parser("optimize", parents=[widen],
@@ -98,7 +96,6 @@ def _build_parser() -> _Parser:
     p_opt.add_argument("file")
     p_opt.add_argument("--live", default="",
                        help="comma-separated variables live at exit")
-    p_opt.add_argument("--emit", help="write the residual program to this path")
     p_opt.add_argument("--cert", help="write the derivation certificate here")
     p_opt.set_defaults(func=_cmd_optimize)
 
@@ -156,11 +153,15 @@ def _cmd_run(args) -> int:
     if args.init:
         for item in args.init.split(","):
             match = _INIT_RE.match(item.strip())
-            if not match:
+            try:
+                value = int(match.group(2)) if match else None
+            except ValueError:  # more digits than Python converts
+                value = None
+            if value is None:
                 print(f"whilep: bad --init binding: {item.strip()!r}"
                       " (expected name=int)", file=sys.stderr)
                 return 3
-            name, value = match.group(1), int(match.group(2))
+            name = match.group(1)
             if name not in state.stack:
                 print(f"whilep: --init names unknown variable: {name}",
                       file=sys.stderr)
@@ -208,9 +209,10 @@ def _optimize(args):
 
 
 def _cmd_analyze(args) -> int:
-    """One row per derivation node: its types for pts, its live sets for
-    live. Each distinct type is converted once; the derivation keeps
-    every type alive, so their ids stay distinct during the walk."""
+    """One row per derivation node: its types for pts (a loop's post is
+    its invariant), its live sets for live. Each distinct type is
+    converted once; the derivation keeps every type alive, so their ids
+    stay distinct during the walk."""
     result = _optimize(args)
     if isinstance(result, int):
         return result
@@ -230,16 +232,11 @@ def _cmd_analyze(args) -> int:
         row = {"path": path, "stmt": pretty(j.stmt)}
         if args.analysis == "pts":
             row["pre"], row["post"] = doc(j.pre.pts), doc(j.post.pts)
-            if node.rule == "whl_d":
-                row["invariant"] = row["post"]
         else:
             row["live_pre"] = live_to_list(j.pre.live)
             row["live_post"] = live_to_list(j.post.live)
         report["nodes"].append(row)
-    text = to_json(report)
-    if args.out:
-        return 0 if _write(args.out, text) else 1
-    sys.stdout.write(text)
+    sys.stdout.write(to_json(report))
     return 0
 
 
@@ -247,10 +244,7 @@ def _cmd_optimize(args) -> int:
     result = _optimize(args)
     if isinstance(result, int):
         return result
-    text = pretty(result.optimized)
-    print(text)
-    if args.emit and not _write(args.emit, text + "\n"):
-        return 1
+    print(pretty(result.optimized))
     if args.cert and not _write(args.cert, serialize(result.derivation, args.widen)):
         return 1
     return 0

@@ -43,4 +43,4 @@ def optimize(s: Stmt, final_live, cfg: WidenConfig = WidenConfig()) -> OptResult
     if stray:
         raise ValueError(f"unknown variable: {min(stray)}")
     ann = annotate(s, bottom(variables), cfg)
-    return OptResult(live_annotate(ann, final_live, cfg))
+    return OptResult(live_annotate(ann, final_live))

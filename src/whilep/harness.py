@@ -26,7 +26,7 @@ from .interp import EvalError, Final, OutOfFuel, eval_aexp, execute
 from .lang import (
     AExp, And, Assign, BExp, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit,
     Lookup, Mutate, Nil, Not, Or, Record, Skip, Stmt, Var, While, free_vars,
-    read_vars, seq_of, stmt_vars, walk,
+    seq_of, stmt_vars, walk,
 )
 from .memory import NIL, Address, ProgState
 from .liveness import live_annotate, models_live, similar_states
@@ -271,7 +271,7 @@ def make_similar_state(rng: random.Random, st: ProgState,
     """A twin similar to st at (entry type, entry_live), rerandomized only
     where the program provably never looks: dead variables outside its
     read set, and dead cells when it contains no lookup."""
-    return _similar_state(rng, st, read_vars(program), _has_lookup(program),
+    return _similar_state(rng, st, free_vars(program), _has_lookup(program),
                           entry_live, widen)
 
 
@@ -366,7 +366,7 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
         program = gen_program(GenConfig(seed, gen_cfg.max_stmts))
         variables = sorted(stmt_vars(program))
         # what the twins of t3 and t4 may rerandomize
-        reads, has_lookup = read_vars(program), _has_lookup(program)
+        reads, has_lookup = free_vars(program), _has_lookup(program)
         base = bottom(variables)
         entry_p = _synthetic_ptype(rng, variables, widen.instance_cap) \
             if rng.random() < 0.35 else base
@@ -383,7 +383,7 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
         final_live = frozenset(x for x in variables if rng.random() < 0.5)
         live = None
         if "t2" in checks or "t3" in checks or ("t4" in checks and entry_p is base):
-            live = live_annotate(ann, final_live, widen)
+            live = live_annotate(ann, final_live)
 
         if "t2" in checks:
             if isinstance(outcome, Final):

@@ -32,6 +32,7 @@ spine in a loop, so its length is no limit.
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
 from itertools import islice
 
@@ -327,9 +328,6 @@ def free_vars(x: AExp | BExp | Stmt) -> frozenset[str]:
     return _collect(x, False)
 
 
-read_vars = free_vars
-
-
 def stmt_vars(s: Stmt) -> frozenset[str]:
     """All variables mentioned by s, written or read."""
     return _collect(s, True)
@@ -498,7 +496,7 @@ class _Parser:
         atom = self.atoms.get(tok)
         if atom is None:
             if tok.isdecimal():
-                atom = IntLit(int(tok))
+                atom = self.int_lit(pos, tok)
             elif tok.isidentifier() and tok not in KEYWORDS:
                 atom = Var(tok)
             elif tok == "nil":
@@ -507,7 +505,7 @@ class _Parser:
                 # a signed integer literal, the only negative one
                 pos += 1
                 tok = "-" + tokens[pos]
-                atom = self.atoms.get(tok) or IntLit(int(tok))
+                atom = self.atoms.get(tok) or self.int_lit(pos - 1, tok)
             elif tok == "(":
                 self.pos = pos + 1
                 e = self.aexp()
@@ -518,6 +516,13 @@ class _Parser:
             self.atoms[tok] = atom
         self.pos = pos + 1
         return atom
+
+    def int_lit(self, pos: int, text: str) -> IntLit:
+        try:
+            return IntLit(int(text))
+        except ValueError:  # Python's limit on the digits int() converts
+            raise _Failure(pos, "integer literal has more than "
+                                f"{sys.get_int_max_str_digits()} digits") from None
 
     # guards: not binds tighter than and, and tighter than or
 

@@ -15,8 +15,8 @@ judgment the certificate checker revalidates. At a leaf, one function,
 leaf_live_pre, decides all three from the node's entry and exit types:
 the live rule enriches the points-to judgment, so a cons reads the
 cells of its block from the exit image of its variable, which transfer
-has set to the block's index-1 cells, and does not scan the entry type
-for the block again.
+has set to the block's index-1 cells, and neither scans the entry type
+for the block again nor takes a cap of its own.
 Adjacent judgments share one boundary: an item of a sequence ends at
 the very LiveType the next item starts at, and the sequence starts at
 its first item's entry and ends at its last item's exit, so a leaf item
@@ -69,14 +69,16 @@ _ZERO = IntLit(0)
 _SKIP = Skip()
 
 
-def leaf_live_pre(s: Stmt, pre: PointsTo, post_p: PointsTo, post: frozenset,
-                  cfg: WidenConfig) -> tuple[frozenset, str, Stmt]:
+def leaf_live_pre(s: Stmt, pre: PointsTo, post_p: PointsTo,
+                  post: frozenset) -> tuple[frozenset, str, Stmt]:
     """The leaf rule for s between entry type pre and exit live set post:
     (entry live set, the rule whose side condition holds, its residual).
-    post_p must be the exit type, transfer(s, pre, cfg): a cons reads its
-    block from post_p, and another type gives a wrong cell set or a
-    KeyError, not a reported mismatch. check compares post_p with the
-    transfer before it calls this.
+    post_p must be the exit type, transfer(s, pre, cfg) at the annotation's
+    cap: a cons reads its block from post_p, and another type gives a
+    wrong cell set or a KeyError, not a reported mismatch. check compares
+    post_p with the transfer before it calls this. No cap is taken: the
+    exit image of a cons's variable holds one cell per instance up to the
+    cap, so its size m is the number of instances the block may occupy.
 
     Writes to dead variables and heap writes that reach no live cell
     become skip; a cons keeps its allocation, so that the heap domain
@@ -89,9 +91,9 @@ def leaf_live_pre(s: Stmt, pre: PointsTo, post_p: PointsTo, post: frozenset,
             return post, "ass_d1", _SKIP
         return (post - {s.var}) | free_vars(s.expr), "ass_d2", s
     if tag is Cons:
-        # the variable's exit image is the index-1 cells of the block,
-        # one per instance, so its size gives the block's cells
-        cells = block_cells(len(s.args), len(post_p.env[s.var]), cfg.instance_cap)
+        # the block's cells are those of instances 1..m, none above the cap
+        m = len(post_p.env[s.var])
+        cells = block_cells(len(s.args), m, m)
         live_args = {a[2] for a in cells & post}
         entry = post - {s.var}
         for j in live_args:
@@ -119,7 +121,7 @@ def leaf_live_pre(s: Stmt, pre: PointsTo, post_p: PointsTo, post: frozenset,
     raise TypeError(f"not a leaf statement: {s!r}")
 
 
-def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
+def live_annotate(ann: AnnStmt, post: frozenset,
                   seeds: dict | None = None) -> Derivation:
     """The derivation of an annotated program, backwards from exit live
     set post: every node's live sets, rule and residual.
@@ -131,11 +133,10 @@ def live_annotate(ann: AnnStmt, post: frozenset, cfg: WidenConfig,
     ends: head sets only grow, over the program's variables and cells <= K.
     """
     return _derive(ann, tuple.__new__(LiveType, (ann.post, post, LiveType)),
-                   cfg, seeds or {})
+                   seeds or {})
 
 
-def _derive(ann: AnnStmt, out: LiveType, cfg: WidenConfig,
-            seeds: dict) -> Derivation:
+def _derive(ann: AnnStmt, out: LiveType, seeds: dict) -> Derivation:
     """live_annotate, ending at the exit judgment side out. Adjacent
     judgments share one boundary: a sequence item ends at the next item's
     entry LiveType, the last at the sequence's exit, and the sequence
@@ -150,10 +151,9 @@ def _derive(ann: AnnStmt, out: LiveType, cfg: WidenConfig,
             item = child.stmt
             tag = item[-1]
             if tag is If or tag is While:
-                d = _derive(child, nxt, cfg, seeds)
+                d = _derive(child, nxt, seeds)
             else:
-                pre, rule, residual = leaf_live_pre(item, child.pre, child.post,
-                                                    nxt.live, cfg)
+                pre, rule, residual = leaf_live_pre(item, child.pre, child.post, nxt.live)
                 d = new(Derivation, (rule, new(Judgment, (
                     item, new(LiveType, (child.pre, pre, LiveType)), nxt, residual,
                     Judgment)), (), Derivation))
@@ -167,8 +167,8 @@ def _derive(ann: AnnStmt, out: LiveType, cfg: WidenConfig,
     post = out.live
     if tag is If:
         then_ann, else_ann = ann.children
-        then_d = _derive(then_ann, LiveType(then_ann.post, post), cfg, seeds)
-        else_d = _derive(else_ann, LiveType(else_ann.post, post), cfg, seeds)
+        then_d = _derive(then_ann, LiveType(then_ann.post, post), seeds)
+        else_d = _derive(else_ann, LiveType(else_ann.post, post), seeds)
         pre = free_vars(s.cond) | then_d.judgment.pre.live | else_d.judgment.pre.live
         return _node(ann, "if_d", pre, out, If(s.cond, then_d.judgment.residual,
                                                 else_d.judgment.residual),
@@ -179,13 +179,13 @@ def _derive(ann: AnnStmt, out: LiveType, cfg: WidenConfig,
         body_ann = ann.children[0]
         head = post | free_vars(s.cond) | seeds.get(id(s), frozenset())
         while True:
-            body = _derive(body_ann, LiveType(body_ann.post, head), cfg, seeds)
+            body = _derive(body_ann, LiveType(body_ann.post, head), seeds)
             grown = head | body.judgment.pre.live
             if grown == head:
                 return _node(ann, "whl_d", grown, out,
                              While(s.cond, body.judgment.residual), (body,))
             head = grown
-    pre, rule, residual = leaf_live_pre(s, ann.pre, ann.post, post, cfg)
+    pre, rule, residual = leaf_live_pre(s, ann.pre, ann.post, post)
     return _node(ann, rule, pre, out, residual)
 
 

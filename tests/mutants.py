@@ -62,10 +62,10 @@ def _variants_first(addrs):
     return frozenset(Address(a.length, a.instance, 1) for a in addrs)
 
 
-def _lookup_no_cells(s, pre, post_p, post, cfg):
+def _lookup_no_cells(s, pre, post_p, post):
     """lok_d2 keeps the address's variables live but not the cells the
     lookup may read."""
-    live, rule, residual = _leaf_live_pre(s, pre, post_p, post, cfg)
+    live, rule, residual = _leaf_live_pre(s, pre, post_p, post)
     if rule == "lok_d2":
         live = (post - {s.var}) | free_vars(s.addr)
     return live, rule, residual

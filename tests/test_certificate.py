@@ -352,7 +352,7 @@ def test_the_analyses_step_each_leaf_once(src, leaf_steps):
     prog = parse(src)
     variables = stmt_vars(prog)
     ann = pointsto.annotate(prog, bottom(variables), CFG)
-    liveness.live_annotate(ann, variables, CFG)
+    liveness.live_annotate(ann, variables)
     assert sorted(leaf_steps["transfer"]) == _leaf_ids(prog)
     assert sorted(leaf_steps["leaf_live_pre"]) == _leaf_ids(prog)
 
@@ -682,7 +682,7 @@ def test_perturbed_seeds_still_reach_closure():
         variables = stmt_vars(prog)
         live = frozenset(sorted(variables)[::2])
         ann = pointsto.annotate(prog, bottom(variables), CFG)
-        d = liveness.live_annotate(ann, live, CFG)
+        d = liveness.live_annotate(ann, live)
         seeds = _loop_seeds(d)
         all_pts = {id(w): pts for w, (pts, _) in zip(loops, seeds)}
         all_live = {id(w): head for w, (_, head) in zip(loops, seeds)}
@@ -695,7 +695,7 @@ def test_perturbed_seeds_still_reach_closure():
         for pts_seeds, live_seeds in cases:
             again = liveness.live_annotate(
                 pointsto.annotate(prog, bottom(variables), CFG, pts_seeds),
-                live, CFG, live_seeds)
+                live, live_seeds)
             assert check(again, CFG) == ACCEPT, seed
             assert again == d, seed
         perturbed += len(cases)

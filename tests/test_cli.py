@@ -14,10 +14,14 @@ import pytest
 from whilep import GenConfig, certificate, gen_program
 from whilep.certificate import pts_to_doc
 from whilep.cli import _build_parser, main
-from whilep.lang import While, pretty, stmt_vars, walk_paths
+from whilep.lang import parse, pretty, stmt_vars, walk_paths
 from whilep.pointsto import MAX_INSTANCE_CAP, WidenConfig, annotate, bottom
 
 RUN_SRC = "x := cons(3, 4); y := [x + 1]; z := y * 2"
+
+# a literal one digit over the limit of Python's int() on strings
+LONG_DIGITS = "9" * (sys.get_int_max_str_digits() + 1)
+LONG_MESSAGE = f"integer literal has more than {sys.get_int_max_str_digits()} digits"
 
 
 @pytest.fixture
@@ -27,6 +31,13 @@ def prog(tmp_path):
         path.write_text(src + "\n", encoding="utf-8")
         return str(path)
     return write
+
+
+def _package_env(**extra):
+    """The environment of a subprocess that imports whilep from src."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]), **extra}
 
 
 def test_run_prints_final_state(prog, capsys):
@@ -43,9 +54,7 @@ def test_python_m_whilep_runs_the_command_line(prog, tmp_path):
     """python -m whilep is the command line: same output and exit code,
     and nothing on stderr. So is python -m whilep.cli, which runpy finds
     unloaded, so it warns of nothing."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env = _package_env()
     run = [sys.executable, "-m", "whilep", "run"]
     done = subprocess.run(run + [prog(RUN_SRC)], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stderr) == (0, "")
@@ -76,9 +85,7 @@ def test_optimize_cert_flat_chains(prog, tmp_path):
     """python -m whilep optimize --cert takes a 3,000-term sum and a guard
     of 2,000 conjuncts to a residual and a certificate, exit 0, and
     check-cert accepts that certificate."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env = _package_env()
 
     def whilep(*args):
         done = subprocess.run([sys.executable, "-m", "whilep", *args],
@@ -116,6 +123,11 @@ def test_run_init(prog, capsys):
     assert "bad --init binding" in capsys.readouterr().err
     assert main(["run", path, "--init", "x=\u0663"]) == 3  # only ASCII digits
     assert "bad --init binding" in capsys.readouterr().err
+    if sys.get_int_max_str_digits():  # more digits than int() converts
+        binding = f"x=-{LONG_DIGITS}"
+        assert main(["run", path, "--init", binding]) == 3
+        assert capsys.readouterr() == (
+            "", f"whilep: bad --init binding: {binding!r} (expected name=int)\n")
 
 
 def test_parse_error_reports_position(prog, capsys):
@@ -145,6 +157,30 @@ def test_program_not_utf8_is_a_read_error(tmp_path, capsys, command):
     assert out == ""
     assert err == (f"whilep: cannot read {path}: "
                    "not valid UTF-8: invalid start byte at byte 16\n")
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no digit limit")
+@pytest.mark.parametrize("command", [["run"], ["analyze", "pts"],
+                                     ["analyze", "live"], ["optimize"],
+                                     ["check-cert"]])
+def test_overlong_literal_is_a_parse_error(prog, capsys, tmp_path, command):
+    path = prog(f"x := 1;\ny := {LONG_DIGITS}")
+    cert = [str(tmp_path / "cert.json")] if command == ["check-cert"] else []
+    assert main([*command, path, *cert]) == 1
+    assert capsys.readouterr() == ("", f"{path}:2:6: {LONG_MESSAGE}\n")
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no digit limit")
+def test_overlong_literal_in_a_certificate_is_rejected(prog, capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    assert main(["optimize", prog("x := 1"), "--cert", str(cert)]) == 0
+    capsys.readouterr()
+    doc = json.loads(cert.read_text(encoding="utf-8"))
+    cert.write_text(json.dumps({**doc, "program": f"x := {LONG_DIGITS}"}),
+                    encoding="utf-8")
+    assert main(["check-cert", prog("x := 1"), str(cert)]) == 2
+    assert capsys.readouterr() == (
+        f"Reject: root.program: unparsable program: 1:6: {LONG_MESSAGE}\n", "")
 
 
 def test_check_cert_rejects_a_certificate_not_utf8(prog, capsys, tmp_path):
@@ -191,15 +227,15 @@ def test_analyze_pts(prog, capsys):
 
 
 def test_analyze_pts_invariant_and_widen(prog, capsys):
+    """A loop row's post type is its invariant, written once: no row
+    repeats it under another key."""
     path = prog("i := 0; while i < 9 do { x := cons(x); i := i + 1 }")
     assert main(["analyze", "pts", path, "--widen", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     loop = next(n for n in doc["nodes"] if n["stmt"].startswith("while"))
-    assert "invariant" in loop
-    instances = {addr.split(",")[1] for addr in loop["invariant"]["x"]}
-    assert instances <= {"1", "2"}
-    assert all("invariant" not in n for n in doc["nodes"]
-               if not n["stmt"].startswith("while"))
+    instances = {addr.split(",")[1] for addr in loop["post"]["x"]}
+    assert instances == {"1", "2"}
+    assert all(set(n) == {"path", "stmt", "pre", "post"} for n in doc["nodes"])
 
 
 def test_analyze_live(prog, capsys):
@@ -226,6 +262,47 @@ def test_analyze_reports_match_golden(capsys, argv, golden):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+# runs each argv of the JSON list argv[1] through main and prints the
+# exit code and the stdout text of each
+_MAIN_SCRIPT = """
+import contextlib, io, json, sys
+from whilep.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(code, json.dumps(out.getvalue()))
+"""
+
+
+def test_outputs_do_not_depend_on_string_hashing(tmp_path):
+    """optimize --cert, analyze live, check-cert and test-soundness print
+    the same bytes, and write the same certificates, under two string
+    hash seeds: no output follows the iteration order of a set."""
+    programs = [(GOLDEN / "analyze.whl").read_text(encoding="utf-8"),
+                pretty(gen_program(GenConfig(seed=7, max_stmts=40)))]
+    outputs = []
+    for hash_seed in ("0", "1"):
+        run_dir = tmp_path / hash_seed
+        run_dir.mkdir()
+        argvs = []
+        for i, text in enumerate(programs):
+            path, cert = run_dir / f"prog{i}.whl", str(run_dir / f"cert{i}.json")
+            path.write_text(text, encoding="utf-8")
+            live = ",".join(sorted(stmt_vars(parse(text)))[1::2])
+            argvs += [["optimize", str(path), "--live", live, "--cert", cert],
+                      ["analyze", "live", str(path), "--live", live],
+                      ["check-cert", str(path), cert]]
+        argvs.append(["test-soundness", "--trials", "50"])
+        done = subprocess.run([sys.executable, "-c", _MAIN_SCRIPT, json.dumps(argvs)],
+                              capture_output=True, text=True, check=True,
+                              env=_package_env(PYTHONHASHSEED=hash_seed))
+        certs = [(run_dir / f"cert{i}.json").read_bytes() for i in range(len(programs))]
+        outputs.append((done.stdout, done.stderr, certs))
+    assert outputs[0] == outputs[1]
+    assert [line.split()[0] for line in outputs[0][0].splitlines()] == ["0"] * 7
+
+
 def test_analyze_live_unknown_variable(prog, capsys):
     assert main(["analyze", "live", prog("x := 1"), "--live", "zz"]) == 3
     assert "unknown variable: zz" in capsys.readouterr().err
@@ -238,22 +315,33 @@ def test_unknown_live_name_exits_3_naming_it(prog, capsys, command):
     assert capsys.readouterr() == ("", "whilep: --live names unknown variable: qq\n")
 
 
-@pytest.mark.parametrize("command, option", [
-    (["analyze", "pts"], "--out"), (["analyze", "live"], "--out"),
-    (["optimize"], "--emit"), (["optimize"], "--cert"),
-])
-def test_unwritable_output_exits_1_naming_the_path(prog, capsys, tmp_path,
-                                                   command, option):
+def test_unwritable_output_exits_1_naming_the_path(prog, capsys, tmp_path):
+    """The certificate is the only file a command writes."""
     target = tmp_path / "missing" / "file"
-    assert main([*command, prog("x := 1"), option, str(target)]) == 1
+    assert main(["optimize", prog("x := 1"), "--cert", str(target)]) == 1
     assert capsys.readouterr().err == \
         f"whilep: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command, option", [
+    (["analyze", "pts"], "--out"), (["analyze", "live"], "--out"),
+    (["optimize"], "--emit"),
+])
+def test_second_output_flags_are_usage_errors(prog, capsys, tmp_path,
+                                              command, option):
+    """A report or residual goes to stdout only: a flag that would write
+    a second copy of it is a usage error, and nothing is written."""
+    target = tmp_path / "copy"
+    assert main([*command, prog("x := 1"), option, str(target)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {option}" in err
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_analyze_pts_rows_are_the_points_to_annotation(prog, capsys, cap):
     """On generated programs, every analyze pts row holds the types that
-    annotate gives its node from the bottom type, and a loop's row its
+    annotate gives its node from the bottom type: a loop's post is its
     invariant."""
     cfg = WidenConfig(cap)
     for seed in range(12):
@@ -265,18 +353,8 @@ def test_analyze_pts_rows_are_the_points_to_annotation(prog, capsys, cap):
         for path, node in walk_paths(ann, lambda a: (a.stmt, a.children)):
             row = {"path": path, "stmt": pretty(node.stmt),
                    "pre": pts_to_doc(node.pre), "post": pts_to_doc(node.post)}
-            if isinstance(node.stmt, While):
-                row["invariant"] = row["post"]
             want.append(row)
         assert rows == want, seed
-
-
-def test_analyze_out_writes_file(prog, capsys, tmp_path):
-    out = tmp_path / "report.json"
-    assert main(["analyze", "pts", prog("skip"), "--out", str(out)]) == 0
-    assert capsys.readouterr().out == ""
-    doc = json.loads(out.read_text(encoding="utf-8"))
-    assert doc["nodes"][0]["stmt"] == "skip"
 
 
 def test_optimize_stdout(prog, capsys, fig_src, fig_residual):
@@ -287,12 +365,9 @@ def test_optimize_stdout(prog, capsys, fig_src, fig_residual):
 def test_optimize_emits_and_certifies(prog, capsys, tmp_path, fig_src,
                                       fig_residual):
     src = prog(fig_src)
-    emit = tmp_path / "residual.whl"
     cert = tmp_path / "cert.json"
-    assert main(["optimize", src, "--live", "y",
-                 "--emit", str(emit), "--cert", str(cert)]) == 0
-    capsys.readouterr()
-    assert emit.read_text(encoding="utf-8") == fig_residual + "\n"
+    assert main(["optimize", src, "--live", "y", "--cert", str(cert)]) == 0
+    assert capsys.readouterr().out == fig_residual + "\n"
 
     assert main(["check-cert", src, str(cert)]) == 0
     assert capsys.readouterr().out == "Accept\n"
@@ -523,10 +598,13 @@ def _argparse_flags(parser, command=""):
                     if opt.startswith("--") and opt != "--help"}
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def _readme_flags():
     """(subcommand, the long options its synopsis lines list) from the
     README's "Command line" block."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     entries = []
     for line in block.splitlines():
@@ -540,7 +618,12 @@ def _readme_flags():
 
 def test_readme_synopsis_lists_the_argparse_flags():
     """Each subcommand has one synopsis entry in the README, listing
-    exactly the options its parser takes."""
-    readme = _readme_flags()
+    exactly the options its parser takes; outside its pip commands, the
+    README names no other long option, so a removed one cannot linger."""
+    readme, parsers = _readme_flags(), dict(_argparse_flags(_build_parser()))
     assert len(readme) == len(dict(readme))
-    assert dict(readme) == dict(_argparse_flags(_build_parser()))
+    assert dict(readme) == parsers
+    named = {flag for line in README.read_text(encoding="utf-8").splitlines()
+             if not line.startswith("pip ")
+             for flag in re.findall(r"--[a-z][a-z-]*", line)}
+    assert named <= set().union(*parsers.values()), named

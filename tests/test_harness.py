@@ -11,8 +11,8 @@ from whilep.harness import (
     make_similar_state, run_soundness_suite,
 )
 from whilep.lang import (
-    Assign, Cons, Dispose, If, Lookup, Mutate, Seq, Skip, While, parse,
-    pretty, read_vars, stmt_vars, walk,
+    Assign, Cons, Dispose, If, Lookup, Mutate, Seq, Skip, While, free_vars,
+    parse, pretty, stmt_vars, walk,
 )
 from whilep.interp import OutOfFuel, execute
 from whilep.liveness import live_annotate, similar_states
@@ -93,12 +93,12 @@ def test_make_similar_state_contract():
         prog = gen_program(cfg)
         base = bottom(stmt_vars(prog))
         ann = annotate(prog, base, CFG)
-        live = live_annotate(ann, frozenset(), CFG)
+        live = live_annotate(ann, frozenset())
         st = _gen_state(rng, base)
         twin = make_similar_state(rng, st, prog, live.judgment.pre.live, CFG)
         assert similar_states(st, twin, base, live.judgment.pre.live, CFG), \
             f"seed {seed}"
-        reads = read_vars(prog)
+        reads = free_vars(prog)
         for x, v in twin.stack.items():
             if st.stack[x] != v:
                 assert x not in live.judgment.pre.live and x not in reads

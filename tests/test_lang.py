@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import re
+import sys
 import time
 from collections import Counter
 
@@ -15,7 +16,7 @@ from whilep.harness import gen_aexp, gen_bexp
 from whilep.lang import (
     And, Assign, BinOp, BoolLit, Cmp, Cons, Dispose, If, IntLit, Lookup,
     Mutate, Not, Or, ParseError, Record, Seq, Skip, Var, While, children,
-    free_vars, parse, pretty, pretty_aexp, pretty_bexp, read_vars, seq_of,
+    free_vars, parse, pretty, pretty_aexp, pretty_bexp, seq_of,
     stmt_vars, walk, walk_paths,
 )
 
@@ -85,7 +86,7 @@ def test_walk_is_preorder_and_iterative():
     assert sum(1 for _ in walk(chain)) == 50_001
     assert sum(1 for _ in walk_paths(chain, lambda s: (s, children(s)))) == 50_001
     assert pretty(chain).count(";") == 49_999
-    assert stmt_vars(chain) == read_vars(chain) == {"x"}
+    assert stmt_vars(chain) == free_vars(chain) == {"x"}
 
 
 def test_generated_sequences_are_flat():
@@ -154,6 +155,28 @@ def test_integer_literals_are_ascii_digits():
     with pytest.raises(ParseError) as err:
         parse("x := \u0663\u0664 + 1")  # Arabic-Indic 3 and 4
     assert str(err.value) == "1:6: unexpected character '\u0663'"
+
+
+def test_overlong_integer_literal_is_a_parse_error():
+    """A literal longer than Python converts to an int is a syntax error
+    at the literal, a signed one at its sign, wherever it stands; one of
+    exactly the limit's length parses."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("Python's integer digit limit is off")
+    digits = "9" * (limit + 1)
+    message = f"integer literal has more than {limit} digits"
+    for src, line, col in [
+            (f"x := {digits}", 1, 6),
+            (f"x := 1;\n  y := -{digits}", 2, 8),
+            (f"x := cons(1, 2 * {digits})", 1, 18),
+            (f"if ({digits} < x) then {{ skip }} else {{ skip }}", 1, 5),
+            (f"while (x < 1) and (y < -{digits}) do {{ skip }}", 1, 24)]:
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert (err.value.message, err.value.line, err.value.col) == \
+            (message, line, col), src
+    assert parse("x := -" + "9" * limit) == Assign("x", IntLit(-int("9" * limit)))
 
 
 def test_trailing_input_rejected():
@@ -358,11 +381,11 @@ def test_free_vars_subexpression_monotone():
 def test_stmt_vars_and_read_vars():
     prog = parse("x := y + 1; [x] := z; dispose(w)")
     assert stmt_vars(prog) == {"x", "y", "z", "w"}
-    assert read_vars(prog) == {"y", "x", "z", "w"}
-    assert read_vars(parse("x := 1")) == frozenset()
+    assert free_vars(prog) == {"y", "x", "z", "w"}
+    assert free_vars(parse("x := 1")) == frozenset()
 
 
-# the recursive folds that free_vars, read_vars and stmt_vars replaced,
+# the recursive folds that free_vars and stmt_vars replaced,
 # kept as the reference for their one-walk versions
 
 def _ref_free_vars(e):
@@ -392,7 +415,7 @@ def _exprs(s):
     return out
 
 
-def _ref_read_vars(s):
+def _ref_reads(s):
     out = set()
     for e in _exprs(s):
         out |= _ref_free_vars(e)
@@ -400,7 +423,7 @@ def _ref_read_vars(s):
 
 
 def _ref_stmt_vars(s):
-    return _ref_read_vars(s) | {node.var for node in walk(s)
+    return _ref_reads(s) | {node.var for node in walk(s)
                                 if isinstance(node, (Assign, Cons, Lookup))}
 
 
@@ -419,7 +442,7 @@ def test_variable_sets_match_the_recursive_folds():
     assert free_vars(guards[-1]) == {"x", "y", "z", "w", "v"}
     for seed in range(2_000):
         prog = gen_program(GenConfig(seed=seed, max_stmts=(12, 40)[seed % 2]))
-        assert read_vars(prog) == _ref_read_vars(prog), seed
+        assert free_vars(prog) == _ref_reads(prog), seed
         assert stmt_vars(prog) == _ref_stmt_vars(prog), seed
         for e in _exprs(prog):
             assert free_vars(e) == _ref_free_vars(e), seed

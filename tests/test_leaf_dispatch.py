@@ -273,7 +273,8 @@ def test_leaf_steps_match_the_isinstance_reference():
     keeps the reference's key order, and join agrees with the frozen
     copy, in value and key order, on each exit type and each entry.
     leaf_live_pre is given transfer's exit type, from which it reads a
-    cons's block; the reference scans the entry type for it."""
+    cons's block with no cap; the reference scans the entry type for it
+    and folds it at the cap."""
     kinds = set()
     for seed in range(300):
         prog = gen_program(GenConfig(seed=seed))
@@ -299,7 +300,7 @@ def test_leaf_steps_match_the_isinstance_reference():
                         _assert_join_matches(post_p, other)
                     keys = sorted(post_p.env.keys() | entry.env.keys(), key=repr)
                     post = frozenset(k for k in keys if rng.random() < 0.5)
-                    assert leaf_live_pre(s, entry, post_p, post, cfg) == \
+                    assert leaf_live_pre(s, entry, post_p, post) == \
                         ref_leaf_live_pre(s, entry, post, cfg), (seed, cap, s, post)
     assert kinds == {Skip, Assign, Cons, Lookup, Mutate, Dispose}
 
@@ -517,7 +518,7 @@ _LOOP = While(Cmp("<", Var("x"), IntLit(1)), Skip())
 _CALLS = {
     "abs_eval": lambda n: abs_eval(n, _P0),
     "transfer": lambda n: transfer(n, _P0, _CFG),
-    "leaf_live_pre": lambda n: leaf_live_pre(n, _P0, _P0, EMPTY, _CFG),
+    "leaf_live_pre": lambda n: leaf_live_pre(n, _P0, _P0, EMPTY),
     "pretty": pretty,
     "pretty_aexp": pretty_aexp,
     "pretty_bexp": pretty_bexp,

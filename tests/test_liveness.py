@@ -37,7 +37,7 @@ def leaf_of(src, post, p=None):
     prog = parse(src)
     p = p if p is not None else bottom(stmt_vars(prog))
     live, rule, residual = leaf_live_pre(prog, p, transfer(prog, p, CFG),
-                                         frozenset(post), CFG)
+                                         frozenset(post))
     return live, rule, pretty(residual)
 
 
@@ -79,10 +79,10 @@ def test_cons_rules():
 def test_cons_residual_is_the_statement_when_every_cell_is_live():
     s = parse("x := cons(y, z)")
     p = bottom(stmt_vars(s))
-    live, rule, residual = leaf_live_pre(s, p, transfer(s, p, CFG), lv("x", A211, A212), CFG)
+    live, rule, residual = leaf_live_pre(s, p, transfer(s, p, CFG), lv("x", A211, A212))
     assert residual is s and rule == "con_d2"
     # a dead cell zeroes its argument in a new statement
-    live, rule, residual = leaf_live_pre(s, p, transfer(s, p, CFG), lv("x", A212), CFG)
+    live, rule, residual = leaf_live_pre(s, p, transfer(s, p, CFG), lv("x", A212))
     assert residual is not s and residual == parse("x := cons(0, z)")
     assert residual.args[1] is s.args[1]
 
@@ -114,7 +114,7 @@ def test_dispose_rule():
 def test_live_annotate_sequence():
     prog = parse("x := y; z := x")
     ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
-    live = live_annotate(ann, lv("z"), CFG)
+    live = live_annotate(ann, lv("z"))
     first, rest = live.premises
     assert rest.judgment.post.live == lv("z")
     assert rest.judgment.pre.live == lv("x")
@@ -127,7 +127,7 @@ def test_live_annotate_sequence():
 def test_live_annotate_if():
     prog = parse("if x < 3 then { y := a } else { y := b }")
     ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
-    live = live_annotate(ann, lv("y"), CFG)
+    live = live_annotate(ann, lv("y"))
     assert live.judgment.pre.live == lv("x", "a", "b")
 
 
@@ -135,14 +135,14 @@ def test_while_live_fixpoint_is_least():
     """Brute-force the minimal guard-closed live set on a two-variable loop."""
     prog = parse("while x < 3 do { x := x + y }")
     ann = annotate(prog, bottom({"x", "y"}), CFG)
-    live = live_annotate(ann, lv(), CFG)
+    live = live_annotate(ann, lv())
     body_ann = ann.children[0]
     floor = free_vars(prog.cond)
     closed = []
     for r in range(3):
         for extra in itertools.combinations(["x", "y"], r):
             cand = floor | frozenset(extra)
-            body = live_annotate(body_ann, cand, CFG)
+            body = live_annotate(body_ann, cand)
             if body.judgment.pre.live <= cand:
                 closed.append(cand)
     assert live.judgment.pre.live in closed
@@ -154,7 +154,7 @@ def test_while_live_fixpoint_is_least():
 def test_counter_only_loop_keeps_body_dead():
     prog = parse("i := 0; while i < 5 do { x := x + 1; i := i + 1 }")
     ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
-    live = live_annotate(ann, lv(), CFG)
+    live = live_annotate(ann, lv())
     assert live.judgment.pre.live == lv()
     loop = live.premises[1]
     assert loop.judgment.pre.live == lv("i")
@@ -173,7 +173,7 @@ def test_live_annotate_derivation_is_accepted():
         entry = _synthetic_ptype(rng, variables, CFG.instance_cap) \
             if seed % 2 else bottom(variables)
         final_live = frozenset(v for v in variables if rng.random() < 0.5)
-        d = live_annotate(annotate(prog, entry, CFG), final_live, CFG)
+        d = live_annotate(annotate(prog, entry, CFG), final_live)
         assert check(d, CFG) == ACCEPT, f"seed {seed}"
         assert d.judgment.stmt is prog and d.judgment.pre.pts == entry
         assert d.judgment.post.live == final_live
@@ -268,8 +268,8 @@ def test_live_pre_monotone_in_live_post():
         ann = annotate(prog, bottom(variables), CFG)
         big = frozenset(v for v in variables if rng.random() < 0.6)
         small = frozenset(v for v in big if rng.random() < 0.6)
-        pre_small = live_annotate(ann, small, CFG).judgment.pre.live
-        pre_big = live_annotate(ann, big, CFG).judgment.pre.live
+        pre_small = live_annotate(ann, small).judgment.pre.live
+        pre_big = live_annotate(ann, big).judgment.pre.live
         assert pre_small <= pre_big, f"seed {seed}"
 
 
@@ -278,13 +278,13 @@ def test_live_annotate_determinism():
         prog = gen_program(GenConfig(seed=seed))
         ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
         live = frozenset(sorted(stmt_vars(prog))[:1])
-        assert live_annotate(ann, live, CFG) == live_annotate(ann, live, CFG)
+        assert live_annotate(ann, live) == live_annotate(ann, live)
 
 
 def test_motivating_example_live_sets(fig_src):
     prog = parse(fig_src)
     ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
-    live = live_annotate(ann, lv("y"), CFG)
+    live = live_annotate(ann, lv("y"))
     # the first cons cell feeds the later lookup, so it is live at entry
     assert live.judgment.pre.live == lv(A211)
     flat = []
@@ -311,7 +311,7 @@ def test_executions_respect_live_restricted_types():
         base = bottom(variables)
         ann = annotate(prog, base, CFG)
         final_live = frozenset(v for v in variables if rng.random() < 0.5)
-        live = live_annotate(ann, final_live, CFG)
+        live = live_annotate(ann, final_live)
         st = _gen_state(rng, base)
         out = execute(prog, st, 1500)
         if not isinstance(out, Final):
