@@ -33,7 +33,10 @@ value; with addresses read only in their repr spelling, every fact has
 exactly one key. It rejects, in the entry type, the exit live set and
 the loop annotations, a variable the program does not mention, an
 address whose block length no cons of the program allocates and an
-address whose instance is above the cap. It reruns the analyses at the
+address whose instance is above the cap. The variables, the block
+lengths and the loops that the annotations are matched to are the facts
+parse recorded while reading the program (lang.program_facts), so the
+program is not walked for them. It reruns the analyses at the
 cap from entry and exit, each loop starting from its annotation joined
 with its entry (and, in points-to, with its allocations) and iterating
 to closure, and rejects an annotation or residual that the rerun does
@@ -47,9 +50,10 @@ by the same JSON writer (to_json), and the analyze reports share the
 text form of points-to keys, types and live sets defined here.
 
 The check-cert verdict is that rerun and a comparison of the rebuilt
-program's text with the given one's; check() is not on that path. The verdict
-trusts parse and pretty, annotate with transfer and join, live_annotate
-with leaf_live_pre, and the loop-annotation and residual comparisons.
+program's text with the given one's; check() is not on that path. The
+verdict trusts parse, with the facts it records, and pretty, annotate
+with transfer and join, live_annotate with leaf_live_pre, and the
+loop-annotation and residual comparisons.
 test_document_tamper_corpus_rejected, test_perturbed_seeds_still_reach_closure
 and criterion 8 assert that check() accepts what the passes build.
 """
@@ -62,7 +66,7 @@ from json.encoder import encode_basestring_ascii
 
 from .lang import (
     Assign, Cons, Dispose, If, Lookup, Mutate, ParseError, Record, Seq, Skip,
-    Stmt, While, children, free_vars, parse, pretty, stmt_vars, walk,
+    While, children, free_vars, parse, pretty, program_facts,
     walk_paths,
 )
 from .memory import Address, parse_addr
@@ -230,20 +234,6 @@ def live_to_list(live: frozenset) -> list:
     return [_key_to_str(k) for k in sorted(live, key=_key_sort_key)]
 
 
-def _loops_and_scope(s: Stmt, cap: int) -> tuple[list, tuple]:
-    """The While nodes of s in source preorder, and the scope of s: the
-    variables it mentions, the block lengths its cons statements
-    allocate and the instance cap."""
-    loops, lengths = [], set()
-    for node in walk(s):
-        tag = node[-1]
-        if tag is While:
-            loops.append(node)
-        elif tag is Cons:
-            lengths.add(len(node.args))
-    return loops, (stmt_vars(s), frozenset(lengths), cap)
-
-
 def _in_scope(keys, path: str, scope: tuple) -> None:
     """FormatError unless every variable among keys is one the program
     mentions and every address lies in a block of a length it allocates,
@@ -395,7 +385,10 @@ def deserialize(text: str) -> Derivation:
         program = parse(doc["program"])
     except ParseError as err:
         raise FormatError("root.program", f"unparsable program: {err}") from None
-    stmts, scope = _loops_and_scope(program, cap)
+    # the scope: the variables the program mentions, the block lengths
+    # its cons statements allocate and the cap, as its parse recorded them
+    variables, stmts, lengths = program_facts(program)
+    scope = (variables, lengths, cap)
     # each distinct address spelling is read once; the memo dies with
     # the call, so a rejected document's strings are not kept
     addr = functools.cache(parse_addr)

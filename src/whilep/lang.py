@@ -9,24 +9,35 @@ Comments run from // to end of line.
 Addresses exist only at runtime; the grammar has no address literals, so
 `addr(2,1,1)` in a source file is a syntax error.
 
-Whitespace is exactly space, tab, CR and LF. The lexer makes one pass of
-one regular expression, which skips the whitespace and comments before
-each token in the same match as the token. parse reports bad input as a
-ParseError whose str is `line:col: message` (the CLI prefixes the file
-name): line and column are 1-based, a tab counts as one column, and only
-LF ends a line.
+Whitespace is exactly space, tab, CR and LF. The lexer is one findall
+of one pattern, a lexeme, else a comment, else one stray character; it
+skips the whitespace between them, and drops the comments only when the
+source holds a '/'. parse checks the distinct tokens for strays and, in
+the same loop, collects the variables: the identifiers that are not
+keywords. It reports bad input as a ParseError whose str is
+`line:col: message` (the CLI prefixes the file name): line and column
+are 1-based, a tab counts as one column, and only LF ends a line.
 
 Trees are immutable Records (class-tagged tuples, equal by structure,
 read through shared C field accessors), so one parse shares one IntLit,
 Nil or Var node among all occurrences of a token text. Sharing holds
-within one parse call only: two calls never return a common node. The
-parser builds leaf statements and statement lists directly (see Record);
-an expression that is an atom seen before, alone or with one operator
-over another, is read without descending through the precedence levels.
+within one parse call only: two calls never return a common node.
+Statements are read by recursive descent, with leaf statements and
+statement lists built directly (see Record). Expressions are read by
+precedence climbing: one loop reads +, - and * by binding power, and
+one reads and and or, so an operand costs no call per precedence level.
 
-free_vars and stmt_vars take one walk with an explicit stack. A long sum
-or conjunction nests on the left, and the printers follow that left
-spine in a loop, so its length is no limit.
+The parser also records the facts the passes would otherwise walk the
+tree for: its variables, its While nodes in source preorder (a loop's
+slot is taken at its `while` token) and the arity of every cons. They
+are kept for the tree the last parse returned only, a one-entry memo
+matched by identity that keeps that tree alive until the next parse.
+stmt_vars and program_facts read them for that tree, and walk any other
+tree: a built one, a subtree, an older parse's.
+
+free_vars, and stmt_vars when it walks, take one walk with an explicit
+stack. A long sum or conjunction nests on the left, and the printers
+follow that left spine in a loop, so its length is no limit.
 """
 
 from __future__ import annotations
@@ -329,8 +340,27 @@ def free_vars(x: AExp | BExp | Stmt) -> frozenset[str]:
 
 
 def stmt_vars(s: Stmt) -> frozenset[str]:
-    """All variables mentioned by s, written or read."""
-    return _collect(s, True)
+    """All variables mentioned by s, written or read: those its parser
+    recorded when s is the tree parse returned last, else one walk."""
+    tree, variables, _, _ = _facts
+    return variables if tree is s else _collect(s, True)
+
+
+def program_facts(s: Stmt) -> tuple[frozenset, tuple, frozenset]:
+    """stmt_vars(s), the While nodes of s in source preorder and the
+    block lengths its cons statements allocate: what its parser recorded
+    when s is the tree parse returned last, else walked for."""
+    tree, variables, loops, lengths = _facts
+    if tree is s:
+        return variables, loops, lengths
+    loops, lengths = [], set()
+    for node in walk(s):
+        tag = node[-1]
+        if tag is While:
+            loops.append(node)
+        elif tag is Cons:
+            lengths.add(len(node.args))
+    return _collect(s, True), tuple(loops), frozenset(lengths)
 
 
 # --- lexer: a token is its text ---
@@ -350,19 +380,28 @@ KEYWORDS = {
 
 _LEXEME = r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|:=|<=|[;,()\[\]{}+\-*=<]"
 _LEXEME_RE = re.compile(_LEXEME)
-# Each match skips the whitespace and comments before a token and yields
-# the token: a lexeme, a character that starts none (a stray), or "" at
-# the end of input. The skip has one way to match, and what follows it
-# always matches, so no match backtracks. After trailing whitespace or a
-# comment, findall also yields the empty match at the end: a second "".
-_LEX_RE = re.compile(rf"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*({_LEXEME}|.|\Z)")
+# One match per token or comment: a lexeme, else a comment, else one
+# character that starts neither (a stray). findall skips the whitespace
+# between matches, and with no group in the pattern it yields each match.
+_TOKEN_RE = re.compile(rf"{_LEXEME}|//[^\n]*|[^ \t\r\n]")
+
+
+def _tokens(src: str) -> list[str]:
+    """The tokens of src, then "" for the end of input."""
+    tokens = _TOKEN_RE.findall(src)
+    if "/" in src:  # only then can there be a comment
+        tokens = [tok for tok in tokens if tok[:2] != "//"]
+    tokens.append("")
+    return tokens
 
 
 _STMT_KEYWORDS = frozenset({"skip", "dispose", "if", "while"})
-_ARITH = frozenset({"+", "-", "*"})
+# binding powers: * binds tighter than + and -, and and tighter than or
+_ARITH_POWER = {"+": 1, "-": 1, "*": 2}
+_GUARD_POWER = {"or": 1, "and": 2}
 
 
-# --- parser (recursive descent with backtracking for '(' in guards) ---
+# --- parser (precedence climbing, backtracking for '(' in guards) ---
 
 class _Failure(Exception):
     """A syntax error at a token index; parse() locates it in the source."""
@@ -373,12 +412,15 @@ class _Failure(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens  # the first "" is the end of input
+    def __init__(self, tokens: list[str], variables: frozenset[str]):
+        self.tokens = tokens  # the last is "", the end of input
         self.pos = 0
+        self.variables = variables  # the identifiers that are not keywords
         # token text -> its IntLit, Nil or Var node, shared by every
         # occurrence in this parse; "-7" keys the signed literal
         self.atoms: dict[str, AExp] = {}
+        self.loops: list = []  # the While nodes, in source preorder
+        self.lengths: set[int] = set()  # the arity of every cons
 
     def fail(self, expected: str):
         found = self.tokens[self.pos] or "end of input"
@@ -410,9 +452,9 @@ class _Parser:
         tokens = self.tokens
         pos = self.pos
         tok = tokens[pos]
-        # most statements are x := ...; neither an identifier nor ':=' is
+        # most statements are x := ...; neither a variable nor ':=' is
         # the final "", so the two tokens after tok exist
-        if tok.isidentifier() and tok not in KEYWORDS:
+        if tok in self.variables:
             if tokens[pos + 1] != ":=":
                 self.pos = pos + 1
                 self.fail("':='")
@@ -425,6 +467,7 @@ class _Parser:
                     self.pos += 1
                     args.append(self.aexp())
                 self.expect(")")
+                self.lengths.add(len(args))
                 return tuple.__new__(Cons, (tok, tuple(args), Cons))
             if rhs == "[":
                 self.pos = pos + 3
@@ -449,6 +492,9 @@ class _Parser:
             e = self.aexp()
             self.expect(")")
             return tuple.__new__(Dispose, (e, Dispose))
+        if tok == "while":  # its slot is taken here, so outer precedes inner
+            slot = len(self.loops)
+            self.loops.append(None)
         cond = self.bexp()
         if tok == "if":
             self.expect("then")
@@ -456,64 +502,65 @@ class _Parser:
             self.expect("else")
             return If(cond, then_body, self.braced())
         self.expect("do")
-        return While(cond, self.braced())
+        loop = self.loops[slot] = While(cond, self.braced())
+        return loop
 
-    # arithmetic expressions: * binds tighter than + and -, all left-associative
+    # arithmetic expressions by precedence climbing: the loop reads the
+    # operators of at least min_power, left-associative, and hands the
+    # operand after one to a nested climb when a tighter operator
+    # follows it. An atom seen before is read from `atoms` in the loop.
 
-    def aexp(self) -> AExp:
-        tokens, pos = self.tokens, self.pos
-        atom = self.atoms.get(tokens[pos])
-        if atom is not None:
-            # an atom seen before, with no operator after it or one
-            # operator over another such atom, needs no descent; an atom
-            # is a nonempty token, so the final "" comes after it
-            op = tokens[pos + 1]
-            if op not in _ARITH:
+    def aexp(self, lhs: AExp | None = None, min_power: int = 1) -> AExp:
+        tokens, atoms, pos = self.tokens, self.atoms, self.pos
+        if lhs is None:
+            lhs = atoms.get(tokens[pos])
+            if lhs is None:
+                lhs = self.atom()
+                pos = self.pos
+            else:
+                pos += 1
+        while (op := tokens[pos]) in _ARITH_POWER and (power := _ARITH_POWER[op]) >= min_power:
+            # an operator is not the final "", so a token follows it
+            rhs = atoms.get(tokens[pos + 1])
+            if rhs is None:
                 self.pos = pos + 1
-                return atom
-            rhs = self.atoms.get(tokens[pos + 2])
-            if rhs is not None and tokens[pos + 3] not in _ARITH:
-                self.pos = pos + 3
-                return tuple.__new__(BinOp, (op, atom, rhs, BinOp))
-        e = self.term()
-        while (op := tokens[self.pos]) == "+" or op == "-":
-            self.pos += 1
-            e = BinOp(op, e, self.term())
-        return e
+                rhs = self.atom()
+                pos = self.pos
+            else:
+                pos += 2
+            if (op2 := tokens[pos]) in _ARITH_POWER and _ARITH_POWER[op2] > power:
+                self.pos = pos
+                rhs = self.aexp(rhs, power + 1)
+                pos = self.pos
+            lhs = tuple.__new__(BinOp, (op, lhs, rhs, BinOp))
+        self.pos = pos
+        return lhs
 
-    def term(self) -> AExp:
-        tokens = self.tokens
-        e = self.factor()
-        while tokens[self.pos] == "*":
-            self.pos += 1
-            e = BinOp("*", e, self.factor())
-        return e
-
-    def factor(self) -> AExp:
+    def atom(self) -> AExp:
+        """The operand at pos, which `atoms` does not hold: a new atom,
+        kept there from now on, or a parenthesized expression."""
         tokens = self.tokens
         pos = self.pos
         tok = tokens[pos]
-        atom = self.atoms.get(tok)
-        if atom is None:
-            if tok.isdecimal():
-                atom = self.int_lit(pos, tok)
-            elif tok.isidentifier() and tok not in KEYWORDS:
-                atom = Var(tok)
-            elif tok == "nil":
-                atom = Nil()
-            elif tok == "-" and tokens[pos + 1].isdecimal():
-                # a signed integer literal, the only negative one
-                pos += 1
-                tok = "-" + tokens[pos]
-                atom = self.atoms.get(tok) or self.int_lit(pos - 1, tok)
-            elif tok == "(":
-                self.pos = pos + 1
-                e = self.aexp()
-                self.expect(")")
-                return e
-            else:
-                self.fail("an expression")
-            self.atoms[tok] = atom
+        if tok.isdecimal():
+            atom = self.int_lit(pos, tok)
+        elif tok in self.variables:
+            atom = Var(tok)
+        elif tok == "nil":
+            atom = Nil()
+        elif tok == "-" and tokens[pos + 1].isdecimal():
+            # a signed integer literal, the only negative one
+            pos += 1
+            tok = "-" + tokens[pos]
+            atom = self.atoms.get(tok) or self.int_lit(pos - 1, tok)
+        elif tok == "(":
+            self.pos = pos + 1
+            e = self.aexp()
+            self.expect(")")
+            return e
+        else:
+            self.fail("an expression")
+        self.atoms[tok] = atom
         self.pos = pos + 1
         return atom
 
@@ -524,23 +571,20 @@ class _Parser:
             raise _Failure(pos, "integer literal has more than "
                                 f"{sys.get_int_max_str_digits()} digits") from None
 
-    # guards: not binds tighter than and, and tighter than or
+    # guards: not binds tighter than and, and tighter than or; and/or
+    # are climbed as the arithmetic operators are
 
-    def bexp(self) -> BExp:
+    def bexp(self, lhs: BExp | None = None, min_power: int = 1) -> BExp:
         tokens = self.tokens
-        e = self.band()
-        while tokens[self.pos] == "or":
+        if lhs is None:
+            lhs = self.bnot()
+        while (power := _GUARD_POWER.get(op := tokens[self.pos], 0)) >= min_power:
             self.pos += 1
-            e = Or(e, self.band())
-        return e
-
-    def band(self) -> BExp:
-        tokens = self.tokens
-        e = self.bnot()
-        while tokens[self.pos] == "and":
-            self.pos += 1
-            e = And(e, self.bnot())
-        return e
+            rhs = self.bnot()
+            if _GUARD_POWER.get(tokens[self.pos], 0) > power:
+                rhs = self.bexp(rhs, power + 1)
+            lhs = And(lhs, rhs) if op == "and" else Or(lhs, rhs)
+        return lhs
 
     def bnot(self) -> BExp:
         if self.tokens[self.pos] == "not":
@@ -575,30 +619,43 @@ class _Parser:
         return Cmp(op, lhs, self.aexp())
 
 
+# the tree parse returned last, and the facts its parser recorded: the
+# variables, the While nodes in source preorder and the cons arities
+_facts = (None, frozenset(), (), frozenset())
+
+
 def parse(src: str) -> Stmt:
     """Parse a program, raising ParseError with line/column on bad input.
 
-    The whole source is lexed first, so a stray character is reported
+    The whole source is scanned first, so a stray character is reported
     before any syntax error."""
-    tokens = _LEX_RE.findall(src)
+    global _facts
+    tokens = _tokens(src)
     try:
-        stray = [tok for tok in set(tokens) if tok and not _LEXEME_RE.fullmatch(tok)]
+        names, stray = [], []
+        for tok in set(tokens):
+            if _LEXEME_RE.fullmatch(tok):
+                if tok.isidentifier() and tok not in KEYWORDS:
+                    names.append(tok)
+            elif tok:
+                stray.append(tok)
         if stray:
             at = min(map(tokens.index, stray))
             raise _Failure(at, f"unexpected character {tokens[at]!r}")
-        parser = _Parser(tokens)
+        variables = frozenset(names)
+        parser = _Parser(tokens, variables)
         s = parser.stmt()
         if tokens[parser.pos]:
             raise _Failure(parser.pos, f"unexpected trailing input {tokens[parser.pos]!r}")
-        return s
     except _Failure as failure:
-        # the offset of token failure.at: group 1 of its match starts at
-        # the token, and at len(src) for the end of input
-        starts = (m.start(1) for m in _LEX_RE.finditer(src))
+        # the offset of token failure.at, and len(src) for the end of input
+        starts = (m.start() for m in _TOKEN_RE.finditer(src) if m[0][:2] != "//")
         offset = next(islice(starts, failure.at, None), len(src))
         line = src.count("\n", 0, offset) + 1
         col = offset - src.rfind("\n", 0, offset)
         raise ParseError(failure.message, line, col) from None
+    _facts = (s, variables, tuple(parser.loops), frozenset(parser.lengths))
+    return s
 
 
 # --- printer; output is canonical and reparses to the same tree ---

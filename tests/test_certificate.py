@@ -224,19 +224,26 @@ def test_adjacent_judgments_share_one_boundary():
     assert boundaries > 10_000, boundaries
 
 
-def test_each_pass_walks_the_program_once(monkeypatch):
-    """The program walk (lang._collect for stmt_vars) runs once per
-    optimize, once per deserialize, for the scope, and never in check;
+def test_no_pass_walks_a_parsed_program(monkeypatch):
+    """A program walk (lang._collect for stmt_vars, lang.walk for the
+    loops and block lengths) runs in neither optimize nor deserialize of
+    the tree parse returned last, since its parse recorded those facts,
+    and never in check; optimize of a generated tree walks it once.
     free_vars walks only a leaf's operands and a guard. Every variable is
     live, so every leaf keeps its statement and reads its operands."""
-    calls, collect = [], lang._collect
+    calls, collect, lang_walk = [], lang._collect, lang.walk
 
-    def counted(root, writes):
+    def counted_collect(root, writes):
         if writes:
             calls.append(root)
         return collect(root, writes)
 
-    monkeypatch.setattr(lang, "_collect", counted)
+    def counted_walk(root):
+        calls.append(root)
+        return lang_walk(root)
+
+    monkeypatch.setattr(lang, "_collect", counted_collect)
+    monkeypatch.setattr(lang, "walk", counted_walk)
     src = chain_src(200)
     per_pass = []
 
@@ -252,7 +259,10 @@ def test_each_pass_walks_the_program_once(monkeypatch):
     text = serialize(d)
     again = walks_in(lambda: deserialize(text))
     assert walks_in(lambda: check(again, CFG)) == ACCEPT
-    assert per_pass == [1, 1, 0]
+    assert per_pass == [0, 0, 0]
+    program = gen_program(GenConfig(seed=7, max_stmts=40))
+    walks_in(lambda: optimize(program, (), CFG))
+    assert per_pass[-1] == 1 and calls == [program]
 
 
 PROBE = "p := 0; i := 0; while i < 5 do { p := cons(p); i := i + 1 }"
@@ -789,7 +799,8 @@ FIELD_PATHS = (("instance_cap",), ("program",), ("entry",), ("entry", "p"), ("ex
                ("loops", 0, "pts", "p"), ("loops", 0, "live"), ("residual",))
 
 
-# json.loads raises ValueError on the first, RecursionError on the second
+# json.loads raises ValueError on the first, over the default digit
+# limit, and RecursionError on the second
 UNREADABLE_JSON = ('{"program": ' + "1" * 5001 + "}",
                    "[" * (sys.getrecursionlimit() + 1))
 
@@ -798,9 +809,10 @@ UNREADABLE_JSON = ('{"program": ' + "1" * 5001 + "}",
 @given(st.text())
 @example(UNREADABLE_JSON[0])
 @example(UNREADABLE_JSON[1])
-def test_deserialize_text_raises_only_format_error(text):
+def test_deserialize_text_raises_only_format_error(default_digit_limit, text):
     try:
-        deserialize(text)
+        with default_digit_limit():
+            deserialize(text)
     except FormatError as err:
         if text in UNREADABLE_JSON:
             assert err.path == "root"

@@ -398,20 +398,23 @@ def test_check_cert_rejects_tampering(prog, capsys, tmp_path, fig_src):
     assert capsys.readouterr().out.startswith("Reject: root.loops[0].pts: ")
 
 
-def test_check_cert_rejects_format_errors(prog, capsys, tmp_path):
-    src = prog("skip")
+def test_check_cert_rejects_format_errors(prog, capsys, tmp_path, default_digit_limit):
+    src, limit = prog("skip"), sys.get_int_max_str_digits()
     cert = tmp_path / "cert.json"
     cert.write_text('{"rule": "skip"}', encoding="utf-8")
     assert main(["check-cert", src, str(cert)]) == 2
     assert capsys.readouterr().out.startswith("Reject: root:")
-    # json.loads raises ValueError on the first, RecursionError on the second
+    # json.loads raises ValueError on the first, over the default digit
+    # limit, and RecursionError on the second
     for text in ('{"program": ' + "1" * 5001 + "}",
                  "[" * (sys.getrecursionlimit() + 1)):
         cert.write_text(text, encoding="utf-8")
-        assert main(["check-cert", src, str(cert)]) == 2
+        with default_digit_limit():
+            assert main(["check-cert", src, str(cert)]) == 2
         out, err = capsys.readouterr()
         assert out.startswith("Reject: root: not valid JSON: ")
         assert err == ""
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_check_cert_rejects_wrong_program(prog, capsys, tmp_path):

@@ -3,8 +3,8 @@ never uses, no module of the package imports another's private name or
 dataclasses, every top-level definition of the package is read
 somewhere, importing the package loads neither dataclasses nor inspect
 nor the command line, no string of the package holds the Unicode
-digit class \\d, and no code of the package writes into a points-to
-environment."""
+digit class \\d, no code of the package writes into a points-to
+environment, and only parse writes the facts memo of the parser."""
 
 import ast
 import subprocess
@@ -171,6 +171,49 @@ def test_checker_finds_env_writes():
     assert env_writes(source) == [f"line {n}" for n in (2, 3, 4, 5, 6, 8, 13, 14)]
 
 
+def memo_writes(source: str, name: str, writer: str) -> list[str]:
+    """Writes of the module-level memo `name` outside the function
+    writer, as 'line n': a store or delete of the name in any other
+    function, or at top level after its first binding there, or of an
+    attribute of that name anywhere."""
+    tree = ast.parse(source)
+    owner = {}  # node -> the innermost function it is in
+    for fn in ast.walk(tree):  # outer functions come first
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, fn.name) for node in ast.walk(fn) if node is not fn)
+    lines, bound = set(), False
+    for node in ast.walk(tree):
+        if not (isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and (node.id if isinstance(node, ast.Name) else node.attr) == name):
+            continue
+        where = owner.get(node)
+        if isinstance(node, ast.Name) and where is None and not bound:
+            bound = True  # the definition
+        elif isinstance(node, ast.Attribute) or where != writer:
+            lines.add(node.lineno)
+    return [f"line {n}" for n in sorted(lines)]
+
+
+def test_checker_finds_memo_writes():
+    source = ("_memo = None\n"
+              "def parse(src):\n"
+              "    global _memo\n"
+              "    _memo = src\n"
+              "def other(x):\n"
+              "    global _memo\n"
+              "    _memo = x\n"
+              "    def inner():\n"
+              "        lang._memo = 1\n"
+              "    del _memo\n"
+              "_memo = 2\n"
+              "for _memo in (): pass\n"
+              "def reader():\n"
+              "    return _memo, lang._memo\n")
+    assert memo_writes(source, "_memo", "parse") == [
+        f"line {n}" for n in (7, 9, 10, 11, 12)]
+
+
 def _reads(tree: ast.AST) -> set[str]:
     """The names tree reads: as a name, an attribute, an imported name or
     an entry of __all__."""
@@ -301,6 +344,18 @@ def test_package_never_writes_into_a_points_to_env():
     """A points-to type's env is never changed once built (a step builds
     env | delta), so cons_block may recognise a type it saw by identity."""
     assert _by_file(env_writes, sorted(PACKAGE.glob("*.py"))) == {}
+
+
+def test_only_parse_writes_the_parse_facts():
+    """lang._facts, the facts recorded for the tree parse returned last,
+    is written by parse alone, so it never pairs a tree with another
+    tree's facts."""
+    assert _by_file(lambda text: memo_writes(text, "_facts", "parse"),
+                    sorted(PACKAGE.glob("*.py"))) == {}
+    lang = (PACKAGE / "lang.py").read_text(encoding="utf-8")
+    planted = lang.replace("def seq_of(", "def _plant():\n    global _facts\n"
+                           "    _facts = None\n\n\ndef seq_of(", 1)
+    assert len(memo_writes(planted, "_facts", "parse")) == 1
 
 
 def test_tests_have_no_unused_imports():

@@ -276,11 +276,9 @@ def _edit(text, rng):
     return text[:at]
 
 
-def test_parse_outcomes_pinned():
-    """The tree or exact error of 3,000 seeded edits of generated and
-    chain programs stays the same."""
+def _edited_texts():
+    """3,000 seeded edits of generated and chain programs."""
     rng = random.Random("parse-edits")
-    h = hashlib.sha256()
     for i in range(3_000):
         if i % 3:
             text = pretty(gen_program(GenConfig(seed=i, max_stmts=(12, 24)[i % 2])))
@@ -288,12 +286,56 @@ def test_parse_outcomes_pinned():
             text = _chain_text(rng.randint(1, 40))
         for _ in range(rng.choice((1, 1, 2))):
             text = _edit(text, rng)
+        yield text
+
+
+def test_parse_outcomes_pinned():
+    """The tree or exact error of every edited text stays the same."""
+    h = hashlib.sha256()
+    for text in _edited_texts():
         try:
             outcome = pretty(parse(text))
         except ParseError as err:
             outcome = str(err)
         h.update(f"{outcome}\n".encode())
     assert h.hexdigest() == EDIT_OUTCOMES_DIGEST
+
+
+def test_parser_records_the_walks_facts(monkeypatch):
+    """The variables, loops and cons arities parse records for the tree
+    it returns are the ones a walk of that tree finds, the loops by
+    identity and in source preorder: on generated programs and on every
+    edited text that parses. A tree parsed before the last one is walked."""
+    texts = [pretty(gen_program(GenConfig(seed=seed, max_stmts=n)))
+             for seed in range(300) for n in (12, 40)]
+    parsed = Counter()
+    for text in itertools.chain(texts, _edited_texts()):
+        try:
+            tree = parse(text)
+        except ParseError:
+            continue
+        recorded, variables, loops, lengths = lang._facts
+        assert recorded is tree
+        assert variables == lang._collect(tree, True), text
+        walked = [node for node in walk(tree) if node[-1] is While]
+        assert len(loops) == len(walked), text
+        assert all(a is b for a, b in zip(loops, walked)), text
+        assert lengths == {len(node.args) for node in walk(tree) if node[-1] is Cons}, text
+        assert lang.program_facts(tree) == (variables, loops, lengths)
+        assert stmt_vars(tree) is variables
+        parsed["loops" if loops else "straight"] += 1
+    assert parsed["loops"] > 500 and parsed["straight"] > 500, parsed
+
+    walks, collect = [], lang._collect
+    monkeypatch.setattr(lang, "_collect",
+                        lambda root, writes: walks.append(root) or collect(root, writes))
+    first = parse("a := cons(1, 2); while a < 1 do { b := [a] }")
+    second = parse("c := 1; while c < 2 do { c := cons(c) }")
+    assert stmt_vars(first) == {"a", "b"} and walks == [first]
+    variables, loops, lengths = lang.program_facts(first)
+    assert (variables, lengths) == ({"a", "b"}, {2}) and walks == [first, first]
+    assert loops == (first.items[1],) and loops[0] is first.items[1]
+    assert stmt_vars(second) == {"c"} and walks == [first, first]
 
 
 def _guard_chain_seconds(n):
@@ -480,13 +522,19 @@ def test_variable_sets_reject_an_unknown_node():
         free_vars(Not(Probe("z")))
 
 
-# the two-step lexer that _LEX_RE replaced, kept as the reference: lex
-# whitespace, comments and tokens, drop the first two, append the end
+# the two-step lexer, kept as the reference: lex whitespace, comments
+# and tokens, drop the first two, append the end
 _REF_TOKEN_RE = re.compile(rf"[ \t\r\n]+|//[^\n]*|({lang._LEXEME}|.)")
 
 
 def _ref_tokens(src):
     return list(filter(None, _REF_TOKEN_RE.findall(src))) + [""]
+
+
+def _ref_offset(src, at):
+    """Where token `at` of _ref_tokens(src) starts; len(src) for the end."""
+    starts = (m.start(1) for m in _REF_TOKEN_RE.finditer(src) if m[1])
+    return next(itertools.islice(starts, at, None), len(src))
 
 
 LEX_CASES = [
@@ -501,17 +549,13 @@ LEX_CASES = [
 
 @pytest.mark.parametrize("src", LEX_CASES)
 def test_lexer_matches_the_two_step_lexer(src):
-    """The tokens up to the end of input are the reference's; after
-    trailing whitespace or a comment, findall also yields the empty match
-    at the end, a second "" that the parser never reads."""
-    tokens = lang._LEX_RE.findall(src)
-    end = tokens.index("") + 1
-    assert tokens[:end] == _ref_tokens(src)
-    assert tokens[end:] in ([], [""])
+    """The scan's tokens, with the one "" that ends them, are the
+    reference's."""
+    assert lang._tokens(src) == _ref_tokens(src)
 
 
-# the parser before atoms and one-operator expressions skipped the
-# descent and leaves were built directly, kept as the reference
+# the recursive descent, one call per precedence level, that precedence
+# climbing replaced, kept as the reference
 
 class _RefParser:
     def __init__(self, tokens):
@@ -676,11 +720,10 @@ class _RefParser:
 
 
 def _ref_parse(src):
-    """parse, with the reference parser; the lexer and the error location
-    are parse's own."""
-    tokens = lang._LEX_RE.findall(src)
+    """parse, with the reference lexer and parser."""
+    tokens = _ref_tokens(src)
     try:
-        stray = [tok for tok in set(tokens) if tok and not lang._LEXEME_RE.fullmatch(tok)]
+        stray = [tok for tok in set(tokens) if tok and not re.fullmatch(lang._LEXEME, tok)]
         if stray:
             at = min(map(tokens.index, stray))
             raise lang._Failure(at, f"unexpected character {tokens[at]!r}")
@@ -690,8 +733,7 @@ def _ref_parse(src):
             raise lang._Failure(parser.pos, f"unexpected trailing input {tokens[parser.pos]!r}")
         return s
     except lang._Failure as failure:
-        starts = (m.start(1) for m in lang._LEX_RE.finditer(src))
-        offset = next(itertools.islice(starts, failure.at, None), len(src))
+        offset = _ref_offset(src, failure.at)
         line = src.count("\n", 0, offset) + 1
         col = offset - src.rfind("\n", 0, offset)
         raise ParseError(failure.message, line, col) from None

@@ -442,7 +442,7 @@ _DIRECT = {
     AnnStmt: (_LEAF, _P, _P, ()),
     Cons: ("x", (IntLit(0), Var("p"))),
     Seq: ((_LEAF, Skip()),),
-    # the parser's leaves and its one-operator shortcut
+    # the parser's leaves and its operator loop
     BinOp: ("+", Var("p"), IntLit(1)),
     Assign: ("x", Var("p")),
     Lookup: ("x", BinOp("+", Var("p"), IntLit(1))),
