@@ -4,11 +4,11 @@ A derivation node (liveness.Derivation, built by live_annotate) records
 one rule application: the original statement, its residual, the
 entry/exit (points-to, live) pairs, and one premise per child of the
 statement. check() revalidates one in memory, in preorder, knowing only
-the rules the optimizer builds: rule/statement shape, side conditions
-recomputed from the node's own entry type (the leaf rule also reads the
-exit type, once it is confirmed to be the transfer's), the rewrite
-itself, and how premises compose. It names a bad node by its `analyze
-live` row path.
+the rules the optimizer builds: rule/statement shape (by the class
+tag, like every per-node path), side conditions recomputed from the
+node's own entry type (the leaf rule also reads the exit type, once it
+is confirmed to be the transfer's), the rewrite itself, and how
+premises compose. It names a bad node by its `analyze live` row path.
 
 The rules are compositional: given the program, its entry type, its
 exit live set and the instance cap, every judgment is forced except the
@@ -44,7 +44,8 @@ not reproduce, every loop invariant before any loop-head live set. A
 coarser annotation that is still closed is reproduced: weakening is
 expressed through the loop annotations and the entry type.
 Serialization is deterministic, so equal derivations at one cap produce
-byte-identical documents.
+byte-identical documents. deserialize walks the rerun's derivation for
+its loop annotations only when the parse recorded a loop.
 The analyze and test-soundness reports of the command line are written
 by the same JSON writer (to_json), and the analyze reports share the
 text form of points-to keys, types and live sets defined here.
@@ -122,7 +123,7 @@ def _invalid(d: Derivation, cfg: WidenConfig) -> str | None:
     form = _RULE_FORM.get(d.rule)
     if form is None:
         return f"unknown rule {d.rule!r}"
-    if not isinstance(s, form):
+    if s[-1] is not form:
         return f"{d.rule} does not apply to {pretty(s)!r}"
     arity = len(children(s))
     if len(d.premises) != arity:
@@ -408,7 +409,7 @@ def deserialize(text: str) -> Derivation:
     d = live_annotate(ann, exit_live, {id(w): t.live for w, t in zip(stmts, loops)})
     # the live pass reads the invariants: a points-to fault can also
     # change an earlier loop's live set, so every invariant comes first
-    types = list(zip(_loop_types(d), loops))
+    types = list(zip(_loop_types(d), loops)) if stmts else []
     for i, (got, want) in enumerate(types):
         if got.pts != want.pts:
             raise FormatError(f"root.loops[{i}].pts", "invariant does not contain "

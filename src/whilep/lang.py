@@ -12,11 +12,15 @@ Addresses exist only at runtime; the grammar has no address literals, so
 Whitespace is exactly space, tab, CR and LF. The lexer is one findall
 of one pattern, a lexeme, else a comment, else one stray character; it
 skips the whitespace between them, and drops the comments only when the
-source holds a '/'. parse checks the distinct tokens for strays and, in
-the same loop, collects the variables: the identifiers that are not
-keywords. It reports bad input as a ParseError whose str is
-`line:col: message` (the CLI prefixes the file name): line and column
-are 1-based, a tab counts as one column, and only LF ends a line.
+source holds a '/'. The lexeme alternation tries the one-character
+punctuation first, the largest class of tokens, then identifiers,
+numbers, := and <=?; no two alternatives start with the same
+character, so the order changes no token. parse checks the distinct
+tokens for strays and, in the same loop, collects the variables: the
+identifiers that are not keywords. It reports bad input as a
+ParseError whose str is `line:col: message` (the CLI prefixes the file
+name): line and column are 1-based, a tab counts as one column, and
+only LF ends a line.
 
 Trees are immutable Records (class-tagged tuples, equal by structure,
 read through shared C field accessors), so one parse shares one IntLit,
@@ -378,7 +382,7 @@ KEYWORDS = {
     "not", "and", "or", "true", "false", "nil",
 }
 
-_LEXEME = r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|:=|<=|[;,()\[\]{}+\-*=<]"
+_LEXEME = r"[;,()\[\]{}+\-*=]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|:=|<=?"
 _LEXEME_RE = re.compile(_LEXEME)
 # One match per token or comment: a lexeme, else a comment, else one
 # character that starts neither (a stray). findall skips the whitespace

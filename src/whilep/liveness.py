@@ -95,9 +95,9 @@ def leaf_live_pre(s: Stmt, pre: PointsTo, post_p: PointsTo,
         m = len(post_p.env[s.var])
         cells = block_cells(len(s.args), m, m)
         live_args = {a[2] for a in cells & post}
-        entry = post - {s.var}
+        entry = post - {s.var} if s.var in post else post
         for j in live_args:
-            entry |= free_vars(s.args[j - 1])
+            entry = entry | free_vars(s.args[j - 1])
         rule = "con_d2" if live_args or s.var in post else "con_d1"
         if len(live_args) == len(s.args):  # the rewrite keeps s as it is
             return entry, rule, s

@@ -175,7 +175,26 @@ def value_lt(v1: Value, v2: Value) -> bool:
 
 
 def format_value(v: Value) -> str:
-    return repr(v)  # an int's digits, nil or addr(n,u,i)
+    """An int's digits, nil or addr(n,u,i), for any int: one past
+    str()'s digit limit is printed in parts below it."""
+    try:
+        return repr(v)
+    except ValueError:
+        return "-" + _digits(-v) if v < 0 else _digits(v)
+
+
+# 500 digits: below the least digit limit Python allows (640)
+_CHUNK = 10 ** 500
+
+
+def _digits(n: int) -> str:
+    """The digits of n >= 0: split at a power of ten by divmod until each
+    part is below _CHUNK, which str() converts under any limit."""
+    if n < _CHUNK:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    high, low = divmod(n, 10 ** k)
+    return _digits(high) + _digits(low).zfill(k)
 
 
 # numerals without leading zeros: every address has one spelling, its repr

@@ -607,6 +607,35 @@ NESTED_SRC = ("p := cons(0); i := 0; z := 0; while i < 2 do { j := 0; "
               "i := i + 1 }")
 
 
+def test_loop_annotations_come_from_the_parse(monkeypatch):
+    """deserialize walks the rerun's derivation for its loop annotations
+    only when the parse recorded a loop: on the loop-free chain_src(200)
+    it visits no derivation node for them, while programs with nested
+    loops keep every annotation."""
+    visited, loop_types = [], certificate._loop_types
+
+    def counted(d):
+        visited.append(sum(1 for _ in walk_paths(d, lambda n: (n.judgment.stmt, n.premises))))
+        return loop_types(d)
+
+    d = derivation_for(chain_src(200), {"p0", "p1", "p2", "p3"})
+    text = serialize(d)
+    assert json.loads(text)["loops"] == []
+    monkeypatch.setattr(certificate, "_loop_types", counted)
+    assert deserialize(text) == d
+    assert visited == []
+    for src in (NESTED_SRC, TWO_DEEP, WITH_LOOPS[2], WITH_LOOPS[3]):
+        prog = parse(src)
+        d = optimize(prog, stmt_vars(prog), CFG).derivation
+        loops = sum(isinstance(n, While) for n in walk(prog))
+        visited.clear()
+        text = serialize(d)
+        assert len(json.loads(text)["loops"]) == loops >= 1, src
+        again = deserialize(text)
+        assert again == d and serialize(again) == text, src
+        assert len(visited) == 3 and min(visited) > 0, src
+
+
 def test_deserialize_rejects_a_repeated_key():
     """JSON keeps the last value of a repeated key, so a document could
     state two facts for one key and have the first ignored."""
@@ -849,6 +878,44 @@ def test_check_rejects_rule_on_wrong_form():
     # rule is not one of them
     wrapped = Derivation("csq_d", d.judgment, (d,))
     assert check(wrapped, CFG) == CheckResult(False, "root", "unknown rule 'csq_d'")
+
+
+# every rule with the statement class it applies to, and a statement of
+# each class
+RULE_FORMS = {
+    "skip": "Skip", "ass_d1": "Assign", "ass_d2": "Assign", "con_d1": "Cons",
+    "con_d2": "Cons", "lok_d1": "Lookup", "lok_d2": "Lookup", "mut_d1": "Mutate",
+    "mut_d2": "Mutate", "dis_d": "Dispose", "seq_d": "Seq", "if_d": "If", "whl_d": "While",
+}
+FORM_SRCS = ["skip", "x := 1", "x := cons(1)", "x := [x]", "[x] := 1", "dispose(x)",
+             "x := 1; skip", "if x < 1 then { skip } else { x := 2 }",
+             "while x < 1 do { x := x + 1 }"]
+
+
+def test_check_names_every_rule_on_every_other_form():
+    """For every rule, check given a statement of another class, with that
+    statement's own premises, gives the reason text check has always
+    given; so does every rule given the wrong number of premises."""
+    derivations = [derivation_for(src, set()) for src in FORM_SRCS]
+    assert sorted({type(d.judgment.stmt).__name__ for d in derivations}) == \
+        sorted(set(RULE_FORMS.values()))
+    wrong = 0
+    for rule, form in RULE_FORMS.items():
+        for d in derivations:
+            s = d.judgment.stmt
+            if type(s).__name__ == form:
+                arity = len(d.premises)
+                for premises in (d.premises + (d,), d.premises[1:]):
+                    if len(premises) != arity:
+                        verdict = check(Derivation(rule, d.judgment, premises), CFG)
+                        assert verdict == CheckResult(False, "root", f"{rule} takes "
+                                                      f"{arity} premises, got {len(premises)}")
+                continue
+            verdict = check(Derivation(rule, d.judgment, d.premises), CFG)
+            assert verdict == CheckResult(False, "root",
+                                          f"{rule} does not apply to {pretty(s)!r}"), rule
+            wrong += 1
+    assert wrong == 13 * 8  # each rule meets the eight classes it does not name
 
 
 def test_check_rejects_flipped_side_condition():

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import mutants
@@ -111,6 +112,17 @@ def test_run_abort(prog, capsys, fig_src):
 def test_run_out_of_fuel(prog, capsys):
     assert main(["run", prog("while true do { skip }"), "--fuel", "50"]) == 1
     assert capsys.readouterr().out == "out of fuel\n"
+
+
+def test_run_prints_an_int_past_the_digit_limit(prog, capsys, default_digit_limit):
+    """Fourteen squarings of 2 finish within fuel and print all 4,933
+    digits of 2^(2^14), more than str() converts by default."""
+    src = "x := 2; i := 0; while i < 14 do { x := x * x; i := i + 1 }"
+    with default_digit_limit():
+        assert main(["run", prog(src)]) == 0
+    digits = format(Decimal(2 ** 16384), "f")
+    assert len(digits) == 4933
+    assert capsys.readouterr().out == f"i = 14\nx = {digits}\n"
 
 
 def test_run_init(prog, capsys):

@@ -523,8 +523,10 @@ def test_variable_sets_reject_an_unknown_node():
 
 
 # the two-step lexer, kept as the reference: lex whitespace, comments
-# and tokens, drop the first two, append the end
-_REF_TOKEN_RE = re.compile(rf"[ \t\r\n]+|//[^\n]*|({lang._LEXEME}|.)")
+# and tokens, drop the first two, append the end; its lexeme pattern is
+# frozen here, so reordering lang's alternation leaves the reference as it is
+_REF_LEXEME = r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|:=|<=|[;,()\[\]{}+\-*=<]"
+_REF_TOKEN_RE = re.compile(rf"[ \t\r\n]+|//[^\n]*|({_REF_LEXEME}|.)")
 
 
 def _ref_tokens(src):
@@ -544,6 +546,8 @@ LEX_CASES = [
     "x//y", "x := 1;\r y := ;", "x :=\r\n\t1", "x\ry", "\tskip;\t\tskip\t",
     "skip;\x0cskip", "\u00a0", ":=:=<=<", "::", "x := -1", "a1_b2 3c",
     "x := 1;\n// end\n", "   \n  // trailing\n  ",
+    # operator prefixes and punctuation runs
+    "<", "<=", "<==", "=<", ":", ":=:", "a<b", "1<=2", "x:=-1", "{}[](),;", "a/b//c",
 ]
 
 
@@ -723,7 +727,7 @@ def _ref_parse(src):
     """parse, with the reference lexer and parser."""
     tokens = _ref_tokens(src)
     try:
-        stray = [tok for tok in set(tokens) if tok and not re.fullmatch(lang._LEXEME, tok)]
+        stray = [tok for tok in set(tokens) if tok and not re.fullmatch(_REF_LEXEME, tok)]
         if stray:
             at = min(map(tokens.index, stray))
             raise lang._Failure(at, f"unexpected character {tokens[at]!r}")

@@ -5,6 +5,7 @@ import itertools
 import pickle
 import random
 import time
+from decimal import Decimal
 
 import pytest
 
@@ -104,6 +105,21 @@ def test_format_value():
     assert format_value(7) == "7"
     assert format_value(-2) == "-2"
     assert format_value(Address(3, 1, 2)) == "addr(3,1,2)"
+
+
+def test_format_value_prints_every_int(default_digit_limit):
+    """An int with more digits than str() converts prints all of them,
+    signed, with the zeros inside it; Decimal, which has no digit limit,
+    gives the expected text."""
+    rng = random.Random(41)
+    values = [10 ** 500 - 1, 10 ** 500, 10 ** 4300 - 1, 10 ** 4300, 10 ** 4400 + 7,
+              2 ** (2 ** 14), 3 ** 20_000, 10 ** 9000 + 10 ** 4000]
+    values += [rng.getrandbits(rng.randint(10_000, 70_000)) for _ in range(20)]
+    with default_digit_limit():
+        for n in values + [-n for n in values]:
+            assert format_value(n) == format(Decimal(n), "f"), n.bit_length()
+        with pytest.raises(ValueError):
+            str(10 ** 4300)  # the limit format_value goes around
 
 
 def test_fresh_instance_examples():
