@@ -42,12 +42,15 @@ tree: a built one, a subtree, an older parse's.
 free_vars, and stmt_vars when it walks, take one walk with an explicit
 stack. A long sum or conjunction nests on the left, and the printers
 follow that left spine in a loop, so its length is no limit.
+
+A literal has at most MAX_LITERAL_DIGITS digits under any process limit
+on int() and str() (PYTHONINTMAXSTRDIGITS): parse and pretty convert a
+long one in parts every setting allows, so all processes read it alike.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from collections import namedtuple
 from itertools import islice
 
@@ -405,6 +408,25 @@ _ARITH_POWER = {"+": 1, "-": 1, "*": 2}
 _GUARD_POWER = {"or": 1, "and": 2}
 
 
+# --- integer literals, read and printed in parts ---
+
+MAX_LITERAL_DIGITS = 4_300  # Python's default digit limit, fixed
+_PART_DIGITS = 500  # below the least limit Python allows (640)
+_PART = 10 ** _PART_DIGITS
+
+
+def int_digits(n: int) -> str:
+    """str(n) under any digit limit: a long n is split at a power of ten
+    by divmod until each part is below _PART."""
+    if -_PART < n < _PART:
+        return str(n)
+    if n < 0:
+        return "-" + int_digits(-n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    high, low = divmod(n, 10 ** k)
+    return int_digits(high) + int_digits(low).zfill(k)
+
+
 # --- parser (precedence climbing, backtracking for '(' in guards) ---
 
 class _Failure(Exception):
@@ -569,11 +591,16 @@ class _Parser:
         return atom
 
     def int_lit(self, pos: int, text: str) -> IntLit:
-        try:
+        if len(text) <= _PART_DIGITS:  # int() reads it under any setting
             return IntLit(int(text))
-        except ValueError:  # Python's limit on the digits int() converts
-            raise _Failure(pos, "integer literal has more than "
-                                f"{sys.get_int_max_str_digits()} digits") from None
+        digits = text.lstrip("-")
+        if len(digits) > MAX_LITERAL_DIGITS:
+            raise _Failure(pos, f"integer literal has more than {MAX_LITERAL_DIGITS} digits")
+        n = 0
+        for i in range(0, len(digits), _PART_DIGITS):
+            part = digits[i:i + _PART_DIGITS]
+            n = n * 10 ** len(part) + int(part)
+        return IntLit(-n if text[0] == "-" else n)
 
     # guards: not binds tighter than and, and tighter than or; and/or
     # are climbed as the arithmetic operators are
@@ -672,7 +699,10 @@ def pretty_aexp(e: AExp, prec: int = 0) -> str:
     if tag is Var:
         return e.name
     if tag is IntLit:
-        return str(e.value)
+        try:  # the common path pays no call
+            return str(e.value)
+        except ValueError:  # past the process's digit limit
+            return int_digits(e.value)
     if tag is BinOp:
         # a long sum nests on the left: its left spine is followed in a
         # loop and printed back up, so its length is no limit;

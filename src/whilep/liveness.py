@@ -21,10 +21,10 @@ Adjacent judgments share one boundary: an item of a sequence ends at
 the very LiveType the next item starts at, and the sequence starts at
 its first item's entry and ends at its last item's exit, so a leaf item
 costs three records (its derivation, judgment and entry LiveType) and
-check's chain comparisons meet one object.
-leaf_live_pre and live_annotate dispatch on the class tag node[-1], and
-the leaf items of a sequence, _node and the rewrites build their records
-with tuple.__new__ (see lang.Record).
+check's chain comparisons meet one object. As in pointsto.annotate,
+each item's records are built, and leaf_live_pre called, at one site.
+leaf_live_pre and live_annotate dispatch on the class tag node[-1] and
+build their records with tuple.__new__ (see lang.Record).
 """
 
 from __future__ import annotations
@@ -137,66 +137,51 @@ def live_annotate(ann: AnnStmt, post: frozenset,
 
 
 def _derive(ann: AnnStmt, out: LiveType, seeds: dict) -> Derivation:
-    """live_annotate, ending at the exit judgment side out. Adjacent
-    judgments share one boundary: a sequence item ends at the next item's
-    entry LiveType, the last at the sequence's exit, and the sequence
-    starts at its first item's entry."""
+    """live_annotate, ending at the exit judgment side out. A statement
+    steps as the run of its items, a Seq's or itself alone, backwards.
+    Adjacent judgments share one boundary: an item ends at the next
+    item's entry LiveType, the last at out, and a sequence starts at its
+    first item's entry."""
     s = ann.stmt
-    tag = s[-1]
-    if tag is Seq:
-        # a leaf item is stepped and built here, not through a call;
-        # leaf_live_pre is looked up at each call, so a patched one sees it
-        new, premises, nxt = tuple.__new__, [], out
-        for child in reversed(ann.children):
-            item = child.stmt
-            tag = item[-1]
-            if tag is If or tag is While:
-                d = _derive(child, nxt, seeds)
-            else:
-                pre, rule, residual = leaf_live_pre(item, child.pre, child.post, nxt.live)
-                d = new(Derivation, (rule, new(Judgment, (
-                    item, new(LiveType, (child.pre, pre, LiveType)), nxt, residual,
-                    Judgment)), (), Derivation))
-            premises.append(d)
-            nxt = d.judgment.pre
-        premises.reverse()
-        # no residual item is a Seq, so the items are not re-spliced
-        residual = new(Seq, (tuple([d.judgment.residual for d in premises]), Seq))
-        return new(Derivation, ("seq_d", new(Judgment, (s, nxt, out, residual, Judgment)),
-                                tuple(premises), Derivation))
-    post = out.live
-    if tag is If:
-        then_ann, else_ann = ann.children
-        then_d = _derive(then_ann, LiveType(then_ann.post, post), seeds)
-        else_d = _derive(else_ann, LiveType(else_ann.post, post), seeds)
-        pre = free_vars(s.cond) | then_d.judgment.pre.live | else_d.judgment.pre.live
-        return _node(ann, "if_d", pre, out, If(s.cond, then_d.judgment.residual,
-                                                else_d.judgment.residual),
-                     (then_d, else_d))
-    if tag is While:
-        # least fixpoint above the exit set plus the guard: the body is
-        # re-analyzed with the loop head as its exit until nothing grows
-        body_ann = ann.children[0]
-        head = post | free_vars(s.cond) | seeds.get(id(s), frozenset())
-        while True:
-            body = _derive(body_ann, LiveType(body_ann.post, head), seeds)
-            grown = head | body.judgment.pre.live
-            if grown == head:
-                return _node(ann, "whl_d", grown, out,
-                             While(s.cond, body.judgment.residual), (body,))
-            head = grown
-    pre, rule, residual = leaf_live_pre(s, ann.pre, ann.post, post)
-    return _node(ann, rule, pre, out, residual)
-
-
-def _node(ann: AnnStmt, rule: str, pre: frozenset, out: LiveType,
-          residual: Stmt, premises: tuple = ()) -> Derivation:
-    """The derivation node of ann's statement from live set pre to the
-    exit judgment side out."""
-    new = tuple.__new__
-    return new(Derivation, (rule, new(Judgment, (
-        ann.stmt, new(LiveType, (ann.pre, pre, LiveType)), out, residual,
-        Judgment)), premises, Derivation))
+    is_seq = s[-1] is Seq
+    new, premises, nxt = tuple.__new__, [], out
+    for child in reversed(ann.children) if is_seq else (ann,):
+        item, post = child.stmt, nxt.live
+        tag = item[-1]
+        if tag is If:
+            then_ann, else_ann = child.children
+            then_d = _derive(then_ann, LiveType(then_ann.post, post), seeds)
+            else_d = _derive(else_ann, LiveType(else_ann.post, post), seeds)
+            pre = free_vars(item.cond) | then_d.judgment.pre.live | else_d.judgment.pre.live
+            rule, residual, subs = "if_d", If(item.cond, then_d.judgment.residual,
+                                              else_d.judgment.residual), (then_d, else_d)
+        elif tag is While:
+            # least fixpoint above the exit set plus the guard: the body is
+            # re-analyzed with the loop head as its exit until nothing grows
+            body_ann = child.children[0]
+            pre = post | free_vars(item.cond) | seeds.get(id(item), frozenset())
+            while True:
+                body = _derive(body_ann, LiveType(body_ann.post, pre), seeds)
+                grown = pre | body.judgment.pre.live
+                if grown == pre:
+                    break
+                pre = grown
+            rule, residual, subs = "whl_d", While(item.cond, body.judgment.residual), (body,)
+        else:  # leaf_live_pre is looked up at each call, so a patched one sees it
+            pre, rule, residual = leaf_live_pre(item, child.pre, child.post, post)
+            subs = ()
+        d = new(Derivation, (rule, new(Judgment, (
+            item, new(LiveType, (child.pre, pre, LiveType)), nxt, residual,
+            Judgment)), subs, Derivation))
+        premises.append(d)
+        nxt = d.judgment.pre
+    if not is_seq:
+        return d
+    premises.reverse()
+    # no residual item is a Seq, so the items are not re-spliced
+    residual = new(Seq, (tuple([d.judgment.residual for d in premises]), Seq))
+    return new(Derivation, ("seq_d", new(Judgment, (s, nxt, out, residual, Judgment)),
+                            tuple(premises), Derivation))
 
 
 def models_live(st: ProgState, p: PointsTo, live: frozenset,

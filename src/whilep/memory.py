@@ -18,7 +18,7 @@ import heapq
 import re
 from collections import namedtuple
 
-from .lang import Record
+from .lang import Record, int_digits
 
 
 class Address(namedtuple("Address", "length instance index")):
@@ -176,25 +176,11 @@ def value_lt(v1: Value, v2: Value) -> bool:
 
 def format_value(v: Value) -> str:
     """An int's digits, nil or addr(n,u,i), for any int: one past
-    str()'s digit limit is printed in parts below it."""
+    str()'s digit limit is printed in parts by lang.int_digits."""
     try:
         return repr(v)
     except ValueError:
-        return "-" + _digits(-v) if v < 0 else _digits(v)
-
-
-# 500 digits: below the least digit limit Python allows (640)
-_CHUNK = 10 ** 500
-
-
-def _digits(n: int) -> str:
-    """The digits of n >= 0: split at a power of ten by divmod until each
-    part is below _CHUNK, which str() converts under any limit."""
-    if n < _CHUNK:
-        return str(n)
-    k = n.bit_length() * 3 // 20  # about half of n's digits
-    high, low = divmod(n, 10 ** k)
-    return _digits(high) + _digits(low).zfill(k)
+        return int_digits(v)
 
 
 # numerals without leading zeros: every address has one spelling, its repr

@@ -26,11 +26,11 @@ change (its variable, a cons's block cells, a heap write's targets) it
 writes only those whose image changes or that become tracked, and
 returns its entry type itself when there are none; join returns its
 first type when the second adds nothing. A step that changes nothing
-thus costs no copy. annotate applies transfer at every leaf, stepping
-the leaf items of a sequence in its own loop. These per-node paths,
-abs_eval, transfer and annotate, dispatch on the class tag node[-1] and
-build the PointsTo and AnnStmt of a leaf with tuple.__new__ (see
-lang.Record).
+thus costs no copy. annotate steps a statement as the run of its
+items, a Seq's or itself alone, so it builds each item's AnnStmt and
+calls transfer at one site. These per-node paths, abs_eval, transfer
+and annotate, dispatch on the class tag node[-1] and build the PointsTo
+and AnnStmt of a leaf with tuple.__new__ (see lang.Record).
 
 A loop starts from its entry joined with its allocations: the cells of
 instances 1..K of each block length a cons in its body allocates, at
@@ -333,39 +333,37 @@ def annotate(s: Stmt, p: PointsTo, cfg: WidenConfig,
 
 def _annotate(s: Stmt, p: PointsTo, cfg: WidenConfig, seeds: dict,
               starts: dict) -> AnnStmt:
-    """annotate, with each loop's start memoised in starts by id()."""
-    tag = s[-1]
-    if tag is Seq:
-        # leaf items step here; transfer is looked up per call, so patches apply
-        children, q = [], p
-        for item in s.items:
-            tag = item[-1]
-            if tag is If or tag is While:
-                child = _annotate(item, q, cfg, seeds, starts)
-            else:
-                child = tuple.__new__(AnnStmt, (item, q, transfer(item, q, cfg), (), AnnStmt))
-            children.append(child)
-            q = child.post
-        return AnnStmt(s, p, q, tuple(children))
-    if tag is If:
-        then_ann = _annotate(s.then_body, p, cfg, seeds, starts)
-        else_ann = _annotate(s.else_body, p, cfg, seeds, starts)
-        return AnnStmt(s, p, join(then_ann.post, else_ann.post),
-                       (then_ann, else_ann))
-    if tag is While:
-        if id(s) not in starts:  # the body's allocations at empty images, and the seed
-            cap = cfg.instance_cap
-            starts[id(s)] = PointsTo({a: EMPTY for n in walk(s.body) if isinstance(n, Cons)
-                                      for a in block_cells(len(n.args), cap, cap)}
-                                     | seeds.get(id(s), bottom(())).env)
-        inv = join(p, starts[id(s)])
-        while True:
-            body = _annotate(s.body, inv, cfg, seeds, starts)
-            grown = join(inv, body.post)
-            if grown is inv:
-                return AnnStmt(s, p, grown, (body,))
-            inv = grown
-    return AnnStmt(s, p, transfer(s, p, cfg))
+    """annotate, with each loop's start memoised in starts by id(). A
+    statement steps as the run of its items: a Seq's, or itself alone."""
+    is_seq = s[-1] is Seq
+    children, q = [], p
+    for item in s.items if is_seq else (s,):
+        tag = item[-1]
+        if tag is If:
+            then_ann = _annotate(item.then_body, q, cfg, seeds, starts)
+            else_ann = _annotate(item.else_body, q, cfg, seeds, starts)
+            child = AnnStmt(item, q, join(then_ann.post, else_ann.post),
+                            (then_ann, else_ann))
+        elif tag is While:
+            if id(item) not in starts:  # the body's allocations at empty images, and the seed
+                cap = cfg.instance_cap
+                starts[id(item)] = PointsTo(
+                    {a: EMPTY for n in walk(item.body) if isinstance(n, Cons)
+                     for a in block_cells(len(n.args), cap, cap)}
+                    | seeds.get(id(item), bottom(())).env)
+            inv = join(q, starts[id(item)])
+            while True:
+                body = _annotate(item.body, inv, cfg, seeds, starts)
+                grown = join(inv, body.post)
+                if grown is inv:
+                    break
+                inv = grown
+            child = AnnStmt(item, q, inv, (body,))
+        else:  # transfer is looked up per call, so patches apply
+            child = tuple.__new__(AnnStmt, (item, q, transfer(item, q, cfg), (), AnnStmt))
+        children.append(child)
+        q = child.post
+    return AnnStmt(s, p, q, tuple(children)) if is_seq else child
 
 
 def models(st: ProgState, p: PointsTo, cfg: WidenConfig) -> bool:

@@ -183,6 +183,43 @@ def test_each_pass_computes_a_cons_block_once(monkeypatch):
     assert per_pass == [100, 100, 100]
 
 
+# three counter loops nested around four copies: 10 leaves
+NESTED_COPIES = (
+    "i := 0; while i < 2 do { j := 0; while j < 2 do { k := 0; while k < 2 do "
+    "{ x1 := x2; x2 := x3; x3 := x4; x4 := x5; k := k + 1 }; j := j + 1 }; "
+    "i := i + 1 }")
+
+
+@pytest.mark.parametrize("src, live, per_pass", [
+    (NESTED_COPIES, {"x1"}, [(10, 46), (10, 10)]),
+    ("x := cons(1)", set(), [(1, 1), (1, 1)]),
+    ("if x < 1 then { x := cons(1) } else { y := [x] }", set(), [(2, 2), (2, 2)]),
+    ("while x < 3 do { x := x + 1 }", set(), [(1, 1), (1, 1)]),
+])
+def test_each_pass_steps_each_leaf_as_often_as_pinned(monkeypatch, src, live, per_pass):
+    """optimize and deserialize call transfer and leaf_live_pre, patched
+    in as the mutants are, these many times: a leaf that is the whole
+    program, a branch or a loop body steps like a sequence's item. A
+    loop's live pass rebuilds its body every round (46 on the nested
+    loops); deserialize's seeded loops end in one."""
+    counts = Counter()
+
+    def counted(name, step):
+        def wrapper(*args):
+            counts[name] += 1
+            return step(*args)
+        return wrapper
+
+    monkeypatch.setattr(pointsto, "transfer", counted("transfer", pointsto.transfer))
+    monkeypatch.setattr(liveness, "leaf_live_pre",
+                        counted("leaf_live_pre", liveness.leaf_live_pre))
+    text = serialize(derivation_for(src, live))
+    optimized = (counts["transfer"], counts["leaf_live_pre"])
+    counts.clear()
+    deserialize(text)
+    assert [optimized, (counts["transfer"], counts["leaf_live_pre"])] == per_pass
+
+
 def _unshared_boundaries(d):
     """The seq_d boundaries of d that are two objects: (statement, i)
     where premise i's exit is not premise i + 1's entry, or (statement,

@@ -20,9 +20,9 @@ from whilep.pointsto import MAX_INSTANCE_CAP, WidenConfig, annotate, bottom
 
 RUN_SRC = "x := cons(3, 4); y := [x + 1]; z := y * 2"
 
-# a literal one digit over the limit of Python's int() on strings
-LONG_DIGITS = "9" * (sys.get_int_max_str_digits() + 1)
-LONG_MESSAGE = f"integer literal has more than {sys.get_int_max_str_digits()} digits"
+# a literal one digit over lang's fixed limit, Python's default one
+LONG_DIGITS = "9" * 4301
+LONG_MESSAGE = "integer literal has more than 4300 digits"
 
 
 @pytest.fixture
@@ -49,6 +49,41 @@ def test_run_prints_final_state(prog, capsys):
                    "z = 8\n"
                    "addr(2,1,1) = 3\n"
                    "addr(2,1,2) = 4\n")
+
+
+def _whilep_under(limit, *args):
+    """python -m whilep args, exit code, stdout and stderr, in a process
+    whose digit limit on int() and str() is limit (PYTHONINTMAXSTRDIGITS),
+    or Python's default for None."""
+    env = _package_env()
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    if limit is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = limit
+    done = subprocess.run([sys.executable, "-m", "whilep", *args],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_certificate_with_a_long_literal_reads_under_any_digit_limit(prog, tmp_path):
+    """A 1,000-digit literal is within lang's fixed limit, so the
+    certificate written under Python's default digit limit is accepted,
+    and written again byte for byte, under the least limit (640) and
+    under none (0)."""
+    text = f"x := {'7' * 1000}; y := x + 1"
+    path, cert = prog(text), tmp_path / "default.cert"
+    optimize = ["optimize", path, "--live", "y", "--cert"]
+    assert _whilep_under(None, *optimize, str(cert)) == (0, text + "\n", "")
+    for limit in ("640", "0"):
+        assert _whilep_under(limit, "check-cert", path, str(cert)) == (0, "Accept\n", "")
+        again = tmp_path / f"{limit}.cert"
+        assert _whilep_under(limit, *optimize, str(again)) == (0, text + "\n", "")
+        assert again.read_bytes() == cert.read_bytes()
+
+
+@pytest.mark.parametrize("limit", [None, "640", "0"])
+def test_overlong_literal_is_one_parse_error_under_any_digit_limit(prog, limit):
+    path = prog(f"x := 1;\ny := {LONG_DIGITS}")
+    assert _whilep_under(limit, "run", path) == (1, "", f"{path}:2:6: {LONG_MESSAGE}\n")
 
 
 def test_python_m_whilep_runs_the_command_line(prog, tmp_path):
@@ -171,7 +206,6 @@ def test_program_not_utf8_is_a_read_error(tmp_path, capsys, command):
                    "not valid UTF-8: invalid start byte at byte 16\n")
 
 
-@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no digit limit")
 @pytest.mark.parametrize("command", [["run"], ["analyze", "pts"],
                                      ["analyze", "live"], ["optimize"],
                                      ["check-cert"]])
@@ -182,7 +216,6 @@ def test_overlong_literal_is_a_parse_error(prog, capsys, tmp_path, command):
     assert capsys.readouterr() == ("", f"{path}:2:6: {LONG_MESSAGE}\n")
 
 
-@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no digit limit")
 def test_overlong_literal_in_a_certificate_is_rejected(prog, capsys, tmp_path):
     cert = tmp_path / "cert.json"
     assert main(["optimize", prog("x := 1"), "--cert", str(cert)]) == 0

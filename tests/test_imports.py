@@ -4,7 +4,8 @@ dataclasses, every top-level definition of the package is read
 somewhere, importing the package loads neither dataclasses nor inspect
 nor the command line, no string of the package holds the Unicode
 digit class \\d, no code of the package writes into a points-to
-environment, and only parse writes the facts memo of the parser."""
+environment, only parse writes the facts memo of the parser, and each
+pass steps a leaf at one site."""
 
 import ast
 import subprocess
@@ -356,6 +357,25 @@ def test_only_parse_writes_the_parse_facts():
     planted = lang.replace("def seq_of(", "def _plant():\n    global _facts\n"
                            "    _facts = None\n\n\ndef seq_of(", 1)
     assert len(memo_writes(planted, "_facts", "parse")) == 1
+
+
+def call_sites(source: str, name: str) -> list[str]:
+    """The calls of the plain name `name` in source, as 'line n'."""
+    return [f"line {n}" for n in sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == name)]
+
+
+def test_each_pass_steps_a_leaf_at_one_site():
+    """pointsto calls transfer, and liveness calls leaf_live_pre, at one
+    site: each pass steps a leaf, wherever it stands, in the one loop
+    that steps a sequence's items."""
+    for module, step in (("pointsto", "transfer"), ("liveness", "leaf_live_pre")):
+        source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+        assert len(call_sites(source, step)) == 1, module
+        planted = source + f"\n\ndef _plant(*args):\n    return {step}(*args)\n"
+        assert len(call_sites(planted, step)) == 2, module
 
 
 def test_tests_have_no_unused_imports():
