@@ -36,7 +36,10 @@ address whose block length no cons of the program allocates and an
 address whose instance is above the cap. The variables, the block
 lengths and the loops that the annotations are matched to are the facts
 parse recorded while reading the program (lang.program_facts), so the
-program is not walked for them. It reruns the analyses at the
+program is not walked for them. When the program text is the source the
+caller parsed last, trailing whitespace aside (lang.last_parsed), that
+parse's tree and facts are taken, so a verdict that parsed the program
+file reads the same text once. It reruns the analyses at the
 cap from entry and exit, each loop starting from its annotation joined
 with its entry (and, in points-to, with its allocations) and iterating
 to closure, and rejects an annotation or residual that the rerun does
@@ -52,8 +55,9 @@ text form of points-to keys, types and live sets defined here.
 
 The check-cert verdict is that rerun and a comparison of the rebuilt
 program's text with the given one's; check() is not on that path. The
-verdict trusts parse, with the facts it records, and pretty, annotate
-with transfer and join, live_annotate with leaf_live_pre, and the
+verdict trusts parse, with the facts it records and the memo that pairs
+the source it read last with its own tree, and pretty, annotate with
+transfer and join, live_annotate with leaf_live_pre, and the
 loop-annotation and residual comparisons.
 test_document_tamper_corpus_rejected, test_perturbed_seeds_still_reach_closure
 and criterion 8 assert that check() accepts what the passes build.
@@ -67,7 +71,7 @@ from json.encoder import encode_basestring_ascii
 
 from .lang import (
     Assign, Cons, Dispose, If, Lookup, Mutate, ParseError, Record, Seq, Skip,
-    While, children, free_vars, parse, pretty, program_facts,
+    While, children, free_vars, last_parsed, parse, pretty, program_facts,
     walk_paths,
 )
 from .memory import Address, parse_addr
@@ -364,7 +368,9 @@ def deserialize(text: str) -> Derivation:
     seeded rerun of the module docstring at the document's instance cap;
     FormatError if the rerun does not reproduce the document. check()
     accepts what it returns at that cap; whether that describes a given
-    program is for the caller to compare."""
+    program is for the caller to compare. The program is the tree the
+    last parse returned when the document's text is its source, trailing
+    whitespace aside, and a parse of that text otherwise."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as err:
@@ -383,7 +389,7 @@ def deserialize(text: str) -> Derivation:
     if not isinstance(doc["program"], str):
         raise FormatError("root.program", "expected program source text")
     try:
-        program = parse(doc["program"])
+        program = last_parsed(doc["program"]) or parse(doc["program"])
     except ParseError as err:
         raise FormatError("root.program", f"unparsable program: {err}") from None
     # the scope: the variables the program mentions, the block lengths

@@ -35,17 +35,21 @@ The parser also records the facts the passes would otherwise walk the
 tree for: its variables, its While nodes in source preorder (a loop's
 slot is taken at its `while` token) and the arity of every cons. They
 are kept for the tree the last parse returned only, a one-entry memo
-matched by identity that keeps that tree alive until the next parse.
-stmt_vars and program_facts read them for that tree, and walk any other
-tree: a built one, a subtree, an older parse's.
+matched by identity that keeps that tree and its source text alive until
+the next parse. stmt_vars and program_facts read them for that tree, and
+walk any other tree: a built one, a subtree, an older parse's.
+last_parsed(src) gives that tree back for its own source, trailing
+whitespace aside, so a reader of the same text need not parse it again;
+a failed parse leaves the memo as it was.
 
 free_vars, and stmt_vars when it walks, take one walk with an explicit
 stack. A long sum or conjunction nests on the left, and the printers
 follow that left spine in a loop, so its length is no limit.
 
 A literal has at most MAX_LITERAL_DIGITS digits under any process limit
-on int() and str() (PYTHONINTMAXSTRDIGITS): parse and pretty convert a
-long one in parts every setting allows, so all processes read it alike.
+on int() and str() (PYTHONINTMAXSTRDIGITS): literal_value and pretty
+convert a long one in parts every setting allows, so all processes read
+it alike.
 """
 
 from __future__ import annotations
@@ -349,7 +353,7 @@ def free_vars(x: AExp | BExp | Stmt) -> frozenset[str]:
 def stmt_vars(s: Stmt) -> frozenset[str]:
     """All variables mentioned by s, written or read: those its parser
     recorded when s is the tree parse returned last, else one walk."""
-    tree, variables, _, _ = _facts
+    _, tree, variables, _, _ = _facts
     return variables if tree is s else _collect(s, True)
 
 
@@ -357,7 +361,7 @@ def program_facts(s: Stmt) -> tuple[frozenset, tuple, frozenset]:
     """stmt_vars(s), the While nodes of s in source preorder and the
     block lengths its cons statements allocate: what its parser recorded
     when s is the tree parse returned last, else walked for."""
-    tree, variables, loops, lengths = _facts
+    _, tree, variables, loops, lengths = _facts
     if tree is s:
         return variables, loops, lengths
     loops, lengths = [], set()
@@ -413,6 +417,22 @@ _GUARD_POWER = {"or": 1, "and": 2}
 MAX_LITERAL_DIGITS = 4_300  # Python's default digit limit, fixed
 _PART_DIGITS = 500  # below the least limit Python allows (640)
 _PART = 10 ** _PART_DIGITS
+
+
+def literal_value(text: str) -> int:
+    """The value of an integer literal, ASCII digits with an optional
+    leading '-', read in parts under any digit limit; ValueError if it
+    has more than MAX_LITERAL_DIGITS digits."""
+    if len(text) <= _PART_DIGITS:  # int() reads it under any setting
+        return int(text)
+    digits = text.lstrip("-")
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"integer literal has more than {MAX_LITERAL_DIGITS} digits")
+    n = 0
+    for i in range(0, len(digits), _PART_DIGITS):
+        part = digits[i:i + _PART_DIGITS]
+        n = n * 10 ** len(part) + int(part)
+    return -n if text[0] == "-" else n
 
 
 def int_digits(n: int) -> str:
@@ -591,16 +611,10 @@ class _Parser:
         return atom
 
     def int_lit(self, pos: int, text: str) -> IntLit:
-        if len(text) <= _PART_DIGITS:  # int() reads it under any setting
-            return IntLit(int(text))
-        digits = text.lstrip("-")
-        if len(digits) > MAX_LITERAL_DIGITS:
-            raise _Failure(pos, f"integer literal has more than {MAX_LITERAL_DIGITS} digits")
-        n = 0
-        for i in range(0, len(digits), _PART_DIGITS):
-            part = digits[i:i + _PART_DIGITS]
-            n = n * 10 ** len(part) + int(part)
-        return IntLit(-n if text[0] == "-" else n)
+        try:
+            return IntLit(literal_value(text))
+        except ValueError as err:
+            raise _Failure(pos, str(err)) from None
 
     # guards: not binds tighter than and, and tighter than or; and/or
     # are climbed as the arithmetic operators are
@@ -650,9 +664,10 @@ class _Parser:
         return Cmp(op, lhs, self.aexp())
 
 
-# the tree parse returned last, and the facts its parser recorded: the
-# variables, the While nodes in source preorder and the cons arities
-_facts = (None, frozenset(), (), frozenset())
+# the source parse read last, the tree it returned for it, and the facts
+# its parser recorded: the variables, the While nodes in source preorder
+# and the cons arities; before any parse, no tree
+_facts = ("", None, frozenset(), (), frozenset())
 
 
 def parse(src: str) -> Stmt:
@@ -685,8 +700,18 @@ def parse(src: str) -> Stmt:
         line = src.count("\n", 0, offset) + 1
         col = offset - src.rfind("\n", 0, offset)
         raise ParseError(failure.message, line, col) from None
-    _facts = (s, variables, tuple(parser.loops), frozenset(parser.lengths))
+    _facts = (src, s, variables, tuple(parser.loops), frozenset(parser.lengths))
     return s
+
+
+def last_parsed(src: str) -> Stmt | None:
+    """The tree parse returned last, if src is the source it read with
+    its trailing whitespace removed, else None. That parse succeeded, and
+    trailing whitespace adds no token, so parse(src) would return an
+    equal tree; this is the same immutable one, with its recorded facts,
+    shared with parse's caller."""
+    source, tree = _facts[:2]
+    return tree if source.rstrip(" \t\r\n") == src else None
 
 
 # --- printer; output is canonical and reparses to the same tree ---

@@ -22,8 +22,8 @@ from whilep.cli import main
 from whilep.deadcode import optimize
 from whilep.interp import Final, execute, zero_state
 from whilep.lang import (
-    Assign, If, IntLit, Seq, Skip, While, parse, pretty, stmt_vars, walk,
-    walk_paths,
+    Assign, If, IntLit, ParseError, Seq, Skip, While, parse, pretty, stmt_vars,
+    walk, walk_paths,
 )
 from whilep.liveness import Derivation, LiveType
 from whilep.pointsto import MAX_INSTANCE_CAP, PointsTo, WidenConfig, bottom
@@ -718,6 +718,50 @@ def test_deserialize_parses_each_address_spelling_once(monkeypatch):
     text = serialize(optimize(parse(PROBE), {"p"}, cfg).derivation, cfg)
     assert deserialize(text).judgment.stmt == parse(PROBE)
     assert len(calls) == len(set(calls)) < text.count('"addr(') / 10
+
+
+def test_the_verdict_parses_the_program_once(monkeypatch):
+    """deserialize takes its program from the caller's parse of the same
+    text, trailing whitespace aside, and parses any other text once:
+    calls counted by wrapping certificate.parse, as the benchmark's
+    tracer does. A failed parse leaves the memo pairing the older source
+    with its own tree. A derivation built on a reused tree equals a
+    fresh one and serializes to the same bytes."""
+    calls, parse_ = [], certificate.parse
+
+    def counted(text):
+        calls.append(text)
+        return parse_(text)
+
+    monkeypatch.setattr(certificate, "parse", counted)
+    texts = [pretty(gen_program(GenConfig(seed=seed, max_stmts=n)))
+             for seed in range(0, 300, 10) for n in (12, 40)]
+    other = "q := cons(1); r := [q]"
+    for text in texts + [chain_src(200)]:
+        prog = parse(text)
+        cert = serialize(optimize(prog, stmt_vars(prog), CFG).derivation)
+        assert json.loads(cert)["program"] == text
+        parse(other)
+        calls.clear()
+        fresh = deserialize(cert)
+        assert calls == [text]
+        for form in (text, text + "\n"):
+            tree = parse(form)
+            calls.clear()
+            d = deserialize(cert)
+            assert calls == [] and d.judgment.stmt is tree, form
+            assert d == fresh and serialize(d) == cert
+        with pytest.raises(ParseError):
+            parse(other + "; [")
+        assert lang.last_parsed(text) is tree
+        calls.clear()
+        assert deserialize(cert) == fresh and calls == []
+        tree = parse("// the same program\n" + text.replace("; ", ";\n  "))
+        assert tree == fresh.judgment.stmt
+        calls.clear()
+        d = deserialize(cert)
+        assert calls == [text] and d.judgment.stmt is not tree
+        assert d == fresh and serialize(d) == cert
 
 
 def test_invariant_faults_named_before_live_faults():

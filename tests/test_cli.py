@@ -177,6 +177,15 @@ def test_run_init(prog, capsys):
             "", f"whilep: bad --init binding: {binding!r} (expected name=int)\n")
 
 
+@pytest.mark.parametrize("limit", [None, "640", "0"])
+def test_run_init_reads_a_long_value_under_any_digit_limit(prog, limit):
+    """--init reads its values as parse reads literals, so a 1,000-digit
+    value binds under the least digit limit as it does in a program."""
+    digits = "7" * 1000
+    done = _whilep_under(limit, "run", prog("y := x + 1"), "--init", f"x={digits}")
+    assert done == (0, f"x = {digits}\ny = {digits[:-1]}8\n", "")
+
+
 def test_parse_error_reports_position(prog, capsys):
     assert main(["run", prog("x :=\n  := 3")]) == 1
     err = capsys.readouterr().err
@@ -469,6 +478,30 @@ def test_check_cert_rejects_wrong_program(prog, capsys, tmp_path):
     assert main(["check-cert", prog("x := 2", "other.whl"), str(cert)]) == 2
     assert capsys.readouterr().out == \
         "Reject: root: certificate does not describe this program\n"
+
+
+def test_check_cert_of_the_readme_session_parses_the_program_once(
+        prog, capsys, tmp_path, monkeypatch, fig_src):
+    """The README session: prog.whl ends in a newline, and deserialize
+    takes the tree check-cert parsed from it. A multi-line, commented
+    file of the same program is accepted after one more parse. Another
+    program's certificate is rejected for either file."""
+    calls, parse = [], certificate.parse
+    monkeypatch.setattr(certificate, "parse", lambda text: calls.append(text) or parse(text))
+    readme = prog(fig_src)
+    spread = prog("// the README example\n" + fig_src.replace("; ", ";\n"), "spread.whl")
+    cert, other = tmp_path / "cert.json", tmp_path / "other.json"
+    assert main(["optimize", readme, "--live", "y", "--cert", str(cert)]) == 0
+    assert main(["optimize", prog("x := cons(3, 4); y := [x]", "other.whl"),
+                 "--live", "y", "--cert", str(other)]) == 0
+    capsys.readouterr()
+    for path, parses in ((readme, []), (spread, [fig_src])):
+        calls.clear()
+        assert main(["check-cert", path, str(cert)]) == 0
+        assert (capsys.readouterr().out, calls) == ("Accept\n", parses)
+        assert main(["check-cert", path, str(other)]) == 2
+        assert capsys.readouterr().out == \
+            "Reject: root: certificate does not describe this program\n"
 
 
 PROBE_SRC = "p := 0; i := 0; while i < 5 do { p := cons(p); i := i + 1 }"

@@ -302,7 +302,8 @@ def test_parser_records_the_walks_facts(monkeypatch):
     """The variables, loops and cons arities parse records for the tree
     it returns are the ones a walk of that tree finds, the loops by
     identity and in source preorder: on generated programs and on every
-    edited text that parses. A tree parsed before the last one is walked."""
+    edited text that parses. They are kept with the text parsed. A tree
+    parsed before the last one is walked."""
     texts = [pretty(gen_program(GenConfig(seed=seed, max_stmts=n)))
              for seed in range(300) for n in (12, 40)]
     parsed = Counter()
@@ -311,8 +312,8 @@ def test_parser_records_the_walks_facts(monkeypatch):
             tree = parse(text)
         except ParseError:
             continue
-        recorded, variables, loops, lengths = lang._facts
-        assert recorded is tree
+        source, recorded, variables, loops, lengths = lang._facts
+        assert source is text and recorded is tree
         assert variables == lang._collect(tree, True), text
         walked = [node for node in walk(tree) if node[-1] is While]
         assert len(loops) == len(walked), text
