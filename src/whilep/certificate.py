@@ -51,7 +51,8 @@ byte-identical documents. deserialize walks the rerun's derivation for
 its loop annotations only when the parse recorded a loop.
 The analyze and test-soundness reports of the command line are written
 by the same JSON writer (to_json), and the analyze reports share the
-text form of points-to keys, types and live sets defined here.
+text form of points-to keys, types and live sets defined here. There, a
+string list costs one join and each distinct address is spelled once.
 
 The check-cert verdict is that rerun and a comparison of the rebuilt
 program's text with the given one's; check() is not on that path. The
@@ -67,7 +68,9 @@ from __future__ import annotations
 
 import functools
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .lang import (
     Assign, Cons, Dispose, If, Lookup, Mutate, ParseError, Record, Seq, Skip,
@@ -211,49 +214,66 @@ class FormatError(Exception):
 
 _FIELDS = {"instance_cap", "program", "entry", "exit_live", "loops", "residual"}
 
-
-def _key_to_str(key) -> str:
-    """A variable's name or an address's repr."""
-    return key if isinstance(key, str) else repr(key)
+_SPELLINGS_BOUND = 1 << 16
 
 
-def _key_from_str(text: str, addr):
-    """Inverse of _key_to_str, reading addresses with addr; None when
-    text is neither shape."""
-    return addr(text) or (text if text.isidentifier() else None)
+class _Spellings(dict):
+    """repr of each address, each distinct one spelled once; emptied when
+    full, so a sweep over more addresses costs no more than repr."""
+
+    def __missing__(self, a: Address) -> str:
+        if len(self) >= _SPELLINGS_BOUND:
+            self.clear()
+        text = self[a] = repr(a)
+        return text
 
 
-def _key_sort_key(key):
-    """Variables by name, then addresses as triples."""
-    if isinstance(key, str):
-        return (0, key, 0, 0, 0)
-    return (1, "", key.length, key.instance, key.index)
+_SPELLINGS = _Spellings()
+_spell = _SPELLINGS.__getitem__
 
 
 def pts_to_doc(p: PointsTo) -> dict:
-    return {_key_to_str(key): [repr(a) for a in sorted(image)]
+    return {key if isinstance(key, str) else _spell(key):
+            list(map(_spell, sorted(image))) if image else []
             for key, image in p.env.items()}
 
 
 def live_to_list(live: frozenset) -> list:
-    return [_key_to_str(k) for k in sorted(live, key=_key_sort_key)]
+    """Variables by name, then addresses as triples."""
+    names = sorted(k for k in live if isinstance(k, str))
+    if len(names) < len(live):
+        names += map(_spell, sorted(live.difference(names)))
+    return names
 
 
-def _in_scope(keys, path: str, scope: tuple) -> None:
-    """FormatError unless every variable among keys is one the program
-    mentions and every address lies in a block of a length it allocates,
-    at an instance no greater than the cap: the analyses enumerate the
-    cells of a block, so a length read from the document would bound
-    their work, and they keep no type above the cap, so they never fold
-    one. The least offending key is named, so the message does not
-    depend on set order; keys are sorted only once one offends."""
+def _read_keys(texts, addr) -> list:
+    """The variable or address each text spells, else None; only a text
+    that starts with 'addr(' is read as an address."""
+    return [addr(t) if t.startswith("addr(") else t if t.isidentifier() else None
+            for t in texts]
+
+
+def _in_scope(keys, parts, path: str, scope: tuple) -> None:
+    """FormatError unless every variable among keys, the union of parts,
+    is one the program mentions and every address lies in a block of a
+    length it allocates, at an instance no greater than the cap: the
+    analyses enumerate the cells of a block, so a length read from the
+    document would bound their work, and they keep no type above the
+    cap, so they never fold one. Once one offends, the least offending
+    key of the first part that holds one is named, whatever set order."""
     variables, lengths, cap = scope
-    bad = [k for k in keys
-           if (k.length not in lengths or k.instance > cap
-               if isinstance(k, Address) else k not in variables)]
-    if not bad:
+    rest = keys - variables
+    if not rest or (set(map(type, rest)) == {Address}
+                    and lengths.issuperset(map(attrgetter("length"), rest))
+                    and max(map(attrgetter("instance"), rest)) <= cap):
         return
-    k = min(bad, key=_key_sort_key)
+    for part in parts:
+        bad = [k for k in part
+               if (k.length not in lengths or k.instance > cap
+                   if isinstance(k, Address) else k not in variables)]
+        if bad:
+            break
+    k = min(bad, key=lambda k: (isinstance(k, Address), k))  # names first
     if not isinstance(k, Address):
         raise FormatError(path, f"{k}: the program mentions no such variable")
     if k.length not in lengths:
@@ -279,13 +299,14 @@ def serialize(d: Derivation, cfg: WidenConfig = WidenConfig()) -> str:
     """The certificate document of d, built at cfg's instance cap."""
     j = d.judgment
     doc = {
+        # first: a caller that just printed the residual prints it once
+        "residual": pretty(j.residual),
         "instance_cap": cfg.instance_cap,
         "program": pretty(j.stmt),
         "entry": pts_to_doc(j.pre.pts),
         "exit_live": live_to_list(j.post.live),
         "loops": [{"pts": pts_to_doc(t.pts), "live": live_to_list(t.live)}
                   for t in _loop_types(d)],
-        "residual": pretty(j.residual),
     }
     return to_json(doc)
 
@@ -307,39 +328,44 @@ def _json(value, newline: str) -> str:
         body = ",".join(f"{inner}{encode_basestring_ascii(k)}: "
                         f"{_json(value[k], inner)}" for k in sorted(value))
         return f"{{{body}{newline}}}" if body else "{}"
-    body = ",".join(inner + _json(v, inner) for v in value)
-    return f"[{body}{newline}]" if body else "[]"
+    if not value:
+        return "[]"
+    sep = "," + inner
+    if set(map(type, value)) == {str}:
+        # a string list, the bulk of a certificate, in one join
+        body = sep.join(map(encode_basestring_ascii, value))
+    else:
+        body = sep.join(_json(v, inner) for v in value)
+    return f"[{inner}{body}{newline}]"
 
 
 def _pts_from_doc(doc, path: str, scope: tuple, addr) -> PointsTo:
-    if not isinstance(doc, dict) or not all(
-            isinstance(v, list) and all(isinstance(a, str) for a in v)
-            for v in doc.values()):
+    if (type(doc) is not dict or not set(map(type, doc.values())) <= {list}
+            or not set(map(type, chain.from_iterable(doc.values()))) <= {str}):
         raise FormatError(path, "expected an object of string lists")
-    env = {}
-    for text, items in doc.items():
-        key = _key_from_str(text, addr)
-        if key is None:
-            raise FormatError(path, f"bad points-to key: {text!r}")
-        image = frozenset(map(addr, items))
-        if None in image:
-            item = next(item for item in items if addr(item) is None)
-            raise FormatError(path, f"bad address in image of {text!r}: {item!r}")
-        env[key] = image
-    _in_scope(env, path, scope)
-    for image in env.values():
-        _in_scope(image, path, scope)
-    return PointsTo(env)
+    keys = _read_keys(doc, addr)
+    images = [frozenset(map(addr, items)) for items in doc.values()]
+    cells = frozenset().union(*images)
+    if None in keys or None in cells:
+        # name the first bad key or image in document order
+        for key, (text, items) in zip(keys, doc.items()):
+            if key is None:
+                raise FormatError(path, f"bad points-to key: {text!r}")
+            item = next((item for item in items if addr(item) is None), None)
+            if item is not None:
+                raise FormatError(path, f"bad address in image of {text!r}: {item!r}")
+    _in_scope(cells.union(keys), [keys, *images], path, scope)
+    return PointsTo(dict(zip(keys, images)))
 
 
 def _live_from_doc(doc, path: str, scope: tuple, addr) -> frozenset:
-    if not isinstance(doc, list) or not all(isinstance(k, str) for k in doc):
+    if type(doc) is not list or not set(map(type, doc)) <= {str}:
         raise FormatError(path, "expected a list of strings")
-    live = frozenset(_key_from_str(text, addr) for text in doc)
-    if None in live:
-        text = next(text for text in doc if _key_from_str(text, addr) is None)
-        raise FormatError(path, f"bad live-set entry: {text!r}")
-    _in_scope(live, path, scope)
+    keys = _read_keys(doc, addr)
+    if None in keys:
+        raise FormatError(path, f"bad live-set entry: {doc[keys.index(None)]!r}")
+    live = frozenset(keys)
+    _in_scope(live, [live], path, scope)
     return live
 
 

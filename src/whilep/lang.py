@@ -40,7 +40,8 @@ the next parse. stmt_vars and program_facts read them for that tree, and
 walk any other tree: a built one, a subtree, an older parse's.
 last_parsed(src) gives that tree back for its own source, trailing
 whitespace aside, so a reader of the same text need not parse it again;
-a failed parse leaves the memo as it was.
+a failed parse leaves the memo as it was. pretty keeps a like memo of
+the tree it printed last: a residual printed, then certified, prints once.
 
 free_vars, and stmt_vars when it walks, take one walk with an explicit
 stack. A long sum or conjunction nests on the left, and the printers
@@ -776,7 +777,20 @@ def pretty_bexp(b: BExp, prec: int = 0) -> str:
     raise TypeError(f"not a guard: {b!r}")
 
 
+# the tree pretty printed last, matched by identity, and its text
+_printed = (None, "")
+
+
 def pretty(s: Stmt) -> str:
+    global _printed
+    tree, text = _printed  # one read: the pair is replaced, never edited
+    if tree is not s:
+        text = _pretty(s)
+        _printed = (s, text)
+    return text
+
+
+def _pretty(s: Stmt) -> str:
     tag = s[-1]
     if tag is Assign:
         return f"{s.var} := {pretty_aexp(s.expr)}"
@@ -787,14 +801,14 @@ def pretty(s: Stmt) -> str:
     if tag is Mutate:
         return f"[{pretty_aexp(s.target)}] := {pretty_aexp(s.value)}"
     if tag is Seq:
-        return "; ".join(map(pretty, s.items))
+        return "; ".join(map(_pretty, s.items))
     if tag is Skip:
         return "skip"
     if tag is Dispose:
         return f"dispose({pretty_aexp(s.addr)})"
     if tag is If:
-        return (f"if {pretty_bexp(s.cond)} then {{ {pretty(s.then_body)} }}"
-                f" else {{ {pretty(s.else_body)} }}")
+        return (f"if {pretty_bexp(s.cond)} then {{ {_pretty(s.then_body)} }}"
+                f" else {{ {_pretty(s.else_body)} }}")
     if tag is While:
-        return f"while {pretty_bexp(s.cond)} do {{ {pretty(s.body)} }}"
+        return f"while {pretty_bexp(s.cond)} do {{ {_pretty(s.body)} }}"
     raise TypeError(f"not a statement: {s!r}")

@@ -26,6 +26,7 @@ from whilep.lang import (
     walk, walk_paths,
 )
 from whilep.liveness import Derivation, LiveType
+from whilep.memory import Address
 from whilep.pointsto import MAX_INSTANCE_CAP, PointsTo, WidenConfig, bottom
 
 CFG = WidenConfig()
@@ -85,22 +86,117 @@ def test_serialize_matches_json_dumps_and_leaves_no_cycles():
         gc.enable()
 
 
-# report-shaped values: what certificates and the command line's reports hold
+# report-shaped values: what certificates and the command line's reports
+# hold; string lists take the writer's one join, lists that mix strings
+# with ints or containers its recursion
+STRING_LISTS = st.lists(st.text(), min_size=1, max_size=6)
 REPORT_VALUES = st.recursive(
-    st.integers() | st.text(),
+    st.integers() | st.text() | STRING_LISTS,
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=30)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(REPORT_VALUES)
 @example({"caf\u00e9": [-3, "\u2603 \U0001d11e", {}, []], "": {"n": [0, -10 ** 20]}})
 @example([])
+@example(["q", "a\"b\\", "\n\t\x00\x1f\x7f", "caf\u00e9", "\U0001d11e", ""])
+@example({"pts": {"addr(1,1,1)": [], "p": ["addr(1,1,1)", "addr(1,2,1)"]}, "live": ["p"]})
+@example(["x", 1, "y"])
+@example([{}, "x", [], [[], {}], {"k": [{}]}, ["y", ["z"]]])
+@example([[[]], [{}], {"": {}}])
 def test_to_json_matches_json_dumps(value):
     """The one JSON writer is json.dumps with a two-space indent and
     sorted keys, plus a line end."""
     assert certificate.to_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def _addresses(most):
+    return st.integers(1, most).flatmap(lambda n: st.builds(
+        Address, st.just(n), st.integers(1, most), st.integers(1, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_addresses(10 ** 30), max_size=8))
+@example([Address(10 ** 300, 10 ** 300, 10 ** 300 - 1)])
+def test_address_memo_spells_each_address_as_repr(addresses):
+    """The memo's spelling of an address is its repr, at any length,
+    instance and index, seen once or again."""
+    for _ in range(2):
+        assert list(map(certificate._spell, addresses)) == list(map(repr, addresses))
+
+
+def test_address_memo_stays_within_its_bound(monkeypatch):
+    """More distinct addresses than the memo holds leave it within its
+    bound, emptied when full rather than evicted entry by entry, and
+    every spelling stays the repr."""
+    memo, bound = certificate._SPELLINGS, certificate._SPELLINGS_BOUND
+    sizes = set()
+    for n in range(1, bound + 100):
+        a = Address(1, n, 1)
+        assert certificate._spell(a) == repr(a)
+        sizes.add(len(memo))
+    assert max(sizes) == bound and len(memo) < bound
+    monkeypatch.setattr(certificate, "_SPELLINGS_BOUND", 3)
+    memo.clear()
+    sizes = []
+    for n in range(1, 8):
+        certificate._spell(Address(2, n, 2))
+        sizes.append(len(memo))
+    assert sizes == [1, 2, 3, 1, 2, 3, 1]
+
+
+_SMALL_KEYS = st.sampled_from(["p", "q", "x1", "zz"]) | _addresses(12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_SMALL_KEYS, st.frozensets(_addresses(12), max_size=6), max_size=8))
+def test_type_texts_are_the_plain_definitions(env):
+    """pts_to_doc and live_to_list equal their one-line definitions: keys
+    in the type's order as the variable's name or the address's repr,
+    images sorted; live sets sorted variables first, by name, then
+    addresses as triples."""
+    def text(k):
+        return repr(k) if isinstance(k, Address) else k
+
+    doc = certificate.pts_to_doc(PointsTo(env))
+    assert list(doc.items()) == [(text(k), [repr(a) for a in sorted(image)])
+                                 for k, image in env.items()]
+    live = frozenset(env).union(*env.values())
+    assert certificate.live_to_list(live) == [
+        text(k) for k in sorted(live, key=lambda k: (isinstance(k, Address), k))]
+
+
+def test_serialize_prints_a_residual_printed_just_before_once(monkeypatch, fig_src):
+    """optimize --cert prints the residual, then serializes: the printer
+    runs for the program only. Without that print it runs for both."""
+    top, printer = [], lang._pretty
+    depth = 0
+
+    def counted(s):
+        nonlocal depth
+        if not depth:
+            top.append(s)
+        depth += 1
+        try:
+            return printer(s)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(lang, "_pretty", counted)
+    d = derivation_for(fig_src, {"y"})
+    program, residual = d.judgment.stmt, d.judgment.residual
+    assert residual != program
+    text = pretty(residual)
+    assert top == [residual]
+    top.clear()
+    cert = serialize(d)
+    assert [s is program for s in top] == [True]
+    assert json.loads(cert)["residual"] == text
+    top.clear()
+    assert serialize(d) == cert
+    assert [s is t for s, t in zip(top, (residual, program), strict=True)] == [True, True]
 
 
 def test_round_trip(fig_src):
@@ -477,6 +573,11 @@ def _digest(texts) -> str:
     return h.hexdigest()
 
 
+def _reject_digest(lines) -> str:
+    """The digest of reject outcomes, one tab-separated line each."""
+    return _digest("\t".join(line) + "\n" for line in lines)
+
+
 def test_corpus_certificates_pinned():
     """The certificates of 600 generated programs stay byte-identical."""
     assert {cap: _digest(texts) for cap, texts in _corpus_certificates().items()} \
@@ -498,12 +599,16 @@ LOOP_SRC = "p := cons(0); i := 0; while i < 3 do { q := [p]; i := i + 1 }"
 
 
 def test_deserialize_rejects_bad_documents():
+    """Each bad document is rejected at its field, and the messages of
+    all of them are pinned by their digest."""
     good = json.loads(serialize(derivation_for(LOOP_SRC, {"q"})))
+    rejects = []
 
     def reject(doc, where):
         with pytest.raises(FormatError) as err:
             deserialize(json.dumps(doc))
         assert err.value.path == where, err.value
+        rejects.append((err.value.path, err.value.message))
 
     def loop(**changes):
         return dict(good, loops=[dict(good["loops"][0], **changes)])
@@ -612,6 +717,8 @@ def test_deserialize_rejects_bad_documents():
             reject(nest(i, "live", [k for k in t["live"] if k != key]), f"{where}.live")
         reject(nest(i, "pts", dict(t["pts"], ghost=[])), f"{where}.pts")
         reject(nest(i, "live", t["live"] + ["addr(7,1,1)"]), f"{where}.live")
+    assert len(rejects) == BAD_DOCUMENT_REJECTS[0]
+    assert _reject_digest(rejects) == BAD_DOCUMENT_REJECTS[1]
 
 
 def test_out_of_scope_address_only_in_a_loop_image():
@@ -702,6 +809,18 @@ def test_deserialize_reads_one_spelling_per_address():
         spelled = {k: [a.replace("01", "1") for a in v]
                    for k, v in doc["entry"].items() if "01" not in k}
         deserialize(json.dumps(dict(doc, entry=spelled)))
+
+
+def test_variables_named_like_addresses_round_trip():
+    """Only a key that starts with 'addr(' is read as an address, so
+    variables whose names start with addr are read as variables."""
+    src = ("addr := cons(1); i := 0; while i < 2 do { addrx := [addr]; "
+           "addr_1 := cons(addrx); i := i + 1 }")
+    d = derivation_for(src, {"addr_1", "addr"})
+    text = serialize(d)
+    assert json.loads(text)["exit_live"] == ["addr", "addr_1"]
+    again = deserialize(text)
+    assert again == d and serialize(again) == text
 
 
 def test_deserialize_parses_each_address_spelling_once(monkeypatch):
@@ -834,6 +953,17 @@ def test_coarser_closed_invariant_accepted():
     assert serialize(coarse) == text
 
 
+# (count, digest) of the reject messages of the hand-written bad documents,
+# and of the outcomes of the document tamper corpus and of the planted
+# out-of-scope keys and addresses
+BAD_DOCUMENT_REJECTS = (
+    112, "00d9ed540141bb0f56d6dfedf71179ff46052d703719eadd6b80f4c2aa875084")
+TAMPER_OUTCOMES = (
+    4506, "da1551d228f086b7a53e1664dbbba8c318219dfc3d42b0e84e34e595d91a3f15")
+SCOPE_OUTCOMES = (
+    780, "ec8c3fbdb398c9309b2594d7b778fe097caeb3f42971486085f73a0e441cb159")
+
+
 def _leaf_mutants(s):
     """Each tree with exactly one leaf of s replaced by a different leaf."""
     if isinstance(s, Seq):
@@ -871,8 +1001,12 @@ def _document_mutants(doc):
 
 
 def test_document_tamper_corpus_rejected():
+    """Every one-edit mutant of a certificate is rejected, or describes
+    another program; the outcome of each, the path and message of every
+    reject included, is pinned by their digest."""
     rng = random.Random(67)
     counts = Counter()
+    outcomes = []
     programs = 0
     for seed in itertools.count():
         if programs == 100:
@@ -888,14 +1022,68 @@ def test_document_tamper_corpus_rejected():
             counts[kind] += 1
             try:
                 d = deserialize(json.dumps(mutant))
-            except FormatError:
+            except FormatError as err:
+                outcomes.append((kind, err.path, err.message))
                 continue
+            outcomes.append((kind, "accepted"))
             # a derivation deserialize returns is valid by construction,
             # so only the program comparison can reject it
             assert check(d, CFG).ok, f"seed {seed}: {kind} mutation unchecked"
             assert d.judgment.stmt != prog, f"seed {seed}: {kind} mutation accepted"
     assert min(counts[k] for k in ("address", "key", "live", "loop",
                                    "residual", "program")) >= 100, counts
+    assert len(outcomes) == TAMPER_OUTCOMES[0]
+    assert _reject_digest(outcomes) == TAMPER_OUTCOMES[1]
+
+
+def _scope_mutants(doc, rng):
+    """Documents with 1-3 keys or image members out of scope planted in
+    random places of the entry, exit live set and loop annotations: a
+    variable the program never mentions, an address in a block of a
+    length no cons allocates, or one above the cap, each of several."""
+    bad = ["ghost", "wraith", "addr(9,1,1)", "addr(7,2,3)",
+           f"addr(1,{CFG.instance_cap + 1},1)", f"addr(1,{CFG.instance_cap + 4},1)"]
+    for _ in range(20):
+        copy = json.loads(json.dumps(doc))
+        types = [copy["entry"]] + [t["pts"] for t in copy["loops"]]
+        lives = [copy["exit_live"]] + [t["live"] for t in copy["loops"]]
+        for _ in range(rng.randint(1, 3)):
+            text = rng.choice(bad)
+            where = rng.random()
+            if where < 0.25:
+                lives[rng.randrange(len(lives))].insert(0, text)
+            elif where < 0.5:
+                rng.choice(types)[text] = []
+            else:
+                pts = rng.choice(types)
+                if pts and not text.isidentifier():
+                    image = pts[rng.choice(sorted(pts))]
+                    image.insert(rng.randint(0, len(image)), text)
+        yield copy
+
+
+def test_scope_rejects_name_the_first_offender():
+    """Out-of-scope keys and addresses planted in the 39 certificates with
+    a loop among 60 generated programs: a document that got one is
+    rejected at the first part that holds one, naming that part's least
+    offender, and every outcome is pinned by their digest."""
+    rng = random.Random(89)
+    outcomes = []
+    for seed in range(60):
+        prog = gen_program(GenConfig(seed=seed, max_stmts=(12, 40)[seed % 2]))
+        live = frozenset(sorted(stmt_vars(prog))[::2])
+        doc = json.loads(serialize(optimize(prog, live, CFG).derivation))
+        if not doc["loops"]:
+            continue
+        for mutant in _scope_mutants(doc, rng):
+            try:
+                deserialize(json.dumps(mutant))
+            except FormatError as err:
+                outcomes.append((err.path, err.message))
+            else:
+                outcomes.append(("accepted",))
+    assert len(outcomes) == SCOPE_OUTCOMES[0]
+    assert _reject_digest(outcomes) == SCOPE_OUTCOMES[1]
 
 
 JSON_VALUES = st.recursive(

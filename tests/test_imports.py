@@ -359,6 +359,18 @@ def test_only_parse_writes_the_parse_facts():
     assert len(memo_writes(planted, "_facts", "parse")) == 1
 
 
+def test_only_pretty_writes_the_print_memo():
+    """lang._printed, the tree pretty printed last with its text, is
+    written by pretty alone, so it never pairs a tree with another
+    tree's text."""
+    assert _by_file(lambda text: memo_writes(text, "_printed", "pretty"),
+                    sorted(PACKAGE.glob("*.py"))) == {}
+    lang = (PACKAGE / "lang.py").read_text(encoding="utf-8")
+    planted = lang.replace("def seq_of(", "def _plant():\n    global _printed\n"
+                           "    _printed = None\n\n\ndef seq_of(", 1)
+    assert len(memo_writes(planted, "_printed", "pretty")) == 1
+
+
 def call_sites(source: str, name: str) -> list[str]:
     """The calls of the plain name `name` in source, as 'line n'."""
     return [f"line {n}" for n in sorted(

@@ -397,6 +397,21 @@ def test_pretty_if_and_mutate():
     assert pretty(parse(src)) == src
 
 
+def test_pretty_gives_interleaved_trees_their_own_texts():
+    """pretty's memo holds the tree it printed last, matched by identity:
+    interleaved trees, a subtree of the last one, an equal tree parsed
+    again and a tree built by hand each get their own text."""
+    a_src = "x := cons(1); y := [x]"
+    b_src = "while i < 3 do { i := i + 1 }"
+    a, b = parse(a_src), parse(b_src)
+    assert [pretty(t) for t in (a, b, a, a, b)] == [a_src, b_src, a_src, a_src, b_src]
+    assert pretty(a.items[1]) == "y := [x]"
+    again = parse(a_src)
+    assert again is not a and pretty(again) == a_src
+    assert pretty(Seq(again.items[1], Skip())) == "y := [x]; skip"
+    assert pretty(again) == a_src
+
+
 def test_pretty_parenthesizes_minimally():
     assert pretty(parse("x := 1 + 2 * 3")) == "x := 1 + 2 * 3"
     assert pretty(parse("x := (1 + 2) * 3")) == "x := (1 + 2) * 3"
