@@ -18,7 +18,7 @@ from .interp import (
     eval_aexp, eval_bexp, execute, zero_state,
 )
 from .pointsto import (
-    AnnStmt, PointsTo, WidenConfig, abs_eval, annotate, bottom, cap_address,
+    DEFAULT_CAP, AnnStmt, PointsTo, abs_eval, annotate, bottom, cap_address,
     join, leq, models, transfer,
 )
 from .liveness import (
@@ -42,7 +42,7 @@ __all__ = [
     "value_lt",
     "DEFAULT_FUEL", "Aborted", "EvalError", "ExecOutcome", "Final",
     "OutOfFuel", "eval_aexp", "eval_bexp", "execute", "zero_state",
-    "AnnStmt", "PointsTo", "WidenConfig", "abs_eval", "annotate", "bottom",
+    "DEFAULT_CAP", "AnnStmt", "PointsTo", "abs_eval", "annotate", "bottom",
     "cap_address", "join", "leq", "models", "transfer",
     "Derivation", "Judgment", "LiveType", "leaf_live_pre", "live_annotate",
     "models_live", "similar_states",

@@ -80,7 +80,7 @@ from .lang import (
 from .memory import Address, parse_addr
 from .liveness import Derivation, LiveType, leaf_live_pre, live_annotate
 from .pointsto import (
-    MAX_INSTANCE_CAP, PointsTo, WidenConfig, annotate, join, leq, transfer,
+    DEFAULT_CAP, MAX_INSTANCE_CAP, PointsTo, annotate, join, leq, transfer,
 )
 
 
@@ -102,14 +102,14 @@ class CheckResult(Record):
 ACCEPT = CheckResult(True)
 
 
-def check(d: Derivation, cfg: WidenConfig = WidenConfig()) -> CheckResult:
+def check(d: Derivation, cap: int = DEFAULT_CAP) -> CheckResult:
     """Accept iff every node is a valid rule application. Nodes are
     checked in preorder, so the first invalid one is reported, by its
     row path in `whilep analyze live` (lang.walk_paths)."""
     todo = [d]
     while todo:
         node = todo.pop()
-        reason = _invalid(node, cfg)
+        reason = _invalid(node, cap)
         if reason is not None:
             # the nodes before it are valid, so the walk reaches it too
             path = next(path for path, n in walk_paths(
@@ -119,7 +119,7 @@ def check(d: Derivation, cfg: WidenConfig = WidenConfig()) -> CheckResult:
     return ACCEPT
 
 
-def _invalid(d: Derivation, cfg: WidenConfig) -> str | None:
+def _invalid(d: Derivation, cap: int) -> str | None:
     """Why d's own rule application is invalid, or None if it is valid;
     the premises are checked as nodes of their own."""
     j = d.judgment
@@ -140,7 +140,7 @@ def _invalid(d: Derivation, cfg: WidenConfig) -> str | None:
         # a leaf rule: recompute the transfer, the live rule, the side
         # condition, and the rewrite from the node's own entry type; the
         # live rule reads the exit type only once it is the transfer's
-        if post_p != transfer(s, pre_p, cfg):
+        if post_p != transfer(s, pre_p, cap):
             return "exit points-to type does not match the transfer"
         live, rule, residual = leaf_live_pre(s, pre_p, post_p, post_l)
         if pre_l != live:
@@ -233,9 +233,14 @@ _spell = _SPELLINGS.__getitem__
 
 
 def pts_to_doc(p: PointsTo) -> dict:
-    return {key if isinstance(key, str) else _spell(key):
-            list(map(_spell, sorted(image))) if image else []
-            for key, image in p.env.items()}
+    """Each distinct image is sorted and spelled once, and its list shared."""
+    lists, doc = {}, {}
+    for key, image in p.env.items():
+        items = lists.get(image)
+        if items is None:
+            items = lists[image] = list(map(_spell, sorted(image)))
+        doc[key if type(key) is str else _spell(key)] = items
+    return doc
 
 
 def live_to_list(live: frozenset) -> list:
@@ -295,13 +300,13 @@ def _loop_types(d: Derivation) -> list:
     return out
 
 
-def serialize(d: Derivation, cfg: WidenConfig = WidenConfig()) -> str:
-    """The certificate document of d, built at cfg's instance cap."""
+def serialize(d: Derivation, cap: int = DEFAULT_CAP) -> str:
+    """The certificate document of d, whose analyses ran at cap."""
     j = d.judgment
     doc = {
         # first: a caller that just printed the residual prints it once
         "residual": pretty(j.residual),
-        "instance_cap": cfg.instance_cap,
+        "instance_cap": cap,
         "program": pretty(j.stmt),
         "entry": pts_to_doc(j.pre.pts),
         "exit_live": live_to_list(j.post.live),
@@ -411,7 +416,6 @@ def deserialize(text: str) -> Derivation:
     if type(cap) is not int or not 1 <= cap <= MAX_INSTANCE_CAP:
         raise FormatError("root.instance_cap", "expected the cap the certificate "
                           f"was written at, an integer from 1 to {MAX_INSTANCE_CAP}")
-    cfg = WidenConfig(cap)
     if not isinstance(doc["program"], str):
         raise FormatError("root.program", "expected program source text")
     try:
@@ -437,7 +441,7 @@ def deserialize(text: str) -> Derivation:
         raise FormatError("root.loops", f"the program has {len(stmts)} loops, "
                                         f"got {len(loops)} annotations")
 
-    ann = annotate(program, entry, cfg, {id(w): t.pts for w, t in zip(stmts, loops)})
+    ann = annotate(program, entry, cap, {id(w): t.pts for w, t in zip(stmts, loops)})
     d = live_annotate(ann, exit_live, {id(w): t.live for w, t in zip(stmts, loops)})
     # the live pass reads the invariants: a points-to fault can also
     # change an earlier loop's live set, so every invariant comes first

@@ -24,7 +24,7 @@ from .deadcode import optimize
 from .interp import DEFAULT_FUEL, Aborted, OutOfFuel, execute, zero_state
 from .lang import ParseError, literal_value, parse, pretty, stmt_vars, walk_paths
 from .memory import format_value
-from .pointsto import MAX_INSTANCE_CAP, WidenConfig
+from .pointsto import DEFAULT_CAP, MAX_INSTANCE_CAP
 from .harness import ALL_CHECKS, SUITE_FUEL, GenConfig, run_soundness_suite
 
 
@@ -51,12 +51,12 @@ def _positive(text: str) -> int:
     return value
 
 
-def _widen(text: str) -> WidenConfig:
+def _widen(text: str) -> int:
     """--widen K: the instance cap, at most MAX_INSTANCE_CAP."""
     cap = _positive(text)
     if cap > MAX_INSTANCE_CAP:
         raise argparse.ArgumentTypeError(f"must be <= {MAX_INSTANCE_CAP}: {text}")
-    return WidenConfig(cap)
+    return cap
 
 
 def _build_parser() -> _Parser:
@@ -66,10 +66,9 @@ def _build_parser() -> _Parser:
                                  "heap-manipulating while-language.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     widen = argparse.ArgumentParser(add_help=False)
-    widen.add_argument("--widen", type=_widen, metavar="K", default=WidenConfig(),
+    widen.add_argument("--widen", type=_widen, metavar="K", default=DEFAULT_CAP,
                        help=f"instance cap of the analyses, at most {MAX_INSTANCE_CAP}; "
-                            f"types grow with its square (default: "
-                            f"{WidenConfig().instance_cap})")
+                            f"types grow with its square (default: {DEFAULT_CAP})")
 
     p_run = sub.add_parser("run", help="execute a program")
     p_run.add_argument("file")
@@ -151,6 +150,7 @@ def _cmd_run(args) -> int:
         return 1
     state = zero_state(stmt_vars(program))
     if args.init:
+        bound = set()
         for item in args.init.split(","):
             match = _INIT_RE.match(item.strip())
             try:
@@ -166,6 +166,10 @@ def _cmd_run(args) -> int:
                 print(f"whilep: --init names unknown variable: {name}",
                       file=sys.stderr)
                 return 3
+            if name in bound:
+                print(f"whilep: --init binds {name} twice", file=sys.stderr)
+                return 3
+            bound.add(name)
             state.stack[name] = value
     outcome = execute(program, state, args.fuel)
     if isinstance(outcome, Aborted):
@@ -224,7 +228,7 @@ def _cmd_analyze(args) -> int:
         return docs[id(p)]
 
     derivation = result.derivation
-    report = {"instance_cap": args.widen.instance_cap, "nodes": []}
+    report = {"instance_cap": args.widen, "nodes": []}
     if args.analysis == "live":
         report["live"] = live_to_list(derivation.judgment.post.live)
     for path, node in walk_paths(derivation, lambda d: (d.judgment.stmt, d.premises)):
@@ -282,7 +286,7 @@ def _cmd_test_soundness(args) -> int:
     names = tuple(x.strip() for x in args.checks.split(",") if x.strip())
     try:
         report = run_soundness_suite(args.trials, GenConfig(seed=args.seed),
-                                     checks=names, widen=args.widen, fuel=args.fuel)
+                                     checks=names, cap=args.widen, fuel=args.fuel)
     except ValueError as exc:
         print(f"whilep: {exc}", file=sys.stderr)
         return 3

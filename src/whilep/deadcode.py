@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .lang import Record, Stmt, stmt_vars
 from .liveness import Derivation, live_annotate
-from .pointsto import WidenConfig, annotate, bottom
+from .pointsto import DEFAULT_CAP, annotate, bottom
 
 
 class OptResult(Record):
@@ -30,7 +30,7 @@ class OptResult(Record):
         return self.derivation.judgment.residual
 
 
-def optimize(s: Stmt, final_live, cfg: WidenConfig = WidenConfig()) -> OptResult:
+def optimize(s: Stmt, final_live, cap: int = DEFAULT_CAP) -> OptResult:
     """Analyze from the bottom type, then eliminate dead code.
 
     final_live lists what the caller observes after the program ends;
@@ -42,5 +42,5 @@ def optimize(s: Stmt, final_live, cfg: WidenConfig = WidenConfig()) -> OptResult
     stray = {x for x in final_live if isinstance(x, str)} - variables
     if stray:
         raise ValueError(f"unknown variable: {min(stray)}")
-    ann = annotate(s, bottom(variables), cfg)
+    ann = annotate(s, bottom(variables), cap)
     return OptResult(live_annotate(ann, final_live))

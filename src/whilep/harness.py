@@ -31,7 +31,7 @@ from .lang import (
 from .memory import NIL, Address, ProgState
 from .liveness import live_annotate, models_live, similar_states
 from .pointsto import (
-    PointsTo, WidenConfig, abs_eval, annotate, bottom, cap_address, models,
+    DEFAULT_CAP, PointsTo, abs_eval, annotate, bottom, cap_address, models,
 )
 
 
@@ -205,10 +205,10 @@ class _Gen:
         return Skip()
 
 
-def gen_program(cfg: GenConfig) -> Stmt:
+def gen_program(config: GenConfig) -> Stmt:
     """Seed-reproducible random program; equal configs give equal trees."""
-    gen = _Gen(random.Random(f"prog:{cfg.seed}"))
-    return seq_of(gen.block(max(1, cfg.max_stmts), frozenset()))
+    gen = _Gen(random.Random(f"prog:{config.seed}"))
+    return seq_of(gen.block(max(1, config.max_stmts), frozenset()))
 
 
 # --- states ---
@@ -250,9 +250,9 @@ def _gen_state(rng: random.Random, p: PointsTo) -> ProgState:
     return ProgState(stack, heap)
 
 
-def gen_state(cfg: GenConfig, p: PointsTo) -> ProgState:
+def gen_state(config: GenConfig, p: PointsTo) -> ProgState:
     """A state satisfying the points-to model relation for p."""
-    return _gen_state(random.Random(f"state:{cfg.seed}"), p)
+    return _gen_state(random.Random(f"state:{config.seed}"), p)
 
 
 def _junk_value(rng: random.Random):
@@ -267,12 +267,12 @@ def _junk_value(rng: random.Random):
 
 def make_similar_state(rng: random.Random, st: ProgState,
                        program: Stmt, entry_live: frozenset,
-                       widen: WidenConfig) -> ProgState:
+                       cap: int) -> ProgState:
     """A twin similar to st at (entry type, entry_live), rerandomized only
     where the program provably never looks: dead variables outside its
     read set, and dead cells when it contains no lookup."""
     return _similar_state(rng, st, free_vars(program), _has_lookup(program),
-                          entry_live, widen)
+                          entry_live, cap)
 
 
 def _has_lookup(program: Stmt) -> bool:
@@ -281,7 +281,7 @@ def _has_lookup(program: Stmt) -> bool:
 
 def _similar_state(rng: random.Random, st: ProgState, reads: frozenset,
                    has_lookup: bool, entry_live: frozenset,
-                   widen: WidenConfig) -> ProgState:
+                   cap: int) -> ProgState:
     """make_similar_state for a program with the given read set and with
     or without a lookup."""
     twin = st.copy()
@@ -289,7 +289,6 @@ def _similar_state(rng: random.Random, st: ProgState, reads: frozenset,
         if x not in entry_live and x not in reads:
             twin.stack[x] = _junk_value(rng)
     if not has_lookup:
-        cap = widen.instance_cap
         for a in twin.heap:
             if cap_address(a, cap) not in entry_live:
                 twin.heap[a] = _junk_value(rng)
@@ -302,8 +301,8 @@ ALL_CHECKS = ("t1", "t2", "t3", "t4", "lemma1")
 SUITE_FUEL = 1500
 
 
-def _lemma1_trial(rng: random.Random, widen: WidenConfig) -> bool:
-    p = _synthetic_ptype(rng, _NAMES, widen.instance_cap)
+def _lemma1_trial(rng: random.Random, cap: int) -> bool:
+    p = _synthetic_ptype(rng, _NAMES, cap)
     st = _gen_state(rng, p)
     e = gen_aexp(rng, _NAMES, rng.randint(1, 3))
     abstract = abs_eval(e, p)
@@ -314,13 +313,12 @@ def _lemma1_trial(rng: random.Random, widen: WidenConfig) -> bool:
     if isinstance(abstract, int):
         return isinstance(value, int) and value == abstract
     if isinstance(value, Address):
-        return cap_address(value, widen.instance_cap) in abstract
+        return cap_address(value, cap) in abstract
     return True
 
 
 def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
-                        checks=ALL_CHECKS,
-                        widen: WidenConfig = WidenConfig(),
+                        checks=ALL_CHECKS, cap: int = DEFAULT_CAP,
                         fuel: int = SUITE_FUEL) -> dict:
     """Run the requested differential checks over n_trials fresh seeds.
 
@@ -358,7 +356,7 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
         seed = gen_cfg.seed + trial
         if "lemma1" in checks:
             rng = random.Random(f"suite:{seed}:lemma1")
-            record("lemma1", _lemma1_trial(rng, widen), seed)
+            record("lemma1", _lemma1_trial(rng, cap), seed)
 
         if all(c == "lemma1" for c in checks):
             continue
@@ -368,15 +366,14 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
         # what the twins of t3 and t4 may rerandomize
         reads, has_lookup = free_vars(program), _has_lookup(program)
         base = bottom(variables)
-        entry_p = _synthetic_ptype(rng, variables, widen.instance_cap) \
-            if rng.random() < 0.35 else base
-        ann = annotate(program, entry_p, widen)
+        entry_p = _synthetic_ptype(rng, variables, cap) if rng.random() < 0.35 else base
+        ann = annotate(program, entry_p, cap)
         st = _gen_state(rng, entry_p)
         outcome = execute(program, st, fuel)
 
         if "t1" in checks:
             if isinstance(outcome, Final):
-                record("t1", models(outcome.state, ann.post, widen), seed)
+                record("t1", models(outcome.state, ann.post, cap), seed)
             else:
                 report["checks"]["t1"]["skip"] += 1
 
@@ -387,8 +384,8 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
 
         if "t2" in checks:
             if isinstance(outcome, Final):
-                ok = models_live(st, entry_p, live.judgment.pre.live, widen) and \
-                    models_live(outcome.state, ann.post, final_live, widen)
+                ok = models_live(st, entry_p, live.judgment.pre.live, cap) and \
+                    models_live(outcome.state, ann.post, final_live, cap)
                 record("t2", ok, seed)
             else:
                 report["checks"]["t2"]["skip"] += 1
@@ -396,11 +393,11 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
         if "t3" in checks:
             if isinstance(outcome, Final):
                 twin = _similar_state(random.Random(f"suite:{seed}:t3"), st, reads,
-                                      has_lookup, live.judgment.pre.live, widen)
-                ok = similar_states(st, twin, entry_p, live.judgment.pre.live, widen)
+                                      has_lookup, live.judgment.pre.live, cap)
+                ok = similar_states(st, twin, entry_p, live.judgment.pre.live, cap)
                 twin_outcome = execute(program, twin, fuel)
                 ok = ok and isinstance(twin_outcome, Final) and similar_states(
-                    outcome.state, twin_outcome.state, ann.post, final_live, widen)
+                    outcome.state, twin_outcome.state, ann.post, final_live, cap)
                 record("t3", ok, seed)
             else:
                 report["checks"]["t3"]["skip"] += 1
@@ -411,20 +408,20 @@ def run_soundness_suite(n_trials: int, gen_cfg: GenConfig = GenConfig(),
                 rng4, j, st4, orig4 = None, live.judgment, st, outcome
             else:
                 rng4 = random.Random(f"suite:{seed}:t4")
-                j = optimize(program, final_live, widen).derivation.judgment
+                j = optimize(program, final_live, cap).derivation.judgment
                 st4 = _gen_state(rng4, base)
                 orig4 = execute(program, st4, fuel)
             if isinstance(orig4, OutOfFuel):  # no twin or residual run is read
                 report["checks"]["t4"]["skip"] += 1
                 continue
             twin = _similar_state(rng4 or random.Random(f"suite:{seed}:t4"), st4,
-                                  reads, has_lookup, j.pre.live, widen)
+                                  reads, has_lookup, j.pre.live, cap)
             opt_outcome = execute(j.residual, twin, fuel)
             if isinstance(orig4, Final):
-                ok = similar_states(st4, twin, base, j.pre.live, widen) \
+                ok = similar_states(st4, twin, base, j.pre.live, cap) \
                     and isinstance(opt_outcome, Final) \
                     and similar_states(orig4.state, opt_outcome.state,
-                                       j.post.pts, j.post.live, widen)
+                                       j.post.pts, j.post.live, cap)
                 record("t4", ok, seed)
             else:
                 # nothing to compare, but an optimized run that now finishes

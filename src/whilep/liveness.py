@@ -35,8 +35,7 @@ from .lang import (
 )
 from .memory import Address, ProgState
 from .pointsto import (
-    AnnStmt, PointsTo, WidenConfig, abs_eval, addr_part, block_cells,
-    cap_address,
+    AnnStmt, PointsTo, abs_eval, addr_part, block_cells, cap_address,
 )
 
 
@@ -73,7 +72,7 @@ def leaf_live_pre(s: Stmt, pre: PointsTo, post_p: PointsTo,
                   post: frozenset) -> tuple[frozenset, str, Stmt]:
     """The leaf rule for s between entry type pre and exit live set post:
     (entry live set, the rule whose side condition holds, its residual).
-    post_p must be the exit type, transfer(s, pre, cfg) at the annotation's
+    post_p must be the exit type, transfer(s, pre, cap) with the annotation's
     cap: a cons reads its block from post_p, and another type gives a
     wrong cell set or a KeyError, not a reported mismatch. check compares
     post_p with the transfer before it calls this. No cap is taken: the
@@ -184,14 +183,12 @@ def _derive(ann: AnnStmt, out: LiveType, seeds: dict) -> Derivation:
                             tuple(premises), Derivation))
 
 
-def models_live(st: ProgState, p: PointsTo, live: frozenset,
-                cfg: WidenConfig) -> bool:
+def models_live(st: ProgState, p: PointsTo, live: frozenset, cap: int) -> bool:
     """The model relation restricted to the live portion of the state.
 
     The heap-domain clause stays global (every allocated cell is tracked);
     the value clauses apply only to live variables and live cells.
     """
-    cap = cfg.instance_cap
     for a in st.heap:
         if cap_address(a, cap) not in p.env:
             return False
@@ -208,17 +205,16 @@ def models_live(st: ProgState, p: PointsTo, live: frozenset,
 
 
 def similar_states(st1: ProgState, st2: ProgState, p: PointsTo,
-                   live: frozenset, cfg: WidenConfig) -> bool:
+                   live: frozenset, cap: int) -> bool:
     """Same heap domain, both model (p, live), and agreement on live data."""
     if st1.heap.keys() != st2.heap.keys():
         return False
-    if not (models_live(st1, p, live, cfg) and models_live(st2, p, live, cfg)):
+    if not (models_live(st1, p, live, cap) and models_live(st2, p, live, cap)):
         return False
     for key in live:
         if isinstance(key, str):
             if st1.stack.get(key) != st2.stack.get(key):
                 return False
-    cap = cfg.instance_cap
     for a, v in st1.heap.items():
         if cap_address(a, cap) in live and st2.heap[a] != v:
             return False

@@ -72,14 +72,9 @@ from .memory import Address, ProgState
 Key = object  # str (variable) or Address (tracked cell)
 
 
-class WidenConfig(Record):
-    """The analyses' one parameter: the instance cap K. Types grow with
-    K squared, so the command line takes K up to MAX_INSTANCE_CAP."""
-
-    __slots__ = ()
-    instance_cap: int = 3
-
-
+# the analyses' one parameter, the instance cap K; types grow with K
+# squared, so the command line takes K up to MAX_INSTANCE_CAP
+DEFAULT_CAP = 3
 MAX_INSTANCE_CAP = 1_000
 
 EMPTY: frozenset = frozenset()
@@ -277,7 +272,7 @@ def _block_heads(length: int, v: int, cap: int) -> frozenset:
     return frozenset(a for a in block_cells(length, v, cap) if a[2] == 1)
 
 
-def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
+def transfer(s: Stmt, p: PointsTo, cap: int) -> PointsTo:
     """Exit type of leaf s from entry type p: each branch writes only the
     keys s may change whose image changes or that become tracked; every
     other key keeps its image. Returns p itself when s writes no key."""
@@ -287,7 +282,7 @@ def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
         delta = {s.var: image} if env.get(s.var) != image else None
     elif tag is Cons:
         images = [addr_part(abs_eval(a, p)) for a in s.args]
-        length, cap = len(images), cfg.instance_cap
+        length = len(images)
         v, cells = cons_block(p, length, cap)
         delta = {}
         for a in cells:  # each cell joins its argument's image, as in join
@@ -305,7 +300,7 @@ def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
         targets = addr_part(abs_eval(s.target, p))
         stored = addr_part(abs_eval(s.value, p))
         only = next(iter(targets)) if len(targets) == 1 else None
-        if only is not None and only.instance < cfg.instance_cap:
+        if only is not None and only.instance < cap:
             # strong update: unique, non-summary target
             delta = {only: stored} if env.get(only) != stored else None
         else:
@@ -321,17 +316,17 @@ def transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
     return tuple.__new__(PointsTo, (env | delta, PointsTo)) if delta else p
 
 
-def annotate(s: Stmt, p: PointsTo, cfg: WidenConfig,
+def annotate(s: Stmt, p: PointsTo, cap: int,
              seeds: dict | None = None) -> AnnStmt:
     """Run the analysis from entry type p, annotating every node. seeds,
     when given, maps id() of every While node in s to a recorded
     invariant, which joins the loop's start; the loop then ends at its
     seed exactly when the seed contains its entry and is closed under
     the body."""
-    return _annotate(s, p, cfg, seeds or {}, {})
+    return _annotate(s, p, cap, seeds or {}, {})
 
 
-def _annotate(s: Stmt, p: PointsTo, cfg: WidenConfig, seeds: dict,
+def _annotate(s: Stmt, p: PointsTo, cap: int, seeds: dict,
               starts: dict) -> AnnStmt:
     """annotate, with each loop's start memoised in starts by id(). A
     statement steps as the run of its items: a Seq's, or itself alone."""
@@ -340,35 +335,33 @@ def _annotate(s: Stmt, p: PointsTo, cfg: WidenConfig, seeds: dict,
     for item in s.items if is_seq else (s,):
         tag = item[-1]
         if tag is If:
-            then_ann = _annotate(item.then_body, q, cfg, seeds, starts)
-            else_ann = _annotate(item.else_body, q, cfg, seeds, starts)
+            then_ann = _annotate(item.then_body, q, cap, seeds, starts)
+            else_ann = _annotate(item.else_body, q, cap, seeds, starts)
             child = AnnStmt(item, q, join(then_ann.post, else_ann.post),
                             (then_ann, else_ann))
         elif tag is While:
             if id(item) not in starts:  # the body's allocations at empty images, and the seed
-                cap = cfg.instance_cap
                 starts[id(item)] = PointsTo(
                     {a: EMPTY for n in walk(item.body) if isinstance(n, Cons)
                      for a in block_cells(len(n.args), cap, cap)}
                     | seeds.get(id(item), bottom(())).env)
             inv = join(q, starts[id(item)])
             while True:
-                body = _annotate(item.body, inv, cfg, seeds, starts)
+                body = _annotate(item.body, inv, cap, seeds, starts)
                 grown = join(inv, body.post)
                 if grown is inv:
                     break
                 inv = grown
             child = AnnStmt(item, q, inv, (body,))
         else:  # transfer is looked up per call, so patches apply
-            child = tuple.__new__(AnnStmt, (item, q, transfer(item, q, cfg), (), AnnStmt))
+            child = tuple.__new__(AnnStmt, (item, q, transfer(item, q, cap), (), AnnStmt))
         children.append(child)
         q = child.post
     return AnnStmt(s, p, q, tuple(children)) if is_seq else child
 
 
-def models(st: ProgState, p: PointsTo, cfg: WidenConfig) -> bool:
+def models(st: ProgState, p: PointsTo, cap: int) -> bool:
     """Does the runtime state satisfy the type, up to instance capping?"""
-    cap = cfg.instance_cap
     for a in st.heap:
         if cap_address(a, cap) not in p.env:
             return False

@@ -30,25 +30,25 @@ class Mutant(NamedTuple):
     first_kill: int
 
 
-def _weak_drop(s, p, cfg):
+def _weak_drop(s, p, cap):
     """A weak heap write stores only the new value: the written cells'
     old images are dropped."""
     if isinstance(s, Mutate):
         targets = addr_part(abs_eval(s.target, p))
-        if len(targets) != 1 or next(iter(targets)).instance >= cfg.instance_cap:
+        if len(targets) != 1 or next(iter(targets)).instance >= cap:
             stored = addr_part(abs_eval(s.value, p))
             return PointsTo(p.env | dict.fromkeys(targets, stored))
-    return _transfer(s, p, cfg)
+    return _transfer(s, p, cap)
 
 
-def _cons_drop(s, p, cfg):
+def _cons_drop(s, p, cap):
     """A cons writes its arguments' images over its cells' old images,
     though a capped cell stands for earlier instances too."""
-    q = _transfer(s, p, cfg)
+    q = _transfer(s, p, cap)
     if not isinstance(s, Cons):
         return q
     images = [addr_part(abs_eval(a, p)) for a in s.args]
-    _, cells = cons_block(p, len(s.args), cfg.instance_cap)
+    _, cells = cons_block(p, len(s.args), cap)
     return PointsTo(q.env | {a: images[a.index - 1] for a in cells})
 
 

@@ -13,13 +13,13 @@ from whilep.certificate import ACCEPT, check, deserialize, serialize
 from whilep.deadcode import optimize
 from whilep.interp import Aborted, Final, execute
 from whilep.lang import While, parse, stmt_vars
-from whilep.pointsto import WidenConfig, annotate, bottom, leq
+from whilep.pointsto import DEFAULT_CAP, annotate, bottom, leq
 from whilep.harness import _gen_state
 
 import mutants
 import tamper_ops
 
-CFG = WidenConfig()
+CAP = DEFAULT_CAP
 
 
 def report(number, ok, text):
@@ -30,7 +30,7 @@ def report(number, ok, text):
 def test_criterion_1_motivating_example(fig_src, fig_residual):
     started = time.perf_counter()
     program = parse(fig_src)
-    result = optimize(program, frozenset({"y"}), CFG)
+    result = optimize(program, frozenset({"y"}), CAP)
     entry = result.derivation.judgment.pre.pts
     st = _gen_state(random.Random(0), entry)
     original = execute(program, st, 100_000)
@@ -48,7 +48,7 @@ def test_criterion_1_motivating_example(fig_src, fig_residual):
 def test_criteria_2_3_6_entry_exit_soundness():
     started = time.perf_counter()
     suite = run_soundness_suite(10_000, GenConfig(seed=0),
-                                checks=("t1", "t2", "lemma1"), widen=CFG)
+                                checks=("t1", "t2", "lemma1"), cap=CAP)
     elapsed = time.perf_counter() - started
     t1 = suite["checks"]["t1"]
     ok = t1["fail"] == 0 and elapsed < 60.0
@@ -66,7 +66,7 @@ def test_criteria_2_3_6_entry_exit_soundness():
 
 def test_criteria_4_5_similarity_and_optimization():
     suite = run_soundness_suite(5_000, GenConfig(seed=0),
-                                checks=("t3", "t4"), widen=CFG)
+                                checks=("t3", "t4"), cap=CAP)
     t3 = suite["checks"]["t3"]
     report(4, t3["fail"] == 0,
            f"similar states stay similar: {t3['pass']} constructed pairs, "
@@ -87,7 +87,7 @@ def test_criterion_7_loop_invariants():
         program = gen_program(GenConfig(seed=seed, max_stmts=14))
         seed += 1
         started = time.perf_counter()
-        ann = annotate(program, bottom(stmt_vars(program)), CFG)
+        ann = annotate(program, bottom(stmt_vars(program)), CAP)
         slowest = max(slowest, time.perf_counter() - started)
         stack = [ann]
         while stack:
@@ -98,7 +98,7 @@ def test_criterion_7_loop_invariants():
             loops += 1
             inv = node.post
             if not (leq(node.pre, inv)
-                    and leq(annotate(node.stmt.body, inv, CFG).post, inv)):
+                    and leq(annotate(node.stmt.body, inv, CAP).post, inv)):
                 valid = False
     ok = valid and slowest < 1.0
     report(7, ok, f"{loops} loop invariants contain their entry and are "
@@ -107,16 +107,16 @@ def test_criterion_7_loop_invariants():
 
 def test_criterion_8_certificates(fig_src):
     rng = random.Random(8)
-    derivations = [optimize(parse(fig_src), frozenset({"y"}), CFG).derivation]
+    derivations = [optimize(parse(fig_src), frozenset({"y"}), CAP).derivation]
     round_trips = 0
     accepted = 0
     for seed in range(1000):
         program = gen_program(GenConfig(seed=seed))
         live = frozenset(v for v in sorted(stmt_vars(program))
                          if rng.random() < 0.5)
-        derivation = optimize(program, live, CFG).derivation
+        derivation = optimize(program, live, CAP).derivation
         derivations.append(derivation)
-        if check(derivation, CFG) == ACCEPT:
+        if check(derivation, CAP) == ACCEPT:
             accepted += 1
         if deserialize(serialize(derivation)) == derivation:
             round_trips += 1
@@ -126,7 +126,7 @@ def test_criterion_8_certificates(fig_src):
             break
         for label, mutant in tamper_ops.mutants(derivation):
             mutated += 1
-            if not check(mutant, CFG).ok:
+            if not check(mutant, CAP).ok:
                 rejected += 1
     ok = accepted == 1000 and round_trips == 1000 \
         and mutated >= 100 and rejected == mutated
@@ -144,10 +144,10 @@ def test_criterion_9_suite_detects_sabotage(monkeypatch):
         with monkeypatch.context() as patch:
             mutants.install(patch, name)
             suite = run_soundness_suite(1_000, GenConfig(seed=0),
-                                        checks=(mutant.check,), widen=CFG)
+                                        checks=(mutant.check,), cap=CAP)
         first[name] = suite["checks"][mutant.check]["failing_seeds"][:1]
         replay = run_soundness_suite(1, GenConfig(seed=mutant.first_kill),
-                                     checks=(mutant.check,), widen=CFG)
+                                     checks=(mutant.check,), cap=CAP)
         healthy[name] = replay["checks"][mutant.check]["fail"]
     ok = first == {name: [m.first_kill] for name, m in mutants.MUTANTS.items()} \
         and not any(healthy.values())

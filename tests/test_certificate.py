@@ -27,13 +27,13 @@ from whilep.lang import (
 )
 from whilep.liveness import Derivation, LiveType
 from whilep.memory import Address
-from whilep.pointsto import MAX_INSTANCE_CAP, PointsTo, WidenConfig, bottom
+from whilep.pointsto import DEFAULT_CAP, MAX_INSTANCE_CAP, PointsTo, bottom
 
-CFG = WidenConfig()
+CAP = DEFAULT_CAP
 
 
 def derivation_for(src, live):
-    return optimize(parse(src), frozenset(live), CFG).derivation
+    return optimize(parse(src), frozenset(live), CAP).derivation
 
 
 def corpus():
@@ -43,7 +43,7 @@ def corpus():
         prog = gen_program(GenConfig(seed=seed))
         variables = sorted(stmt_vars(prog))
         live = frozenset(v for v in variables if rng.random() < 0.5)
-        out.append(optimize(prog, live, CFG).derivation)
+        out.append(optimize(prog, live, CAP).derivation)
     return out
 
 
@@ -233,9 +233,9 @@ def _pipeline_seconds(n):
     assert pretty(prog) == src
     out = execute(prog, zero_state(stmt_vars(prog)), n)
     assert isinstance(out, Final)
-    result = optimize(prog, frozenset({"p0"}), CFG)
+    result = optimize(prog, frozenset({"p0"}), CAP)
     d = deserialize(serialize(result.derivation))
-    assert d == result.derivation and check(d, CFG) == ACCEPT
+    assert d == result.derivation and check(d, CAP) == ACCEPT
     return time.perf_counter() - start
 
 
@@ -272,10 +272,10 @@ def test_each_pass_computes_a_cons_block_once(monkeypatch):
         per_pass.append(len(calls))
         return out
 
-    d = blocks_in(lambda: optimize(parse(src), frozenset({"p0"}), CFG).derivation)
+    d = blocks_in(lambda: optimize(parse(src), frozenset({"p0"}), CAP).derivation)
     text = serialize(d)
     again = blocks_in(lambda: deserialize(text))
-    assert blocks_in(lambda: check(again, CFG)) == ACCEPT
+    assert blocks_in(lambda: check(again, CAP)) == ACCEPT
     assert per_pass == [100, 100, 100]
 
 
@@ -341,17 +341,17 @@ def test_adjacent_judgments_share_one_boundary():
     """In the derivations optimize and deserialize build, each item of a
     sequence ends at the very LiveType the next item starts at."""
     rng = random.Random(25)
-    runs = [(parse(chain_src(200)), CFG)]
+    runs = [(parse(chain_src(200)), CAP)]
     for seed, cap in itertools.product(range(100), (1, 2, 3)):
         runs.append((gen_program(GenConfig(seed=seed, max_stmts=(12, 40)[seed % 2])),
-                     WidenConfig(instance_cap=cap)))
+                     cap))
     boundaries = 0
-    for prog, cfg in runs:
+    for prog, cap in runs:
         live = frozenset(v for v in sorted(stmt_vars(prog)) if rng.random() < 0.5)
-        d = optimize(prog, live, cfg).derivation
-        again = deserialize(serialize(d, cfg))
+        d = optimize(prog, live, cap).derivation
+        again = deserialize(serialize(d, cap))
         for built in (d, again):
-            assert _unshared_boundaries(built) == [], (pretty(prog), cfg)
+            assert _unshared_boundaries(built) == [], (pretty(prog), cap)
             boundaries += sum(len(n.premises) - 1 for _, n in walk_paths(
                 built, lambda x: (x.judgment.stmt, x.premises)) if n.rule == "seq_d")
     assert boundaries > 10_000, boundaries
@@ -387,14 +387,14 @@ def test_no_pass_walks_a_parsed_program(monkeypatch):
         return out
 
     live = frozenset({"p0", "p1", "p2", "p3"})
-    d = walks_in(lambda: optimize(parse(src), live, CFG).derivation)
+    d = walks_in(lambda: optimize(parse(src), live, CAP).derivation)
     assert {premise.rule for premise in d.premises} == {"con_d2", "lok_d2"}
     text = serialize(d)
     again = walks_in(lambda: deserialize(text))
-    assert walks_in(lambda: check(again, CFG)) == ACCEPT
+    assert walks_in(lambda: check(again, CAP)) == ACCEPT
     assert per_pass == [0, 0, 0]
     program = gen_program(GenConfig(seed=7, max_stmts=40))
-    walks_in(lambda: optimize(program, (), CFG))
+    walks_in(lambda: optimize(program, (), CAP))
     assert per_pass[-1] == 1 and calls == [program]
 
 
@@ -425,7 +425,7 @@ def test_loop_rounds_do_not_grow_with_the_cap(src, monkeypatch):
     rounds grew with the cap (12, 106 and 406 steps on PROBE at caps 3,
     50 and 200, and 26, 120 and 420 on TWO_DEEP)."""
     steps = [_transfer_steps(monkeypatch, lambda: optimize(
-        parse(src), {"p"}, WidenConfig(instance_cap=k))) for k in CAPS]
+        parse(src), {"p"}, k)) for k in CAPS]
     assert steps[0] == steps[1] == steps[2], steps
 
 
@@ -434,8 +434,7 @@ def test_thinned_invariant_rejected_in_rounds_independent_of_the_cap(monkeypatch
     rejected at that invariant, after as many leaf steps at every cap."""
     steps = []
     for k in CAPS:
-        cfg = WidenConfig(instance_cap=k)
-        doc = json.loads(serialize(optimize(parse(PROBE), {"p"}, cfg).derivation, cfg))
+        doc = json.loads(serialize(optimize(parse(PROBE), {"p"}, k).derivation, k))
         inv = doc["loops"][0]["pts"]
         doc["loops"][0]["pts"] = {key: inv[key] for key in ("i", "p")}
         text = json.dumps(doc)
@@ -494,7 +493,7 @@ def test_the_analyses_step_each_leaf_once(src, leaf_steps):
     leaf step per leaf, wherever it sits."""
     prog = parse(src)
     variables = stmt_vars(prog)
-    ann = pointsto.annotate(prog, bottom(variables), CFG)
+    ann = pointsto.annotate(prog, bottom(variables), CAP)
     liveness.live_annotate(ann, variables)
     assert sorted(leaf_steps["transfer"]) == _leaf_ids(prog)
     assert sorted(leaf_steps["leaf_live_pre"]) == _leaf_ids(prog)
@@ -505,7 +504,7 @@ def test_deserialize_steps_each_leaf_once(src, leaf_steps):
     """The seeded rerun of deserialize runs each loop body once, so each
     leaf is stepped exactly once by each analysis."""
     prog = parse(src)
-    text = serialize(optimize(prog, stmt_vars(prog), CFG).derivation)
+    text = serialize(optimize(prog, stmt_vars(prog), CAP).derivation)
     for seen in leaf_steps.values():
         seen.clear()
     d = deserialize(text)
@@ -520,7 +519,7 @@ def test_check_cert_steps_each_leaf_once(src, leaf_steps, tmp_path, capsys):
     prog = parse(src)
     (tmp_path / "prog.whl").write_text(src, encoding="utf-8")
     (tmp_path / "cert.json").write_text(
-        serialize(optimize(prog, stmt_vars(prog), CFG).derivation),
+        serialize(optimize(prog, stmt_vars(prog), CAP).derivation),
         encoding="utf-8")
     for seen in leaf_steps.values():
         seen.clear()
@@ -560,8 +559,7 @@ def _corpus_certificates() -> dict:
         corpus.append((prog, live))
     texts = {}
     for cap in CORPUS_DIGESTS:
-        cfg = WidenConfig(instance_cap=cap)
-        texts[cap] = [serialize(optimize(prog, live, cfg).derivation, cfg)
+        texts[cap] = [serialize(optimize(prog, live, cap).derivation, cap)
                       for prog, live in corpus]
     return texts
 
@@ -688,7 +686,7 @@ def test_deserialize_rejects_bad_documents():
     reject(loop(live=head + ["addr(7,1,1)"]), "root.loops[0].live")
     reject(loop(pts=dict(good["loops"][0]["pts"], ghost=[])), "root.loops[0].pts")
     # instances above the cap: the analyses keep every type within it
-    above = f"addr(1,{CFG.instance_cap + 1},1)"
+    above = f"addr(1,{CAP + 1},1)"
     reject(dict(good, entry=dict(good["entry"], p=[above])), "root.entry")
     reject(dict(good, exit_live=good["exit_live"] + [above]), "root.exit_live")
     reject(loop(pts=dict(good["loops"][0]["pts"], **{above: []})), "root.loops[0].pts")
@@ -770,7 +768,7 @@ def test_loop_annotations_come_from_the_parse(monkeypatch):
     assert visited == []
     for src in (NESTED_SRC, TWO_DEEP, WITH_LOOPS[2], WITH_LOOPS[3]):
         prog = parse(src)
-        d = optimize(prog, stmt_vars(prog), CFG).derivation
+        d = optimize(prog, stmt_vars(prog), CAP).derivation
         loops = sum(isinstance(n, While) for n in walk(prog))
         visited.clear()
         text = serialize(d)
@@ -833,8 +831,7 @@ def test_deserialize_parses_each_address_spelling_once(monkeypatch):
         return parse_addr(text)
 
     monkeypatch.setattr(certificate, "parse_addr", counted)
-    cfg = WidenConfig(instance_cap=20)
-    text = serialize(optimize(parse(PROBE), {"p"}, cfg).derivation, cfg)
+    text = serialize(optimize(parse(PROBE), {"p"}, 20).derivation, 20)
     assert deserialize(text).judgment.stmt == parse(PROBE)
     assert len(calls) == len(set(calls)) < text.count('"addr(') / 10
 
@@ -858,7 +855,7 @@ def test_the_verdict_parses_the_program_once(monkeypatch):
     other = "q := cons(1); r := [q]"
     for text in texts + [chain_src(200)]:
         prog = parse(text)
-        cert = serialize(optimize(prog, stmt_vars(prog), CFG).derivation)
+        cert = serialize(optimize(prog, stmt_vars(prog), CAP).derivation)
         assert json.loads(cert)["program"] == text
         parse(other)
         calls.clear()
@@ -889,8 +886,7 @@ def test_invariant_faults_named_before_live_faults():
     the invariant is named, not that live set."""
     prog = gen_program(GenConfig(seed=174, max_stmts=14))
     for cap in (1, 2, 3):
-        cfg = WidenConfig(instance_cap=cap)
-        doc = json.loads(serialize(optimize(prog, {"v2", "v3", "v4"}, cfg).derivation, cfg))
+        doc = json.loads(serialize(optimize(prog, {"v2", "v3", "v4"}, cap).derivation, cap))
         image = doc["loops"][1]["pts"]["addr(2,1,1)"]
         assert "addr(1,1,1)" not in image
         image.append("addr(1,1,1)")
@@ -920,7 +916,7 @@ def test_perturbed_seeds_still_reach_closure():
         loops = [n for n in walk(prog) if isinstance(n, While)]
         variables = stmt_vars(prog)
         live = frozenset(sorted(variables)[::2])
-        ann = pointsto.annotate(prog, bottom(variables), CFG)
+        ann = pointsto.annotate(prog, bottom(variables), CAP)
         d = liveness.live_annotate(ann, live)
         seeds = _loop_seeds(d)
         all_pts = {id(w): pts for w, (pts, _) in zip(loops, seeds)}
@@ -933,9 +929,9 @@ def test_perturbed_seeds_still_reach_closure():
             cases += [(all_pts, {**all_live, id(w): head - {key}}) for key in head]
         for pts_seeds, live_seeds in cases:
             again = liveness.live_annotate(
-                pointsto.annotate(prog, bottom(variables), CFG, pts_seeds),
+                pointsto.annotate(prog, bottom(variables), CAP, pts_seeds),
                 live, live_seeds)
-            assert check(again, CFG) == ACCEPT, seed
+            assert check(again, CAP) == ACCEPT, seed
             assert again == d, seed
         perturbed += len(cases)
     assert perturbed >= 1_000, perturbed
@@ -948,7 +944,7 @@ def test_coarser_closed_invariant_accepted():
     pts["q"] = pts["addr(1,1,1)"] = ["addr(1,1,1)"]
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     coarse = deserialize(text)
-    assert coarse != d and check(coarse, CFG) == ACCEPT
+    assert coarse != d and check(coarse, CAP) == ACCEPT
     assert coarse.judgment.residual == d.judgment.residual
     assert serialize(coarse) == text
 
@@ -1014,7 +1010,7 @@ def test_document_tamper_corpus_rejected():
         prog = gen_program(GenConfig(seed=seed, max_stmts=14))
         variables = sorted(stmt_vars(prog))
         live = frozenset(v for v in variables if rng.random() < 0.5)
-        doc = json.loads(serialize(optimize(prog, live, CFG).derivation))
+        doc = json.loads(serialize(optimize(prog, live, CAP).derivation))
         if not doc["loops"]:
             continue
         programs += 1
@@ -1028,7 +1024,7 @@ def test_document_tamper_corpus_rejected():
             outcomes.append((kind, "accepted"))
             # a derivation deserialize returns is valid by construction,
             # so only the program comparison can reject it
-            assert check(d, CFG).ok, f"seed {seed}: {kind} mutation unchecked"
+            assert check(d, CAP).ok, f"seed {seed}: {kind} mutation unchecked"
             assert d.judgment.stmt != prog, f"seed {seed}: {kind} mutation accepted"
     assert min(counts[k] for k in ("address", "key", "live", "loop",
                                    "residual", "program")) >= 100, counts
@@ -1042,7 +1038,7 @@ def _scope_mutants(doc, rng):
     variable the program never mentions, an address in a block of a
     length no cons allocates, or one above the cap, each of several."""
     bad = ["ghost", "wraith", "addr(9,1,1)", "addr(7,2,3)",
-           f"addr(1,{CFG.instance_cap + 1},1)", f"addr(1,{CFG.instance_cap + 4},1)"]
+           f"addr(1,{CAP + 1},1)", f"addr(1,{CAP + 4},1)"]
     for _ in range(20):
         copy = json.loads(json.dumps(doc))
         types = [copy["entry"]] + [t["pts"] for t in copy["loops"]]
@@ -1072,7 +1068,7 @@ def test_scope_rejects_name_the_first_offender():
     for seed in range(60):
         prog = gen_program(GenConfig(seed=seed, max_stmts=(12, 40)[seed % 2]))
         live = frozenset(sorted(stmt_vars(prog))[::2])
-        doc = json.loads(serialize(optimize(prog, live, CFG).derivation))
+        doc = json.loads(serialize(optimize(prog, live, CAP).derivation))
         if not doc["loops"]:
             continue
         for mutant in _scope_mutants(doc, rng):
@@ -1133,20 +1129,20 @@ def test_deserialize_field_values_raise_only_format_error(where, value):
 
 def test_check_accepts_emitted(fig_src):
     for d in corpus() + [derivation_for(fig_src, {"y"})]:
-        assert check(d, CFG) == ACCEPT
+        assert check(d, CAP) == ACCEPT
 
 
 def test_check_rejects_rule_on_wrong_form():
     d = derivation_for("z := y + 1", set())
     assert d.rule == "ass_d1"
     wrong = Derivation("lok_d1", d.judgment, d.premises)
-    verdict = check(wrong, CFG)
+    verdict = check(wrong, CAP)
     assert not verdict.ok and verdict.path == "root"
     assert "does not apply" in verdict.reason
     # check knows only the rules the optimizer builds: the consequence
     # rule is not one of them
     wrapped = Derivation("csq_d", d.judgment, (d,))
-    assert check(wrapped, CFG) == CheckResult(False, "root", "unknown rule 'csq_d'")
+    assert check(wrapped, CAP) == CheckResult(False, "root", "unknown rule 'csq_d'")
 
 
 # every rule with the statement class it applies to, and a statement of
@@ -1176,11 +1172,11 @@ def test_check_names_every_rule_on_every_other_form():
                 arity = len(d.premises)
                 for premises in (d.premises + (d,), d.premises[1:]):
                     if len(premises) != arity:
-                        verdict = check(Derivation(rule, d.judgment, premises), CFG)
+                        verdict = check(Derivation(rule, d.judgment, premises), CAP)
                         assert verdict == CheckResult(False, "root", f"{rule} takes "
                                                       f"{arity} premises, got {len(premises)}")
                 continue
-            verdict = check(Derivation(rule, d.judgment, d.premises), CFG)
+            verdict = check(Derivation(rule, d.judgment, d.premises), CAP)
             assert verdict == CheckResult(False, "root",
                                           f"{rule} does not apply to {pretty(s)!r}"), rule
             wrong += 1
@@ -1191,7 +1187,7 @@ def test_check_rejects_flipped_side_condition():
     d = derivation_for("z := y + 1", {"z"})
     assert d.rule == "ass_d2"
     wrong = Derivation("ass_d1", tamper_ops.replace(d.judgment, residual=parse("skip")))
-    verdict = check(wrong, CFG)
+    verdict = check(wrong, CAP)
     assert not verdict.ok and "side condition" in verdict.reason
 
 
@@ -1218,7 +1214,7 @@ def test_check_reports_addressable_paths(fig_src, tmp_path, capsys):
     paths = _analyze_paths(d)
     assert list(paths.values()) == [row["path"] for row in rows]
     for label, mutant in tamper_ops.mutants(d):
-        verdict = check(mutant, CFG)
+        verdict = check(mutant, CAP)
         assert not verdict.ok and verdict.reason, label
         assert _names_mutated_node(verdict, label, paths), (label, verdict.path)
 
@@ -1233,7 +1229,7 @@ def test_tamper_corpus_rejected():
     for d in corpus()[:12]:
         paths = _analyze_paths(d)
         for label, mutant in tamper_ops.mutants(d):
-            verdict = check(mutant, CFG)
+            verdict = check(mutant, CAP)
             assert not verdict.ok, f"{label} was accepted"
             assert _names_mutated_node(verdict, label, paths), (label, verdict.path)
             h.update(f"{label}|{verdict.ok}|{verdict.reason}\n".encode())
@@ -1246,12 +1242,12 @@ def test_tamper_corpus_rejected():
 def test_check_rejects_broken_seq_chain(fig_src):
     d = derivation_for(fig_src, {"y"})
     p = d.premises
-    assert d.rule == "seq_d" and len(p) == 5 and check(d, CFG) == ACCEPT
+    assert d.rule == "seq_d" and len(p) == 5 and check(d, CAP) == ACCEPT
     # a valid derivation of the third item from another entry type
     detached = derivation_for("i := 10", {"i"})
     assert detached.judgment.stmt == p[2].judgment.stmt
     assert detached.judgment.pre != p[2].judgment.pre
-    assert check(detached, CFG) == ACCEPT
+    assert check(detached, CAP) == ACCEPT
     items = d.judgment.residual.items
     other = LiveType(bottom({"q"}), frozenset())
     cover = "seq_d premises do not cover the items in order"
@@ -1267,7 +1263,7 @@ def test_check_rejects_broken_seq_chain(fig_src):
             p[:2] + (detached,) + p[3:], "seq_d premises 1 and 2 do not chain"),
     }
     for label, (premises, reason) in cases.items():
-        verdict = check(Derivation("seq_d", d.judgment, premises), CFG)
+        verdict = check(Derivation("seq_d", d.judgment, premises), CAP)
         assert verdict == CheckResult(False, "root", reason), label
     judgments = {
         "entry": (tamper_ops.replace(d.judgment, pre=other),
@@ -1285,5 +1281,5 @@ def test_check_rejects_broken_seq_chain(fig_src):
             "seq_d residual is not the premises' sequence"),
     }
     for label, (judgment, reason) in judgments.items():
-        verdict = check(Derivation("seq_d", judgment, p), CFG)
+        verdict = check(Derivation("seq_d", judgment, p), CAP)
         assert verdict == CheckResult(False, "root", reason), label

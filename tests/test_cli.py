@@ -12,11 +12,14 @@ from pathlib import Path
 import mutants
 import pytest
 
-from whilep import GenConfig, certificate, gen_program
+from whilep import (
+    GenConfig, certificate, check, deserialize, gen_program, optimize,
+    run_soundness_suite, serialize,
+)
 from whilep.certificate import pts_to_doc
 from whilep.cli import _build_parser, main
 from whilep.lang import parse, pretty, stmt_vars, walk_paths
-from whilep.pointsto import MAX_INSTANCE_CAP, WidenConfig, annotate, bottom
+from whilep.pointsto import MAX_INSTANCE_CAP, annotate, bottom
 
 RUN_SRC = "x := cons(3, 4); y := [x + 1]; z := y * 2"
 
@@ -166,6 +169,8 @@ def test_run_init(prog, capsys):
     assert "z = 2" in capsys.readouterr().out
     assert main(["run", path, "--init", "w=1"]) == 3
     assert "unknown variable: w" in capsys.readouterr().err
+    assert main(["run", path, "--init", "x=1, y=0, x=2"]) == 3
+    assert capsys.readouterr() == ("", "whilep: --init binds x twice\n")
     assert main(["run", path, "--init", "x=one"]) == 3
     assert "bad --init binding" in capsys.readouterr().err
     assert main(["run", path, "--init", "x=\u0663"]) == 3  # only ASCII digits
@@ -397,12 +402,11 @@ def test_analyze_pts_rows_are_the_points_to_annotation(prog, capsys, cap):
     """On generated programs, every analyze pts row holds the types that
     annotate gives its node from the bottom type: a loop's post is its
     invariant."""
-    cfg = WidenConfig(cap)
     for seed in range(12):
         program = gen_program(GenConfig(seed, 12 if seed % 2 else 40))
         assert main(["analyze", "pts", prog(pretty(program)), "--widen", str(cap)]) == 0
         rows = json.loads(capsys.readouterr().out)["nodes"]
-        ann = annotate(program, bottom(stmt_vars(program)), cfg)
+        ann = annotate(program, bottom(stmt_vars(program)), cap)
         want = []
         for path, node in walk_paths(ann, lambda a: (a.stmt, a.children)):
             row = {"path": path, "stmt": pretty(node.stmt),
@@ -630,6 +634,45 @@ def test_widen_takes_at_most_the_maximum(command, prog, capsys, tmp_path):
         assert json.loads(out)["instance_cap"] == MAX_INSTANCE_CAP
     assert main(argv + ["--widen", str(MAX_INSTANCE_CAP + 1)]) == 3
     assert f"must be <= {MAX_INSTANCE_CAP}: " in capsys.readouterr().err
+
+
+def test_one_cap_reaches_every_leaf_step(prog, monkeypatch, tmp_path):
+    """Each path that takes a cap hands it, never DEFAULT_CAP, to every
+    transfer and cons_block call, through each package module that binds
+    those names."""
+    calls = []
+
+    def recorder(name, step):
+        def record(*args):
+            calls.append((name, args[2]))
+            return step(*args)
+        return record
+
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "whilep"]:
+        for name in ("transfer", "cons_block"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recorder(name, getattr(module, name)))
+    path, cert = prog(ALLOC_LOOP_SRC), str(tmp_path / "cert.json")
+    d = optimize(parse(ALLOC_LOOP_SRC), {"p"}, 7).derivation
+    paths = {
+        "optimize": lambda: optimize(parse(ALLOC_LOOP_SRC), {"p"}, 7),
+        "serialize, deserialize": lambda: deserialize(serialize(d, 7)),
+        "check": lambda: check(d, 7).ok,
+        # trials 11, 13, 20 and 21 draw a synthetic entry type, so t4 calls optimize
+        "run_soundness_suite": lambda: run_soundness_suite(12, GenConfig(10), cap=7),
+        "analyze pts": lambda: main(["analyze", "pts", path, "--widen", "7"]) == 0,
+        # the certificate is read back at the cap it states
+        "optimize --cert": lambda: main(["optimize", path, "--live", "p", "--widen", "7",
+                                         "--cert", cert]) == 0
+        and deserialize(Path(cert).read_text(encoding="utf-8")),
+        "test-soundness": lambda: main(["test-soundness", "--trials", "12", "--seed", "10",
+                                        "--widen", "7"]) == 0,
+    }
+    for label, run in paths.items():
+        calls.clear()
+        assert run(), label
+        assert {name for name, _ in calls} == {"transfer", "cons_block"}, label
+        assert {cap for _, cap in calls} == {7}, label
 
 
 def test_integer_options_read_ascii_digits_only(prog, capsys):

@@ -13,13 +13,13 @@ from whilep.lang import (
     Assign, Cons, If, IntLit, Seq, Skip, While, parse, pretty, stmt_vars,
 )
 from whilep.memory import Address
-from whilep.pointsto import WidenConfig, annotate, bottom
+from whilep.pointsto import DEFAULT_CAP, annotate, bottom
 
-CFG = WidenConfig()
+CAP = DEFAULT_CAP
 
 
 def residual_of(src, live):
-    return optimize(parse(src), frozenset(live), CFG).optimized
+    return optimize(parse(src), frozenset(live), CAP).optimized
 
 
 def test_leaf_rewrites():
@@ -52,14 +52,14 @@ def test_cons_rewrites():
 
 
 def test_rule_labels():
-    result = optimize(parse("x := cons(y); z := y + 1"), frozenset(), CFG)
+    result = optimize(parse("x := cons(y); z := y + 1"), frozenset(), CAP)
     seq = result.derivation
     assert seq.rule == "seq_d"
     assert [p.rule for p in seq.premises] == ["con_d1", "ass_d1"]
 
 
 def test_motivating_example(fig_src, fig_residual):
-    result = optimize(parse(fig_src), frozenset({"y"}), CFG)
+    result = optimize(parse(fig_src), frozenset({"y"}), CAP)
     assert result.optimized == parse(fig_residual)
     assert pretty(result.optimized) == fig_residual
     j = result.derivation.judgment
@@ -74,11 +74,11 @@ def test_motivating_example(fig_src, fig_residual):
 
 def test_entry_exit_types():
     prog = parse("x := cons(5); y := [x]")
-    result = optimize(prog, frozenset({"y"}), CFG)
+    result = optimize(prog, frozenset({"y"}), CAP)
     base = bottom(stmt_vars(prog))
     j = result.derivation.judgment
     assert j.pre.pts == base
-    assert j.post.pts == annotate(prog, base, CFG).post
+    assert j.post.pts == annotate(prog, base, CAP).post
     assert isinstance(result, OptResult)
     assert result.optimized is j.residual
 
@@ -103,7 +103,7 @@ def test_guards_and_structure_preserved():
         prog = gen_program(GenConfig(seed=seed, max_stmts=14))
         variables = sorted(stmt_vars(prog))
         live = frozenset(v for v in variables if rng.random() < 0.5)
-        assert same_shape(prog, optimize(prog, live, CFG).optimized)
+        assert same_shape(prog, optimize(prog, live, CAP).optimized)
 
 
 def test_emitted_derivations_check(fig_src):
@@ -115,8 +115,8 @@ def test_emitted_derivations_check(fig_src):
         prog = parse(src)
         variables = sorted(stmt_vars(prog))
         live = frozenset(v for v in variables if rng.random() < 0.5)
-        result = optimize(prog, live, CFG)
-        verdict = check(result.derivation, CFG)
+        result = optimize(prog, live, CAP)
+        verdict = check(result.derivation, CAP)
         assert verdict.ok, f"{src!r}: {verdict.path}: {verdict.reason}"
 
 
@@ -133,30 +133,30 @@ def test_repeated_optimization_converges():
             # rewrites can erase a live variable's last occurrence, and
             # a variable mentioned nowhere cannot affect any rewrite
             live_now = live & stmt_vars(current)
-            after = optimize(current, live_now, CFG).optimized
+            after = optimize(current, live_now, CAP).optimized
             if after == current:
                 break
             current = after
         live_now = live & stmt_vars(current)
-        assert optimize(current, live_now, CFG).optimized == current, \
+        assert optimize(current, live_now, CAP).optimized == current, \
             f"seed {seed}"
 
 
 def test_optimize_deterministic():
     prog = parse("x := cons(a, b); if a < b then { y := [x] } else { y := 0 }")
-    r1 = optimize(prog, frozenset({"y"}), CFG)
-    r2 = optimize(prog, frozenset({"y"}), CFG)
+    r1 = optimize(prog, frozenset({"y"}), CAP)
+    r2 = optimize(prog, frozenset({"y"}), CAP)
     assert r1.optimized == r2.optimized
     assert r1.derivation == r2.derivation
 
 
 def test_stray_final_live_rejected():
     with pytest.raises(ValueError, match=r"^unknown variable: qq$"):
-        optimize(parse("x := 1"), frozenset({"x", "zz", "qq"}), CFG)
+        optimize(parse("x := 1"), frozenset({"x", "zz", "qq"}), CAP)
 
 
 def test_final_live_cells_allowed():
     # addresses in the final live set are not stray: callers may observe cells
-    result = optimize(parse("x := cons(7)"), frozenset({Address(1, 1, 1)}), CFG)
+    result = optimize(parse("x := cons(7)"), frozenset({Address(1, 1, 1)}), CAP)
     assert result.optimized == parse("x := cons(7)")
     assert result.derivation.rule == "con_d2"

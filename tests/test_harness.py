@@ -17,9 +17,9 @@ from whilep.lang import (
 from whilep.interp import OutOfFuel, execute
 from whilep.liveness import live_annotate, similar_states
 from whilep.memory import Address, NilValue
-from whilep.pointsto import WidenConfig, annotate, bottom, models
+from whilep.pointsto import DEFAULT_CAP, annotate, bottom, models
 
-CFG = WidenConfig()
+CAP = DEFAULT_CAP
 
 
 def forms(s):
@@ -79,7 +79,7 @@ def test_gen_state_models_its_type():
     for _ in range(1000):
         p = _synthetic_ptype(rng, ["x", "y", "z"], 3)
         st = _gen_state(rng, p)
-        assert models(st, p, CFG)
+        assert models(st, p, CAP)
         assert set(st.stack) == {"x", "y", "z"}
         for a in st.heap:
             assert isinstance(a, Address)
@@ -92,11 +92,11 @@ def test_make_similar_state_contract():
         cfg = GenConfig(seed=seed)
         prog = gen_program(cfg)
         base = bottom(stmt_vars(prog))
-        ann = annotate(prog, base, CFG)
+        ann = annotate(prog, base, CAP)
         live = live_annotate(ann, frozenset())
         st = _gen_state(rng, base)
-        twin = make_similar_state(rng, st, prog, live.judgment.pre.live, CFG)
-        assert similar_states(st, twin, base, live.judgment.pre.live, CFG), \
+        twin = make_similar_state(rng, st, prog, live.judgment.pre.live, CAP)
+        assert similar_states(st, twin, base, live.judgment.pre.live, CAP), \
             f"seed {seed}"
         reads = free_vars(prog)
         for x, v in twin.stack.items():
@@ -117,14 +117,14 @@ def test_junk_values_cover_all_kinds():
     kinds = set()
     for _ in range(300):
         st = _gen_state(rng, base)
-        twin = make_similar_state(rng, st, prog, frozenset(), CFG)
+        twin = make_similar_state(rng, st, prog, frozenset(), CAP)
         for v in twin.stack.values():
             kinds.add(NilValue if isinstance(v, NilValue) else type(v))
     assert {int, NilValue, Address} <= kinds
 
 
 def test_suite_deterministic():
-    kw = dict(gen_cfg=GenConfig(seed=5), checks=("t1", "t4"), widen=CFG)
+    kw = dict(gen_cfg=GenConfig(seed=5), checks=("t1", "t4"), cap=CAP)
     assert run_soundness_suite(60, **kw) == run_soundness_suite(60, **kw)
 
 
@@ -178,7 +178,7 @@ def test_suite_completion_rate():
     """Generated programs must terminate normally often enough that the
     execution-dependent checks see real coverage."""
     report = run_soundness_suite(300, GenConfig(seed=0), checks=("t1",),
-                                 widen=CFG)
+                                 cap=CAP)
     assert report["checks"]["t1"]["pass"] >= 60
 
 
@@ -187,23 +187,23 @@ def test_sabotage_is_detected_and_replayable(monkeypatch):
     failing seed replays alone."""
     mutants.install(monkeypatch, "weak_drop")
     report = run_soundness_suite(600, GenConfig(seed=0), checks=("t1",),
-                                 widen=CFG)
+                                 cap=CAP)
     assert report["checks"]["t1"]["fail"] >= 1
     seeds = report["checks"]["t1"]["failing_seeds"]
     assert seeds
     replay = run_soundness_suite(1, GenConfig(seed=seeds[0]), checks=("t1",),
-                                 widen=CFG)
+                                 cap=CAP)
     assert replay["checks"]["t1"]["fail"] == 1
     monkeypatch.undo()
     healthy = run_soundness_suite(1, GenConfig(seed=seeds[0]), checks=("t1",),
-                                  widen=CFG)
+                                  cap=CAP)
     assert healthy["checks"]["t1"]["fail"] == 0
 
 
 def test_failing_seeds_capped(monkeypatch):
     mutants.install(monkeypatch, "weak_drop")
     report = run_soundness_suite(4000, GenConfig(seed=0), checks=("t1",),
-                                 widen=CFG)
+                                 cap=CAP)
     entry = report["checks"]["t1"]
     assert entry["fail"] > 20
     assert len(entry["failing_seeds"]) == 20

@@ -4,8 +4,8 @@ dataclasses, every top-level definition of the package is read
 somewhere, importing the package loads neither dataclasses nor inspect
 nor the command line, no string of the package holds the Unicode
 digit class \\d, no code of the package writes into a points-to
-environment, only parse writes the facts memo of the parser, and each
-pass steps a leaf at one site."""
+environment, only parse writes the facts memo of the parser, each
+pass steps a leaf at one site, and the instance cap has one name."""
 
 import ast
 import subprocess
@@ -388,6 +388,42 @@ def test_each_pass_steps_a_leaf_at_one_site():
         assert len(call_sites(source, step)) == 1, module
         planted = source + f"\n\ndef _plant(*args):\n    return {step}(*args)\n"
         assert len(call_sites(planted, step)) == 2, module
+
+
+def cap_aliases(source: str) -> list[str]:
+    """Other names of the instance cap in source, as 'name (line n)': a
+    function parameter named cfg or widen, or a read of an attribute
+    .instance_cap."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            found += [f"{arg.arg} (line {arg.lineno})"
+                      for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                      if arg is not None and arg.arg in ("cfg", "widen")]
+        elif isinstance(node, ast.Attribute) and node.attr == "instance_cap":
+            found.append(f".instance_cap (line {node.lineno})")
+    return sorted(found)
+
+
+def test_checker_finds_cap_aliases():
+    source = ("def transfer(s, p, cfg):\n"
+              "    return cfg.instance_cap\n"
+              "def twin(rng, *, widen=None):\n"
+              "    return widen\n"
+              "step = lambda s, cfg, /: s\n"
+              "def fine(cap, config, *widened):\n"
+              "    widen = config.seed\n"
+              "    return args.widen, {'instance_cap': cap}\n")
+    assert cap_aliases(source) == [
+        ".instance_cap (line 2)", "cfg (line 1)", "cfg (line 5)", "widen (line 3)"]
+
+
+def test_the_package_names_the_cap_cap():
+    """The instance cap is a plain int named cap in every layer: no
+    function takes it as cfg or widen, and no code reads .instance_cap
+    off a record."""
+    assert _by_file(cap_aliases, sorted(PACKAGE.glob("*.py"))) == {}
 
 
 def test_tests_have_no_unused_imports():

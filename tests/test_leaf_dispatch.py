@@ -24,7 +24,7 @@ from whilep.lang import (
 from whilep.liveness import Derivation, Judgment, LiveType, leaf_live_pre
 from whilep.memory import NIL, Address, NilValue, ProgState, addr_shift
 from whilep.pointsto import (
-    EMPTY, AnnStmt, PointsTo, WidenConfig, _block_heads, _shifts, _variants,
+    DEFAULT_CAP, EMPTY, AnnStmt, PointsTo, _block_heads, _shifts, _variants,
     abs_eval, addr_part, bottom, cons_block, join, transfer,
 )
 
@@ -61,12 +61,12 @@ def ref_abs_eval(e: AExp, p: PointsTo):
     raise TypeError(f"not an arithmetic expression: {e!r}")
 
 
-def ref_transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
+def ref_transfer(s: Stmt, p: PointsTo, cap: int) -> PointsTo:
     if isinstance(s, Assign):
         delta = {s.var: addr_part(ref_abs_eval(s.expr, p))}
     elif isinstance(s, Cons):
         images = [addr_part(ref_abs_eval(a, p)) for a in s.args]
-        length, cap, env = len(s.args), cfg.instance_cap, p.env
+        length, env = len(s.args), p.env
         v, cells = cons_block(p, length, cap)
         delta = {a: env.get(a, EMPTY) | images[a[2] - 1] for a in cells}
         delta[s.var] = _block_heads(length, v, cap)
@@ -77,7 +77,7 @@ def ref_transfer(s: Stmt, p: PointsTo, cfg: WidenConfig) -> PointsTo:
         targets = addr_part(ref_abs_eval(s.target, p))
         stored = addr_part(ref_abs_eval(s.value, p))
         only = next(iter(targets)) if len(targets) == 1 else None
-        if only is not None and only.instance < cfg.instance_cap:
+        if only is not None and only.instance < cap:
             delta = {only: stored}
         else:
             delta = {a: p.image(a) | stored for a in targets}
@@ -96,7 +96,7 @@ def ref_join(p: PointsTo, q: PointsTo) -> PointsTo:
     return PointsTo(env)
 
 
-def ref_leaf_live_pre(s: Stmt, pre: PointsTo, post: frozenset, cfg: WidenConfig):
+def ref_leaf_live_pre(s: Stmt, pre: PointsTo, post: frozenset, cap: int):
     if isinstance(s, Skip):
         return post, "skip", s
     if isinstance(s, Assign):
@@ -104,7 +104,7 @@ def ref_leaf_live_pre(s: Stmt, pre: PointsTo, post: frozenset, cfg: WidenConfig)
             return post, "ass_d1", Skip()
         return (post - {s.var}) | free_vars(s.expr), "ass_d2", s
     if isinstance(s, Cons):
-        _, cells = cons_block(pre, len(s.args), cfg.instance_cap)
+        _, cells = cons_block(pre, len(s.args), cap)
         live_args = {a[2] for a in cells & post}
         entry = post - {s.var}
         for j in live_args:
@@ -281,7 +281,6 @@ def test_leaf_steps_match_the_isinstance_reference():
         variables = sorted(stmt_vars(prog))
         leaves = [n for n in walk(prog) if not children(n)]
         for cap in (1, 2, 3):
-            cfg = WidenConfig(instance_cap=cap)
             rng = random.Random(f"leaf:{seed}:{cap}")
             entries = (bottom(variables), _synthetic_ptype(rng, variables, cap),
                        _partial_ptype(rng, variables, cap))
@@ -292,16 +291,16 @@ def test_leaf_steps_match_the_isinstance_reference():
                     kinds.add(type(s))
                     for e in _expressions(s):
                         assert abs_eval(e, entry) == ref_abs_eval(e, entry), (seed, e)
-                    post_p = transfer(s, entry, cfg)
-                    assert post_p == ref_transfer(s, entry, cfg), (seed, cap, s)
+                    post_p = transfer(s, entry, cap)
+                    assert post_p == ref_transfer(s, entry, cap), (seed, cap, s)
                     assert type(post_p) is PointsTo
-                    assert list(post_p.env) == list(ref_transfer(s, entry, cfg).env)
+                    assert list(post_p.env) == list(ref_transfer(s, entry, cap).env)
                     for other in entries:
                         _assert_join_matches(post_p, other)
                     keys = sorted(post_p.env.keys() | entry.env.keys(), key=repr)
                     post = frozenset(k for k in keys if rng.random() < 0.5)
                     assert leaf_live_pre(s, entry, post_p, post) == \
-                        ref_leaf_live_pre(s, entry, post, cfg), (seed, cap, s, post)
+                        ref_leaf_live_pre(s, entry, post, cap), (seed, cap, s, post)
     assert kinds == {Skip, Assign, Cons, Lookup, Mutate, Dispose}
 
 
@@ -513,11 +512,10 @@ def test_direct_address_equals_the_constructor():
 # --- wrong kinds ---
 
 _P0 = bottom({"x"})
-_CFG = WidenConfig()
 _LOOP = While(Cmp("<", Var("x"), IntLit(1)), Skip())
 _CALLS = {
     "abs_eval": lambda n: abs_eval(n, _P0),
-    "transfer": lambda n: transfer(n, _P0, _CFG),
+    "transfer": lambda n: transfer(n, _P0, DEFAULT_CAP),
     "leaf_live_pre": lambda n: leaf_live_pre(n, _P0, _P0, EMPTY),
     "pretty": pretty,
     "pretty_aexp": pretty_aexp,

@@ -13,10 +13,10 @@ from whilep.liveness import (
 )
 from whilep.memory import NIL, Address, ProgState
 from whilep.pointsto import (
-    PointsTo, WidenConfig, annotate, bottom, models, transfer,
+    PointsTo, DEFAULT_CAP, annotate, bottom, models, transfer,
 )
 
-CFG = WidenConfig()
+CAP = DEFAULT_CAP
 A111 = Address(1, 1, 1)
 A121 = Address(1, 2, 1)
 A211 = Address(2, 1, 1)
@@ -36,7 +36,7 @@ def leaf_of(src, post, p=None):
     with the exit type the transfer gives."""
     prog = parse(src)
     p = p if p is not None else bottom(stmt_vars(prog))
-    live, rule, residual = leaf_live_pre(prog, p, transfer(prog, p, CFG),
+    live, rule, residual = leaf_live_pre(prog, p, transfer(prog, p, CAP),
                                          frozenset(post))
     return live, rule, pretty(residual)
 
@@ -79,10 +79,10 @@ def test_cons_rules():
 def test_cons_residual_is_the_statement_when_every_cell_is_live():
     s = parse("x := cons(y, z)")
     p = bottom(stmt_vars(s))
-    live, rule, residual = leaf_live_pre(s, p, transfer(s, p, CFG), lv("x", A211, A212))
+    live, rule, residual = leaf_live_pre(s, p, transfer(s, p, CAP), lv("x", A211, A212))
     assert residual is s and rule == "con_d2"
     # a dead cell zeroes its argument in a new statement
-    live, rule, residual = leaf_live_pre(s, p, transfer(s, p, CFG), lv("x", A212))
+    live, rule, residual = leaf_live_pre(s, p, transfer(s, p, CAP), lv("x", A212))
     assert residual is not s and residual == parse("x := cons(0, z)")
     assert residual.args[1] is s.args[1]
 
@@ -113,7 +113,7 @@ def test_dispose_rule():
 
 def test_live_annotate_sequence():
     prog = parse("x := y; z := x")
-    ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
+    ann = annotate(prog, bottom(stmt_vars(prog)), CAP)
     live = live_annotate(ann, lv("z"))
     first, rest = live.premises
     assert rest.judgment.post.live == lv("z")
@@ -126,7 +126,7 @@ def test_live_annotate_sequence():
 
 def test_live_annotate_if():
     prog = parse("if x < 3 then { y := a } else { y := b }")
-    ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
+    ann = annotate(prog, bottom(stmt_vars(prog)), CAP)
     live = live_annotate(ann, lv("y"))
     assert live.judgment.pre.live == lv("x", "a", "b")
 
@@ -134,7 +134,7 @@ def test_live_annotate_if():
 def test_while_live_fixpoint_is_least():
     """Brute-force the minimal guard-closed live set on a two-variable loop."""
     prog = parse("while x < 3 do { x := x + y }")
-    ann = annotate(prog, bottom({"x", "y"}), CFG)
+    ann = annotate(prog, bottom({"x", "y"}), CAP)
     live = live_annotate(ann, lv())
     body_ann = ann.children[0]
     floor = free_vars(prog.cond)
@@ -153,7 +153,7 @@ def test_while_live_fixpoint_is_least():
 
 def test_counter_only_loop_keeps_body_dead():
     prog = parse("i := 0; while i < 5 do { x := x + 1; i := i + 1 }")
-    ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
+    ann = annotate(prog, bottom(stmt_vars(prog)), CAP)
     live = live_annotate(ann, lv())
     assert live.judgment.pre.live == lv()
     loop = live.premises[1]
@@ -170,11 +170,11 @@ def test_live_annotate_derivation_is_accepted():
     for seed in range(150):
         prog = gen_program(GenConfig(seed=seed))
         variables = sorted(stmt_vars(prog))
-        entry = _synthetic_ptype(rng, variables, CFG.instance_cap) \
+        entry = _synthetic_ptype(rng, variables, CAP) \
             if seed % 2 else bottom(variables)
         final_live = frozenset(v for v in variables if rng.random() < 0.5)
-        d = live_annotate(annotate(prog, entry, CFG), final_live)
-        assert check(d, CFG) == ACCEPT, f"seed {seed}"
+        d = live_annotate(annotate(prog, entry, CAP), final_live)
+        assert check(d, CAP) == ACCEPT, f"seed {seed}"
         assert d.judgment.stmt is prog and d.judgment.pre.pts == entry
         assert d.judgment.post.live == final_live
         todo = [d]
@@ -188,14 +188,14 @@ def test_live_annotate_derivation_is_accepted():
 
 def test_models_live_examples():
     p = pts({"x": [A111], A111: []})
-    assert models_live(ProgState({"x": NIL}, {}), p, lv("x"), CFG)
+    assert models_live(ProgState({"x": NIL}, {}), p, lv("x"), CAP)
     assert not models_live(ProgState({"x": A111}, {}), pts({"x": []}),
-                           lv("x"), CFG)
+                           lv("x"), CAP)
     # a dead variable may hold anything
-    assert models_live(ProgState({"x": A111}, {}), pts({"x": []}), lv(), CFG)
+    assert models_live(ProgState({"x": A111}, {}), pts({"x": []}), lv(), CAP)
     # but the heap-domain clause is global regardless of liveness
     assert not models_live(ProgState({"x": 0}, {Address(1, 2, 1): 1}),
-                           p, lv(), CFG)
+                           p, lv(), CAP)
 
 
 def test_models_is_models_live_at_full_liveness():
@@ -204,7 +204,7 @@ def test_models_is_models_live_at_full_liveness():
         p = _synthetic_ptype(rng, ["x", "y"], 3)
         st = _gen_state(rng, p)
         everything = frozenset(p.env)
-        assert models(st, p, CFG) == models_live(st, p, everything, CFG)
+        assert models(st, p, CAP) == models_live(st, p, everything, CAP)
 
 
 def test_models_live_antitone_in_live_set():
@@ -216,25 +216,25 @@ def test_models_live_antitone_in_live_set():
         keys = sorted(p.env, key=repr)
         big = frozenset(k for k in keys if rng.random() < 0.7)
         small = frozenset(k for k in big if rng.random() < 0.6)
-        if models_live(st, p, big, CFG):
-            assert models_live(st, p, small, CFG)
+        if models_live(st, p, big, CAP):
+            assert models_live(st, p, small, CAP)
 
 
 def test_similar_states_examples():
     p = pts({"x": [A111], "y": [], A111: []})
     st = ProgState({"x": A111, "y": 4}, {A111: 9})
-    assert similar_states(st, st.copy(), p, lv("x", "y", A111), CFG)
+    assert similar_states(st, st.copy(), p, lv("x", "y", A111), CAP)
     twin = ProgState({"x": A111, "y": 77}, {A111: 9})
-    assert similar_states(st, twin, p, lv("x", A111), CFG)
-    assert not similar_states(st, twin, p, lv("x", "y"), CFG)
+    assert similar_states(st, twin, p, lv("x", A111), CAP)
+    assert not similar_states(st, twin, p, lv("x", "y"), CAP)
     # heap domains must match exactly even on dead cells
     assert not similar_states(st, ProgState({"x": A111, "y": 4}, {}),
-                              p, lv("x"), CFG)
+                              p, lv("x"), CAP)
     # a dead cell's value may differ
     assert similar_states(st, ProgState({"x": A111, "y": 4}, {A111: 0}),
-                          p, lv("x", "y"), CFG)
+                          p, lv("x", "y"), CAP)
     assert not similar_states(st, ProgState({"x": A111, "y": 4}, {A111: 0}),
-                              p, lv("x", A111), CFG)
+                              p, lv("x", A111), CAP)
 
 
 def test_expression_eval_depends_only_on_free_vars():
@@ -265,7 +265,7 @@ def test_live_pre_monotone_in_live_post():
     for seed in range(120):
         prog = gen_program(GenConfig(seed=seed))
         variables = sorted(stmt_vars(prog))
-        ann = annotate(prog, bottom(variables), CFG)
+        ann = annotate(prog, bottom(variables), CAP)
         big = frozenset(v for v in variables if rng.random() < 0.6)
         small = frozenset(v for v in big if rng.random() < 0.6)
         pre_small = live_annotate(ann, small).judgment.pre.live
@@ -276,14 +276,14 @@ def test_live_pre_monotone_in_live_post():
 def test_live_annotate_determinism():
     for seed in range(30):
         prog = gen_program(GenConfig(seed=seed))
-        ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
+        ann = annotate(prog, bottom(stmt_vars(prog)), CAP)
         live = frozenset(sorted(stmt_vars(prog))[:1])
         assert live_annotate(ann, live) == live_annotate(ann, live)
 
 
 def test_motivating_example_live_sets(fig_src):
     prog = parse(fig_src)
-    ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
+    ann = annotate(prog, bottom(stmt_vars(prog)), CAP)
     live = live_annotate(ann, lv("y"))
     # the first cons cell feeds the later lookup, so it is live at entry
     assert live.judgment.pre.live == lv(A211)
@@ -309,15 +309,15 @@ def test_executions_respect_live_restricted_types():
         prog = gen_program(cfg)
         variables = sorted(stmt_vars(prog))
         base = bottom(variables)
-        ann = annotate(prog, base, CFG)
+        ann = annotate(prog, base, CAP)
         final_live = frozenset(v for v in variables if rng.random() < 0.5)
         live = live_annotate(ann, final_live)
         st = _gen_state(rng, base)
         out = execute(prog, st, 1500)
         if not isinstance(out, Final):
             continue
-        assert models_live(st, base, live.judgment.pre.live, CFG), f"seed {seed}"
-        assert models_live(out.state, ann.post, final_live, CFG), \
+        assert models_live(st, base, live.judgment.pre.live, CAP), f"seed {seed}"
+        assert models_live(out.state, ann.post, final_live, CAP), \
             f"seed {seed}"
         passed += 1
     assert passed >= 50

@@ -16,11 +16,11 @@ from whilep.lang import (
 )
 from whilep.memory import Address, ProgState, addr_shift
 from whilep.pointsto import (
-    AnnStmt, PointsTo, WidenConfig, _shifts, abs_eval, addr_part, annotate,
+    AnnStmt, PointsTo, DEFAULT_CAP, _shifts, abs_eval, addr_part, annotate,
     bottom, cap_address, cons_block, join, leq, models, transfer,
 )
 
-CFG = WidenConfig()
+CAP = DEFAULT_CAP
 A111 = Address(1, 1, 1)
 A121 = Address(1, 2, 1)
 
@@ -131,25 +131,25 @@ def test_shifts_agree_with_addr_shift():
 
 def test_transfer_skip_identity():
     p = pts({"x": [A111], A111: []})
-    assert transfer(parse("skip"), p, CFG) == p
+    assert transfer(parse("skip"), p, CAP) == p
 
 
 def test_transfer_is_the_leaf_step_only():
     for src in ("skip; skip", "if x < 1 then { skip } else { skip }",
                 "while x < 1 do { skip }"):
         with pytest.raises(TypeError, match="not a leaf statement"):
-            transfer(parse(src), bottom({"x"}), CFG)
+            transfer(parse(src), bottom({"x"}), CAP)
 
 
 def test_transfer_cons_from_bottom():
-    got = transfer(parse("x := cons(5)"), bottom({"x"}), CFG)
+    got = transfer(parse("x := cons(5)"), bottom({"x"}), CAP)
     assert got == pts({"x": [A111], A111: []})
 
 
 def test_transfer_weak_update():
     p = pts({"p": [A111, A121], "q": [Address(2, 1, 1)],
              A111: [], A121: [], Address(2, 1, 1): []})
-    got = transfer(parse("[p] := q"), p, CFG)
+    got = transfer(parse("[p] := q"), p, CAP)
     assert got.image(A111) == {Address(2, 1, 1)}
     assert got.image(A121) == {Address(2, 1, 1)}
     assert got.image("p") == {A111, A121}
@@ -158,15 +158,14 @@ def test_transfer_weak_update():
 
 def test_transfer_strong_update():
     p = pts({"p": [A111], "q": [A121], A111: [A111], A121: []})
-    got = transfer(parse("[p] := q"), p, CFG)
+    got = transfer(parse("[p] := q"), p, CAP)
     assert got.image(A111) == {A121}  # old image replaced, not unioned
 
 
 def test_no_strong_update_on_summary():
-    cap = CFG.instance_cap
-    summary = Address(1, cap, 1)
+    summary = Address(1, CAP, 1)
     p = pts({"p": [summary], "q": [A121], summary: [A111], A121: []})
-    got = transfer(parse("[p] := q"), p, CFG)
+    got = transfer(parse("[p] := q"), p, CAP)
     assert got.image(summary) == {A111, A121}  # summary cells only widen
 
 
@@ -185,14 +184,14 @@ def test_no_op_leaves_share_their_entry_type():
                           A111: [A111, A121], A121: [A121]})),
     ]
     for src, p in cases:
-        assert transfer(parse(src), p, CFG) is p, src
+        assert transfer(parse(src), p, CAP) is p, src
 
 
 def test_weak_write_keeps_the_images_it_contains():
     """A weak write rewrites only the cells whose image grows; a cell that
     already holds the stored image keeps its image object."""
     p = pts({"p": [A111, A121], "q": [A121], A111: [], A121: [A121]})
-    got = transfer(parse("[p] := q"), p, CFG)
+    got = transfer(parse("[p] := q"), p, CAP)
     assert got.image(A111) == {A121}
     assert got.env[A121] is p.env[A121]
     assert list(got.env) == list(p.env)
@@ -221,7 +220,7 @@ def test_chain_annotation_shares_its_exit_types(n):
     the annotation holds at most 5 distinct exit-type objects, not one per
     statement."""
     prog = parse(chain_src(n))
-    ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
+    ann = annotate(prog, bottom(stmt_vars(prog)), CAP)
     todo, posts, nodes = [ann], set(), 0
     while todo:
         node = todo.pop()
@@ -233,7 +232,7 @@ def test_chain_annotation_shares_its_exit_types(n):
 
 
 def test_annotate_sequence():
-    ann = annotate(parse("x := cons(5); dispose(x)"), bottom({"x"}), CFG)
+    ann = annotate(parse("x := cons(5); dispose(x)"), bottom({"x"}), CAP)
     p1 = pts({"x": [A111], A111: []})
     cons_node, dispose_node = ann.children
     assert (cons_node.pre, cons_node.post) == (bottom({"x"}), p1)
@@ -242,7 +241,7 @@ def test_annotate_sequence():
 
 
 def test_annotate_while_integer_loop():
-    ann = annotate(parse("while x < 3 do { x := x + 1 }"), bottom({"x"}), CFG)
+    ann = annotate(parse("while x < 3 do { x := x + 1 }"), bottom({"x"}), CAP)
     assert ann.post == bottom({"x"})  # a loop's exit type is its invariant
 
 
@@ -263,9 +262,9 @@ def _max_instance(ann):
 
 def test_annotate_while_allocating_loop_caps():
     src = "i := 0; while i < 9 do { x := cons(x); i := i + 1 }"
-    ann = annotate(parse(src), bottom({"i", "x"}), CFG)
+    ann = annotate(parse(src), bottom({"i", "x"}), CAP)
     assert ann.post.tracked()  # the loop allocates
-    assert _max_instance(ann) == CFG.instance_cap
+    assert _max_instance(ann) == CAP
 
 
 def test_annotate_never_exceeds_cap():
@@ -273,12 +272,11 @@ def test_annotate_never_exceeds_cap():
     no annotated node holds an address above the cap."""
     rng = random.Random(23)
     for cap in (1, 2, 3):
-        cfg = WidenConfig(instance_cap=cap)
         for seed in range(60):
             prog = gen_program(GenConfig(seed=seed, max_stmts=(12, 30)[seed % 2]))
             variables = sorted(stmt_vars(prog))
             for entry in (bottom(variables), _synthetic_ptype(rng, variables, cap)):
-                assert _max_instance(annotate(prog, entry, cfg)) <= cap, (cap, seed)
+                assert _max_instance(annotate(prog, entry, cap)) <= cap, (cap, seed)
 
 
 def _may_write(s, p, cap):
@@ -301,11 +299,10 @@ def test_leaf_exit_changes_only_the_keys_the_leaf_writes():
     changed_by_kind = {Assign: 0, Cons: 0, Lookup: 0, Mutate: 0}
     for seed in range(600):
         cap = 1 + seed % 3
-        cfg = WidenConfig(instance_cap=cap)
         prog = gen_program(GenConfig(seed=seed, max_stmts=(12, 30)[seed // 3 % 2]))
         variables = sorted(stmt_vars(prog))
         for entry in (bottom(variables), _synthetic_ptype(rng, variables, cap)):
-            todo = [annotate(prog, entry, cfg)]
+            todo = [annotate(prog, entry, cap)]
             while todo:
                 node = todo.pop()
                 todo.extend(node.children)
@@ -325,18 +322,18 @@ def test_annotate_determinism():
     for seed in range(30):
         prog = gen_program(GenConfig(seed=seed))
         base = bottom(stmt_vars(prog))
-        assert annotate(prog, base, CFG) == annotate(prog, base, CFG)
+        assert annotate(prog, base, CAP) == annotate(prog, base, CAP)
 
 
 def test_models_examples():
     p = pts({"x": [A111], A111: []})
-    assert models(ProgState({"x": 0}, {}), p, CFG)
-    assert models(ProgState({"x": A111}, {A111: 5}), p, CFG)
-    assert not models(ProgState({"x": A111}, {}), pts({"x": []}), CFG)
+    assert models(ProgState({"x": 0}, {}), p, CAP)
+    assert models(ProgState({"x": A111}, {A111: 5}), p, CAP)
+    assert not models(ProgState({"x": A111}, {}), pts({"x": []}), CAP)
     # untracked heap cells violate the domain clause
-    assert not models(ProgState({"x": 0}, {A121: 1}), p, CFG)
+    assert not models(ProgState({"x": 0}, {A121: 1}), p, CAP)
     # address content must be in the cell's image
-    assert not models(ProgState({"x": A111}, {A111: A111}), p, CFG)
+    assert not models(ProgState({"x": A111}, {A111: A111}), p, CAP)
 
 
 def test_leq_preserves_models():
@@ -344,10 +341,10 @@ def test_leq_preserves_models():
     for _ in range(80):
         q = _synthetic_ptype(rng, ["x", "y"], 3)
         st = _gen_state(rng, q)
-        assert models(st, q, CFG)
+        assert models(st, q, CAP)
         bigger = join(q, _synthetic_ptype(rng, ["x", "y"], 3))
         assert leq(q, bigger)
-        assert models(st, bigger, CFG)
+        assert models(st, bigger, CAP)
 
 
 def test_cap_address():
@@ -376,10 +373,10 @@ def test_transfer_monotone_outside_strong_update_corner():
         p = PointsTo({k: frozenset(a for a in img if rng.random() < 0.5)
                       for k, img in q.env.items()})
         assert leq(p, q)
-        ap = annotate(prog, p, CFG)
-        aq = annotate(prog, q, CFG)
+        ap = annotate(prog, p, CAP)
+        aq = annotate(prog, q, CAP)
         if not leq(ap.post, aq.post):
-            assert _mutate_corner(prog, ap, aq, CFG.instance_cap), \
+            assert _mutate_corner(prog, ap, aq, CAP), \
                 f"non-monotone without the known corner at seed {seed}"
 
 
@@ -391,13 +388,13 @@ def test_transfer_nonmonotone_corner_witness():
     p = pts({"t": [], "s": [A121], A111: [A111], A121: []})
     q = pts({"t": [A111], "s": [A121], A111: [A111], A121: []})
     assert leq(p, q)
-    post_p = transfer(prog, p, CFG)
-    post_q = transfer(prog, q, CFG)
+    post_p = transfer(prog, p, CAP)
+    post_q = transfer(prog, q, CAP)
     assert post_p.image(A111) == {A111}
     assert post_q.image(A111) == {A121}
     assert not leq(post_p, post_q)
-    assert _mutate_corner(prog, annotate(prog, p, CFG),
-                          annotate(prog, q, CFG), CFG.instance_cap)
+    assert _mutate_corner(prog, annotate(prog, p, CAP),
+                          annotate(prog, q, CAP), CAP)
 
 
 def test_loop_invariant_validity():
@@ -405,40 +402,40 @@ def test_loop_invariant_validity():
     checked = 0
     for seed in range(150):
         prog = gen_program(GenConfig(seed=seed, max_stmts=14))
-        ann = annotate(prog, bottom(stmt_vars(prog)), CFG)
+        ann = annotate(prog, bottom(stmt_vars(prog)), CAP)
         stack = [ann]
         while stack:
             node = stack.pop()
             if isinstance(node.stmt, While):
                 inv = node.post
                 assert leq(node.pre, inv)
-                assert leq(annotate(node.stmt.body, inv, CFG).post, inv)
+                assert leq(annotate(node.stmt.body, inv, CAP).post, inv)
                 checked += 1
             stack.extend(node.children)
     assert checked >= 30
 
 
-def _kleene(s, p, cfg):
+def _kleene(s, p, cap):
     """Reference analysis: plain Kleene iteration, each loop from its entry
     alone, with no allocation start and no seed."""
     if isinstance(s, Seq):
         children, q = [], p
         for item in s.items:
-            children.append(_kleene(item, q, cfg))
+            children.append(_kleene(item, q, cap))
             q = children[-1].post
         return AnnStmt(s, p, q, tuple(children))
     if isinstance(s, If):
-        then_ann, else_ann = _kleene(s.then_body, p, cfg), _kleene(s.else_body, p, cfg)
+        then_ann, else_ann = _kleene(s.then_body, p, cap), _kleene(s.else_body, p, cap)
         return AnnStmt(s, p, join(then_ann.post, else_ann.post), (then_ann, else_ann))
     if isinstance(s, While):
         inv = p
         while True:
-            body = _kleene(s.body, inv, cfg)
+            body = _kleene(s.body, inv, cap)
             grown = join(inv, body.post)
             if grown == inv:
                 return AnnStmt(s, p, inv, (body,))
             inv = grown
-    return AnnStmt(s, p, transfer(s, p, cfg))
+    return AnnStmt(s, p, transfer(s, p, cap))
 
 
 def test_allocation_start_reaches_the_kleene_fixpoint():
@@ -446,12 +443,11 @@ def test_allocation_start_reaches_the_kleene_fixpoint():
     every node's types equal plain Kleene iteration from the entry."""
     allocating_loops = 0
     for seed, size, cap in itertools.product(range(200), (12, 40), (1, 2, 3)):
-        cfg = WidenConfig(instance_cap=cap)
         prog = gen_program(GenConfig(seed=seed, max_stmts=size))
         variables = sorted(stmt_vars(prog))
         rng = random.Random(f"{seed}:{size}:{cap}")
         for entry in (bottom(variables), _synthetic_ptype(rng, variables, cap)):
-            assert annotate(prog, entry, cfg) == _kleene(prog, entry, cfg), (seed, size, cap)
+            assert annotate(prog, entry, cap) == _kleene(prog, entry, cap), (seed, size, cap)
         allocating_loops += cap == 1 and any(
             isinstance(node, While) and any(isinstance(n, Cons) for n in walk(node.body))
             for node in walk(prog))
@@ -469,7 +465,7 @@ def test_executions_land_inside_exit_type():
         st = _gen_state(rng, base)
         out = execute(prog, st, 1500)
         if isinstance(out, Final):
-            assert models(out.state, annotate(prog, base, CFG).post, CFG), \
+            assert models(out.state, annotate(prog, base, CAP).post, CAP), \
                 f"seed {seed}"
             passed += 1
     assert passed >= 50
@@ -506,7 +502,7 @@ def test_cons_block_memo_answers_as_the_scan():
     types = [_partial_blocks(rng) for _ in range(200)]
     for seed, size, cap in itertools.product(range(200), (12, 40), (1, 2, 3)):
         prog = gen_program(GenConfig(seed=seed, max_stmts=size))
-        ann = annotate(prog, bottom(stmt_vars(prog)), WidenConfig(instance_cap=cap))
+        ann = annotate(prog, bottom(stmt_vars(prog)), cap)
         todo = [ann]
         while todo:
             node = todo.pop()
@@ -545,5 +541,5 @@ def test_annotate_scans_a_chain_a_few_times(monkeypatch):
 
     monkeypatch.setattr(pointsto, "block_cells", counted)
     prog = parse(chain_src(200))
-    annotate(prog, bottom(stmt_vars(prog)), CFG)
+    annotate(prog, bottom(stmt_vars(prog)), CAP)
     assert 1 <= len(scans) <= 10, len(scans)

@@ -18,7 +18,7 @@ from whilep.lang import (
 )
 from whilep.liveness import Derivation, Judgment, LiveType
 from whilep.memory import Address, ProgState
-from whilep.pointsto import AnnStmt, PointsTo, WidenConfig
+from whilep.pointsto import AnnStmt, PointsTo
 
 A = Address(2, 1, 1)
 P = PointsTo({"p": frozenset({A}), A: frozenset()})
@@ -59,7 +59,6 @@ SAMPLES = [
      "AnnStmt(stmt=Skip(), pre=PointsTo(env={'p': frozenset({addr(2,1,1)}), "
      "addr(2,1,1): frozenset()}), post=PointsTo(env={'p': frozenset({addr(2,1,1)}), "
      "addr(2,1,1): frozenset()}), children=())"),
-    (WidenConfig(), "WidenConfig(instance_cap=3)"),
     (LiveType(PointsTo({}), frozenset({"p"})),
      "LiveType(pts=PointsTo(env={}), live=frozenset({'p'}))"),
     (Judgment(Skip(), LiveType(PointsTo({}), frozenset()),
@@ -167,14 +166,13 @@ def test_constructors_take_keywords_and_defaults():
     assert IntLit(value=3) == IntLit(3)
     assert Derivation("skip", J).premises == ()
     assert AnnStmt(Skip(), P, P).children == ()
-    assert WidenConfig().instance_cap == 3
     assert CheckResult(True) == CheckResult(ok=True, path="", reason="")
     assert GenConfig(max_stmts=4) == GenConfig(0, 4)
 
 
 @pytest.mark.parametrize("build", [
     lambda: IntLit(1, Skip), lambda: IntLit(1, tag=Skip), lambda: Skip(Nil),
-    lambda: Nil(tag=IntLit), lambda: WidenConfig(3, False, WidenConfig),
+    lambda: Nil(tag=IntLit), lambda: GenConfig(0, 12, GenConfig),
     lambda: Derivation("skip", J, (), Derivation), lambda: IntLit(),
 ], ids=["tag", "tag-keyword", "no-fields", "no-fields-keyword", "defaults",
         "after-default", "missing"])
