@@ -77,7 +77,7 @@ from .lang import (
     While, children, free_vars, last_parsed, parse, pretty, program_facts,
     walk_paths,
 )
-from .memory import Address, parse_addr
+from .memory import ADDR_FORMAT, Address, parse_addr
 from .liveness import Derivation, LiveType, leaf_live_pre, live_annotate
 from .pointsto import (
     DEFAULT_CAP, MAX_INSTANCE_CAP, PointsTo, annotate, join, leq, transfer,
@@ -224,7 +224,7 @@ class _Spellings(dict):
     def __missing__(self, a: Address) -> str:
         if len(self) >= _SPELLINGS_BOUND:
             self.clear()
-        text = self[a] = repr(a)
+        text = self[a] = ADDR_FORMAT % a
         return text
 
 
@@ -319,29 +319,56 @@ def serialize(d: Derivation, cap: int = DEFAULT_CAP) -> str:
 def to_json(value) -> str:
     """json.dumps(value, indent=2, sort_keys=True) and a line end, for
     nested dicts, lists, strings and ints: the text of certificates and
-    reports. json's indenting encoder is pure Python and leaves cycles."""
-    return _json(value, "\n") + "\n"
+    reports. json's indenting encoder is pure Python and leaves cycles.
+    The text is gathered as parts and joined once, and each distinct list
+    object is encoded once per call at each indentation, so a list that
+    many keys share costs one encoding."""
+    out = []
+    _json(value, "\n", out, {})
+    out.append("\n")
+    return "".join(out)
 
 
-def _json(value, newline: str) -> str:
+def _json(value, newline: str, out: list, lists: dict) -> None:
+    """Append the parts of value's text to out. lists maps a list already
+    written, by id and indentation, to the span of out that holds it; the
+    root holds every list until to_json returns, so an id names one."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        out.append(encode_basestring_ascii(value))
+        return
     if isinstance(value, int):
-        return int.__repr__(value)
+        out.append(int.__repr__(value))
+        return
+    if not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+        return
     inner = newline + "  "
     if isinstance(value, dict):
-        body = ",".join(f"{inner}{encode_basestring_ascii(k)}: "
-                        f"{_json(value[k], inner)}" for k in sorted(value))
-        return f"{{{body}{newline}}}" if body else "{}"
-    if not value:
-        return "[]"
-    sep = "," + inner
+        sep = "{" + inner
+        for k in sorted(value):
+            out.append(f"{sep}{encode_basestring_ascii(k)}: ")
+            sep = "," + inner
+            _json(value[k], inner, out, lists)
+        out.append(newline + "}")
+        return
+    key = (id(value), len(newline))
+    span = lists.get(key)
+    if span is not None:
+        out += out[span[0]:span[1]]
+        return
+    start = len(out)
     if set(map(type, value)) == {str}:
         # a string list, the bulk of a certificate, in one join
-        body = sep.join(map(encode_basestring_ascii, value))
+        body = ("," + inner).join(map(encode_basestring_ascii, value))
+        out.append(f"[{inner}{body}{newline}]")
     else:
-        body = sep.join(_json(v, inner) for v in value)
-    return f"[{inner}{body}{newline}]"
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            sep = "," + inner
+            _json(v, inner, out, lists)
+        out.append(newline + "]")
+    lists[key] = start, len(out)
 
 
 def _pts_from_doc(doc, path: str, scope: tuple, addr) -> PointsTo:

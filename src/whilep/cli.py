@@ -182,7 +182,7 @@ def _cmd_run(args) -> int:
     for name in sorted(final.stack):
         print(f"{name} = {format_value(final.stack[name])}")
     for addr in sorted(final.heap):
-        print(f"{addr!r} = {format_value(final.heap[addr])}")
+        print(f"{format_value(addr)} = {format_value(final.heap[addr])}")
     return 0
 
 

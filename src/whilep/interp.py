@@ -21,8 +21,13 @@ on that; no outcome, value or error changes. In x + c, x - c and the
 comparisons x op c and c op x, a literal c is folded into the closure
 and a variable x is read from the stack directly; when the values are
 exact ints the closure takes a fast path, and any other values fall
-through to the general case. A cons of two arguments evaluates them
-without building a list, and every cons builds its cells without
+through to the general case. x + c and x - c also shift an address x
+within its block in place, and x op c has one closure per operator,
+which compares two ints with the operator itself. An assignment
+x := y + c or x := y - c is one closure that adds in place when y holds
+an int, and a sequence of two items makes its two calls without the
+item loop, ticking as the loop does. A cons of two arguments evaluates
+them without building a list, and every cons builds its cells without
 Address's checks, as fresh_instance has already made its block valid.
 The general case of an arithmetic operator, and every and/or, compiles
 a left-deep chain (((a op b) op c) ...) into one closure that folds
@@ -43,6 +48,8 @@ from .memory import (
 )
 
 DEFAULT_FUEL = 100_000
+
+_new = tuple.__new__  # builds an Address whose triple is known valid
 
 
 class EvalError(Exception):
@@ -129,20 +136,35 @@ def _literal(e) -> bool:
     return type(e) is IntLit and type(e.value) is int
 
 
-def _binop(e: BinOp):
-    op, lhs, rhs, _ = e
-    if op != "*" and type(lhs) is Var and _literal(rhs):
-        # x + c and x - c: one addition on an integer x
-        name, c = lhs.name, rhs.value
-        k = c if op == "+" else -c
+def _shift_shape(e) -> tuple | None:
+    """(x, k) when e is x + c or x - c with a literal c, so e is x + k."""
+    if type(e) is BinOp:
+        op, lhs, rhs, _ = e
+        if op != "*" and type(lhs) is Var and _literal(rhs):
+            return lhs.name, rhs.value if op == "+" else -rhs.value
+    return None
 
-        def shift(stack):
-            v = stack[name]
-            if type(v) is int:
-                return v + k
-            return _any_arith(op, v, c)
-        return shift
-    return _chain(e)
+
+def _binop(e: BinOp):
+    shape = _shift_shape(e)
+    if shape is None:
+        return _chain(e)
+    # x + c and x - c: one addition on an integer x, one shift within
+    # the block of an address x
+    name, k = shape
+    op, c = e.op, e.rhs.value
+
+    def shift(stack):
+        v = stack[name]
+        if type(v) is int:
+            return v + k
+        if type(v) is Address:
+            n, u, i = v
+            i += k
+            if 0 < i <= n:
+                return _new(Address, (n, u, i))
+        return _any_arith(op, v, c)
+    return shift
 
 
 def _chain(e: BinOp):
@@ -215,18 +237,31 @@ _CMP = {"=": (eq, eq), "<": (lt, value_lt)}
 _LE = (le, _value_le)  # any other operator is <=
 
 
+def _var_const(op: str, name: str, c: int):
+    """x op c, on an exact int x compared by the operator itself."""
+    if op == "=":
+        return lambda stack: stack[name] == c  # eq on any values
+    if op == "<":
+        def var_lt(stack):
+            v = stack[name]
+            if type(v) is int:
+                return v < c
+            return value_lt(v, c)
+        return var_lt
+
+    def var_le(stack):
+        v = stack[name]
+        if type(v) is int:
+            return v <= c
+        return _value_le(v, c)
+    return var_le
+
+
 def _cmp(b: Cmp):
     op, lhs, rhs, _ = b
     int_test, test = _CMP.get(op, _LE)
     if type(lhs) is Var and _literal(rhs):
-        name, c = lhs.name, rhs.value
-
-        def var_const(stack):
-            v = stack[name]
-            if type(v) is int:
-                return int_test(v, c)
-            return test(v, c)
-        return var_const
+        return _var_const(op, lhs.name, rhs.value)
     if _literal(lhs) and type(rhs) is Var:
         c, name = lhs.value, rhs.name
 
@@ -274,6 +309,15 @@ def _stmt(s: Stmt):
     kind = type(s)
     if kind is Assign:
         var, f = s.var, _aexp(s.expr)
+        shape = _shift_shape(s.expr)
+        if shape is not None:
+            # x := y + c and x := y - c: one addition on an integer y
+            name, k = shape
+
+            def assign_shift(stack, heap, blocks, gas):
+                v = stack[name]
+                stack[var] = v + k if type(v) is int else f(stack)
+            return assign_shift
 
         def assign(stack, heap, blocks, gas):
             stack[var] = f(stack)
@@ -284,6 +328,16 @@ def _stmt(s: Stmt):
         return _cons(s.var, tuple(map(_aexp, s.args)))
     if kind is Seq:
         *init, last = map(_stmt, s.items)
+        if len(init) == 1:
+            first = init[0]
+
+            def seq2(stack, heap, blocks, gas):
+                if gas[0] <= 0:
+                    raise _Fuel()
+                gas[0] -= 1
+                first(stack, heap, blocks, gas)
+                last(stack, heap, blocks, gas)
+            return seq2
 
         def seq(stack, heap, blocks, gas):
             for f in init:
@@ -350,7 +404,6 @@ def _cons(var: str, fs: tuple):
     block it names is valid, so its cells are built without Address's
     checks."""
     n = len(fs)
-    new = tuple.__new__
     if n == 2:
         f1, f2 = fs
 
@@ -358,9 +411,9 @@ def _cons(var: str, fs: tuple):
             v1 = f1(stack)
             v2 = f2(stack)
             u = fresh_instance(blocks, 2)
-            first = new(Address, (2, u, 1))
+            first = _new(Address, (2, u, 1))
             heap[first] = v1
-            heap[new(Address, (2, u, 2))] = v2
+            heap[_new(Address, (2, u, 2))] = v2
             stack[var] = first
         return cons2
 
@@ -368,8 +421,8 @@ def _cons(var: str, fs: tuple):
         values = [f(stack) for f in fs]
         u = fresh_instance(blocks, n)
         for i, value in enumerate(values, 1):
-            heap[new(Address, (n, u, i))] = value
-        stack[var] = new(Address, (n, u, 1))
+            heap[_new(Address, (n, u, i))] = value
+        stack[var] = _new(Address, (n, u, 1))
     return cons
 
 

@@ -9,16 +9,21 @@ so hashing, equality and order are the tuple's, done in C, and order is
 the triple order. An Address therefore equals the plain triple. No value
 of the language and no key of a type is a tuple, so no state, type or
 certificate can tell. AST nodes are tuples too (lang.Record), but no
-node is ever a value or a key.
+node is ever a value or a key. An address's one spelling, addr(n,u,i),
+is ADDR_FORMAT applied to the triple; repr, format_value and the
+certificate writer all use it.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 
 from .lang import Record, int_digits
+
+
+ADDR_FORMAT = "addr(%d,%d,%d)"
 
 
 class Address(namedtuple("Address", "length instance index")):
@@ -34,7 +39,7 @@ class Address(namedtuple("Address", "length instance index")):
         return tuple.__new__(cls, (length, instance, index))
 
     def __repr__(self):
-        return f"addr({self[0]},{self[1]},{self[2]})"
+        return ADDR_FORMAT % self
 
 
 class NilValue:
@@ -69,29 +74,39 @@ class ProgState(Record):
         return ProgState(dict(self.stack), dict(self.heap))
 
 
+class _Lane:
+    """The index of the blocks in use of one length (see Blocks)."""
+
+    __slots__ = ("cells", "cursor", "freed")
+
+    def __init__(self):
+        self.cells: dict = {}  # instance -> live cells
+        self.cursor = 1
+        self.freed: list = []
+
+
 class Blocks:
     """The blocks in use in one run's heap, indexed for allocation.
 
     A block (length, instance) is in use while at least one of its cells
-    is in the heap. The index holds the live cell count of every block in
-    use; per length, a cursor below which every instance is in use or
-    freed, and a min-heap of the instances freed below the cursor. It is
-    built from the heap on the first allocation, in time linear in the
-    heap and with one entry per block in use, so a run that never
-    allocates pays nothing. Once it is built, cells enter the heap only as
-    the block of a fresh_instance, written by its caller, and leave it
-    only through dispose.
+    is in the heap. The index keeps one lane per block length: the live
+    cell count of each block in use, keyed by instance; a cursor below
+    which every instance is in use or freed; and a min-heap of the
+    instances freed below the cursor. An allocation or a disposal looks
+    up its lane once. The index is built from the heap on the first
+    allocation, in time linear in the heap and with one entry per block
+    in use, so a run that never allocates pays nothing. Once it is built,
+    cells enter the heap only as the block of a fresh_instance, written by
+    its caller, and leave it only through dispose.
 
     len() is the number of cells in the heap.
     """
 
-    __slots__ = ("heap", "_cells", "_cursor", "_freed")
+    __slots__ = ("heap", "_lanes")
 
     def __init__(self, heap: Heap):
         self.heap = heap
-        self._cells: dict | None = None  # (length, instance) -> live cells
-        self._cursor: dict = {}  # length -> least instance not yet reached
-        self._freed: dict = {}   # length -> min-heap of freed instances
+        self._lanes: defaultdict | None = None  # length -> _Lane
 
     def __len__(self) -> int:
         return len(self.heap)
@@ -100,18 +115,18 @@ class Blocks:
         """Remove the cell a from the heap; its block becomes free with
         its last cell."""
         del self.heap[a]
-        cells = self._cells
-        if cells is None:
+        if self._lanes is None:
             return
-        block = a[:2]  # (length, instance)
-        left = cells[block] - 1
+        lane = self._lanes[a[0]]
+        cells, u = lane.cells, a[1]
+        left = cells[u] - 1
         if left:
-            cells[block] = left
+            cells[u] = left
             return
-        del cells[block]
+        del cells[u]
         # a free instance at or above the cursor is found by the cursor
-        if a.instance < self._cursor.get(a.length, 1):
-            heapq.heappush(self._freed.setdefault(a.length, []), a.instance)
+        if u < lane.cursor:
+            heapq.heappush(lane.freed, u)
 
 
 def fresh_instance(blocks: Blocks, length: int) -> int:
@@ -120,23 +135,24 @@ def fresh_instance(blocks: Blocks, length: int) -> int:
     The block is counted in use with all its cells, which the caller then
     writes. Called once per cons; amortised O(log n) once the index is
     built."""
-    cells = blocks._cells
-    if cells is None:
+    lanes = blocks._lanes
+    if lanes is None:
         # a plain loop: Counter costs more to set up on the small heaps
         # most runs start from
-        cells = blocks._cells = {}
-        for a in blocks.heap:
-            block = a[:2]
-            cells[block] = cells.get(block, 0) + 1
-    freed = blocks._freed.get(length)
-    if freed:
-        u = heapq.heappop(freed)
+        lanes = blocks._lanes = defaultdict(_Lane)
+        for n, u, _ in blocks.heap:
+            cells = lanes[n].cells
+            cells[u] = cells.get(u, 0) + 1
+    lane = lanes[length]
+    cells = lane.cells
+    if lane.freed:
+        u = heapq.heappop(lane.freed)
     else:
-        u = blocks._cursor.get(length, 1)
-        while (length, u) in cells:
+        u = lane.cursor
+        while u in cells:
             u += 1
-        blocks._cursor[length] = u + 1
-    cells[(length, u)] = length
+        lane.cursor = u + 1
+    cells[u] = length
     return u
 
 
@@ -177,6 +193,8 @@ def value_lt(v1: Value, v2: Value) -> bool:
 def format_value(v: Value) -> str:
     """An int's digits, nil or addr(n,u,i), for any int: one past
     str()'s digit limit is printed in parts by lang.int_digits."""
+    if type(v) is Address:
+        return ADDR_FORMAT % v
     try:
         return repr(v)
     except ValueError:

@@ -97,8 +97,16 @@ REPORT_VALUES = st.recursive(
     max_leaves=30)
 
 
+# one string list and one mixed list, each shared by many keys and at two
+# depths, as pts_to_doc shares an image's list among the keys holding it
+_SHARED = ["addr(1,1,1)", "p", "q\"r"]
+_MIXED = [1, _SHARED, {"k": _SHARED}]
+
+
 @settings(max_examples=400, deadline=None)
 @given(REPORT_VALUES)
+@example({**{f"k{i}": _SHARED for i in range(40)}, "deep": {"a": _SHARED},
+          "mixed": _MIXED, "again": [_MIXED, _SHARED, _MIXED]})
 @example({"caf\u00e9": [-3, "\u2603 \U0001d11e", {}, []], "": {"n": [0, -10 ** 20]}})
 @example([])
 @example(["q", "a\"b\\", "\n\t\x00\x1f\x7f", "caf\u00e9", "\U0001d11e", ""])
@@ -110,6 +118,45 @@ def test_to_json_matches_json_dumps(value):
     """The one JSON writer is json.dumps with a two-space indent and
     sorted keys, plus a line end."""
     assert certificate.to_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_to_json_encodes_each_shared_list_once(monkeypatch):
+    """The cap probe's certificate at cap 1,000 shares two image lists of
+    about 1,000 addresses among about 1,000 loop-invariant keys; each
+    distinct list's strings are encoded once, not once per key."""
+    calls, docs = [0], []
+    encode, write = certificate.encode_basestring_ascii, certificate.to_json
+
+    def counted(text):
+        calls[0] += 1
+        return encode(text)
+
+    def captured(value):
+        docs.append(value)
+        return write(value)
+
+    def strings(value, depth, seen) -> int:
+        """Strings to encode when each list is encoded once per depth."""
+        if isinstance(value, str):
+            return 1
+        if isinstance(value, dict):
+            return sum(1 + strings(v, depth + 1, seen) for v in value.values())
+        if isinstance(value, int) or (id(value), depth) in seen:
+            return 0
+        seen.add((id(value), depth))
+        return sum(strings(v, depth + 1, seen) for v in value)
+
+    src = "p := 0; i := 0; while i < 5 do { p := cons(p); i := i + 1 }"
+    d = optimize(parse(src), {"p"}, 1000).derivation
+    monkeypatch.setattr(certificate, "encode_basestring_ascii", counted)
+    monkeypatch.setattr(certificate, "to_json", captured)
+    text = serialize(d, 1000)
+    (doc,) = docs
+    assert json.loads(text) == doc
+    assert calls[0] == strings(doc, 0, set())
+    pts = doc["loops"][0]["pts"]
+    assert len(pts) > 1000 and len({id(v) for v in pts.values()}) <= 3
+    assert calls[0] < sum(map(len, pts.values())) // 100
 
 
 def _addresses(most):

@@ -11,9 +11,9 @@ import pytest
 
 from whilep import GenConfig, gen_program, gen_state, interp
 from whilep.interp import execute
-from whilep.lang import pretty, stmt_vars
+from whilep.lang import parse, pretty, stmt_vars
 from whilep.memory import (
-    NIL, Address, Blocks, NilValue, ProgState, addr_shift, format_value,
+    ADDR_FORMAT, NIL, Address, Blocks, NilValue, ProgState, addr_shift, format_value,
     fresh_instance, parse_addr, value_lt,
 )
 from whilep.pointsto import PointsTo
@@ -91,6 +91,11 @@ def test_address_repr_and_parse():
         assert parse_addr(text) is None, text
     for text in ("addr(1,1,1)", "addr(10,20,10)"):
         assert repr(parse_addr(text)) == text
+    # the one format spells what the f-string it replaced spelled
+    for a in _random_addresses(random.Random(16), 400):
+        n, u, i = a
+        assert repr(a) == ADDR_FORMAT % a == f"addr({n},{u},{i})"
+        assert parse_addr(repr(a)) == a
 
 
 def test_nil_is_a_distinct_value():
@@ -101,10 +106,30 @@ def test_nil_is_a_distinct_value():
     assert format_value(NIL) == "nil"
 
 
+def _random_addresses(rng, k):
+    """k addresses of random triples, instance 10**9 among them."""
+    out = [Address(3, 10 ** 9, 2)]
+    for _ in range(k - 1):
+        n = rng.randint(1, 9)
+        u = rng.choice((1, rng.randint(2, 10 ** 6), 10 ** 9))
+        out.append(Address(n, u, rng.randint(1, n)))
+    return out
+
+
 def test_format_value():
     assert format_value(7) == "7"
     assert format_value(-2) == "-2"
     assert format_value(Address(3, 1, 2)) == "addr(3,1,2)"
+    # addresses as keys and as values of a heap, and as read from it by
+    # a run, spelled as the f-string format_value used before
+    rng = random.Random(17)
+    keys = _random_addresses(rng, 300)
+    heap = dict(zip(keys, _random_addresses(rng, 300)))
+    out = execute(parse("y := [x]"), ProgState({"x": keys[0], "y": 0}, heap))
+    assert out.state.stack["y"] == heap[keys[0]]
+    for a in [*heap, *heap.values(), out.state.stack["y"]]:
+        n, u, i = a
+        assert format_value(a) == repr(a) == f"addr({n},{u},{i})"
 
 
 def test_format_value_prints_every_int(default_digit_limit):
