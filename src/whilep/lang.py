@@ -468,6 +468,10 @@ class _Parser:
         self.atoms: dict[str, AExp] = {}
         self.loops: list = []  # the While nodes, in source preorder
         self.lengths: set[int] = set()  # the arity of every cons
+        # token index of a '(' -> (at, message) of the failure of the
+        # operand it opens: batom retries a guard's '(' as an operand once
+        # per nesting depth. No traceback is kept, so no frame either.
+        self.failed: dict[int, tuple[int, str]] = {}
 
     def fail(self, expected: str):
         found = self.tokens[self.pos] or "end of input"
@@ -601,9 +605,15 @@ class _Parser:
             tok = "-" + tokens[pos]
             atom = self.atoms.get(tok) or self.int_lit(pos - 1, tok)
         elif tok == "(":
+            if pos in self.failed:
+                raise _Failure(*self.failed[pos])
             self.pos = pos + 1
-            e = self.aexp()
-            self.expect(")")
+            try:
+                e = self.aexp()
+                self.expect(")")
+            except _Failure as failure:
+                self.failed[pos] = failure.at, failure.message
+                raise
             return e
         else:
             self.fail("an expression")

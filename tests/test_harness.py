@@ -144,6 +144,42 @@ def test_t4_executes_no_twin_after_an_original_out_of_fuel(monkeypatch):
     assert outcomes == [OutOfFuel()]
 
 
+def _spy_analyses(monkeypatch) -> list:
+    """The names, in call order, of the analyses a trial calls itself."""
+    calls = []
+    for name in ("annotate", "live_annotate", "optimize"):
+        def spy(*args, _name=name, _original=getattr(harness, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(harness, name, spy)
+    return calls
+
+
+def test_an_aborting_run_is_not_analyzed_from_its_synthetic_type(monkeypatch):
+    """Trial 11 starts from a synthetic entry type and its run aborts, so
+    t1-t3 skip it and nothing analyzes from that type; t4's run from the
+    bottom type aborts too, and t4 still optimizes, to count a residual
+    that finishes."""
+    assert random.Random("suite:11").random() < 0.35  # a synthetic entry type
+    calls = _spy_analyses(monkeypatch)
+    report = run_soundness_suite(1, GenConfig(11))["checks"]
+    assert [report[name]["skip"] for name in ("t1", "t2", "t3", "t4")] == [1] * 4
+    assert calls == ["optimize"]
+
+
+def test_t4_optimizes_nothing_after_a_bottom_type_out_of_fuel(monkeypatch):
+    """Trial 2767 starts from a synthetic entry type and its run finishes,
+    so t1-t3 analyze from that type; t4's own run from the bottom type
+    runs out of fuel, so t4 skips without optimizing."""
+    assert random.Random("suite:2767").random() < 0.35
+    calls = _spy_analyses(monkeypatch)
+    report = run_soundness_suite(1, GenConfig(2767))["checks"]
+    assert [report[name]["pass"] for name in ("t1", "t2", "t3")] == [1] * 3
+    assert report["t4"] == {"pass": 0, "skip": 1, "fail": 0,
+                            "failing_seeds": [], "corrected": 0}
+    assert calls == ["annotate", "live_annotate"]
+
+
 def test_suite_rejects_an_unknown_check(monkeypatch):
     """An unknown name is a ValueError naming the first one, and an empty
     selection one of its own, before any trial runs."""
@@ -225,3 +261,20 @@ def test_suite_counts_pinned():
     for name in full["checks"]:
         alone = run_soundness_suite(300, GenConfig(seed=0), checks=(name,))
         assert alone["checks"] == {name: full["checks"][name]}, name
+
+
+@pytest.mark.parametrize("cap, max_stmts, pins", [
+    (1, 12, {"t1": (122, 178), "t2": (122, 178), "t3": (122, 178), "t4": (135, 165, 62)}),
+    (2, 12, {"t1": (122, 178), "t2": (122, 178), "t3": (122, 178), "t4": (135, 165, 60)}),
+    (3, 40, {"t1": (30, 270), "t2": (30, 270), "t3": (30, 270), "t4": (32, 268, 51)}),
+])
+def test_suite_counts_pinned_at_other_caps_and_sizes(cap, max_stmts, pins):
+    """(pass, skip) of each check, and t4's corrected count, of a full run
+    at seed 0 with no failure, at caps 1 and 2 and at 40 statements."""
+    full = run_soundness_suite(300, GenConfig(0, max_stmts), cap=cap)["checks"]
+    expected = {"lemma1": {"pass": 300, "skip": 0, "fail": 0, "failing_seeds": []}}
+    for name, (passed, skipped, *corrected) in pins.items():
+        expected[name] = {"pass": passed, "skip": skipped, "fail": 0, "failing_seeds": []}
+        if corrected:
+            expected[name]["corrected"] = corrected[0]
+    assert full == expected

@@ -354,6 +354,35 @@ def test_parse_time_is_linear_with_backtracking():
     assert _guard_chain_seconds(4_000) < 8 * _guard_chain_seconds(1_000)
 
 
+def test_nested_guard_parentheses_read_each_operand_once(monkeypatch):
+    """Each '(' of a guard is first tried as a comparison operand, which
+    fails at the innermost '<'; a parse raises a failed operand's error
+    again rather than reading it again, so d parentheses cost 2d + 1
+    operand reads, not a number growing with d squared. A guard that
+    fails reports the error that reading each operand again would."""
+    reads = []
+    atom = lang._Parser.atom
+
+    def counted(self):
+        reads.append(self.pos)
+        return atom(self)
+
+    monkeypatch.setattr(lang._Parser, "atom", counted)
+    counts = {}
+    for d in (50, 100, 200):
+        reads.clear()
+        tree = parse("if " + "(" * d + "x < 1" + ")" * d + " then { skip } else { skip }")
+        assert tree.cond == Cmp("<", Var("x"), IntLit(1))
+        counts[d] = len(reads)
+    assert counts == {50: 101, 100: 201, 200: 401}
+    for inner, closing, error in (
+            ("x < 1", 49, "1:109: expected ')', found 'then'"),
+            ("x", 50, "1:55: expected '=', '<' or '<=', found ')'")):
+        with pytest.raises(ParseError) as info:
+            parse("if " + "(" * 50 + inner + ")" * closing + " then { skip } else { skip }")
+        assert str(info.value) == error
+
+
 def _nodes(tree):
     """Every statement and expression node of tree, repeats included."""
     out, todo = [], [tree]

@@ -3,6 +3,7 @@
 import random
 
 from whilep import GenConfig, gen_program, gen_state
+from whilep.deadcode import optimize
 from whilep.interp import execute
 from whilep.lang import parse, stmt_vars
 from whilep.pointsto import bottom
@@ -35,15 +36,21 @@ def _alloc_shapes(rng):
 
 
 def _cases():
-    rng = random.Random("refinterp")
+    """Generated programs and their optimize residuals, the programs t4
+    runs, each from two states: one from the bottom type and one with
+    instance gaps. A residual keeps a seeded half of the variables live."""
+    rng, live_rng = random.Random("refinterp"), random.Random("refinterp:live")
     cases = []
     for size, seeds in ((12, range(700)), (40, range(300))):
         for seed in seeds:
             cfg = GenConfig(seed, size)
             program = gen_program(cfg)
             variables = sorted(stmt_vars(program))
-            cases.append((program, gen_state(cfg, bottom(variables))))
-            cases.append((program, gen_state(cfg, _gapped_ptype(rng, variables))))
+            states = (gen_state(cfg, bottom(variables)),
+                      gen_state(cfg, _gapped_ptype(rng, variables)))
+            live = frozenset(x for x in variables if live_rng.random() < 0.5)
+            residual = optimize(program, live).optimized
+            cases += [(s, state) for s in (program, residual) for state in states]
     for src in _alloc_shapes(rng):
         program = parse(src)
         variables = sorted(stmt_vars(program))
@@ -58,7 +65,7 @@ def _typed(values: dict) -> dict:
 
 
 def test_execute_matches_the_reference_interpreter():
-    """Over 2,000+ (program, state) pairs, each at six fuels: execute and
+    """Over 4,000+ (program, state) pairs, each at six fuels: execute and
     the reference reach the same outcome class and, for a final state,
     the same stack and heap."""
     cases = _cases()
@@ -73,7 +80,7 @@ def test_execute_matches_the_reference_interpreter():
                 assert _typed(got.state.stack) == _typed(want[1]), (program, fuel)
                 assert _typed(got.state.heap) == _typed(want[2]), (program, fuel)
             kinds[kind] = kinds.get(kind, 0) + 1
-    assert len(cases) >= 2000
+    assert len(cases) >= 4000
     # every outcome class is well represented
     assert min(kinds.values()) >= 500, kinds
 
